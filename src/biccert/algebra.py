@@ -24,7 +24,9 @@ import numpy as np
 from .bell import Strategy, bell_value
 from .bic import GramMatrix
 from .linalg import (
+    RANK_CUTOFF,
     BipartiteDims,
+    components,
     dagger,
     eigh,
     frobenius,
@@ -33,8 +35,6 @@ from .linalg import (
     matricize,
     partial_trace,
 )
-
-RANK_CUTOFF = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def _attempt_decomposition(X, basis, rng, n, tol, scale):
                 adjacency[i, j] = (
                     frobenius(dagger(copies[i]) @ link @ copies[j]) > 1e-6 * scale
                 )
-    groups = _components(adjacency)
+    groups = components(adjacency)
 
     blocks = []
     columns = []
@@ -522,26 +522,6 @@ def _attempt_decomposition(X, basis, rng, n, tol, scale):
         blocks=tuple(ordered_blocks),
         off_block_residual=float(residual),
     )
-
-
-def _components(adjacency: np.ndarray) -> list[list[int]]:
-    r = adjacency.shape[0]
-    seen = [False] * r
-    comps = []
-    for start in range(r):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in range(r):
-                if (adjacency[v, u] or adjacency[u, v]) and not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,6 @@ class Correlation:
     pair_probs: np.ndarray
     povm_probs: np.ndarray
 
-    def alice_pair_marginal(self, p: int, a: int) -> float:
-        return float(self.pair_probs[p, 0, a, :].sum())
-
-    def alice_povm_marginal(self, a: int) -> float:
-        return float(self.povm_probs[a, 0, :].sum())
-
-    def bob_marginal(self, y: int) -> float:
-        return float(self.povm_probs[:, y, 0].sum())
-
 
 @dataclass(frozen=True)
 class BellReport:
@@ -203,45 +194,64 @@ def _check_dims(strategy: Strategy, S: GramMatrix) -> None:
         )
 
 
-def _bell_terms(strategy: Strategy, S: GramMatrix) -> dict[str, np.ndarray]:
-    """The four summand groups of W_d as operators on H_A (x) H_B."""
-    _check_dims(strategy, S)
-    d = S.d
-    dA, dB = strategy.dims.dA, strategy.dims.dB
-    IA, IB = np.eye(dA), np.eye(dB)
-    n = strategy.n_outcomes
-    s = S.s
-
-    pair_corr = np.zeros((dA * dB, dA * dB), dtype=complex)
-    pair_marginal = np.zeros_like(pair_corr)
-    for p, (j, k) in enumerate(strategy.pairs):
-        A1, A2 = strategy.alice_pair_effects[p]
-        c = np.sqrt(1.0 - s[j, k])
-        pair_corr += 2.0 * c * kron(A1 - A2, strategy.bob[j] - strategy.bob[k])
-        pair_marginal -= (1.0 - s[j, k]) * kron(A1 + A2, IB)
-    bob_marginal = -d * (d - 2) * kron(IA, strategy.bob.sum(axis=0))
-    povm_mismatch = np.zeros_like(pair_corr)
-    for j in range(n):
-        povm_mismatch -= kron(strategy.alice_povm[j], IB - strategy.bob[j])
-    return {
-        "pair_correlation": pair_corr,
-        "pair_marginal_penalty": pair_marginal,
-        "bob_marginal_penalty": bob_marginal,
-        "povm_mismatch_penalty": povm_mismatch,
-    }
+def _coefficients(S: GramMatrix, pairs) -> tuple[list[tuple[float, float]], int]:
+    """Weights of the Bell function: (2 sqrt(1-s_jk), 1-s_jk) on each pair's
+    correlator and Alice marginal, in the order of ``pairs``, and d(d-2) on
+    Bob's marginals."""
+    weights = [(2.0 * math.sqrt(1.0 - S.s[j, k]), 1.0 - S.s[j, k]) for j, k in pairs]
+    return weights, S.d * (S.d - 2)
 
 
 def bell_operator(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     """Assemble the Bell operator W_d of the strategy's effects."""
-    terms = _bell_terms(strategy, S)
-    return sum(terms.values())
+    _check_dims(strategy, S)
+    dA, dB = strategy.dims.dA, strategy.dims.dB
+    IA, IB = np.eye(dA), np.eye(dB)
+    weights, bob_weight = _coefficients(S, strategy.pairs)
+
+    pair_corr = np.zeros((dA * dB, dA * dB), dtype=complex)
+    pair_marginal = np.zeros_like(pair_corr)
+    for (j, k), (A1, A2), (corr_w, marg_w) in zip(
+        strategy.pairs, strategy.alice_pair_effects, weights
+    ):
+        pair_corr += corr_w * kron(A1 - A2, strategy.bob[j] - strategy.bob[k])
+        pair_marginal -= marg_w * kron(A1 + A2, IB)
+    bob_marginal = -bob_weight * kron(IA, strategy.bob.sum(axis=0))
+    povm_mismatch = np.zeros_like(pair_corr)
+    for j in range(strategy.n_outcomes):
+        povm_mismatch -= kron(strategy.alice_povm[j], IB - strategy.bob[j])
+    return pair_corr + pair_marginal + bob_marginal + povm_mismatch
 
 
 def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
-    """tr(W_d rho), with the per-term breakdown."""
-    terms = _bell_terms(strategy, S)
+    """tr(W_d rho), with the per-term breakdown, without forming W_d.
+
+    tr[rho (X (x) Y)] = tr[X R_Y] with R_Y = tr_B[rho (I (x) Y)], so the state
+    is contracted once with each of Bob's effects and with I_B, and every
+    summand of W_d is evaluated on Alice's side.
+    """
+    _check_dims(strategy, S)
+    dA, dB = strategy.dims.dA, strategy.dims.dB
+    rho4 = strategy.rho.reshape(dA, dB, dA, dB)
+    # stored transposed, so that tr[X R] = sum(X * R^t)
+    bob_t = np.einsum("abce,jeb->jca", rho4, strategy.bob)
+    rho_A_t = np.einsum("abcb->ca", rho4)
+    weights, bob_weight = _coefficients(S, strategy.pairs)
+
+    pair_corr = 0.0
+    pair_marginal = 0.0
+    for (j, k), (A1, A2), (corr_w, marg_w) in zip(
+        strategy.pairs, strategy.alice_pair_effects, weights
+    ):
+        pair_corr += corr_w * np.sum((A1 - A2) * (bob_t[j] - bob_t[k]))
+        pair_marginal -= marg_w * np.sum((A1 + A2) * rho_A_t)
+    bob_marginal = -bob_weight * np.trace(bob_t, axis1=1, axis2=2).sum()
+    povm_mismatch = -np.sum(strategy.alice_povm * (rho_A_t - bob_t))
     breakdown = {
-        name: float(np.trace(term @ strategy.rho).real) for name, term in terms.items()
+        "pair_correlation": float(np.real(pair_corr)),
+        "pair_marginal_penalty": float(np.real(pair_marginal)),
+        "bob_marginal_penalty": float(np.real(bob_marginal)),
+        "povm_mismatch_penalty": float(np.real(povm_mismatch)),
     }
     value = sum(breakdown.values())
     d2 = float(S.d * S.d)
@@ -359,20 +369,13 @@ def bell_value_from_correlation(corr: Correlation, S: GramMatrix, d: int) -> flo
     n = d * d
     if corr.n_outcomes != n:
         raise ValueError("correlation table does not match d")
-    s = S.s
+    weights, bob_weight = _coefficients(S, corr.pairs)
+    P = corr.pair_probs
     value = 0.0
-    for p, (j, k) in enumerate(corr.pairs):
-        c = math.sqrt(1.0 - s[j, k])
-        value += 2.0 * c * (
-            corr.pair_probs[p, j, 0, 0]
-            + corr.pair_probs[p, k, 1, 0]
-            - corr.pair_probs[p, k, 0, 0]
-            - corr.pair_probs[p, j, 1, 0]
-        )
-        value -= (1.0 - s[j, k]) * (
-            corr.alice_pair_marginal(p, 0) + corr.alice_pair_marginal(p, 1)
-        )
-    value -= d * (d - 2) * sum(corr.bob_marginal(y) for y in range(n))
+    for p, ((j, k), (corr_w, marg_w)) in enumerate(zip(corr.pairs, weights)):
+        value += corr_w * (P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0])
+        value -= marg_w * P[p, 0, :2].sum()
+    value -= bob_weight * corr.povm_probs[:, :, 0].sum()
     value -= sum(corr.povm_probs[j, j, 1] for j in range(n))
     return float(value)
 

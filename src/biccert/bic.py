@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, eigh, frobenius
+from .linalg import DEFAULT_TOL, components, dagger, eigh, frobenius
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     adjacency = S > tol
     np.fill_diagonal(adjacency, False)
-    connected = _connected(adjacency)
+    connected = len(components(adjacency)) == 1
 
     checks = {
         "unit_diagonal": CheckResult(bool(diag_res <= tol), diag_res),
@@ -335,20 +335,6 @@ def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
         "connected": CheckResult(bool(connected), 0.0 if connected else 1.0),
     }
     return ValidationReport(checks=checks)
-
-
-def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in np.flatnonzero(adjacency[v]):
-            if not seen[u]:
-                seen[u] = True
-                stack.append(int(u))
-    return bool(seen.all())
 
 
 # ---------------------------------------------------------------------------

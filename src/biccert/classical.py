@@ -84,29 +84,11 @@ def _check_budget(S: GramMatrix, allow_d5: bool, max_subsets: int) -> int:
     return max_card
 
 
-def _boundary_scan(weights: np.ndarray, n: int, max_card: int, maximize: bool):
-    """Extremum of sum_{j in J, k not in J} weights[j,k] over 0 < |J| <= max_card.
-
-    Enumerates by cardinality ascending, lexicographic inside each class, in
-    vectorized chunks; the first strict improvement wins, which implements
-    the smallest-cardinality-then-lexicographic tie-break.
-    """
-    row = weights.sum(axis=1)
-    sign = 1.0 if maximize else -1.0
-    best = -np.inf
-    best_subset: tuple[int, ...] = ()
-    for m in range(1, max_card + 1):
-        for block in _chunked(combinations(range(n), m), _CHUNK):
-            idx = np.array(block, dtype=np.int64)
-            inside = row[idx].sum(axis=1) - weights[idx[:, :, None], idx[:, None, :]].sum(
-                axis=(1, 2)
-            )
-            scores = sign * inside
-            top = int(np.argmax(scores))
-            if scores[top] > best:
-                best = float(scores[top])
-                best_subset = tuple(int(j) for j in idx[top])
-    return sign * best, best_subset
+def _boundary_sums(weights: np.ndarray, row: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_{j in J, k not in J} weights[j,k] for each subset J, a row of idx."""
+    return row[idx].sum(axis=1) - weights[idx[:, :, None], idx[:, None, :]].sum(
+        axis=(1, 2)
+    )
 
 
 def _chunked(iterator, size):
@@ -128,34 +110,36 @@ def classical_value(
 ) -> ClassicalResult:
     """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d.
 
-    Ties break toward the smallest cardinality, then lexicographic J.  The
-    result carries the upper bound d^2 - (1/4) min boundary sum of s_jk^2.
+    Ties break toward the smallest cardinality, then lexicographic J: subsets
+    are enumerated by cardinality ascending, lexicographic inside each class,
+    and only a strict improvement replaces the best.  The same pass yields the
+    upper bound d^2 - (1/4) min boundary sum of s_jk^2.
     """
     d = S.d
     max_card = _check_budget(S, allow_d5, max_subsets)
     W = _payoff_matrix(S)
+    Q = S.s**2
+    np.fill_diagonal(Q, 0.0)
+    row_W, row_Q = W.sum(axis=1), Q.sum(axis=1)
 
-    # the -d(d-2)|J| offset depends only on |J|, so scan per cardinality
     best_value = -math.inf
     best_J: tuple[int, ...] = ()
-    row = W.sum(axis=1)
+    min_boundary = math.inf
     for m in range(1, max_card + 1):
         for block in _chunked(combinations(range(S.n), m), _CHUNK):
             idx = np.array(block, dtype=np.int64)
-            boundary = row[idx].sum(axis=1) - W[idx[:, :, None], idx[:, None, :]].sum(
-                axis=(1, 2)
-            )
-            values = -d * (d - 2) * m + boundary
+            # the -d(d-2)|J| offset depends only on |J|
+            values = -d * (d - 2) * m + _boundary_sums(W, row_W, idx)
             top = int(np.argmax(values))
             if values[top] > best_value:
                 best_value = float(values[top])
                 best_J = tuple(int(j) for j in idx[top])
+            min_boundary = min(min_boundary, float(_boundary_sums(Q, row_Q, idx).min()))
 
-    bound = classical_upper_bound(S, allow_d5=allow_d5, max_subsets=max_subsets)
     return ClassicalResult(
         best_value=best_value,
         best_subset=best_J,
-        upper_bound=bound,
+        upper_bound=float(d * d - 0.25 * min_boundary),
         quantum_gap=d * d - best_value,
     )
 
@@ -167,12 +151,7 @@ def classical_upper_bound(
     max_subsets: int = MAX_SUBSETS_DEFAULT,
 ) -> float:
     """d^2 - (1/4) min over 0 < |J| < 2d of sum_{j in J, k not in J} s_jk^2."""
-    d = S.d
-    max_card = _check_budget(S, allow_d5, max_subsets)
-    Q = S.s**2
-    np.fill_diagonal(Q, 0.0)
-    min_boundary, _ = _boundary_scan(Q, S.n, max_card, maximize=False)
-    return float(d * d - 0.25 * min_boundary)
+    return classical_value(S, allow_d5=allow_d5, max_subsets=max_subsets).upper_bound
 
 
 def deterministic_score(

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for result files")
         p.add_argument("--format", choices=("json", "csv-summary"), default="json",
                        help="csv-summary also writes flat CSV files")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (all current code paths are single-threaded)")
 
     p = sub.add_parser("construct", help="construct and validate a BIC-POVM")
     p.add_argument("--d", type=int, default=2)
@@ -215,7 +213,6 @@ def cmd_report(args) -> int:
             "tol": args.tol,
             "dMax": args.d_max,
             "seed": args.seed,
-            "threads": args.threads,
         },
     }
     args.out.mkdir(parents=True, exist_ok=True)
@@ -243,9 +240,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "construct": cmd_construct,
         "certify": cmd_certify,

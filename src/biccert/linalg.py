@@ -170,6 +170,27 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def components(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph with an edge wherever adjacency[v, u]
+    or adjacency[u, v] holds; each sorted, ordered by their least vertex."""
+    linked = adjacency | adjacency.T
+    seen = np.zeros(linked.shape[0], dtype=bool)
+    comps = []
+    for start in range(linked.shape[0]):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in np.flatnonzero(linked[v] & ~seen):
+                seen[u] = True
+                stack.append(int(u))
+        comps.append(sorted(comp))
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format, used repo-wide:
 #   {"rows": n, "cols": m, "data": [[re, im], ...]} in row-major order.

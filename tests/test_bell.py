@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ from biccert.linalg import (
     maximally_entangled,
     random_hermitian,
 )
+
+
+BELL_TERMS = {
+    "pair_correlation",
+    "pair_marginal_penalty",
+    "bob_marginal_penalty",
+    "povm_mismatch_penalty",
+}
 
 
 def test_scenario_shape_counts():
@@ -36,12 +46,7 @@ def test_reference_strategy_reaches_quantum_value(d):
     report = bell.bell_value(ref, S)
     assert abs(report.value - d * d) < 1e-9
     assert abs(report.gap) < 1e-9
-    assert set(report.term_breakdown) == {
-        "pair_correlation",
-        "pair_marginal_penalty",
-        "bob_marginal_penalty",
-        "povm_mismatch_penalty",
-    }
+    assert set(report.term_breakdown) == BELL_TERMS
 
 
 def test_reference_strategy_generic_povm():
@@ -116,6 +121,32 @@ def _arbitrary_tuple_strategy(d, rng):
         alice_povm=np.stack([random_hermitian(d, rng) for _ in range(n)]),
         bob=np.stack([random_hermitian(d, rng) for _ in range(n)]),
     )
+
+
+def _assert_value_is_operator_trace(strat, S):
+    report = bell.bell_value(strat, S)
+    expected = np.trace(bell.bell_operator(strat, S) @ strat.rho).real
+    assert abs(report.value - expected) < 1e-10
+    assert set(report.term_breakdown) == BELL_TERMS
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bell_value_is_operator_trace_arbitrary_tuples(d):
+    rng = np.random.default_rng(23)
+    povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
+    S = bic.gram(povm)
+    n = d * d
+    for _ in range(10):
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = G @ G.conj().T  # full rank almost surely
+        strat = dataclasses.replace(
+            _arbitrary_tuple_strategy(d, rng), rho=rho / np.trace(rho).real
+        )
+        _assert_value_is_operator_trace(strat, S)
+
+
+def test_bell_value_is_operator_trace_reference(reference_d4):
+    _assert_value_is_operator_trace(*reference_d4)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -262,3 +293,5 @@ def test_bell_operator_dimension_mismatch(reference_d2):
     strat3 = bell.random_strategy(BipartiteDims(3, 3), 3, 0)
     with pytest.raises(ValueError):
         bell.bell_operator(strat3, S2)
+    with pytest.raises(ValueError):
+        bell.bell_value(strat3, S2)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ def test_classical_upper_bound_dominates_value():
         result = classical.classical_value(S)
         assert result.upper_bound >= result.best_value - 1e-9
         assert result.upper_bound < 4.0
+
+
+def test_classical_upper_bound_matches_plain_enumeration():
+    grams = [bic.gram(bic.construct_generic_bic(2, 300 + seed)) for seed in range(5)]
+    povm = bic.construct_weyl_bic(3, bic.geometric_fiducial(3, 0.3, 0.137))
+    grams.append(bic.gram(povm))
+    for S in grams:
+        d, n = S.d, S.n
+        min_boundary = min(
+            sum(S.s[j, k] ** 2 for j in J for k in range(n) if k not in J)
+            for m in range(1, 2 * d)
+            for J in combinations(range(n), m)
+        )
+        expected = d * d - 0.25 * min_boundary
+        assert abs(classical.classical_value(S).upper_bound - expected) < 1e-12
 
 
 def test_classical_upper_bound_quarter_matrix():

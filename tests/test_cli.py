@@ -113,10 +113,6 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["certify", str(tmp_path / "missing.json")]) == 3
 
 
-def test_threads_flag_validated(tmp_path):
-    assert main(["construct", "--d", "2", "--threads", "0", "--out", str(tmp_path)]) == 3
-
-
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"
