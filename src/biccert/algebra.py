@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import Strategy, bell_value
+from .bell import Strategy, _coefficients, bell_value, pair_fold
 from .bic import GramMatrix
 from .linalg import (
     RANK_CUTOFF,
     BipartiteDims,
+    apply_local,
     components,
     dagger,
     eigh,
@@ -589,10 +590,10 @@ def maxent_decompose(
     rho = np.asarray(rho, dtype=complex)
     E = np.asarray(E, dtype=complex)
     F = np.asarray(F, dtype=complex)
-    IA, IB = np.eye(dims.dA), np.eye(dims.dB)
 
     sync = max(
-        frobenius(kron(Ej, IB) @ rho - kron(IA, Fj) @ rho) for Ej, Fj in zip(E, F)
+        frobenius(apply_local(Ej, rho, dims, "A") - apply_local(Fj, rho, dims, "B"))
+        for Ej, Fj in zip(E, F)
     )
     if sync > tol * max(1.0, frobenius(rho)):
         raise ValueError(
@@ -809,32 +810,17 @@ class CertificationReport:
 
 
 def dual_alice_operators(strategy: Strategy, S: GramMatrix) -> np.ndarray:
-    """Operators C_j = (1/d^2)(d I + sum_{k != j} +-sqrt(1-s_jk)(A1 - A2)).
+    """Operators C_j = (d I + F_j / 2) / d^2, with F_j from ``bell.pair_fold``.
 
-    The pair difference enters antisymmetrically: for k < j the (k, j)
-    setting contributes with outcomes swapped, so that at the quantum value
-    (C_j (x) I) rho = (I (x) B_j) rho holds for every j.
+    F_j / 2 sums the differences A1 - A2 of the pairs holding j, each scaled by
+    half its correlator weight.  The difference enters antisymmetrically: for
+    k < j the (k, j) setting contributes with outcomes swapped, so that at the
+    quantum value (C_j (x) I) rho = (I (x) B_j) rho holds for every j.
     """
     d = S.d
-    n = strategy.n_outcomes
-    dA = strategy.dims.dA
-    diff = {}
-    for p, (j, k) in enumerate(strategy.pairs):
-        A1, A2 = strategy.alice_pair_effects[p]
-        diff[(j, k)] = A1 - A2
-    C = np.zeros((n, dA, dA), dtype=complex)
-    for j in range(n):
-        total = d * np.eye(dA, dtype=complex)
-        for k in range(n):
-            if k == j:
-                continue
-            c = np.sqrt(max(0.0, 1.0 - S.s[j, k]))
-            if j < k:
-                total += c * diff[(j, k)]
-            else:
-                total -= c * diff[(k, j)]
-        C[j] = total / (d * d)
-    return C
+    weights, _ = _coefficients(S, strategy.pairs)
+    F, _ = pair_fold(strategy, weights)
+    return (d * np.eye(strategy.dims.dA) + F / 2) / (d * d)
 
 
 def verify_certification(
@@ -849,51 +835,45 @@ def verify_certification(
     is advisory.
     """
     d = S.d
-    n = strategy.n_outcomes
+    dims = strategy.dims
     rho = strategy.rho
-    IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
     value = bell_value(strategy, S).value
     optimal = abs(value - d * d) <= tol * max(1.0, d * d)
 
-    sync_pair = 0.0
-    for p, (j, k) in enumerate(strategy.pairs):
-        A1, A2 = strategy.alice_pair_effects[p]
-        c = np.sqrt(max(0.0, 1.0 - S.s[j, k]))
-        lhs = c * kron(A1 - A2, IB) @ rho
-        rhs = kron(IA, strategy.bob[j] - strategy.bob[k]) @ rho
-        sync_pair = max(sync_pair, frobenius(lhs - rhs))
-    sync_povm = max(
-        frobenius(kron(strategy.alice_povm[j], IB - strategy.bob[j]) @ rho)
-        for j in range(n)
-    )
+    UA = local_support(rho, dims, "A")
+    VB = local_support(rho, dims, "B")
 
-    UA = local_support(rho, strategy.dims, "A")
-    VB = local_support(rho, strategy.dims, "B")
+    weights, _ = _coefficients(S, strategy.pairs)
+    sync_pair = a_proj = a_ortho = 0.0
+    for (j, k), (A1, A2), (corr_w, _) in zip(
+        strategy.pairs, strategy.alice_pair_effects, weights
+    ):
+        lhs = apply_local(corr_w / 2 * (A1 - A2), rho, dims, "A")
+        rhs = apply_local(strategy.bob[j] - strategy.bob[k], rho, dims, "B")
+        sync_pair = max(sync_pair, frobenius(lhs - rhs))
+        A1h, A2h = compress(A1, UA), compress(A2, UA)
+        a_proj = max(a_proj, frobenius(A1h @ A1h - A1h), frobenius(A2h @ A2h - A2h))
+        a_ortho = max(a_ortho, frobenius(A1h @ A2h))
+
+    sync_povm = 0.0
+    for Ej, Bj in zip(strategy.alice_povm, strategy.bob):
+        E_rho = apply_local(Ej, rho, dims, "A")
+        sync_povm = max(sync_povm, frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
 
     B_hat = np.stack([compress(Bj, VB) for Bj in strategy.bob])
     b_relations = check_as_relations(B_hat, S, tol=tol, variant="standard")
 
-    a_proj = 0.0
-    a_ortho = 0.0
-    for p in range(len(strategy.pairs)):
-        A1h = compress(strategy.alice_pair_effects[p, 0], UA)
-        A2h = compress(strategy.alice_pair_effects[p, 1], UA)
-        a_proj = max(
-            a_proj, frobenius(A1h @ A1h - A1h), frobenius(A2h @ A2h - A2h)
-        )
-        a_ortho = max(a_ortho, frobenius(A1h @ A2h))
-
     C = dual_alice_operators(strategy, S)
     c_sync = max(
-        frobenius(kron(C[j], IB) @ rho - kron(IA, strategy.bob[j]) @ rho)
-        for j in range(n)
+        frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))
+        for Cj, Bj in zip(C, strategy.bob)
     )
     C_hat = np.stack([compress(Cj, UA) for Cj in C])
     c_relations = check_as_relations(C_hat, S, tol=tol, variant="standard")
 
     povm_c = max(
-        frobenius(compress(strategy.alice_povm[j], UA) - C_hat[j] / d)
-        for j in range(n)
+        frobenius(compress(Ej, UA) - Cj_hat / d)
+        for Ej, Cj_hat in zip(strategy.alice_povm, C_hat)
     )
 
     return CertificationReport(

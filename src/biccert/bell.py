@@ -96,10 +96,6 @@ class Strategy:
     def d(self) -> int:
         return math.isqrt(self.n_outcomes)
 
-    def pair_effects(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        p = self.pairs.index((j, k))
-        return self.alice_pair_effects[p, 0], self.alice_pair_effects[p, 1]
-
 
 @dataclass(frozen=True)
 class Correlation:
@@ -202,25 +198,38 @@ def _coefficients(S: GramMatrix, pairs) -> tuple[list[tuple[float, float]], int]
     return weights, S.d * (S.d - 2)
 
 
-def bell_operator(strategy: Strategy, S: GramMatrix) -> np.ndarray:
-    """Assemble the Bell operator W_d of the strategy's effects."""
-    _check_dims(strategy, S)
-    dA, dB = strategy.dims.dA, strategy.dims.dB
-    IA, IB = np.eye(dA), np.eye(dB)
-    weights, bob_weight = _coefficients(S, strategy.pairs)
+def pair_fold(strategy: Strategy, weights) -> tuple[np.ndarray, np.ndarray]:
+    """One walk over the pairs, folding Alice's pair effects per Bob outcome.
 
-    pair_corr = np.zeros((dA * dB, dA * dB), dtype=complex)
-    pair_marginal = np.zeros_like(pair_corr)
+    With the per-pair ``weights`` of ``_coefficients``, returns F with
+    F[j] = sum_{k != j} +-2 sqrt(1-s_jk)(A1 - A2), the sign being + when
+    j < k and - when j > k, and M = sum_p (1-s_jk)(A1 + A2).
+    Then sum_{j<k} 2 sqrt(1-s_jk)(A1 - A2) (x) (B_j - B_k) = sum_j F_j (x) B_j,
+    so the pair correlators reduce to one term per Bob outcome.
+    """
+    dA = strategy.dims.dA
+    F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
+    M = np.zeros((dA, dA), dtype=complex)
     for (j, k), (A1, A2), (corr_w, marg_w) in zip(
         strategy.pairs, strategy.alice_pair_effects, weights
     ):
-        pair_corr += corr_w * kron(A1 - A2, strategy.bob[j] - strategy.bob[k])
-        pair_marginal -= marg_w * kron(A1 + A2, IB)
-    bob_marginal = -bob_weight * kron(IA, strategy.bob.sum(axis=0))
-    povm_mismatch = np.zeros_like(pair_corr)
-    for j in range(strategy.n_outcomes):
-        povm_mismatch -= kron(strategy.alice_povm[j], IB - strategy.bob[j])
-    return pair_corr + pair_marginal + bob_marginal + povm_mismatch
+        D = corr_w * (A1 - A2)
+        F[j] += D
+        F[k] -= D
+        M += marg_w * (A1 + A2)
+    return F, M
+
+
+def bell_operator(strategy: Strategy, S: GramMatrix) -> np.ndarray:
+    """Assemble the Bell operator W_d of the strategy's effects."""
+    _check_dims(strategy, S)
+    IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
+    weights, bob_weight = _coefficients(S, strategy.pairs)
+    F, M = pair_fold(strategy, weights)
+    W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=0))
+    for Fj, Ej, Bj in zip(F, strategy.alice_povm, strategy.bob):
+        W += kron(Fj, Bj) - kron(Ej, IB - Bj)
+    return W
 
 
 def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
@@ -237,14 +246,10 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     bob_t = np.einsum("abce,jeb->jca", rho4, strategy.bob)
     rho_A_t = np.einsum("abcb->ca", rho4)
     weights, bob_weight = _coefficients(S, strategy.pairs)
+    F, M = pair_fold(strategy, weights)
 
-    pair_corr = 0.0
-    pair_marginal = 0.0
-    for (j, k), (A1, A2), (corr_w, marg_w) in zip(
-        strategy.pairs, strategy.alice_pair_effects, weights
-    ):
-        pair_corr += corr_w * np.sum((A1 - A2) * (bob_t[j] - bob_t[k]))
-        pair_marginal -= marg_w * np.sum((A1 + A2) * rho_A_t)
+    pair_corr = np.sum(F * bob_t)
+    pair_marginal = -np.sum(M * rho_A_t)
     bob_marginal = -bob_weight * np.trace(bob_t, axis1=1, axis2=2).sum()
     povm_mismatch = -np.sum(strategy.alice_povm * (rho_A_t - bob_t))
     breakdown = {

@@ -23,6 +23,8 @@ class BicPovm:
     vectors: np.ndarray  # shape (d^2, d), row j is e_j
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"d must be >= 2, got {self.d}")
         v = np.asarray(self.vectors, dtype=complex)
         if v.shape != (self.d * self.d, self.d):
             raise ValueError(f"expected {self.d * self.d} vectors in C^{self.d}")
@@ -45,6 +47,8 @@ class GramMatrix:
     s: np.ndarray
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"d must be >= 2, got {self.d}")
         s = np.asarray(self.s, dtype=float)
         n = self.d * self.d
         if s.shape != (n, n):
@@ -231,29 +235,26 @@ def construct_generic_bic(d: int, seed: int, max_attempts: int = 32) -> BicPovm:
     Pipeline: random full-rank d^2 x d matrix -> column orthonormalization ->
     rank-d projection -> unitary equalizing the diagonal to 1/d -> G = d * K3
     -> factor G = V* V and read the vectors off the columns of V.  Retries
-    with fresh randomness until the Schur product G o conj(G) is invertible.
+    with fresh randomness until the POVM passes ``validate_bic`` and its Gram
+    matrix passes ``validate_gram``, both at ``DEFAULT_TOL``.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = np.random.default_rng(seed)
     n = d * d
-    worst_cond = 0.0
     for _ in range(max_attempts):
         K0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         K1, _ = np.linalg.qr(K0)
         K2 = K1 @ dagger(K1)
         U = equalize_diagonal(K2)
         K3 = U @ K2 @ dagger(U)
-        G = d * K3
-        S = (G * G.conj()).real
-        w = np.linalg.eigvalsh((S + S.T) / 2)
-        if w[0] > 1e-10 * max(1.0, w[-1]):
-            vectors = _factor_gram(G, d)
-            return BicPovm(d=d, vectors=vectors)
-        worst_cond = max(worst_cond, w[-1] / max(w[0], np.finfo(float).tiny))
+        povm = BicPovm(d=d, vectors=_factor_gram(d * K3, d))
+        failures = validate_bic(povm).failures() + validate_gram(gram(povm)).failures()
+        if not failures:
+            return povm
     raise ValueError(
         f"generic construction failed after {max_attempts} attempts; "
-        f"Schur-product condition number reached {worst_cond:.3e}"
+        f"the last draw failed {', '.join(failures)}"
     )
 
 

@@ -78,6 +78,19 @@ def partial_trace(M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
+def apply_local(X: np.ndarray, M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
+    """(X (x) I_B) M for ``side="A"``, (I_A (x) X) M for ``side="B"``, where M
+    has dA*dB rows; computed by reshaping, without the Kronecker product."""
+    M = np.asarray(M)
+    local = {"A": dims.dA, "B": dims.dB}.get(side)
+    if local is None:
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if np.shape(X) != (local, local) or M.ndim != 2 or M.shape[0] != dims.total:
+        raise ValueError(f"shapes {np.shape(X)} and {M.shape} do not fit {dims} on side {side}")
+    rows = (dims.dA, -1) if side == "A" else (dims.dA, dims.dB, -1)
+    return (X @ M.reshape(rows)).reshape(M.shape)
+
+
 def eigh(H: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a hermitian matrix.
 

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -9,12 +6,9 @@ from biccert.linalg import (
     BipartiteDims,
     frobenius,
     kron,
-    matrix_from_json,
     maximally_entangled,
     random_unitary,
 )
-
-DATA_FILE = Path(__file__).resolve().parents[1] / "src/biccert/data/counterexample_rep.json"
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +91,6 @@ def test_counterexample_irreducible():
     dec = algebra.irrep_decompose(algebra.counterexample_rep())
     assert dec.shape_multiset == ((1, 6),)
     assert dec.off_block_residual < 1e-8
-
-
-def test_counterexample_data_file_matches():
-    payload = json.loads(DATA_FILE.read_text())
-    assert payload["d"] == 3
-    shipped = np.stack([matrix_from_json(m) for m in payload["matrices"]])
-    assert np.array_equal(shipped, algebra.counterexample_rep())
 
 
 def test_span_dimension_basics(weyl_povm_d3):

@@ -108,19 +108,30 @@ def test_maximally_mixed_state_obeys_bound(reference_d2):
     assert bell.bell_value(mixed, S).value <= 4.0 + 1e-8
 
 
-def _arbitrary_tuple_strategy(d, rng):
+def _arbitrary_tuple_strategy(d, dims, rng):
+    """Arbitrary hermitian operators for the d^2-outcome scenario on dims."""
     n = d * d
+    dA, dB = dims.dA, dims.dB
     pairs = bell.pair_list(n)
     return bell.Strategy(
-        dims=BipartiteDims(d, d),
-        rho=np.eye(n, dtype=complex) / n,
+        dims=dims,
+        rho=np.eye(dims.total, dtype=complex) / dims.total,
         pairs=pairs,
         alice_pair_effects=np.stack(
-            [[random_hermitian(d, rng), random_hermitian(d, rng)] for _ in pairs]
+            [[random_hermitian(dA, rng), random_hermitian(dA, rng)] for _ in pairs]
         ),
-        alice_povm=np.stack([random_hermitian(d, rng) for _ in range(n)]),
-        bob=np.stack([random_hermitian(d, rng) for _ in range(n)]),
+        alice_povm=np.stack([random_hermitian(dA, rng) for _ in range(n)]),
+        bob=np.stack([random_hermitian(dB, rng) for _ in range(n)]),
     )
+
+
+# (d of the Gram matrix, Alice's and Bob's local dimensions)
+TUPLE_CASES = [
+    pytest.param(2, 2, 2, id="2"),
+    pytest.param(3, 3, 3, id="3"),
+    pytest.param(2, 2, 3, id="d2-dA2-dB3"),
+    pytest.param(2, 3, 2, id="d2-dA3-dB2"),
+]
 
 
 def _assert_value_is_operator_trace(strat, S):
@@ -130,17 +141,18 @@ def _assert_value_is_operator_trace(strat, S):
     assert set(report.term_breakdown) == BELL_TERMS
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_bell_value_is_operator_trace_arbitrary_tuples(d):
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_bell_value_is_operator_trace_arbitrary_tuples(d, dA, dB):
     rng = np.random.default_rng(23)
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
     S = bic.gram(povm)
-    n = d * d
+    dims = BipartiteDims(dA, dB)
+    n = dims.total
     for _ in range(10):
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = G @ G.conj().T  # full rank almost surely
         strat = dataclasses.replace(
-            _arbitrary_tuple_strategy(d, rng), rho=rho / np.trace(rho).real
+            _arbitrary_tuple_strategy(d, dims, rng), rho=rho / np.trace(rho).real
         )
         _assert_value_is_operator_trace(strat, S)
 
@@ -149,24 +161,25 @@ def test_bell_value_is_operator_trace_reference(reference_d4):
     _assert_value_is_operator_trace(*reference_d4)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_sos_identity_arbitrary_hermitian_tuples(d):
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
     rng = np.random.default_rng(17)
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
     S = bic.gram(povm)
-    n = d * d
+    dims = BipartiteDims(dA, dB)
+    d2 = d * d
     for _ in range(20):
-        strat = _arbitrary_tuple_strategy(d, rng)
+        strat = _arbitrary_tuple_strategy(d, dims, rng)
         W = bell.bell_operator(strat, S)
         theta = bell.sos_theta(strat, S)
-        assert frobenius(W + theta - n * np.eye(n)) <= 1e-9 * n
+        assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
 
 def test_sos_identity_independent_of_povm_validity(reference_d2):
     ref, S = reference_d2
     rng = np.random.default_rng(3)
     valid = bell.random_strategy(BipartiteDims(2, 2), 2, 0)
-    invalid = _arbitrary_tuple_strategy(2, rng)
+    invalid = _arbitrary_tuple_strategy(2, BipartiteDims(2, 2), rng)
     for strat in (ref, valid, invalid):
         cert = bell.sos_certificate(strat, S)
         assert cert.identity_residual <= 1e-9 * 4

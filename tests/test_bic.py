@@ -115,7 +115,9 @@ def test_weyl_bic_valid_up_to_d8(d):
 
 
 def test_generic_bic_small_and_beyond_sic_range():
-    for d, seed in ((2, 1), (6, 7)):
+    # (4, 2) and (8, 3) first draw a Gram matrix just below the invertibility
+    # tolerance, which the construction must reject and redraw
+    for d, seed in ((2, 1), (4, 0), (4, 1), (4, 2), (4, 3), (6, 7), (8, 3)):
         povm = bic.construct_generic_bic(d, seed)
         assert bic.validate_bic(povm).passed
         assert bic.validate_gram(bic.gram(povm)).passed

@@ -113,6 +113,23 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["certify", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("certify", {"d": 1, "vectors": [[[1.0, 0.0]]]}),
+        ("classical", {"d": 1, "s": [[1.0]]}),
+    ],
+)
+def test_d1_input_is_usage_error(tmp_path, capsys, command, payload):
+    path = tmp_path / "d1.json"
+    dump_json(payload, path)
+    capsys.readouterr()
+    assert main([command, str(path), "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "d must be >= 2" in captured.err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from biccert.linalg import (
     BipartiteDims,
+    apply_local,
     eigh,
     is_hermitian,
     is_psd,
@@ -78,6 +79,27 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), BipartiteDims(2, 3), "B")
+
+
+def test_apply_local_matches_kron():
+    dims = BipartiteDims(2, 3)
+    rng = np.random.default_rng(5)
+    X_A, X_B = random_hermitian(2, rng), random_hermitian(3, rng)
+    rect = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    for M in (random_state(6, 1), rect):
+        assert np.allclose(apply_local(X_A, M, dims, "A"), kron(X_A, np.eye(3)) @ M, atol=1e-12)
+        assert np.allclose(apply_local(X_B, M, dims, "B"), kron(np.eye(2), X_B) @ M, atol=1e-12)
+
+
+def test_apply_local_rejects_bad_side_and_shapes():
+    dims = BipartiteDims(2, 3)
+    rho = random_state(6, 2)
+    with pytest.raises(ValueError):
+        apply_local(np.eye(2), rho, dims, "C")
+    with pytest.raises(ValueError):
+        apply_local(np.eye(3), rho, dims, "A")  # X sized for B
+    with pytest.raises(ValueError):
+        apply_local(np.eye(2), np.eye(5), dims, "A")  # M has the wrong row count
 
 
 def test_eigh_sorted_ascending():
