@@ -18,6 +18,7 @@ bases through its Schur intertwiners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -142,13 +143,7 @@ def check_as_relations(
     elif variant == "bs":
         words = np.einsum("ab,jbc,kcd,de->jkae", X[0], X, X, X[0], optimize=True)
         if n <= 9:
-            tuples = [
-                (a, b, c, e)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n)
-                for e in range(n)
-            ]
+            tuples = list(product(range(n), repeat=4))
         else:
             rng = np.random.default_rng(seed)
             tuples = [tuple(rng.integers(0, n, size=4)) for _ in range(512)]
@@ -482,23 +477,13 @@ def _attempt_decomposition(X, basis, rng, n, tol, scale):
                 generators=gens,
             )
         )
-        columns.extend(aligned)
+        columns.append(aligned)  # the block's copies, aligned to its first
 
     order = sorted(
         range(len(blocks)), key=lambda b: (blocks[b].dimension, blocks[b].multiplicity)
     )
     ordered_blocks = [blocks[b] for b in order]
-    col_index = {}
-    offset = 0
-    for b_idx, blk in enumerate(blocks):
-        col_index[b_idx] = offset
-        offset += blk.multiplicity
-    flat_columns = []
-    for b in order:
-        base = col_index[b]
-        for t in range(blocks[b].multiplicity):
-            flat_columns.append(columns[base + t])
-    Q = np.hstack(flat_columns)
+    Q = np.hstack([copy for b in order for copy in columns[b]])
 
     # verify the block structure
     residual = 0.0

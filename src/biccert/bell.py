@@ -87,6 +87,10 @@ class Strategy:
         )
         object.__setattr__(self, "alice_povm", np.asarray(self.alice_povm, dtype=complex))
         object.__setattr__(self, "bob", np.asarray(self.bob, dtype=complex))
+        if tuple(self.pairs) != pair_list(self.n_outcomes):
+            raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
+        if len(self.alice_pair_effects) != len(self.pairs):
+            raise ValueError("alice_pair_effects must hold one (A1, A2) per pair")
 
     @property
     def n_outcomes(self) -> int:
@@ -554,22 +558,19 @@ def correlation_to_json(corr: Correlation) -> dict:
 
 def correlation_from_json(obj: dict) -> Correlation:
     n = int(obj["nOutcomes"])
-    pairs = pair_list(n)
-    pair_probs = np.zeros((len(pairs), n, 3, 2))
-    povm_probs = np.zeros((n, n, 2))
-    table = obj["table"]
-    for p, (j, k) in enumerate(pairs):
-        block = table[f"{j + 1},{k + 1}"]
-        for y in range(n):
-            cell = block[str(y + 1)]
-            for a, a_label in enumerate(("1", "2", PERP)):
-                pair_probs[p, y, a, 0] = cell[a_label]["1"]
-                pair_probs[p, y, a, 1] = cell[a_label][PERP]
-    for y in range(n):
-        cell = table["povm"][str(y + 1)]
-        for a in range(n):
-            povm_probs[a, y, 0] = cell[str(a + 1)]["1"]
-            povm_probs[a, y, 1] = cell[str(a + 1)][PERP]
+    pairs, table = pair_list(n), obj["table"]
+    outcomes = ("1", PERP)
+    pair_probs = np.array(
+        [[[[table[f"{j + 1},{k + 1}"][str(y + 1)][a][b] for b in outcomes]
+           for a in ("1", "2", PERP)] for y in range(n)] for j, k in pairs],
+        dtype=float,
+    ).reshape(len(pairs), n, 3, 2)
+    povm = table["povm"]
+    povm_probs = np.array(
+        [[[povm[str(y + 1)][str(a + 1)][b] for b in outcomes] for y in range(n)]
+         for a in range(n)],
+        dtype=float,
+    )
     return Correlation(
         n_outcomes=n, pairs=pairs, pair_probs=pair_probs, povm_probs=povm_probs
     )

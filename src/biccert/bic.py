@@ -351,17 +351,32 @@ def povm_to_json(povm: BicPovm) -> dict:
     }
 
 
-def povm_from_json(obj: dict) -> BicPovm:
-    d = int(obj["d"])
-    vectors = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["vectors"]]
-    )
-    return BicPovm(d=d, vectors=vectors)
+def _decode(obj, key: str) -> tuple[int, np.ndarray]:
+    """The integer d and the finite float array under ``key`` of a JSON body."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    try:
+        array = np.asarray(obj[key], dtype=float)
+    except TypeError:
+        raise ValueError(f"{key} must hold numbers only") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{key} has non-finite entries")
+    return d, array
+
+
+def povm_from_json(obj) -> BicPovm:
+    d, v = _decode(obj, "vectors")
+    if v.shape[-1:] != (2,):
+        raise ValueError("vectors must hold [re, im] pairs")
+    return BicPovm(d=d, vectors=v[..., 0] + 1j * v[..., 1])
 
 
 def gram_to_json(gm: GramMatrix) -> dict:
     return {"d": gm.d, "s": [[float(x) for x in row] for row in gm.s]}
 
 
-def gram_from_json(obj: dict) -> GramMatrix:
-    return GramMatrix(d=int(obj["d"]), s=np.array(obj["s"], dtype=float))
+def gram_from_json(obj) -> GramMatrix:
+    return GramMatrix(*_decode(obj, "s"))

@@ -5,24 +5,26 @@ subsets J with 0 < |J| < 2d:
 
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
-with v(empty) = -1.  A brute-force enumeration over all deterministic
-strategies serves as an independent oracle at d = 2, and the d = 2 landscape
-has a closed three-branch form in the parameters (t1, t2) of the general
-two-dimensional BIC family.
+with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
+expansion, each from its parent in O(1), and breaks ties within rounding
+toward the smallest, then lexicographically first, subset.  A brute-force
+enumeration over all deterministic strategies serves as an independent oracle
+at d = 2, and the d = 2 landscape has a closed three-branch form in the
+parameters (t1, t2) of the general two-dimensional BIC family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .bic import GramMatrix
 
 MAX_SUBSETS_DEFAULT = 5_000_000
-_CHUNK = 65_536
+_PARENTS = 512  # parents expanded per block; bounds every temporary
+_TIE_TOL = 1e-12  # values within _TIE_TOL * d^2 of the maximum are tied
 
 
 @dataclass(frozen=True)
@@ -84,61 +86,65 @@ def _check_budget(S: GramMatrix, allow_d5: bool, max_subsets: int) -> int:
     return max_card
 
 
-def _boundary_sums(weights: np.ndarray, row: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """sum_{j in J, k not in J} weights[j,k] for each subset J, a row of idx."""
-    return row[idx].sum(axis=1) - weights[idx[:, :, None], idx[:, None, :]].sum(
-        axis=(1, 2)
-    )
-
-
-def _chunked(iterator, size):
-    block = []
-    for item in iterator:
-        block.append(item)
-        if len(block) == size:
-            yield block
-            block = []
-    if block:
-        yield block
-
-
 def classical_value(
     S: GramMatrix,
     *,
     allow_d5: bool = False,
     max_subsets: int = MAX_SUBSETS_DEFAULT,
 ) -> ClassicalResult:
-    """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d.
+    """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix expansion.
 
-    Ties break toward the smallest cardinality, then lexicographic J: subsets
-    are enumerated by cardinality ascending, lexicographic inside each class,
-    and only a strict improvement replaces the best.  The same pass yields the
-    upper bound d^2 - (1/4) min boundary sum of s_jk^2.
+    Each J + {k} with k > max(J) takes its value from J's in O(1):
+    v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
+    - 2 sum_{j in J} W[j,k] (W the payoff matrix), and step_{J+k} =
+    step_J - 2 W[k]; the s_jk^2 boundary sum follows likewise from Q = s^2.
+    A block of parents yields its children at once from the mask k > max(J);
+    children are expanded depth first, block by block, so temporaries stay
+    small and each cardinality is visited in lexicographic order.  The same
+    pass yields the upper bound d^2 - (1/4) min boundary sum of s_jk^2.
+
+    Values within _TIE_TOL * d^2 of the maximum are tied (exact ties, such as
+    J and its complement at d=2, differ by rounding only): the smallest
+    cardinality wins, then the lexicographically first J, and best_value is
+    the value of that J.
     """
-    d = S.d
+    d, n = S.d, S.n
     max_card = _check_budget(S, allow_d5, max_subsets)
-    W = _payoff_matrix(S)
+    band = _TIE_TOL * d * d
     Q = S.s**2
     np.fill_diagonal(Q, 0.0)
-    row_W, row_Q = W.sum(axis=1), Q.sum(axis=1)
+    # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
+    rows = 2.0 * np.stack([_payoff_matrix(S), Q], axis=1)
+    outcomes, top, min_boundary = np.arange(n), -math.inf, math.inf
+    records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
 
-    best_value = -math.inf
-    best_J: tuple[int, ...] = ()
-    min_boundary = math.inf
-    for m in range(1, max_card + 1):
-        for block in _chunked(combinations(range(S.n), m), _CHUNK):
-            idx = np.array(block, dtype=np.int64)
-            # the -d(d-2)|J| offset depends only on |J|
-            values = -d * (d - 2) * m + _boundary_sums(W, row_W, idx)
-            top = int(np.argmax(values))
-            if values[top] > best_value:
-                best_value = float(values[top])
-                best_J = tuple(int(j) for j in idx[top])
-            min_boundary = min(min_boundary, float(_boundary_sums(Q, row_Q, idx).min()))
+    def expand(m, score, step, last, mask):
+        """Score the children, of cardinality m, of parents J given as
+        score = (v(J), Q boundary), step, last = max(J) and bitmask; recurse."""
+        nonlocal top, min_boundary
+        for b in range(0, len(last), _PARENTS):
+            s = slice(b, b + _PARENTS)
+            pi, k = (outcomes > last[s, None]).nonzero()
+            if not len(k):
+                continue
+            child, child_mask = score[s][pi] + step[s][pi, :, k], mask[s][pi] | (1 << k)
+            values = child[:, 0]
+            top = max(top, float(values.max()))
+            min_boundary = min(min_boundary, float(child[:, 1].min()))
+            run = records[m]
+            for i in (values >= top - band).nonzero()[0]:
+                if not run or values[i] > run[-1][0]:
+                    run.append((float(values[i]), int(child_mask[i])))
+            if m < max_card:
+                expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
+
+    root_step = 0.5 * rows.sum(axis=2).T - np.array([[d * (d - 2)], [0.0]])
+    expand(1, np.zeros((1, 2)), root_step[None], np.array([-1]), np.zeros(1, np.int64))
+    best_value, best_mask = next(r for run in records for r in run if r[0] >= top - band)
 
     return ClassicalResult(
         best_value=best_value,
-        best_subset=best_J,
+        best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
         upper_bound=float(d * d - 0.25 * min_boundary),
         quantum_gap=d * d - best_value,
     )

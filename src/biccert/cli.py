@@ -83,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_csv(path: Path, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
@@ -94,6 +92,16 @@ def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
             _flatten(f"{prefix}.{key}" if prefix else str(key), value, rows)
     elif isinstance(obj, (int, float, bool)):
         rows.append((prefix, obj))
+
+
+def _write_outputs(args, payload: dict, stem: str) -> None:
+    """Write ``stem.json``; with csv-summary also its flattened scalars as ``stem.csv``."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    dump_json(payload, args.out / f"{stem}.json")
+    if args.format == "csv-summary":
+        rows: list[tuple] = [("key", "value")]
+        _flatten("", payload, rows)
+        _write_csv(args.out / f"{stem}.csv", rows)
 
 
 def cmd_construct(args) -> int:
@@ -116,11 +124,7 @@ def cmd_construct(args) -> int:
         "gram": gram_report.to_json(),
         "passed": povm_report.passed and gram_report.passed,
     }
-    dump_json(validation, args.out / "construct_validation.json")
-    if args.format == "csv-summary":
-        rows: list[tuple] = [("key", "value")]
-        _flatten("", validation, rows)
-        _write_csv(args.out / "construct_validation.csv", rows)
+    _write_outputs(args, validation, "construct_validation")
 
     ok = povm_report.passed and gram_report.passed
     print(f"constructed d={args.d} ({args.construction}); validation "
@@ -164,12 +168,7 @@ def cmd_certify(args) -> int:
         "breaches": {k: bool(v) for k, v in breaches.items()},
         "passed": not any(breaches.values()),
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    dump_json(report, args.out / "certify_report.json")
-    if args.format == "csv-summary":
-        rows: list[tuple] = [("key", "value")]
-        _flatten("", report, rows)
-        _write_csv(args.out / "certify_report.csv", rows)
+    _write_outputs(args, report, "certify_report")
 
     ok = report["passed"]
     failing = [k for k, v in breaches.items() if v]
@@ -189,13 +188,7 @@ def cmd_classical(args) -> int:
     result = classical.classical_value(
         gm, allow_d5=args.allow_d5, max_subsets=args.max_subsets
     )
-    payload = result.to_json()
-    args.out.mkdir(parents=True, exist_ok=True)
-    dump_json(payload, args.out / "classical.json")
-    if args.format == "csv-summary":
-        rows: list[tuple] = [("key", "value")]
-        _flatten("", payload, rows)
-        _write_csv(args.out / "classical.csv", rows)
+    _write_outputs(args, result.to_json(), "classical")
     print(f"d={gm.d}: classical value {result.best_value:.9f} "
           f"(upper bound {result.upper_bound:.9f}, gap {result.quantum_gap:.9f})")
     return EXIT_OK

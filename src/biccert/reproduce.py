@@ -287,8 +287,8 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
         * (
             np.outer(np.eye(4)[0], np.eye(4)[0]) + np.outer(np.eye(4)[3], np.eye(4)[3])
         ).astype(complex),
-        pairs=(),
-        alice_pair_effects=np.zeros((0, 2, 2, 2), dtype=complex),
+        pairs=bell.pair_list(2),
+        alice_pair_effects=np.zeros((1, 2, 2, 2), dtype=complex),
         alice_povm=basis,
         bob=basis.copy(),
     )

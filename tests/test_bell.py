@@ -308,3 +308,16 @@ def test_bell_operator_dimension_mismatch(reference_d2):
         bell.bell_operator(strat3, S2)
     with pytest.raises(ValueError):
         bell.bell_value(strat3, S2)
+
+
+def test_strategy_requires_every_pair_in_order(reference_d2):
+    ref, _ = reference_d2
+    # three of the six d=2 pairs used to give a Bell value of 2.0 silently
+    with pytest.raises(ValueError, match="pairs"):
+        dataclasses.replace(
+            ref, pairs=ref.pairs[:3], alice_pair_effects=ref.alice_pair_effects[:3]
+        )
+    with pytest.raises(ValueError, match="pairs"):
+        dataclasses.replace(ref, pairs=ref.pairs[::-1])
+    with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
+        dataclasses.replace(ref, alice_pair_effects=ref.alice_pair_effects[:5])

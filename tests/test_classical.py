@@ -123,6 +123,49 @@ def test_classical_upper_bound_matches_plain_enumeration():
         assert abs(classical.classical_value(S).upper_bound - expected) < 1e-12
 
 
+def _plain_classical(S):
+    """Plain itertools oracle: subset_value on every J, the same tie rule."""
+    d, n = S.d, S.n
+    Q = S.s**2
+    scored, min_boundary = [], math.inf
+    for m in range(1, 2 * d):
+        for J in combinations(range(n), m):  # cardinality, then lexicographic
+            inside = np.isin(np.arange(n), J)
+            scored.append((classical.subset_value(J, S), J))
+            min_boundary = min(min_boundary, Q[np.ix_(inside, ~inside)].sum())
+    floor = max(v for v, _ in scored) - classical._TIE_TOL * d * d
+    value, J = next((v, J) for v, J in scored if v >= floor)
+    return value, J, d * d - 0.25 * min_boundary
+
+
+def _weyl_gram(d):
+    return bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+
+
+ORACLE_GRAMS = (
+    [pytest.param(lambda: bic_gram_d2(1 / 3, 1 / 3), id="sic")]
+    + [
+        pytest.param(lambda s=s: bic.gram(bic.construct_generic_bic(2, s)), id=f"d2-{s}")
+        for s in range(100, 120)
+    ]
+    + [
+        pytest.param(lambda s=s: bic.gram(bic.construct_generic_bic(3, s)), id=f"d3-{s}")
+        for s in range(6)
+    ]
+    + [pytest.param(lambda d=d: _weyl_gram(d), id=f"weyl-d{d}") for d in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("make_gram", ORACLE_GRAMS)
+def test_classical_value_matches_plain_oracle(make_gram):
+    S = make_gram()
+    value, subset, upper = _plain_classical(S)
+    result = classical.classical_value(S)
+    assert abs(result.best_value - value) <= 1e-12
+    assert abs(result.upper_bound - upper) <= 1e-12
+    assert result.best_subset == subset
+
+
 def test_classical_upper_bound_quarter_matrix():
     # uniform quarter overlaps: the minimal |J| = 1 boundary sum is 3/16
     S = np.full((4, 4), 0.25)
@@ -202,13 +245,14 @@ def test_enumeration_budget_rules():
         classical.classical_value(S6, allow_d5=True)
 
 
-@pytest.mark.slow
 def test_d5_enumeration_behind_flag():
     S5 = bic.gram(bic.construct_generic_bic(5, 3))
     result = classical.classical_value(S5, allow_d5=True)
     assert result.best_value < 25.0
     assert result.upper_bound < 25.0
     assert 0 < len(result.best_subset) < 10
+    witness = classical.subset_value(result.best_subset, S5)
+    assert abs(witness - result.best_value) <= 1e-9 * 25
 
 
 def test_result_json_one_based():

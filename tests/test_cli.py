@@ -130,6 +130,37 @@ def test_d1_input_is_usage_error(tmp_path, capsys, command, payload):
     assert "d must be >= 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, key, rows, nan_rows",
+    [
+        ("certify", "vectors", [[[0.5, 0.0]] * 2] * 4, [[["NaN", 0.0]] * 2] * 4),
+        ("classical", "s", [[0.5] * 4] * 4, [["NaN"] * 4] * 4),
+    ],
+    ids=["certify", "classical"],
+)
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda key, rows, nan_rows: None,
+        lambda key, rows, nan_rows: [2, rows],
+        lambda key, rows, nan_rows: {"d": [2], key: rows},
+        lambda key, rows, nan_rows: {"d": 2.5, key: rows},
+        lambda key, rows, nan_rows: {"d": "2", key: rows},
+        lambda key, rows, nan_rows: {"d": 2, key: nan_rows},
+    ],
+    ids=["null", "list", "list-d", "float-d", "string-d", "nan-entries"],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, key, rows, nan_rows,
+                                        malform):
+    path = tmp_path / "bad.json"
+    dump_json(malform(key, rows, nan_rows), path)
+    capsys.readouterr()
+    assert main([command, str(path), "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"
