@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .bell import Strategy, _coefficients, bell_value, pair_fold
+from .bell import Strategy, _coefficients, bell_value, pair_blocks, pair_fold
 from .bic import GramMatrix
 from .linalg import (
     RANK_CUTOFF,
@@ -32,6 +32,7 @@ from .linalg import (
     dagger,
     eigh,
     frobenius,
+    frobenius_each,
     is_state,
     kron,
     matricize,
@@ -118,28 +119,24 @@ def check_as_relations(
         raise ValueError(f"expected {S.n} generators for S, got {n}")
     d = S.d
     dim = X.shape[1]
-    scale = max(1.0, max(frobenius(Xj) for Xj in X))
+    scale = max(1.0, float(frobenius_each(X).max(initial=0.0)))
 
-    projectivity = np.array([frobenius(Xj @ Xj - Xj) for Xj in X])
+    projectivity = frobenius_each(X @ X - X)
     completeness = frobenius(X.sum(axis=0) - d * np.eye(dim))
 
     gram_res = cube_res = None
     bs = None
     if variant == "standard":
         gram_res = np.zeros((n, n))
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    gram_res[j, k] = frobenius(X[j] @ X[k] @ X[j] - S.s[j, k] * X[j])
+        for j in range(n):  # row j for every k at once; k = j is not a relation
+            gram_res[j] = frobenius_each(X[j] @ X @ X[j] - S.s[j, :, None, None] * X[j])
+        np.fill_diagonal(gram_res, 0.0)
     elif variant == "cube":
         cube_res = np.zeros((n, n))
         for j in range(n):
-            for k in range(n):
-                if j != k:
-                    D = X[j] - X[k]
-                    cube_res[j, k] = frobenius(
-                        (1.0 - S.s[j, k]) * D - D @ D @ D
-                    )
+            D = X[j] - X
+            cube_res[j] = frobenius_each((1.0 - S.s[j, :, None, None]) * D - D @ D @ D)
+        np.fill_diagonal(cube_res, 0.0)
     elif variant == "bs":
         words = np.einsum("ab,jbc,kcd,de->jkae", X[0], X, X, X[0], optimize=True)
         if n <= 9:
@@ -320,10 +317,10 @@ def local_support(rho: np.ndarray, dims: BipartiteDims, side: str) -> SupportIso
 
 
 def compress(X: np.ndarray, U: SupportIsometry) -> np.ndarray:
-    """X_hat = U* X U, the operator restricted to the support space."""
+    """X_hat = U* X U, the operator (or each of a stack) restricted to the support space."""
     X = np.asarray(X, dtype=complex)
     V = U.isometry
-    if X.shape != (V.shape[0], V.shape[0]):
+    if X.ndim < 2 or X.shape[-2:] != (V.shape[0], V.shape[0]):
         raise ValueError("operator size does not match the isometry")
     return dagger(V) @ X @ V
 
@@ -576,10 +573,7 @@ def maxent_decompose(
     E = np.asarray(E, dtype=complex)
     F = np.asarray(F, dtype=complex)
 
-    sync = max(
-        frobenius(apply_local(Ej, rho, dims, "A") - apply_local(Fj, rho, dims, "B"))
-        for Ej, Fj in zip(E, F)
-    )
+    sync = frobenius_each(apply_local(E, rho, dims, "A") - apply_local(F, rho, dims, "B")).max()
     if sync > tol * max(1.0, frobenius(rho)):
         raise ValueError(
             f"sync precondition violated: max ||(E_j x I)rho - (I x F_j)rho|| = {sync:.3e}"
@@ -587,8 +581,8 @@ def maxent_decompose(
 
     UA = local_support(rho, dims, "A")
     VB = local_support(rho, dims, "B")
-    E_hat = np.stack([compress(Ej, UA) for Ej in E])
-    F_hat_t = np.stack([compress(Fj, VB).T for Fj in F])
+    E_hat = compress(E, UA)
+    F_hat_t = compress(F, VB).swapaxes(1, 2)
     dec_A = irrep_decompose(E_hat, tol=tol, seed=seed)
     dec_B = irrep_decompose(F_hat_t, tol=tol, seed=seed + 1)
 
@@ -678,16 +672,10 @@ def maxent_decompose(
         residuals[k] = frobenius(M - model)
 
     # compressed-E versus transposed compressed-F comparison in matched bases
+    ef = np.inf
     if NA == NB:
-        ef = max(
-            frobenius(
-                dagger(U_full) @ Ej @ U_full
-                - (dagger(V_matched) @ Fj @ V_matched).T
-            )
-            for Ej, Fj in zip(E, F)
-        )
-    else:
-        ef = np.inf
+        ef = frobenius_each(dagger(U_full) @ E @ U_full
+                            - (dagger(V_matched) @ F @ V_matched).swapaxes(1, 2)).max()
 
     return MaxEntReport(
         blocks=blocks,
@@ -700,12 +688,8 @@ def maxent_decompose(
 
 
 def _block_offsets(blocks) -> list[int]:
-    offsets = []
-    pos = 0
-    for blk in blocks:
-        offsets.append(pos)
-        pos += blk.multiplicity * blk.dimension
-    return offsets
+    sizes = [blk.multiplicity * blk.dimension for blk in blocks]
+    return [sum(sizes[:i]) for i in range(len(sizes))]
 
 
 def _best_intertwiner(T, ablk, bblk, a_off, b_off):
@@ -757,6 +741,7 @@ class CertificationReport:
     c_sync_residual: float
     c_relations: RelationReport
     povm_c_residual: float
+    worst_pair: tuple[int, int] | None  # 0-based pair of the largest sync-pair residual
 
     @property
     def max_residual(self) -> float:
@@ -791,6 +776,7 @@ class CertificationReport:
             "cSyncResidual": self.c_sync_residual,
             "cRelations": self.c_relations.to_json(),
             "povmCResidual": self.povm_c_residual,
+            "worstPair": None if self.worst_pair is None else [i + 1 for i in self.worst_pair],
         }
 
 
@@ -818,48 +804,57 @@ def verify_certification(
     algebra relations), and the povm-block identity A^povm_j = (1/d) C_j on
     the compressed space.  For strategies below the quantum value the report
     is advisory.
+
+    A state relation Z rho = 0 is measured on the rank factor K = V_r diag(L_r)
+    of rho = V diag(L) V* (r = 1 for a pure state): ||Z rho||_F^2 is
+    ||Z K||_F^2 plus at most ||Z||_F^2 sum L_dropped^2 for the eigenvalues
+    below ``RANK_CUTOFF``, and both are reported, so no residual reads below
+    its full-rho value.  Pair terms run in blocks of pairs.
     """
     d = S.d
     dims = strategy.dims
-    rho = strategy.rho
+    rho, bob, povm = strategy.rho, strategy.bob, strategy.alice_povm
     value = bell_value(strategy, S).value
     optimal = abs(value - d * d) <= tol * max(1.0, d * d)
 
     UA = local_support(rho, dims, "A")
     VB = local_support(rho, dims, "B")
+    L, V = eigh(rho, tol=1e-8)
+    keep = np.abs(L) > RANK_CUTOFF
+    K, tail = V[:, keep] * L[keep], float(np.sum(L[~keep] ** 2))
 
-    weights, _ = _coefficients(S, strategy.pairs)
-    sync_pair = a_proj = a_ortho = 0.0
-    for (j, k), (A1, A2), (corr_w, _) in zip(
-        strategy.pairs, strategy.alice_pair_effects, weights
-    ):
-        lhs = apply_local(corr_w / 2 * (A1 - A2), rho, dims, "A")
-        rhs = apply_local(strategy.bob[j] - strategy.bob[k], rho, dims, "B")
-        sync_pair = max(sync_pair, frobenius(lhs - rhs))
-        A1h, A2h = compress(A1, UA), compress(A2, UA)
-        a_proj = max(a_proj, frobenius(A1h @ A1h - A1h), frobenius(A2h @ A2h - A2h))
-        a_ortho = max(a_ortho, frobenius(A1h @ A2h))
+    def residuals(Z_K, Z_norm_bound):
+        return np.sqrt(frobenius_each(Z_K) ** 2 + Z_norm_bound**2 * tail)
 
-    sync_povm = 0.0
-    for Ej, Bj in zip(strategy.alice_povm, strategy.bob):
-        E_rho = apply_local(Ej, rho, dims, "A")
-        sync_povm = max(sync_povm, frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
+    def sync(X, Y):  # Z = X (x) I - I (x) Y
+        Z_K = apply_local(X, K, dims, "A") - apply_local(Y, K, dims, "B")
+        return residuals(Z_K, np.sqrt(dims.dB) * frobenius_each(X)
+                         + np.sqrt(dims.dA) * frobenius_each(Y))
 
-    B_hat = np.stack([compress(Bj, VB) for Bj in strategy.bob])
-    b_relations = check_as_relations(B_hat, S, tol=tol, variant="standard")
+    corr_w = _coefficients(S, strategy.pairs)[0][:, 0]
+    sync_pair = np.zeros(len(strategy.pairs))
+    a_proj = a_ortho = 0.0
+    for block, j, k in pair_blocks(strategy.pairs):
+        A = strategy.alice_pair_effects[block]
+        D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
+        sync_pair[block] = sync(D, bob[j] - bob[k])
+        Ah = compress(A, UA)
+        a_proj = max(a_proj, float(frobenius_each(Ah @ Ah - Ah).max()))
+        a_ortho = max(a_ortho, float(frobenius_each(Ah[:, 0] @ Ah[:, 1]).max()))
+    worst_pair = strategy.pairs[int(np.argmax(sync_pair))] if sync_pair.size else None
+
+    # (E_j (x) I) rho = (I (x) B_j)(E_j (x) I) rho: Z = E_j (x) (I - B_j)
+    E_K = apply_local(povm, K, dims, "A")
+    sync_povm = residuals(E_K - apply_local(bob, E_K, dims, "B"),
+                          frobenius_each(povm) * frobenius_each(np.eye(dims.dB) - bob))
+
+    b_relations = check_as_relations(compress(bob, VB), S, tol=tol, variant="standard")
 
     C = dual_alice_operators(strategy, S)
-    c_sync = max(
-        frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))
-        for Cj, Bj in zip(C, strategy.bob)
-    )
-    C_hat = np.stack([compress(Cj, UA) for Cj in C])
+    c_sync = sync(C, bob)
+    C_hat = compress(C, UA)
     c_relations = check_as_relations(C_hat, S, tol=tol, variant="standard")
-
-    povm_c = max(
-        frobenius(compress(Ej, UA) - Cj_hat / d)
-        for Ej, Cj_hat in zip(strategy.alice_povm, C_hat)
-    )
+    povm_c = frobenius_each(compress(povm, UA) - C_hat / d)
 
     return CertificationReport(
         d=d,
@@ -867,12 +862,13 @@ def verify_certification(
         optimal=optimal,
         advisory=not optimal,
         tol=tol,
-        sync_pair_residual=float(sync_pair),
-        sync_povm_residual=float(sync_povm),
+        sync_pair_residual=float(sync_pair.max(initial=0.0)),
+        sync_povm_residual=float(sync_povm.max(initial=0.0)),
         b_relations=b_relations,
-        a_projectivity_residual=float(a_proj),
-        a_orthogonality_residual=float(a_ortho),
-        c_sync_residual=float(c_sync),
+        a_projectivity_residual=a_proj,
+        a_orthogonality_residual=a_ortho,
+        c_sync_residual=float(c_sync.max(initial=0.0)),
         c_relations=c_relations,
-        povm_c_residual=float(povm_c),
+        povm_c_residual=float(povm_c.max(initial=0.0)),
+        worst_pair=worst_pair,
     )

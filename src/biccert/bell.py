@@ -10,11 +10,11 @@ terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bic import BicPovm, CheckResult, GramMatrix, ValidationReport
+from .bic import BicPovm, CheckResult, GramMatrix, ValidationReport, gram
 from .linalg import (
     DEFAULT_TOL,
     BipartiteDims,
@@ -22,17 +22,37 @@ from .linalg import (
     eigh,
     frobenius,
     kron,
+    json_checked,
+    kron_sum,
     matrix_from_json,
     matrix_to_json,
     maximally_entangled,
 )
 
 PERP = "perp"
+# Pairs per batched step: larger blocks buy little speed and raise peak memory.
+_PAIR_BLOCK = 64
 
 
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All (j, k) with 0 <= j < k < n, lexicographic."""
     return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+
+def pair_blocks(pairs):
+    """(slice of the pair axis, j indices, k indices) per block of ``_PAIR_BLOCK`` pairs."""
+    jk = np.array(pairs, dtype=int).reshape(-1, 2)
+    for start in range(0, len(jk), _PAIR_BLOCK):
+        j, k = jk[start:start + _PAIR_BLOCK].T
+        yield slice(start, start + len(j)), j, k
+
+
+def _refuse(mask, j, k, values, message: str) -> None:
+    """ValueError naming the first pair (j[p], k[p]) where ``mask`` holds, and values[p]."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        p = bad[0]
+        raise ValueError(message.format(j=j[p], k=k[p], value=values[p]))
 
 
 @dataclass(frozen=True)
@@ -161,21 +181,17 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     n = d * d
     B = povm.projections()
     pairs = pair_list(n)
+    overlaps = gram(povm).s
     pair_effects = np.zeros((len(pairs), 2, d, d), dtype=complex)
-    for p, (j, k) in enumerate(pairs):
-        s_jk = float(np.abs(np.vdot(povm.vectors[j], povm.vectors[k])) ** 2)
-        if s_jk >= 1.0 - 1e-12:
-            raise ValueError(
-                f"degenerate pair ({j}, {k}): overlap s_jk={s_jk} is too close to 1"
-            )
+    for block, j, k in pair_blocks(pairs):
+        s_jk = overlaps[j, k]
+        _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
+                "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
         w, V = eigh(B[j] - B[k])
-        top, bottom = w[-1], w[0]
-        if top < 1e-12 or bottom > -1e-12:
-            raise ValueError(f"pair ({j}, {k}) difference lacks a +/- eigenvalue pair")
-        a1 = V[:, -1]
-        a2 = V[:, 0]
-        pair_effects[p, 0] = np.outer(a1, a1.conj()).T
-        pair_effects[p, 1] = np.outer(a2, a2.conj()).T
+        _refuse((w[:, -1] < 1e-12) | (w[:, 0] > -1e-12), j, k, w[:, [0, -1]],
+                "pair ({j}, {k}) difference lacks a +/- eigenvalue pair: extremes {value}")
+        a = V[:, :, [-1, 0]].swapaxes(1, 2)  # a1, a2; the effects are (|a><a|)^t
+        pair_effects[block] = a[:, :, None, :] * a.conj()[:, :, :, None]
     phi = maximally_entangled(d)
     return Strategy(
         dims=BipartiteDims(d, d),
@@ -194,12 +210,14 @@ def _check_dims(strategy: Strategy, S: GramMatrix) -> None:
         )
 
 
-def _coefficients(S: GramMatrix, pairs) -> tuple[list[tuple[float, float]], int]:
-    """Weights of the Bell function: (2 sqrt(1-s_jk), 1-s_jk) on each pair's
+def _coefficients(S: GramMatrix, pairs) -> tuple[np.ndarray, int]:
+    """Weights of the Bell function: rows (2 sqrt(1-s_jk), 1-s_jk) on each pair's
     correlator and Alice marginal, in the order of ``pairs``, and d(d-2) on
     Bob's marginals."""
-    weights = [(2.0 * math.sqrt(1.0 - S.s[j, k]), 1.0 - S.s[j, k]) for j, k in pairs]
-    return weights, S.d * (S.d - 2)
+    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
+    one_minus_s = 1.0 - S.s[j, k]
+    _refuse(one_minus_s < 0.0, j, k, S.s[j, k], "pair ({j}, {k}) has overlap s_jk={value} above 1")
+    return np.stack([2.0 * np.sqrt(one_minus_s), one_minus_s], axis=1), S.d * (S.d - 2)
 
 
 def pair_fold(strategy: Strategy, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -214,13 +232,14 @@ def pair_fold(strategy: Strategy, weights) -> tuple[np.ndarray, np.ndarray]:
     dA = strategy.dims.dA
     F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
-    for (j, k), (A1, A2), (corr_w, marg_w) in zip(
-        strategy.pairs, strategy.alice_pair_effects, weights
-    ):
-        D = corr_w * (A1 - A2)
-        F[j] += D
-        F[k] -= D
-        M += marg_w * (A1 + A2)
+    corr_w, marg_w = np.asarray(weights).T
+    for block, j, k in pair_blocks(strategy.pairs):
+        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+        D = corr_w[block, None, None] * (A1 - A2)
+        sign = np.zeros((len(F), len(j)), dtype=complex)  # +1 at (j, p), -1 at (k, p)
+        sign[j, np.arange(len(j))], sign[k, np.arange(len(j))] = 1.0, -1.0
+        F += (sign @ D.reshape(len(j), -1)).reshape(F.shape)
+        M += np.tensordot(marg_w[block], A1 + A2, axes=1)
     return F, M
 
 
@@ -231,9 +250,7 @@ def bell_operator(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     weights, bob_weight = _coefficients(S, strategy.pairs)
     F, M = pair_fold(strategy, weights)
     W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=0))
-    for Fj, Ej, Bj in zip(F, strategy.alice_povm, strategy.bob):
-        W += kron(Fj, Bj) - kron(Ej, IB - Bj)
-    return W
+    return W + kron_sum(F, strategy.bob) - kron_sum(strategy.alice_povm, IB - strategy.bob)
 
 
 def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
@@ -272,6 +289,13 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
 def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     """The five-term positive certificate Theta_d with W_d + Theta_d = d^2 I.
 
+    The pair squares hybrid^2, hybrid = c D (x) I - I (x) E with D = A1 - A2,
+    E = B_j - B_k, c = sqrt(1-s_jk), expand exactly (D (x) I and I (x) E
+    commute) to c^2 D^2 (x) I - 2c D (x) E + I (x) E^2: the squares are summed
+    as local matrices and the cross terms by ``kron_sum``, one product per
+    block of pairs.  Nothing comes from ``pair_fold`` or W_d, so the identity
+    compares two independent constructions.
+
     The identity is purely algebraic: it holds for arbitrary hermitian
     operator tuples, POVM-valid or not.
     """
@@ -279,23 +303,27 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     d = S.d
     dA, dB = strategy.dims.dA, strategy.dims.dB
     IA, IB = np.eye(dA), np.eye(dB)
-    s = S.s
-    n = strategy.n_outcomes
+    bob = strategy.bob
 
-    theta = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for p, (j, k) in enumerate(strategy.pairs):
-        A1, A2 = strategy.alice_pair_effects[p]
-        c = np.sqrt(1.0 - s[j, k])
-        hybrid = c * kron(A1 - A2, IB) - kron(IA, strategy.bob[j] - strategy.bob[k])
-        theta += hybrid @ hybrid
-        diff = A1 - A2
-        theta += (1.0 - s[j, k]) * kron(A1 + A2 - diff @ diff, IB)
-    completeness = d * kron(IA, IB) - kron(IA, strategy.bob.sum(axis=0))
-    theta += completeness @ completeness
-    for j in range(n):
-        Bj = strategy.bob[j]
-        theta += kron(strategy.alice_povm[j], IB - Bj)
-        theta += d * d * kron(IA, Bj - Bj @ Bj)
+    # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2) and c D (x) E
+    hybrid_A, hybrid_B, marginal = (np.zeros((m, m), dtype=complex) for m in (dA, dB, dA))
+    cross = np.zeros((dA * dB, dA * dB), dtype=complex)
+    for block, j, k in pair_blocks(strategy.pairs):
+        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+        one_minus_s = 1.0 - S.s[j, k]
+        D, E = A1 - A2, bob[j] - bob[k]
+        D2 = D @ D
+        hybrid_A += np.tensordot(one_minus_s, D2, axes=1)
+        hybrid_B += (E @ E).sum(axis=0)
+        marginal += np.tensordot(one_minus_s, A1 + A2 - D2, axes=1)
+        cross += kron_sum(np.sqrt(one_minus_s)[:, None, None] * D, E)
+
+    theta = kron(hybrid_A, IB) - 2.0 * cross + kron(IA, hybrid_B)
+    theta += kron(marginal, IB)
+    completeness = d * IB - bob.sum(axis=0)
+    theta += kron(IA, completeness @ completeness)
+    theta += kron_sum(strategy.alice_povm, IB - bob)
+    theta += d * d * kron(IA, (bob - bob @ bob).sum(axis=0))
     return theta
 
 
@@ -380,12 +408,12 @@ def bell_value_from_correlation(corr: Correlation, S: GramMatrix, d: int) -> flo
         raise ValueError("correlation table does not match d")
     weights, bob_weight = _coefficients(S, corr.pairs)
     P = corr.pair_probs
-    value = 0.0
-    for p, ((j, k), (corr_w, marg_w)) in enumerate(zip(corr.pairs, weights)):
-        value += corr_w * (P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0])
-        value -= marg_w * P[p, 0, :2].sum()
+    p = np.arange(len(corr.pairs))
+    j, k = np.array(corr.pairs, dtype=int).reshape(-1, 2).T
+    correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
+    value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
     value -= bob_weight * corr.povm_probs[:, :, 0].sum()
-    value -= sum(corr.povm_probs[j, j, 1] for j in range(n))
+    value -= np.trace(corr.povm_probs[:, :, 1])
     return float(value)
 
 
@@ -435,15 +463,7 @@ def depolarize(strategy: Strategy, v: float) -> Strategy:
     if not (0.0 <= v <= 1.0):
         raise ValueError("visibility must lie in [0, 1]")
     n = strategy.dims.total
-    rho = v * strategy.rho + (1.0 - v) * np.eye(n) / n
-    return Strategy(
-        dims=strategy.dims,
-        rho=rho,
-        pairs=strategy.pairs,
-        alice_pair_effects=strategy.alice_pair_effects,
-        alice_povm=strategy.alice_povm,
-        bob=strategy.bob,
-    )
+    return replace(strategy, rho=v * strategy.rho + (1.0 - v) * np.eye(n) / n)
 
 
 def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -454,21 +474,18 @@ def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Validatio
     trace_res = abs(np.trace(rho).real - 1.0)
     scale = max(1.0, frobenius(rho))
 
-    def min_eig(M):
-        return float(np.linalg.eigvalsh((M + dagger(M)) / 2)[0])
+    def min_eig(M, cap=np.inf):
+        """Smallest eigenvalue over a stack of matrices, at most ``cap``."""
+        return float(np.linalg.eigvalsh((M + dagger(M)) / 2).min(initial=cap))
 
-    pair_floor, pair_cap = 0.0, 0.0
-    for p in range(len(strategy.pairs)):
-        A1, A2 = strategy.alice_pair_effects[p]
-        pair_floor = min(pair_floor, min_eig(A1), min_eig(A2))
-        dA = strategy.dims.dA
-        pair_cap = min(pair_cap, min_eig(np.eye(dA) - A1 - A2))
-    povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(strategy.dims.dA))
-    povm_floor = min((min_eig(E) for E in strategy.alice_povm), default=0.0)
-    bob_floor = min((min_eig(B) for B in strategy.bob), default=0.0)
-    bob_cap = min(
-        (min_eig(np.eye(strategy.dims.dB) - B) for B in strategy.bob), default=0.0
-    )
+    dA, dB = strategy.dims.dA, strategy.dims.dB
+    pair_floor = min_eig(strategy.alice_pair_effects, 0.0)
+    A1, A2 = strategy.alice_pair_effects.swapaxes(0, 1)
+    pair_cap = min_eig(np.eye(dA) - A1 - A2, 0.0)
+    povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(dA))
+    povm_floor = min_eig(strategy.alice_povm)
+    bob_floor = min_eig(strategy.bob)
+    bob_cap = min_eig(np.eye(dB) - strategy.bob)
 
     checks = {
         "state_hermitian": CheckResult(bool(herm_res <= tol * scale), float(herm_res)),
@@ -509,68 +526,61 @@ def strategy_to_json(strategy: Strategy) -> dict:
 
 
 def strategy_from_json(obj: dict) -> Strategy:
-    dims = BipartiteDims(int(obj["dims"]["dA"]), int(obj["dims"]["dB"]))
-    entries = sorted(obj["alicePairs"], key=lambda e: (e["j"], e["k"]))
-    pairs = tuple((e["j"] - 1, e["k"] - 1) for e in entries)
-    pair_effects = np.stack(
-        [
-            np.stack([matrix_from_json(e["A1"]), matrix_from_json(e["A2"])])
-            for e in entries
-        ]
-    )
+    obj = json_checked(obj, "object", "strategy")
+    dims = json_checked(obj["dims"], "object", "dims")
+    entries = [json_checked(e, "object", "pair entry")
+               for e in json_checked(obj["alicePairs"], "list", "alicePairs")]
+    entries.sort(key=lambda e: (json_checked(e["j"], "int", "j"), json_checked(e["k"], "int", "k")))
+
+    def stack(items, name):
+        return np.stack([matrix_from_json(M) for M in json_checked(items, "list", name)])
+
     return Strategy(
-        dims=dims,
+        dims=BipartiteDims(*(json_checked(dims[key], "int", key) for key in ("dA", "dB"))),
         rho=matrix_from_json(obj["rho"]),
-        pairs=pairs,
-        alice_pair_effects=pair_effects,
-        alice_povm=np.stack([matrix_from_json(E) for E in obj["alicePovm"]]),
-        bob=np.stack([matrix_from_json(B) for B in obj["bob"]]),
+        pairs=tuple((e["j"] - 1, e["k"] - 1) for e in entries),
+        alice_pair_effects=np.stack([stack([e["A1"], e["A2"]], "pair entry") for e in entries]),
+        alice_povm=stack(obj["alicePovm"], "alicePovm"),
+        bob=stack(obj["bob"], "bob"),
     )
 
 
 def correlation_to_json(corr: Correlation) -> dict:
     """Nested maps keyed by setting labels; the perp outcome is "perp"."""
-    alice: dict[str, dict] = {}
-    for p, (j, k) in enumerate(corr.pairs):
-        label = f"{j + 1},{k + 1}"
-        alice[label] = {
-            str(y + 1): {
-                a_label: {
-                    "1": float(corr.pair_probs[p, y, a, 0]),
-                    PERP: float(corr.pair_probs[p, y, a, 1]),
-                }
-                for a, a_label in enumerate(("1", "2", PERP))
-            }
-            for y in range(corr.n_outcomes)
+    def cell(probs):  # Bob's outcomes 1 and perp
+        return {"1": float(probs[0]), PERP: float(probs[1])}
+
+    ys = [str(y + 1) for y in range(corr.n_outcomes)]
+    table = {
+        f"{j + 1},{k + 1}": {
+            y: {a: cell(corr.pair_probs[p, iy, ia]) for ia, a in enumerate(("1", "2", PERP))}
+            for iy, y in enumerate(ys)
         }
-    alice["povm"] = {
-        str(y + 1): {
-            str(a + 1): {
-                "1": float(corr.povm_probs[a, y, 0]),
-                PERP: float(corr.povm_probs[a, y, 1]),
-            }
-            for a in range(corr.n_outcomes)
-        }
-        for y in range(corr.n_outcomes)
+        for p, (j, k) in enumerate(corr.pairs)
     }
-    return {"nOutcomes": corr.n_outcomes, "table": alice}
+    table["povm"] = {
+        y: {str(a + 1): cell(corr.povm_probs[a, iy]) for a in range(corr.n_outcomes)}
+        for iy, y in enumerate(ys)
+    }
+    return {"nOutcomes": corr.n_outcomes, "table": table}
 
 
 def correlation_from_json(obj: dict) -> Correlation:
-    n = int(obj["nOutcomes"])
-    pairs, table = pair_list(n), obj["table"]
+    obj = json_checked(obj, "object", "correlation")
+    n = json_checked(obj["nOutcomes"], "int", "nOutcomes")
+    pairs, table = pair_list(n), json_checked(obj["table"], "object", "table")
     outcomes = ("1", PERP)
-    pair_probs = np.array(
-        [[[[table[f"{j + 1},{k + 1}"][str(y + 1)][a][b] for b in outcomes]
-           for a in ("1", "2", PERP)] for y in range(n)] for j, k in pairs],
-        dtype=float,
-    ).reshape(len(pairs), n, 3, 2)
-    povm = table["povm"]
-    povm_probs = np.array(
-        [[[povm[str(y + 1)][str(a + 1)][b] for b in outcomes] for y in range(n)]
-         for a in range(n)],
-        dtype=float,
-    )
+    try:
+        pair_probs = [[[[table[f"{j + 1},{k + 1}"][str(y + 1)][a][b] for b in outcomes]
+                        for a in ("1", "2", PERP)] for y in range(n)] for j, k in pairs]
+        povm = table["povm"]
+        povm_probs = [[[povm[str(y + 1)][str(a + 1)][b] for b in outcomes] for y in range(n)]
+                      for a in range(n)]
+    except TypeError:
+        raise ValueError("table must nest objects keyed by setting and outcome labels") from None
     return Correlation(
-        n_outcomes=n, pairs=pairs, pair_probs=pair_probs, povm_probs=povm_probs
+        n_outcomes=n,
+        pairs=pairs,
+        pair_probs=json_checked(pair_probs, "numbers", "table").reshape(len(pairs), n, 3, 2),
+        povm_probs=json_checked(povm_probs, "numbers", "povm table"),
     )

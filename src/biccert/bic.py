@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, components, dagger, eigh, frobenius
+from .linalg import DEFAULT_TOL, components, dagger, eigh, frobenius, json_checked
 
 
 @dataclass(frozen=True)
@@ -353,18 +353,8 @@ def povm_to_json(povm: BicPovm) -> dict:
 
 def _decode(obj, key: str) -> tuple[int, np.ndarray]:
     """The integer d and the finite float array under ``key`` of a JSON body."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    try:
-        array = np.asarray(obj[key], dtype=float)
-    except TypeError:
-        raise ValueError(f"{key} must hold numbers only") from None
-    if not np.isfinite(array).all():
-        raise ValueError(f"{key} has non-finite entries")
-    return d, array
+    obj = json_checked(obj, "object", "body")
+    return json_checked(obj["d"], "int", "d"), json_checked(obj[key], "numbers", key)
 
 
 def povm_from_json(obj) -> BicPovm:

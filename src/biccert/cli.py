@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,9 +33,16 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with code 3."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _default_seed() -> int:
@@ -46,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+        p.add_argument("--tol", type=_positive_float, default=1e-9, help="relative tolerance")
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="RNG seed (default from BICCERT_SEED, else 0)")
         p.add_argument("--out", type=Path, default=Path("."),

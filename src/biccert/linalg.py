@@ -33,8 +33,8 @@ class BipartiteDims:
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return M.conj().T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def frobenius(M: np.ndarray) -> float:
@@ -42,12 +42,18 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
+def frobenius_each(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, m)."""
+    return np.linalg.norm(M, axis=(-2, -1))
+
+
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||M - M*||_F <= tol * max(1, ||M||_F)."""
+    """True iff M is square, or a stack of square matrices, and each has
+    ||M - M*||_F <= tol * max(1, ||M||_F) (never with NaN entries)."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         return False
-    return frobenius(M - dagger(M)) <= tol * max(1.0, frobenius(M))
+    return bool(np.all(frobenius_each(M - dagger(M)) <= tol * np.maximum(1.0, frobenius_each(M))))
 
 
 def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
@@ -58,6 +64,14 @@ def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B."""
     return np.kron(np.asarray(A), np.asarray(B))
+
+
+def kron_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_i X_i (x) Y_i for stacks X (m, a, a') and Y (m, b, b'): one
+    (a a' x m) @ (m x b b') product, permuted to (a b) x (a' b')."""
+    (m, a, a2), (_, b, b2) = X.shape, Y.shape
+    T = X.reshape(m, -1).T @ Y.reshape(m, -1)
+    return T.reshape(a, a2, b, b2).transpose(0, 2, 1, 3).reshape(a * b, a2 * b2)
 
 
 def partial_trace(M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
@@ -80,19 +94,21 @@ def partial_trace(M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
 
 def apply_local(X: np.ndarray, M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
     """(X (x) I_B) M for ``side="A"``, (I_A (x) X) M for ``side="B"``, where M
-    has dA*dB rows; computed by reshaping, without the Kronecker product."""
-    M = np.asarray(M)
+    has dA*dB rows; computed by reshaping, without the Kronecker product.
+    Leading axes of X (..., local, local) and M (..., dA*dB, cols) broadcast."""
+    X, M = np.asarray(X), np.asarray(M)
     local = {"A": dims.dA, "B": dims.dB}.get(side)
     if local is None:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if np.shape(X) != (local, local) or M.ndim != 2 or M.shape[0] != dims.total:
-        raise ValueError(f"shapes {np.shape(X)} and {M.shape} do not fit {dims} on side {side}")
+    if X.shape[-2:] != (local, local) or X.ndim < 2 or M.ndim < 2 or M.shape[-2] != dims.total:
+        raise ValueError(f"shapes {X.shape} and {M.shape} do not fit {dims} on side {side}")
     rows = (dims.dA, -1) if side == "A" else (dims.dA, dims.dB, -1)
-    return (X @ M.reshape(rows)).reshape(M.shape)
+    out = (X if side == "A" else X[..., None, :, :]) @ M.reshape(M.shape[:-2] + rows)
+    return out.reshape(out.shape[:-len(rows)] + M.shape[-2:])
 
 
 def eigh(H: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a hermitian matrix.
+    """Eigendecomposition of a hermitian matrix, or of each matrix of a stack.
 
     Returns ``(w, U)`` with eigenvalues ``w`` ascending and unitary ``U``
     such that ``H = U diag(w) U*``.
@@ -133,16 +149,8 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("purify input is not a quantum state")
     w, U = eigh(rho, tol)
     keep = w > RANK_CUTOFF
-    lam = w[keep]
-    vecs = U[:, keep]
-    rank = int(lam.size)
-    n = rho.shape[0]
-    psi = np.zeros(n * rank, dtype=complex)
-    for i in range(rank):
-        env = np.zeros(rank, dtype=complex)
-        env[i] = 1.0
-        psi += np.sqrt(lam[i]) * np.kron(vecs[:, i], env)
-    return psi
+    # sum_i sqrt(lam_i) u_i (x) e_i, i.e. the matrix U_keep sqrt(lam) read row by row
+    return (U[:, keep] * np.sqrt(w[keep])).reshape(-1)
 
 
 def trace_out_environment(psi: np.ndarray, system_dim: int) -> np.ndarray:
@@ -225,14 +233,31 @@ def matrix_to_json(M: np.ndarray) -> dict:
     }
 
 
+def json_checked(value, kind: str, name: str):
+    """``value`` of a JSON body if it is of ``kind`` ("object", "list", "int"
+    but not bool, or "numbers": returned as a finite float array), else ValueError."""
+    if kind == "numbers":
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must hold numbers only") from None
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} has non-finite entries")
+        return array
+    if isinstance(value, bool) or not isinstance(value, {"object": dict, "list": list,
+                                                         "int": int}[kind]):
+        raise ValueError(f"{name} must be a JSON {kind}, got {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the JSON wire format back into a complex array."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError("data length does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in data])
-    M = flat.reshape(rows, cols)
+    obj = json_checked(obj, "object", "matrix")
+    rows, cols = (json_checked(obj[key], "int", key) for key in ("rows", "cols"))
+    data = json_checked(obj["data"], "numbers", "data")
+    if min(rows, cols) < 1 or data.shape != (rows * cols, 2):
+        raise ValueError("data must hold rows*cols [re, im] pairs")
+    M = data.view(complex).reshape(rows, cols)
     return M[:, 0] if cols == 1 else M
 
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from biccert import algebra, bell, bic
 from biccert.linalg import (
     BipartiteDims,
+    apply_local,
     frobenius,
     kron,
     maximally_entangled,
@@ -348,3 +351,69 @@ def test_dual_operators_reduce_to_bob_transpose(reference_d3):
     C = algebra.dual_alice_operators(ref, S)
     for j in range(9):
         assert frobenius(C[j] - ref.bob[j].T) < 1e-10
+
+
+def _full_rho_state_residuals(strat, S):
+    """sync_pair, sync_povm and c_sync maxima with every relation applied to
+    the full rho, one pair and one outcome at a time."""
+    dims, rho = strat.dims, strat.rho
+    weights, _ = bell._coefficients(S, strat.pairs)
+    sync_pair = [
+        frobenius(apply_local(w / 2 * (A1 - A2), rho, dims, "A")
+                  - apply_local(strat.bob[j] - strat.bob[k], rho, dims, "B"))
+        for (j, k), (A1, A2), (w, _) in zip(strat.pairs, strat.alice_pair_effects, weights)
+    ]
+    sync_povm = []
+    for Ej, Bj in zip(strat.alice_povm, strat.bob):
+        E_rho = apply_local(Ej, rho, dims, "A")
+        sync_povm.append(frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
+    c_sync = [
+        frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))
+        for Cj, Bj in zip(algebra.dual_alice_operators(strat, S), strat.bob)
+    ]
+    return np.array(sync_pair), max(sync_povm), max(c_sync)
+
+
+def _reported_state_residuals(cert):
+    return cert.sync_pair_residual, cert.sync_povm_residual, cert.c_sync_residual
+
+
+@pytest.mark.parametrize(
+    "case", ["reference_d2", "reference_d3", "reference_d4", "depolarized_d2", "random_d2"]
+)
+def test_rank_factor_residuals_match_full_rho(case, request):
+    ref, S = request.getfixturevalue("reference_d2" if case.endswith("_d2") else case)
+    strat = {
+        "depolarized_d2": lambda: bell.depolarize(ref, 0.9),
+        "random_d2": lambda: bell.random_strategy(BipartiteDims(2, 2), 2, 3),
+    }.get(case, lambda: ref)()
+    sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
+    cert = algebra.verify_certification(strat, S)
+    for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):
+        # never below the full-rho value, up to the rounding of the two products
+        assert full - 1e-15 * max(1.0, full) <= got <= full + 1e-13
+
+
+def test_dropped_eigenvalues_never_lower_a_residual(reference_d2):
+    ref, S = reference_d2
+    # eigenvalues 2.5e-13 of the noise fall below RANK_CUTOFF and leave the factor
+    strat = bell.depolarize(ref, 1.0 - 1e-12)
+    sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
+    cert = algebra.verify_certification(strat, S)
+    for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):
+        assert got >= full > 1e-14
+
+
+def test_certification_names_worst_pair(reference_d2):
+    ref, S = reference_d2
+    effects = ref.alice_pair_effects.copy()
+    effects[3] = effects[3, ::-1]  # swap the outcomes of pair (1, 2), 0-based
+    broken = dataclasses.replace(ref, alice_pair_effects=effects)
+    cert = algebra.verify_certification(broken, S)
+    sync_pair, _, _ = _full_rho_state_residuals(broken, S)
+    assert int(np.argmax(sync_pair)) == 3
+    assert cert.worst_pair == (1, 2)
+    payload = cert.to_json()
+    assert payload["worstPair"] == [2, 3]
+    assert payload["maxResidual"] == cert.max_residual and payload["passed"] is False
+    assert algebra.verify_certification(ref, S).to_json()["worstPair"] is not None

@@ -175,6 +175,95 @@ def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
         assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
 
+def _sos_theta_oracle(strat, S):
+    """Theta_d term by term: one dense hybrid @ hybrid product per pair."""
+    dA, dB = strat.dims.dA, strat.dims.dB
+    IA, IB = np.eye(dA), np.eye(dB)
+    theta = np.zeros((dA * dB, dA * dB), dtype=complex)
+    for (j, k), (A1, A2) in zip(strat.pairs, strat.alice_pair_effects):
+        c = np.sqrt(1.0 - S.s[j, k])
+        hybrid = c * kron(A1 - A2, IB) - kron(IA, strat.bob[j] - strat.bob[k])
+        theta += hybrid @ hybrid
+        theta += (1.0 - S.s[j, k]) * kron(A1 + A2 - (A1 - A2) @ (A1 - A2), IB)
+    completeness = S.d * kron(IA, IB) - kron(IA, strat.bob.sum(axis=0))
+    theta += completeness @ completeness
+    for Ej, Bj in zip(strat.alice_povm, strat.bob):
+        theta += kron(Ej, IB - Bj) + S.d**2 * kron(IA, Bj - Bj @ Bj)
+    return theta
+
+
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_sos_theta_matches_per_pair_oracle(d, dA, dB):
+    rng = np.random.default_rng(29)
+    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    for _ in range(5):
+        strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
+        assert frobenius(bell.sos_theta(strat, S) - _sos_theta_oracle(strat, S)) <= 1e-12 * d * d
+
+
+def test_sos_theta_matches_per_pair_oracle_reference(reference_d4):
+    ref, S = reference_d4
+    assert frobenius(bell.sos_theta(ref, S) - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
+
+
+def test_sos_theta_never_uses_the_bell_operator(monkeypatch):
+    rng = np.random.default_rng(31)
+    S = bic.gram(bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137)))
+    strat = _arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
+    W = bell.bell_operator(strat, S)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Theta_d must be built without W_d or its pair fold")
+
+    monkeypatch.setattr(bell, "pair_fold", forbidden)
+    monkeypatch.setattr(bell, "bell_operator", forbidden)
+    theta = bell.sos_theta(strat, S)
+    assert frobenius(W + theta - 4 * np.eye(6)) <= 1e-9 * 4
+
+
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_pair_fold_matches_signed_loop(d, dA, dB):
+    rng = np.random.default_rng(37)
+    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
+    F = np.zeros((d * d, dA, dA), dtype=complex)
+    M = np.zeros((dA, dA), dtype=complex)
+    for (j, k), (A1, A2) in zip(strat.pairs, strat.alice_pair_effects):
+        F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
+        F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
+        M += (1 - S.s[j, k]) * (A1 + A2)
+    weights, _ = bell._coefficients(S, strat.pairs)
+    F_got, M_got = bell.pair_fold(strat, weights)
+    assert np.allclose(F_got, F, atol=1e-12) and np.allclose(M_got, M, atol=1e-12)
+
+
+@pytest.mark.parametrize("povm_id", ["weyl2", "weyl3", "generic3", "weyl4"])
+def test_reference_pair_effects_match_per_pair_eigh(povm_id):
+    d = int(povm_id[-1])
+    povm = (bic.construct_generic_bic(d, 9) if povm_id.startswith("generic")
+            else bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    ref = bell.reference_strategy(povm)
+    B = povm.projections()
+    for (j, k), effects in zip(ref.pairs, ref.alice_pair_effects):
+        _, V = np.linalg.eigh(B[j] - B[k])
+        for a, effect in zip((V[:, -1], V[:, 0]), effects):
+            assert np.abs(effect - np.outer(a, a.conj()).T).max() <= 1e-12
+
+
+def test_reference_errors_name_the_first_pair():
+    vectors = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
+    with pytest.raises(ValueError, match=r"degenerate pair \(0, 1\): overlap s_jk=1"):
+        bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
+
+
+def test_overlap_above_one_is_refused(reference_d2):
+    ref, S = reference_d2
+    s = S.s.copy()
+    s[1, 3] = s[3, 1] = 1.5
+    with pytest.raises(ValueError, match=r"pair \(1, 3\) has overlap s_jk=1.5 above 1"):
+        bell.bell_value(ref, bic.GramMatrix(d=2, s=s))
+
+
 def test_sos_identity_independent_of_povm_validity(reference_d2):
     ref, S = reference_d2
     rng = np.random.default_rng(3)

@@ -161,6 +161,16 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, key, rows, na
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    target = [] if command == "construct" else [str(tmp_path / "povm.json")]
+    assert main([command, *target, "--tol", tol, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "--tol" in captured.err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"

@@ -10,6 +10,7 @@ from biccert.linalg import (
     is_hermitian,
     is_psd,
     kron,
+    kron_sum,
     matricize,
     maximally_entangled,
     partial_trace,
@@ -91,6 +92,40 @@ def test_apply_local_matches_kron():
         assert np.allclose(apply_local(X_B, M, dims, "B"), kron(np.eye(2), X_B) @ M, atol=1e-12)
 
 
+def test_apply_local_batches_over_leading_axes():
+    dims = BipartiteDims(2, 3)
+    rng = np.random.default_rng(6)
+    X_A = np.stack([random_hermitian(2, rng) for _ in range(4)])
+    X_B = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    Ms = rng.standard_normal((4, 6, 2)) + 1j * rng.standard_normal((4, 6, 2))
+    one = apply_local(X_A, Ms[0], dims, "A")  # a stack of operators on one M
+    assert one.shape == (4, 6, 2)
+    for i in range(4):
+        assert np.allclose(one[i], kron(X_A[i], np.eye(3)) @ Ms[0], atol=1e-12)
+    paired = apply_local(X_B, Ms, dims, "B")  # operator i on M_i
+    for i in range(4):
+        assert np.allclose(paired[i], kron(np.eye(2), X_B[i]) @ Ms[i], atol=1e-12)
+
+
+def test_kron_sum_matches_sum_of_krons():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    Y = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
+    expected = sum(kron(Xi, Yi) for Xi, Yi in zip(X, Y))
+    assert np.allclose(kron_sum(X, Y), expected, atol=1e-12)
+
+
+def test_eigh_checks_every_matrix_of_a_stack():
+    rng = np.random.default_rng(9)
+    H = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    w, U = eigh(H)
+    for i in range(4):
+        assert np.allclose(U[i] @ np.diag(w[i]) @ U[i].conj().T, H[i], atol=1e-12)
+    H[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not hermitian"):
+        eigh(H)
+
+
 def test_apply_local_rejects_bad_side_and_shapes():
     dims = BipartiteDims(2, 3)
     rho = random_state(6, 2)
@@ -140,6 +175,8 @@ def test_is_hermitian_relative_tolerance():
     M = np.eye(2) + 1e-12 * np.array([[0, 1], [0, 0]])
     assert is_hermitian(M)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert not is_hermitian(np.ones((2, 3)))
 
 
 def test_purify_pure_input():

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from biccert import bell, bic
 from biccert.linalg import (
@@ -101,3 +102,39 @@ def test_validation_report_json(weyl_povm_d2):
         "gram_invertible",
     }
     json.dumps(payload)  # must be serializable as-is
+
+
+MALFORMED_BODIES = [
+    pytest.param(matrix_from_json, None, id="matrix-null"),
+    pytest.param(matrix_from_json, {"rows": "2", "cols": 1, "data": [[0, 0]] * 2},
+                 id="matrix-rows"),
+    pytest.param(matrix_from_json, {"rows": 2, "cols": 1, "data": [[0, "x"]] * 2},
+                 id="matrix-text"),
+    pytest.param(matrix_from_json, {"rows": 1, "cols": 1, "data": [["NaN", 0]]}, id="matrix-nan"),
+    pytest.param(matrix_from_json, {"rows": 2, "cols": 2, "data": [[0, 0]] * 3}, id="matrix-size"),
+    pytest.param(bell.strategy_from_json, None, id="strategy-null"),
+    pytest.param(bell.strategy_from_json, {"dims": None}, id="strategy-dims"),
+    pytest.param(bell.strategy_from_json, {"dims": {"dA": 2, "dB": 2}, "alicePairs": 3},
+                 id="strategy-pairs"),
+    pytest.param(bell.strategy_from_json, {"dims": {"dA": 2, "dB": 2}, "alicePairs": [{"j": "1"}]},
+                 id="strategy-pair-label"),
+    pytest.param(bell.correlation_from_json, None, id="correlation-null"),
+    pytest.param(bell.correlation_from_json, {"nOutcomes": [4]}, id="correlation-n"),
+    pytest.param(bell.correlation_from_json, {"nOutcomes": 4, "table": []}, id="correlation-table"),
+    pytest.param(bell.correlation_from_json, {"nOutcomes": 4, "table": {"1,2": [1]}},
+                 id="correlation-nesting"),
+]
+
+
+@pytest.mark.parametrize("decode, body", MALFORMED_BODIES)
+def test_codecs_refuse_malformed_bodies(decode, body):
+    with pytest.raises(ValueError):
+        decode(body)
+
+
+def test_correlation_codec_refuses_non_finite_entries(reference_d2):
+    ref, _ = reference_d2
+    payload = bell.correlation_to_json(bell.correlation(ref))
+    payload["table"]["1,2"]["1"]["2"]["perp"] = "NaN"
+    with pytest.raises(ValueError, match="non-finite"):
+        bell.correlation_from_json(payload)
