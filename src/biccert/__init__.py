@@ -66,7 +66,10 @@ from .randomness import (
     randomness_report,
     von_neumann_entropy,
 )
-from .linalg import BipartiteDims, eigh, is_psd, kron, matricize, partial_trace, purify
+from .linalg import (
+    THRESHOLDS, BipartiteDims, Check, Checks, check, eigh, is_psd, kron, matricize,
+    partial_trace, purify,
+)
 
 __version__ = "0.1.0"
 
@@ -86,6 +89,6 @@ __all__ = [
     "maxent_decompose", "span_dimension", "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
     "randomness_report", "von_neumann_entropy",
-    "BipartiteDims", "eigh", "is_psd", "kron", "matricize", "partial_trace",
-    "purify",
+    "THRESHOLDS", "BipartiteDims", "Check", "Checks", "check", "eigh", "is_psd", "kron",
+    "matricize", "partial_trace", "purify",
 ]

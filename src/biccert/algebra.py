@@ -27,12 +27,16 @@ from .bic import GramMatrix
 from .linalg import (
     RANK_CUTOFF,
     BipartiteDims,
+    Check,
+    Checks,
     apply_local,
+    check,
     components,
     dagger,
     eigh,
     frobenius,
     frobenius_each,
+    held,
     is_state,
     kron,
     matricize,
@@ -51,50 +55,18 @@ class RelationReport:
     ``gram[j, k]`` holds ||X_j X_k X_j - s_jk X_j|| (standard variant),
     ``cube[j, k]`` holds ||(1-s_jk)(X_j - X_k) - (X_j - X_k)^3||, and
     ``bs_commutators`` maps index 4-tuples to commutator residuals.
+    ``check`` holds the largest residual against ``tol * max(1, max_j
+    ||X_j||_F)``; its worst offender is "completeness", the 1-based index j of
+    a projectivity relation, the pair (j, k) or the 4-tuple.
     """
 
     variant: str
-    tol: float
-    scale: float
+    check: Check
     projectivity: np.ndarray
     completeness: float
     gram: np.ndarray | None = None
     cube: np.ndarray | None = None
     bs_commutators: dict[tuple[int, int, int, int], float] | None = None
-
-    @property
-    def max_residual(self) -> float:
-        worst = float(self.projectivity.max(initial=0.0))
-        worst = max(worst, self.completeness)
-        for block in (self.gram, self.cube):
-            if block is not None:
-                worst = max(worst, float(block.max(initial=0.0)))
-        if self.bs_commutators:
-            worst = max(worst, max(self.bs_commutators.values()))
-        return worst
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol * self.scale
-
-    def to_json(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "passed": self.passed,
-            "maxResidual": self.max_residual,
-            "projectivity": [float(x) for x in self.projectivity],
-            "completeness": self.completeness,
-        }
-        if self.gram is not None:
-            out["gramRelation"] = [[float(x) for x in row] for row in self.gram]
-        if self.cube is not None:
-            out["cubeRelation"] = [[float(x) for x in row] for row in self.cube]
-        if self.bs_commutators is not None:
-            out["bsCommutators"] = {
-                ",".join(map(str, key)): float(v)
-                for key, v in self.bs_commutators.items()
-            }
-        return out
 
 
 def check_as_relations(
@@ -151,10 +123,19 @@ def check_as_relations(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    j = int(np.argmax(projectivity))  # n = S.n >= 4
+    candidates = [(completeness, "completeness"), (projectivity[j], j + 1)]
+    for block in (gram_res, cube_res):
+        if block is not None:
+            at = np.unravel_index(np.argmax(block), block.shape)
+            candidates.append((block[at], tuple(int(i) + 1 for i in at)))
+    if bs:
+        key = max(bs, key=bs.get)
+        candidates.append((bs[key], tuple(int(i) + 1 for i in key)))
+    measured, worst = max(candidates, key=lambda c: c[0])
     return RelationReport(
         variant=variant,
-        tol=tol,
-        scale=scale,
+        check=held(f"{variant} relations", measured, tol * scale, worst=worst),
         projectivity=projectivity,
         completeness=float(completeness),
         gram=gram_res,
@@ -722,7 +703,9 @@ def _best_intertwiner(T, ablk, bblk, a_off, b_off):
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Residuals of every relation implied by reaching the quantum value.
+    """The Bell value check and one check per relation family implied by
+    reaching the quantum value, each family held to the "certification
+    relations" threshold.
 
     When ``optimal`` is False the relations are not implied and the report is
     advisory only.
@@ -730,54 +713,28 @@ class CertificationReport:
 
     d: int
     bell_value: float
-    optimal: bool
-    advisory: bool
-    tol: float
-    sync_pair_residual: float
-    sync_povm_residual: float
-    b_relations: RelationReport
-    a_projectivity_residual: float
-    a_orthogonality_residual: float
-    c_sync_residual: float
-    c_relations: RelationReport
-    povm_c_residual: float
-    worst_pair: tuple[int, int] | None  # 0-based pair of the largest sync-pair residual
+    checks: Checks  # "bell value" first, then the relations
 
     @property
-    def max_residual(self) -> float:
-        return max(
-            self.sync_pair_residual,
-            self.sync_povm_residual,
-            self.b_relations.max_residual,
-            self.a_projectivity_residual,
-            self.a_orthogonality_residual,
-            self.c_sync_residual,
-            self.c_relations.max_residual,
-            self.povm_c_residual,
-        )
+    def optimal(self) -> bool:
+        return self.checks["bell value"].passed
 
     @property
     def passed(self) -> bool:
-        return self.optimal and self.max_residual <= self.tol * max(1.0, self.d**2)
+        return self.checks.passed
+
+    @property
+    def worst_relation(self) -> Check:
+        return max((c for name, c in self.checks.items() if name != "bell value"),
+                   key=lambda c: c.measured)
+
+    @property
+    def max_residual(self) -> float:
+        return self.worst_relation.measured
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "bellValue": self.bell_value,
-            "optimal": self.optimal,
-            "advisory": self.advisory,
-            "passed": self.passed,
-            "maxResidual": self.max_residual,
-            "syncPairResidual": self.sync_pair_residual,
-            "syncPovmResidual": self.sync_povm_residual,
-            "bRelations": self.b_relations.to_json(),
-            "aProjectivityResidual": self.a_projectivity_residual,
-            "aOrthogonalityResidual": self.a_orthogonality_residual,
-            "cSyncResidual": self.c_sync_residual,
-            "cRelations": self.c_relations.to_json(),
-            "povmCResidual": self.povm_c_residual,
-            "worstPair": None if self.worst_pair is None else [i + 1 for i in self.worst_pair],
-        }
+        return {"d": self.d, "bellValue": self.bell_value, "optimal": self.optimal,
+                "maxResidual": self.max_residual, **self.checks.to_json()}
 
 
 def dual_alice_operators(strategy: Strategy, S: GramMatrix) -> np.ndarray:
@@ -815,7 +772,6 @@ def verify_certification(
     dims = strategy.dims
     rho, bob, povm = strategy.rho, strategy.bob, strategy.alice_povm
     value = bell_value(strategy, S).value
-    optimal = abs(value - d * d) <= tol * max(1.0, d * d)
 
     UA = local_support(rho, dims, "A")
     VB = local_support(rho, dims, "B")
@@ -832,43 +788,41 @@ def verify_certification(
                          + np.sqrt(dims.dA) * frobenius_each(Y))
 
     corr_w = _coefficients(S, strategy.pairs)[0][:, 0]
-    sync_pair = np.zeros(len(strategy.pairs))
-    a_proj = a_ortho = 0.0
+    sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
     for block, j, k in pair_blocks(strategy.pairs):
         A = strategy.alice_pair_effects[block]
         D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
         sync_pair[block] = sync(D, bob[j] - bob[k])
         Ah = compress(A, UA)
-        a_proj = max(a_proj, float(frobenius_each(Ah @ Ah - Ah).max()))
-        a_ortho = max(a_ortho, float(frobenius_each(Ah[:, 0] @ Ah[:, 1]).max()))
-    worst_pair = strategy.pairs[int(np.argmax(sync_pair))] if sync_pair.size else None
+        a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
+        a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
 
     # (E_j (x) I) rho = (I (x) B_j)(E_j (x) I) rho: Z = E_j (x) (I - B_j)
     E_K = apply_local(povm, K, dims, "A")
     sync_povm = residuals(E_K - apply_local(bob, E_K, dims, "B"),
                           frobenius_each(povm) * frobenius_each(np.eye(dims.dB) - bob))
 
-    b_relations = check_as_relations(compress(bob, VB), S, tol=tol, variant="standard")
-
     C = dual_alice_operators(strategy, S)
-    c_sync = sync(C, bob)
     C_hat = compress(C, UA)
-    c_relations = check_as_relations(C_hat, S, tol=tol, variant="standard")
-    povm_c = frobenius_each(compress(povm, UA) - C_hat / d)
+    pairs = [(j + 1, k + 1) for j, k in strategy.pairs]
+    outcomes = range(1, S.n + 1)
 
-    return CertificationReport(
-        d=d,
-        bell_value=value,
-        optimal=optimal,
-        advisory=not optimal,
-        tol=tol,
-        sync_pair_residual=float(sync_pair.max(initial=0.0)),
-        sync_povm_residual=float(sync_povm.max(initial=0.0)),
-        b_relations=b_relations,
-        a_projectivity_residual=a_proj,
-        a_orthogonality_residual=a_ortho,
-        c_sync_residual=float(c_sync.max(initial=0.0)),
-        c_relations=c_relations,
-        povm_c_residual=float(povm_c.max(initial=0.0)),
-        worst_pair=worst_pair,
-    )
+    def worst(name, values, labels):  # every family has at least d^2 >= 4 members
+        at = int(np.argmax(values))
+        return check(name, values[at], tol, d, labels[at])
+
+    def relations(name, X):
+        found = check_as_relations(X, S, tol=tol, variant="standard").check
+        return check(name, found.measured, tol, d, found.worst)
+
+    return CertificationReport(d=d, bell_value=value, checks=Checks([
+        check("bell value", abs(value - d * d), tol, d),
+        worst("sync pair", sync_pair, pairs),
+        worst("sync povm", sync_povm, outcomes),
+        relations("b relations", compress(bob, VB)),
+        worst("a projectivity", a_proj, pairs),
+        worst("a orthogonality", a_ortho, pairs),
+        worst("c sync", sync(C, bob), outcomes),
+        relations("c relations", C_hat),
+        worst("povm c", frobenius_each(compress(povm, UA) - C_hat / d), outcomes),
+    ]))

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import ge
 
 import numpy as np
 
-from .bic import BicPovm, CheckResult, GramMatrix, ValidationReport, gram
+from .bic import BicPovm, GramMatrix, gram
 from .linalg import (
     DEFAULT_TOL,
     BipartiteDims,
+    Checks,
+    check,
     dagger,
     eigh,
     frobenius,
+    held,
     kron,
     json_checked,
     kron_sum,
@@ -370,7 +374,7 @@ def correlation(strategy: Strategy) -> Correlation:
     )
 
 
-def validate_correlation(corr: Correlation, tol: float = 1e-10) -> ValidationReport:
+def validate_correlation(corr: Correlation, tol: float = 1e-10) -> Checks:
     """Nonnegativity, normalization per setting pair, and no-signaling."""
     lo = min(float(corr.pair_probs.min()), float(corr.povm_probs.min()))
     norm_pair = np.abs(corr.pair_probs.sum(axis=(2, 3)) - 1.0)
@@ -387,13 +391,12 @@ def validate_correlation(corr: Correlation, tol: float = 1e-10) -> ValidationRep
     b_ref = b_povm[None, :, :]
     b_res = float(np.abs(b_pair - b_ref).max())
 
-    checks = {
-        "nonnegative": CheckResult(bool(lo >= -tol), max(0.0, -lo)),
-        "normalized": CheckResult(bool(norm_res <= tol), norm_res),
-        "no_signaling_alice": CheckResult(bool(a_res <= tol), a_res),
-        "no_signaling_bob": CheckResult(bool(b_res <= tol), b_res),
-    }
-    return ValidationReport(checks=checks)
+    return Checks([
+        check("nonnegative", lo, tol),
+        check("normalized", norm_res, tol),
+        check("no_signaling_alice", a_res, tol),
+        check("no_signaling_bob", b_res, tol),
+    ])
 
 
 def bell_value_from_correlation(corr: Correlation, S: GramMatrix, d: int) -> float:
@@ -466,7 +469,7 @@ def depolarize(strategy: Strategy, v: float) -> Strategy:
     return replace(strategy, rho=v * strategy.rho + (1.0 - v) * np.eye(n) / n)
 
 
-def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
     """POVM and state invariants of a strategy."""
     rho = strategy.rho
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
@@ -487,20 +490,17 @@ def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Validatio
     bob_floor = min_eig(strategy.bob)
     bob_cap = min_eig(np.eye(dB) - strategy.bob)
 
-    checks = {
-        "state_hermitian": CheckResult(bool(herm_res <= tol * scale), float(herm_res)),
-        "state_psd": CheckResult(bool(w[0] >= -tol * scale), float(w[0])),
-        "state_trace": CheckResult(bool(trace_res <= tol * scale), float(trace_res)),
-        "pair_effects_psd": CheckResult(bool(pair_floor >= -tol), float(pair_floor)),
-        "pair_effects_capped": CheckResult(bool(pair_cap >= -tol), float(pair_cap)),
-        "povm_psd": CheckResult(bool(povm_floor >= -tol), float(povm_floor)),
-        "povm_sums_to_identity": CheckResult(
-            bool(povm_sum_res <= tol * strategy.dims.dA), float(povm_sum_res)
-        ),
-        "bob_psd": CheckResult(bool(bob_floor >= -tol), float(bob_floor)),
-        "bob_capped": CheckResult(bool(bob_cap >= -tol), float(bob_cap)),
-    }
-    return ValidationReport(checks=checks)
+    return Checks([
+        held("state_hermitian", herm_res, tol * scale),
+        held("state_psd", w[0], -tol * scale, ge),
+        held("state_trace", trace_res, tol * scale),
+        check("pair_effects_psd", pair_floor, tol),
+        check("pair_effects_capped", pair_cap, tol),
+        check("povm_psd", povm_floor, tol),
+        check("povm_sums_to_identity", povm_sum_res, tol, dA),
+        check("bob_psd", bob_floor, tol),
+        check("bob_capped", bob_cap, tol),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ vector, and a generic seeded construction that works in every dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import gt
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, components, dagger, eigh, frobenius, json_checked
+from .linalg import (
+    DEFAULT_TOL, Checks, check, components, dagger, eigh, frobenius, held, json_checked,
+)
 
 
 @dataclass(frozen=True)
@@ -58,52 +61,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.d * self.d
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    residual: float
-    worst: object = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Pass/fail per axiom with the worst offender and its residual."""
-
-    checks: dict[str, CheckResult] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, c in self.checks.items() if not c.passed]
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": {
-                name: {
-                    "passed": c.passed,
-                    "residual": float(c.residual),
-                    "worst": _jsonable(c.worst),
-                }
-                for name, c in self.checks.items()
-            },
-        }
-
-
-def _jsonable(x):
-    if x is None or isinstance(x, (int, float, str, bool)):
-        return x
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return str(x)
 
 
 def weyl_operator(d: int, p: int, q: int) -> np.ndarray:
@@ -275,67 +232,41 @@ def gram(povm: BicPovm) -> GramMatrix:
     return GramMatrix(d=povm.d, s=np.abs(overlaps) ** 2)
 
 
-def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL) -> Checks:
     """Check the BIC axioms: unit norms, sum_j P_j = d*I, invertible Gram."""
     d = povm.d
-    norms = np.linalg.norm(povm.vectors, axis=1)
-    norm_res = np.abs(norms - 1.0)
+    norm_res = np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0)
     worst_norm = int(np.argmax(norm_res))
-
-    P = povm.projections()
-    total = P.sum(axis=0)
-    sum_res = frobenius(total - d * np.eye(d))
-
+    sum_res = frobenius(povm.projections().sum(axis=0) - d * np.eye(d))
     S = gram(povm).s
     w = np.linalg.eigvalsh((S + S.T) / 2)
-    min_eig = float(w[0])
-
-    checks = {
-        "unit_norms": CheckResult(
-            bool(norm_res[worst_norm] <= 1e-10), float(norm_res[worst_norm]), worst_norm
-        ),
-        "sum_to_d_identity": CheckResult(bool(sum_res <= tol * d), float(sum_res)),
-        "gram_invertible": CheckResult(
-            bool(min_eig > tol * max(1.0, w[-1])), min_eig
-        ),
-    }
-    return ValidationReport(checks=checks)
+    return Checks([
+        check("unit_norms", norm_res[worst_norm], tol, d, worst_norm + 1),
+        check("sum_to_d_identity", sum_res, tol, d),
+        held("gram_invertible", w[0], tol * max(1.0, w[-1]), gt),
+    ])
 
 
-def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> Checks:
     """Check the induced-matrix laws: unit diagonal, off-diagonal in [0,1),
     positive definiteness, column sums d, and connectivity of the
     nonzero-overlap graph."""
-    S, d, n = gm.s, gm.d, gm.n
-    diag_res = float(np.max(np.abs(np.diagonal(S) - 1.0)))
-    off = S.copy()
-    np.fill_diagonal(off, 0.5)  # midpoint, never the offender
-    lo = float(off.min())
-    hi = float(off.max())
-    off_ok = lo >= -tol and hi < 1.0 - tol
-    off_violation = max(0.0, -lo, hi - (1.0 - tol))
-    worst_off = tuple(int(x) for x in np.unravel_index(np.argmax(off), off.shape))
-
+    S, d = gm.s, gm.d
+    off = np.where(np.eye(gm.n, dtype=bool), 0.5, S)  # midpoint, never the offender
+    lo, hi = (np.unravel_index(arg(off), off.shape) for arg in (np.argmin, np.argmax))
     w = np.linalg.eigvalsh((S + S.T) / 2)
-    min_eig = float(w[0])
-
     col_res = np.abs(S.sum(axis=0) - d)
     worst_col = int(np.argmax(col_res))
-
     adjacency = S > tol
     np.fill_diagonal(adjacency, False)
-    connected = len(components(adjacency)) == 1
-
-    checks = {
-        "unit_diagonal": CheckResult(bool(diag_res <= tol), diag_res),
-        "offdiagonal_range": CheckResult(bool(off_ok), off_violation, worst_off),
-        "positive_definite": CheckResult(bool(min_eig > tol * max(1.0, w[-1])), min_eig),
-        "column_sums": CheckResult(
-            bool(col_res[worst_col] <= tol * d), float(col_res[worst_col]), worst_col
-        ),
-        "connected": CheckResult(bool(connected), 0.0 if connected else 1.0),
-    }
-    return ValidationReport(checks=checks)
+    return Checks([
+        check("unit_diagonal", np.max(np.abs(np.diagonal(S) - 1.0)), tol, d),
+        check("offdiagonal_nonnegative", off[lo], tol, d, tuple(int(i) + 1 for i in lo)),
+        check("offdiagonal_below_one", off[hi], tol, d, tuple(int(i) + 1 for i in hi)),
+        held("positive_definite", w[0], tol * max(1.0, w[-1]), gt),
+        check("column_sums", col_res[worst_col], tol, d, worst_col + 1),
+        check("connected", len(components(adjacency)), tol, d),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, bell, bic, classical, randomness, reproduce
-from .linalg import dump_json, load_json
+from . import __version__, algebra, bell, bic, classical, randomness, reproduce
+from .linalg import Checks, check, dump_json, load_json, threshold
 
 EXIT_OK = 0
 EXIT_FAILED = 2
@@ -102,10 +102,19 @@ def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
         rows.append((prefix, obj))
 
 
-def _write_outputs(args, payload: dict, stem: str) -> None:
-    """Write ``stem.json``; with csv-summary also its flattened scalars as ``stem.csv``."""
+def _dump(args, payload: dict, stem: str, **context) -> dict:
+    """Write ``stem.json`` under the run header: version, numpy, seed, tol and
+    ``context`` (the dimension d, or dMax for ``report``)."""
+    payload = {"run": {"version": __version__, "numpy": np.__version__, "seed": args.seed,
+                       "tol": args.tol, **context}, **payload}
     args.out.mkdir(parents=True, exist_ok=True)
     dump_json(payload, args.out / f"{stem}.json")
+    return payload
+
+
+def _write_outputs(args, payload: dict, stem: str, **context) -> None:
+    """``_dump``; with csv-summary also the flattened scalars as ``stem.csv``."""
+    payload = _dump(args, payload, stem, **context)
     if args.format == "csv-summary":
         rows: list[tuple] = [("key", "value")]
         _flatten("", payload, rows)
@@ -119,24 +128,23 @@ def cmd_construct(args) -> int:
     else:
         povm = bic.construct_generic_bic(args.d, args.seed)
     gm = bic.gram(povm)
-    povm_report = bic.validate_bic(povm, tol=args.tol)
-    gram_report = bic.validate_gram(gm, tol=args.tol)
+    povm_checks = bic.validate_bic(povm, tol=args.tol)
+    gram_checks = bic.validate_gram(gm, tol=args.tol)
+    ok = povm_checks.passed and gram_checks.passed
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    dump_json(bic.povm_to_json(povm), args.out / "povm.json")
-    dump_json(bic.gram_to_json(gm), args.out / "gram.json")
+    _dump(args, bic.povm_to_json(povm), "povm", d=args.d)
+    _dump(args, bic.gram_to_json(gm), "gram", d=args.d)
     validation = {
-        "d": args.d,
         "construction": args.construction,
-        "povm": povm_report.to_json(),
-        "gram": gram_report.to_json(),
-        "passed": povm_report.passed and gram_report.passed,
+        "povm": povm_checks.to_json(),
+        "gram": gram_checks.to_json(),
+        "passed": ok,
     }
-    _write_outputs(args, validation, "construct_validation")
+    _write_outputs(args, validation, "construct_validation", d=args.d)
 
-    ok = povm_report.passed and gram_report.passed
+    failing = "; ".join(c.failing() for c in (povm_checks, gram_checks) if not c.passed)
     print(f"constructed d={args.d} ({args.construction}); validation "
-          f"{'passed' if ok else 'FAILED: ' + ', '.join(povm_report.failures() + gram_report.failures())}")
+          f"{'passed' if ok else 'FAILED: ' + failing}")
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -144,92 +152,76 @@ def cmd_certify(args) -> int:
     povm = bic.povm_from_json(load_json(args.povm))
     validation = bic.validate_bic(povm, tol=args.tol)
     if not validation.passed:
-        print("input POVM failed validation: " + ", ".join(validation.failures()),
-              file=sys.stderr)
-        args.out.mkdir(parents=True, exist_ok=True)
-        dump_json({"inputValidation": validation.to_json(), "passed": False},
-                  args.out / "certify_report.json")
+        print("input POVM failed validation: " + validation.failing(), file=sys.stderr)
+        _dump(args, {"inputValidation": validation.to_json(), "passed": False},
+              "certify_report", d=povm.d)
         return EXIT_FAILED
 
+    d, tol = povm.d, args.tol
     S = bic.gram(povm)
     ref = bell.reference_strategy(povm)
     value = bell.bell_value(ref, S)
     sos = bell.sos_certificate(ref, S)
-    cert = algebra.verify_certification(ref, S, tol=args.tol)
-    rand = randomness.randomness_report(ref, S, tol=args.tol)
-
-    d2 = povm.d**2
-    breaches = {
-        "bell value": abs(value.value - d2) > args.tol * d2,
-        "sos identity": sos.identity_residual > args.tol * d2,
-        "sos positivity": sos.theta_min_eigenvalue < -10 * args.tol,
-        "sos theta.rho": sos.theta_rho_residual > args.tol * d2,
-        "certification relations": not cert.passed,
-        "entropy": abs(rand.conditional_entropy_bits - 2 * np.log2(povm.d)) > args.tol,
-    }
+    cert = algebra.verify_certification(ref, S, tol=tol)
+    rand = randomness.randomness_report(ref, S, tol=tol)
+    worst = cert.worst_relation
+    checks = Checks([
+        cert.checks["bell value"],
+        check("sos identity", sos.identity_residual, tol, d),
+        check("sos positivity", sos.theta_min_eigenvalue, tol, d),
+        check("sos theta.rho", sos.theta_rho_residual, tol, d),
+        check("certification relations", cert.max_residual, tol, d,
+              worst.name if worst.worst is None else f"{worst.name}: {worst.worst}"),
+        check("entropy", abs(rand.conditional_entropy_bits - 2 * np.log2(d)), tol, d),
+    ])
     report = {
-        "d": povm.d,
+        "d": d,
         "bell": value.to_json(),
         "sos": sos.to_json(),
         "certification": cert.to_json(),
         "randomness": rand.to_json(),
-        "breaches": {k: bool(v) for k, v in breaches.items()},
-        "passed": not any(breaches.values()),
+        **checks.to_json(),
     }
-    _write_outputs(args, report, "certify_report")
+    _write_outputs(args, report, "certify_report", d=d)
 
-    ok = report["passed"]
-    failing = [k for k, v in breaches.items() if v]
-    print(f"d={povm.d}: bell value {value.value:.9f}, entropy "
+    print(f"d={d}: bell value {value.value:.9f}, entropy "
           f"{rand.conditional_entropy_bits:.9f} bits; "
-          f"{'all checks passed' if ok else 'FAILED: ' + ', '.join(failing)}")
-    return EXIT_OK if ok else EXIT_FAILED
+          f"{'all checks passed' if checks.passed else 'FAILED: ' + checks.failing()}")
+    return EXIT_OK if checks.passed else EXIT_FAILED
 
 
 def cmd_classical(args) -> int:
     gm = bic.gram_from_json(load_json(args.gram))
-    validation = bic.validate_gram(gm, tol=max(args.tol, 1e-9))
+    validation = bic.validate_gram(gm, tol=threshold("classical input", args.tol))
     if not validation.passed:
-        print("input Gram matrix failed validation: "
-              + ", ".join(validation.failures()), file=sys.stderr)
+        print("input Gram matrix failed validation: " + validation.failing(), file=sys.stderr)
         return EXIT_FAILED
     result = classical.classical_value(
         gm, allow_d5=args.allow_d5, max_subsets=args.max_subsets
     )
-    _write_outputs(args, result.to_json(), "classical")
+    _write_outputs(args, result.to_json(), "classical", d=gm.d)
     print(f"d={gm.d}: classical value {result.best_value:.9f} "
           f"(upper bound {result.upper_bound:.9f}, gap {result.quantum_gap:.9f})")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    outcomes = reproduce.run_full_suite(
+    runs = reproduce.run_full_suite(
         tol=args.tol, d_max=args.d_max, seed=args.seed, verbose=True
     )
-    all_passed = all(o.passed for o in outcomes)
-    payload = {
-        "criteria": [o.to_json() for o in outcomes],
-        "allPassed": all_passed,
-        "config": {
-            "tol": args.tol,
-            "dMax": args.d_max,
-            "seed": args.seed,
-        },
-    }
-    args.out.mkdir(parents=True, exist_ok=True)
-    dump_json(payload, args.out / "report.json")
+    all_passed = all(r.passed for r in runs)
+    payload = {"criteria": [r.to_json() for r in runs], "allPassed": all_passed}
+    _dump(args, payload, "report", dMax=args.d_max)
     if args.format == "csv-summary":
         rows: list[tuple] = [
-            ("criterion", "name", "passed", "seconds", "metric", "value", "threshold")
+            ("criterion", "name", "seconds", "check", "measured", "threshold", "passed")
         ]
-        for o in outcomes:
-            for metric, value in o.measured.items():
-                rows.append((
-                    o.cid, o.name, o.passed, round(o.seconds, 3),
-                    metric, value, o.thresholds.get(metric, ""),
-                ))
+        for r in runs:
+            for c in r.checks.values():
+                rows.append((r.cid, reproduce.NAMES[r.cid], round(r.seconds, 3),
+                             c.name, c.measured, c.threshold, c.passed))
         _write_csv(args.out / "report.csv", rows)
-    total = sum(o.seconds for o in outcomes)
+    total = sum(r.seconds for r in runs)
     print(f"{'all criteria passed' if all_passed else 'FAILURES PRESENT'} "
           f"({total:.1f}s total)")
     return EXIT_OK if all_passed else EXIT_FAILED

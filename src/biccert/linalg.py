@@ -1,4 +1,5 @@
-"""Dense complex linear algebra shared by every module.
+"""Dense complex linear algebra, the JSON wire format and the check record
+shared by every module.
 
 Operators and states are plain complex ``numpy`` arrays; vectors are
 one-dimensional arrays.  All tolerances are relative to ``max(1, ||.||_F)``
@@ -8,7 +9,9 @@ unless a function says otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from operator import eq, ge, gt, le, lt
 
 import numpy as np
 
@@ -271,3 +274,117 @@ def dump_json(obj: dict, path) -> None:
 def load_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# Checks: every pass/fail verdict is a ``Check``; the thresholds that depend
+# only on the tolerance ``tol`` and the dimension ``d`` live in THRESHOLDS.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """``measured`` held to ``threshold``; ``worst`` names the worst offender
+    (1-based outcome indices, as in every output) when there is one."""
+
+    name: str
+    measured: float
+    threshold: float
+    passed: bool
+    worst: object = None
+
+    def to_json(self) -> dict:
+        worst = list(self.worst) if isinstance(self.worst, tuple) else self.worst
+        return {"measured": self.measured, "threshold": self.threshold,
+                "passed": self.passed, "worst": worst}
+
+
+class Checks(dict):
+    """Checks by name; passes when every check passes."""
+
+    def __init__(self, checks=()):
+        super().__init__((c.name, c) for c in checks)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.values())
+
+    def failures(self) -> list[str]:
+        return [name for name, c in self.items() if not c.passed]
+
+    def failing(self) -> str:
+        """One line naming each failing check, its measured value, threshold
+        and worst offender."""
+        return "; ".join(
+            f"{c.name} {c.measured:.3e} (threshold {c.threshold:.3e}"
+            + ("" if c.worst is None else f", worst {c.worst}") + ")"
+            for c in self.values() if not c.passed
+        )
+
+    def to_json(self) -> dict:
+        return {"passed": self.passed,
+                "checks": {name: c.to_json() for name, c in self.items()}}
+
+
+_TOL, _MINUS_TOL = (lambda tol, d: tol, le), (lambda tol, d: -tol, ge)
+_TOL_D, _TOL_D2 = (lambda tol, d: tol * d, le), (lambda tol, d: tol * d * d, le)
+_ONE = (lambda tol, d: 1, eq)
+
+# Check name -> (threshold as a function of (tol, d), the comparison
+# ``op(measured, threshold)`` that passes).
+THRESHOLDS = {
+    # input validation (bic, bell)
+    "unit_norms": (lambda tol, d: 1e-10, le),
+    **dict.fromkeys(("sum_to_d_identity", "column_sums", "povm_sums_to_identity"), _TOL_D),
+    **dict.fromkeys(("unit_diagonal", "normalized", "no_signaling_alice",
+                     "no_signaling_bob"), _TOL),
+    **dict.fromkeys(("offdiagonal_nonnegative", "nonnegative", "pair_effects_psd",
+                     "pair_effects_capped", "povm_psd", "bob_psd", "bob_capped"), _MINUS_TOL),
+    "offdiagonal_below_one": (lambda tol, d: 1.0 - tol, lt),
+    "connected": _ONE,  # number of components
+    # the tolerance a Gram file is validated at by ``classical``
+    "classical input": (lambda tol, d: max(tol, DEFAULT_TOL), le),
+    # certify (cli, algebra, randomness)
+    **dict.fromkeys(("bell value", "sos identity", "sos theta.rho",
+                     "certification relations"), _TOL_D2),
+    **dict.fromkeys(("sos positivity", "min eig Theta"), (lambda tol, d: -10 * tol, ge)),
+    "entropy": _TOL,
+    # reproduction criteria, stated at tol = 1e-9
+    **dict.fromkeys(("max |value - d^2|", "max residual / d^2", "deviations", "deviation",
+                     "max residual", "max state residual"), _TOL),
+    **dict.fromkeys(("max value - d^2", "max trace deviation"), (lambda tol, d: 10 * tol, le)),
+    "max gap": (lambda tol, d: 3.0 - 2.0 * math.sqrt(2.0) + tol, le),
+    **dict.fromkeys(("max lattice overlap", "max relation residual"),
+                    (lambda tol, d: 0.1 * tol, le)),
+    "min valid overlap": (lambda tol, d: 0.1 * tol, gt),
+    "product span": (lambda tol, d: 25, eq),
+    **dict.fromkeys(("blocks", "dims divisible", "conjugation invariant", "single block"),
+                    _ONE),
+    "mixed E vs F^t residual": (lambda tol, d: 1e-2, gt),
+}
+
+# Checks held to the threshold of another name in THRESHOLDS
+SHARED = {
+    **dict.fromkeys(("SIC deviation", "oracle deviation", "grid deviation"), "deviations"),
+    **dict.fromkeys(("max column-sum deviation", "max triangle-sum deviation",
+                     "max |H - 2 log2 d|", "intro example |H|", "max H - log2(d^2)"),
+                    "deviation"),
+    **dict.fromkeys(("sync pair", "sync povm", "b relations", "a projectivity",
+                     "a orthogonality", "c sync", "c relations", "povm c"),
+                    "certification relations"),
+}
+
+
+def threshold(name: str, tol: float, d: int = 0) -> float:
+    """The table threshold of check ``name`` at (tol, d)."""
+    return THRESHOLDS[SHARED.get(name, name)][0](tol, d)
+
+
+def held(name: str, measured, limit, op=le, worst=None) -> Check:
+    """``measured`` held to ``limit``: passes when ``op(measured, limit)``."""
+    return Check(name, float(measured), float(limit), bool(op(measured, limit)), worst)
+
+
+def check(name: str, measured, tol: float, d: int = 0, worst=None) -> Check:
+    """``measured`` held to the table threshold of ``name`` at (tol, d)."""
+    return held(name, measured, threshold(name, tol, d),
+                THRESHOLDS[SHARED.get(name, name)][1], worst)

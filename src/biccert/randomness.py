@@ -15,7 +15,7 @@ import numpy as np
 
 from .bell import Strategy, bell_value
 from .bic import GramMatrix
-from .linalg import dagger, frobenius, is_state, purify
+from .linalg import Check, check, dagger, frobenius, is_state, purify
 
 EIGENVALUE_FLOOR = 1e-14
 
@@ -43,7 +43,7 @@ class RandomnessReport:
     conditional_entropy_nats: float
     outcome_distribution: np.ndarray
     uniformity_deviation: float
-    certified: bool
+    certified: Check  # the Bell value against its "bell value" threshold
 
     def to_json(self) -> dict:
         return {
@@ -53,7 +53,7 @@ class RandomnessReport:
             "entropyNats": self.conditional_entropy_nats,
             "distribution": [float(p) for p in self.outcome_distribution],
             "uniformityDeviation": self.uniformity_deviation,
-            "certified": self.certified,
+            "certified": self.certified.to_json(),
         }
 
 
@@ -116,9 +116,9 @@ def randomness_report(
     """Bell value, conditional entropy under the canonical purification, and
     the outcome distribution of the povm setting.
 
-    ``certified`` flags whether the optimality hypothesis holds within tol;
-    below the quantum value the entropy is descriptive only, not a
-    device-independent bound.
+    ``certified`` checks the optimality hypothesis, the Bell value within its
+    table threshold; below the quantum value the entropy is descriptive only,
+    not a device-independent bound.
     """
     report = bell_value(strategy, S)
     psi = purify(strategy.rho)
@@ -126,9 +126,7 @@ def randomness_report(
     bits = conditional_entropy(cq, base=2.0)
     nats = bits * np.log(2.0)
     dist = cq.outcome_distribution()
-    n = strategy.n_outcomes
-    deviation = float(np.abs(dist - 1.0 / n).max())
-    certified = bool(abs(report.gap) <= tol * max(1.0, float(n)))
+    deviation = float(np.abs(dist - 1.0 / strategy.n_outcomes).max())
     return RandomnessReport(
         bell_value=report.value,
         gap_to_quantum_max=report.gap,
@@ -136,5 +134,5 @@ def randomness_report(
         conditional_entropy_nats=float(nats),
         outcome_distribution=dist,
         uniformity_deviation=deviation,
-        certified=certified,
+        certified=check("bell value", abs(report.gap), tol, S.d),
     )

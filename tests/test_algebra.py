@@ -23,7 +23,7 @@ def test_weyl_family_passes_all_variants(weyl_povm_d3):
     S = bic.gram(weyl_povm_d3)
     for variant in ("standard", "cube", "bs"):
         report = algebra.check_as_relations(P, S, tol=1e-9, variant=variant)
-        assert report.passed, (variant, report.max_residual)
+        assert report.check.passed, (variant, report.check.measured)
 
 
 def test_standard_and_cube_agree_on_failures(weyl_povm_d2):
@@ -32,14 +32,14 @@ def test_standard_and_cube_agree_on_failures(weyl_povm_d2):
     S = bic.gram(weyl_povm_d2)
     standard = algebra.check_as_relations(P, S, tol=1e-9, variant="standard")
     cube = algebra.check_as_relations(P, S, tol=1e-9, variant="cube")
-    assert not standard.passed and not cube.passed
+    assert not standard.check.passed and not cube.check.passed
 
 
 def test_random_projections_fail_gram_relation(weyl_povm_d2):
     S = bic.gram(weyl_povm_d2)
     P = np.stack([np.diag([1.0, 0.0]).astype(complex) for _ in range(4)])
     report = algebra.check_as_relations(P, S, tol=1e-9, variant="standard")
-    assert not report.passed
+    assert not report.check.passed
     assert report.gram.max() > 0.1
 
 
@@ -47,7 +47,7 @@ def test_bs_variant_full_enumeration_d2(weyl_povm_d2):
     P = weyl_povm_d2.projections()
     S = bic.gram(weyl_povm_d2)
     report = algebra.check_as_relations(P, S, tol=1e-9, variant="bs")
-    assert report.passed
+    assert report.check.passed
     assert len(report.bs_commutators) == 4**4
 
 
@@ -56,10 +56,10 @@ def test_bs_variant_separates_exceptional_family(sic3_povm):
     # extra commutator relations; a true 3-dimensional family satisfies both
     X = algebra.counterexample_rep()
     S = algebra.counterexample_gram()
-    assert algebra.check_as_relations(X, S, tol=1e-9, variant="standard").passed
-    assert not algebra.check_as_relations(X, S, tol=1e-9, variant="bs").passed
+    assert algebra.check_as_relations(X, S, tol=1e-9, variant="standard").check.passed
+    assert not algebra.check_as_relations(X, S, tol=1e-9, variant="bs").check.passed
     P = sic3_povm.projections()
-    assert algebra.check_as_relations(P, S, tol=1e-9, variant="bs").passed
+    assert algebra.check_as_relations(P, S, tol=1e-9, variant="bs").check.passed
 
 
 def test_check_as_relations_size_mismatch(weyl_povm_d2):
@@ -150,7 +150,7 @@ def test_compressed_reference_bob_passes_relations(reference_d2):
     ref, S = reference_d2
     sup = algebra.local_support(ref.rho, ref.dims, "B")
     B_hat = np.stack([algebra.compress(B, sup) for B in ref.bob])
-    assert algebra.check_as_relations(B_hat, S, tol=1e-9).passed
+    assert algebra.check_as_relations(B_hat, S, tol=1e-9).check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +335,14 @@ def test_certification_reference(fixture, request):
     assert cert.optimal
     assert cert.passed
     assert cert.max_residual <= 1e-9
-    assert cert.povm_c_residual <= 1e-9
-    assert cert.c_relations.passed
+    assert cert.checks["povm c"].measured <= 1e-9
+    assert cert.checks["c relations"].passed
 
 
 def test_certification_depolarized_is_advisory(reference_d2):
     ref, S = reference_d2
     cert = algebra.verify_certification(bell.depolarize(ref, 0.9), S)
-    assert cert.advisory and not cert.optimal and not cert.passed
+    assert not cert.optimal and not cert.passed
     assert cert.bell_value < 4.0
 
 
@@ -375,7 +375,7 @@ def _full_rho_state_residuals(strat, S):
 
 
 def _reported_state_residuals(cert):
-    return cert.sync_pair_residual, cert.sync_povm_residual, cert.c_sync_residual
+    return tuple(cert.checks[name].measured for name in ("sync pair", "sync povm", "c sync"))
 
 
 @pytest.mark.parametrize(
@@ -412,8 +412,8 @@ def test_certification_names_worst_pair(reference_d2):
     cert = algebra.verify_certification(broken, S)
     sync_pair, _, _ = _full_rho_state_residuals(broken, S)
     assert int(np.argmax(sync_pair)) == 3
-    assert cert.worst_pair == (1, 2)
+    assert cert.checks["sync pair"].worst == (2, 3)
     payload = cert.to_json()
-    assert payload["worstPair"] == [2, 3]
+    assert payload["checks"]["sync pair"]["worst"] == [2, 3]
     assert payload["maxResidual"] == cert.max_residual and payload["passed"] is False
-    assert algebra.verify_certification(ref, S).to_json()["worstPair"] is not None
+    assert algebra.verify_certification(ref, S).to_json()["checks"]["sync pair"]["worst"] is not None

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from biccert import bic
+from biccert import __version__, bic
 from biccert.classical import bic_gram_d2
 from biccert.cli import main
 from biccert.linalg import dump_json, load_json
@@ -43,6 +44,56 @@ def test_certify_weyl_d2(tmp_path):
     assert abs(report["bell"]["value"] - 4.0) < 1e-9
     assert abs(report["randomness"]["entropyBits"] - 2.0) < 1e-9
     assert report["certification"]["optimal"] is True
+    # the keys the benchmark's correctness gate reads
+    assert report["d"] == 2
+    assert report["certification"]["passed"] is True
+    for key in ("identityResidual", "thetaMinEigenvalue", "thetaRhoResidual"):
+        assert isinstance(report["sos"][key], float)
+    assert 0.0 <= report["certification"]["maxResidual"] <= 1e-9 * 4
+    run = report["run"]
+    assert run == {"version": __version__, "numpy": np.__version__, "seed": run["seed"],
+                   "tol": 1e-9, "d": 2}
+
+
+def _thresholds(obj, path=""):
+    """Every check record's threshold in a JSON output, by path."""
+    if not isinstance(obj, dict):
+        return {}
+    if "measured" in obj and "threshold" in obj:
+        return {path: obj["threshold"]}
+    return {k: v for key, value in obj.items() for k, v in _thresholds(value, f"{path}/{key}").items()}
+
+
+def test_certify_thresholds_scale_with_tol(tmp_path):
+    assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
+    thresholds = {}
+    for tol in ("1e-9", "1e-7"):
+        out = tmp_path / tol
+        assert main(["certify", str(tmp_path / "povm.json"), "--tol", tol, "--out", str(out)]) == 0
+        thresholds[tol] = _thresholds(load_json(out / "certify_report.json"))
+    assert len(thresholds["1e-9"]) == 16  # 6 checks, 9 certification checks, certified
+    assert thresholds["1e-7"].keys() == thresholds["1e-9"].keys()
+    for path, loose in thresholds["1e-7"].items():
+        assert loose == pytest.approx(100 * thresholds["1e-9"][path], rel=1e-12), path
+
+
+def _verdicts(obj):
+    """Every "passed" value nested in a JSON output."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from [value] if key == "passed" else _verdicts(value)
+
+
+def test_nested_verdicts_agree_with_certification(tmp_path):
+    # at d=10 and tol 1e-14 the relation families were held to tol times
+    # their own scale and failed inside a passing certification
+    assert main(["construct", "--d", "10", "--out", str(tmp_path)]) == 0
+    assert main(["certify", str(tmp_path / "povm.json"), "--tol", "1e-14",
+                 "--out", str(tmp_path)]) == 2  # the SOS identity fails at 1e-12
+    cert = load_json(tmp_path / "certify_report.json")["certification"]
+    assert cert["passed"] is True
+    assert all(_verdicts(cert))
+    assert {c["threshold"] for c in cert["checks"].values()} == {1e-14 * 100}
 
 
 def test_certify_weyl_d3_entropy(tmp_path):
@@ -54,17 +105,24 @@ def test_certify_weyl_d3_entropy(tmp_path):
     assert abs(report["randomness"]["entropyBits"] - 2 * math.log2(3)) < 1e-9
 
 
-def test_certify_corrupted_povm_exits_2(tmp_path):
+def test_certify_corrupted_povm_exits_2(tmp_path, capsys):
     assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 0
     payload = load_json(tmp_path / "povm.json")
     payload["vectors"][0][0] = [2.0, 0.0]  # break the unit norm
     bad = tmp_path / "bad.json"
     dump_json(payload, bad)
+    capsys.readouterr()
     code = main(["certify", str(bad), "--out", str(tmp_path)])
     assert code == 2
     report = load_json(tmp_path / "certify_report.json")
     assert report["passed"] is False
-    assert report["inputValidation"]["checks"]["unit_norms"]["passed"] is False
+    unit_norms = report["inputValidation"]["checks"]["unit_norms"]
+    assert unit_norms["passed"] is False and unit_norms["worst"] == 1
+    # one stderr line names the failing check, its value, threshold and worst vector
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert (f"unit_norms {unit_norms['measured']:.3e} (threshold 1.000e-10, worst 1)"
+            in err)
 
 
 def test_classical_sic_gram(tmp_path):
@@ -197,6 +255,24 @@ def test_construct_deterministic_given_flags(tmp_path):
     assert (out_a / "povm.json").read_bytes() == (out_b / "povm.json").read_bytes()
 
 
+# (measured, threshold) names of perfbench/harness.py::REPORT_RESIDUALS
+REPORT_RESIDUALS = (
+    ("max |value - d^2|", "max |value - d^2|"),
+    ("max residual / d^2", "max residual / d^2"),
+    ("SIC deviation", "deviations"),
+    ("oracle deviation", "deviations"),
+    ("grid deviation", "deviations"),
+    ("max column-sum deviation", "deviation"),
+    ("max triangle-sum deviation", "deviation"),
+    ("max lattice overlap", "max lattice overlap"),
+    ("max residual", "max residual"),
+    ("max |H - 2 log2 d|", "deviation"),
+    ("max relation residual", "max relation residual"),
+    ("max trace deviation", "max trace deviation"),
+    ("max state residual", "max state residual"),
+)
+
+
 @pytest.mark.slow
 def test_report_command_full_run(tmp_path, capsys):
     code = main(
@@ -209,6 +285,15 @@ def test_report_command_full_run(tmp_path, capsys):
     assert payload["allPassed"] is True
     assert len(payload["criteria"]) == 11
     assert (tmp_path / "report.csv").exists()
+    # the (measured, threshold) names the benchmark's correctness gate reads
+    pairs = [
+        (c["measured"][measured], c["thresholds"][threshold])
+        for c in payload["criteria"]
+        for measured, threshold in REPORT_RESIDUALS
+        if measured in c["measured"] and threshold in c["thresholds"]
+    ]
+    assert len(pairs) == len(REPORT_RESIDUALS)
+    assert all(0.0 <= value <= limit for value, limit in pairs)
 
 
 def test_report_tight_tolerance_fails(tmp_path, capsys):

@@ -152,18 +152,18 @@ def test_randomness_report_reference(d):
     assert abs(report.bell_value - d * d) < 1e-9
     assert abs(report.conditional_entropy_bits - 2 * np.log2(d)) < 1e-9
     assert abs(report.conditional_entropy_nats - 2 * np.log(d)) < 1e-9
-    assert report.certified
+    assert report.certified.passed
     assert report.uniformity_deviation < 1e-10
 
 
 def test_randomness_report_depolarized_not_certified(reference_d2):
     ref, S = reference_d2
     report = randomness.randomness_report(bell.depolarize(ref, 0.99), S)
-    assert not report.certified
+    assert not report.certified.passed
     assert report.bell_value < 4.0
     assert report.gap_to_quantum_max > 0.0
     payload = report.to_json()
-    assert payload["certified"] is False
+    assert payload["certified"]["passed"] is False
     assert set(payload) >= {
         "bellValue",
         "gap",
