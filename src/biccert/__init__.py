@@ -67,8 +67,7 @@ from .randomness import (
     von_neumann_entropy,
 )
 from .linalg import (
-    THRESHOLDS, BipartiteDims, Check, Checks, check, eigh, is_psd, kron, matricize,
-    partial_trace, purify,
+    BipartiteDims, Check, Checks, eigh, is_psd, kron, matricize, partial_trace, purify,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +88,6 @@ __all__ = [
     "maxent_decompose", "span_dimension", "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
     "randomness_report", "von_neumann_entropy",
-    "THRESHOLDS", "BipartiteDims", "Check", "Checks", "check", "eigh", "is_psd", "kron",
-    "matricize", "partial_trace", "purify",
+    "BipartiteDims", "Check", "Checks", "eigh", "is_psd", "kron", "matricize",
+    "partial_trace", "purify",
 ]

@@ -164,14 +164,12 @@ def cmd_certify(args) -> int:
     sos = bell.sos_certificate(ref, S)
     cert = algebra.verify_certification(ref, S, tol=tol)
     rand = randomness.randomness_report(ref, S, tol=tol)
-    worst = cert.worst_relation
     checks = Checks([
         cert.checks["bell value"],
         check("sos identity", sos.identity_residual, tol, d),
         check("sos positivity", sos.theta_min_eigenvalue, tol, d),
         check("sos theta.rho", sos.theta_rho_residual, tol, d),
-        check("certification relations", cert.max_residual, tol, d,
-              worst.name if worst.worst is None else f"{worst.name}: {worst.worst}"),
+        cert.relations,
         check("entropy", abs(rand.conditional_entropy_bits - 2 * np.log2(d)), tol, d),
     ])
     report = {

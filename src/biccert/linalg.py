@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import eq, ge, gt, le, lt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -330,8 +331,8 @@ _TOL_D, _TOL_D2 = (lambda tol, d: tol * d, le), (lambda tol, d: tol * d * d, le)
 _ONE = (lambda tol, d: 1, eq)
 
 # Check name -> (threshold as a function of (tol, d), the comparison
-# ``op(measured, threshold)`` that passes).
-THRESHOLDS = {
+# ``op(measured, threshold)`` that passes); read-only.
+THRESHOLDS = MappingProxyType({
     # input validation (bic, bell)
     "unit_norms": (lambda tol, d: 1e-10, le),
     **dict.fromkeys(("sum_to_d_identity", "column_sums", "povm_sums_to_identity"), _TOL_D),
@@ -357,13 +358,12 @@ THRESHOLDS = {
                     (lambda tol, d: 0.1 * tol, le)),
     "min valid overlap": (lambda tol, d: 0.1 * tol, gt),
     "product span": (lambda tol, d: 25, eq),
-    **dict.fromkeys(("blocks", "dims divisible", "conjugation invariant", "single block"),
-                    _ONE),
+    **dict.fromkeys(("dims divisible", "conjugation invariant", "single block"), _ONE),
     "mixed E vs F^t residual": (lambda tol, d: 1e-2, gt),
-}
+})
 
-# Checks held to the threshold of another name in THRESHOLDS
-SHARED = {
+# Checks held to the threshold of another name in THRESHOLDS; read-only
+SHARED = MappingProxyType({
     **dict.fromkeys(("SIC deviation", "oracle deviation", "grid deviation"), "deviations"),
     **dict.fromkeys(("max column-sum deviation", "max triangle-sum deviation",
                      "max |H - 2 log2 d|", "intro example |H|", "max H - log2(d^2)"),
@@ -371,7 +371,7 @@ SHARED = {
     **dict.fromkeys(("sync pair", "sync povm", "b relations", "a projectivity",
                      "a orthogonality", "c sync", "c relations", "povm c"),
                     "certification relations"),
-}
+})
 
 
 def threshold(name: str, tol: float, d: int = 0) -> float:

@@ -282,9 +282,8 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
 
 @_criterion(9, "6-dimensional exceptional representation (relations, span 25, single block)")
 def criterion_9_counterexample(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
-    """The six-dimensional exceptional family: relations, span 25, irreducible.
-    One block with a product span of 25 is the single block (1, 6): a block
-    (m, k) spans at most k^2 products, and m k = 6."""
+    """The six-dimensional exceptional family: relations, span 25, and one
+    irreducible block of multiplicity 1 and dimension 6."""
     X = algebra.counterexample_rep()
     S = algebra.counterexample_gram()
     relations = algebra.check_as_relations(X, S, variant="standard").check
@@ -293,7 +292,8 @@ def criterion_9_counterexample(tol: float = BASE_TOL, d_max: int = 4, seed: int 
     return [
         check("max relation residual", relations.measured, tol, worst=relations.worst),
         check("product span", span, tol),
-        check("blocks", len(dec.blocks), tol, worst=dec.shape_multiset),
+        check("single block", float(dec.shape_multiset == ((1, 6),)), tol,
+              worst=dec.shape_multiset),
     ]
 
 

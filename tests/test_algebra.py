@@ -6,6 +6,7 @@ import pytest
 from biccert import algebra, bell, bic
 from biccert.linalg import (
     BipartiteDims,
+    Checks,
     apply_local,
     frobenius,
     kron,
@@ -417,3 +418,13 @@ def test_certification_names_worst_pair(reference_d2):
     assert payload["checks"]["sync pair"]["worst"] == [2, 3]
     assert payload["maxResidual"] == cert.max_residual and payload["passed"] is False
     assert algebra.verify_certification(ref, S).to_json()["checks"]["sync pair"]["worst"] is not None
+
+
+def test_certification_relations_check_agrees_with_a_nan_family(reference_d2):
+    ref, S = reference_d2
+    cert = algebra.verify_certification(ref, S)
+    nan = dataclasses.replace(cert.checks["c sync"], measured=float("nan"), passed=False)
+    broken = dataclasses.replace(cert, checks=Checks([*cert.checks.values(), nan]))
+    assert cert.relations.passed and cert.passed
+    assert not broken.relations.passed and not broken.passed
+    assert np.isnan(broken.max_residual) and broken.relations.worst.startswith("c sync")
