@@ -29,6 +29,7 @@ from .bell import (
     bell_value_from_correlation,
     correlation,
     depolarize,
+    pair_fold,
     random_strategy,
     reference_strategy,
     scenario_shape,
@@ -78,7 +79,7 @@ __all__ = [
     "validate_gram", "weyl_operator",
     "BellReport", "Correlation", "SosReport", "Strategy", "bell_operator",
     "bell_value", "bell_value_from_correlation", "correlation", "depolarize",
-    "random_strategy", "reference_strategy", "scenario_shape",
+    "pair_fold", "random_strategy", "reference_strategy", "scenario_shape",
     "sos_certificate", "sos_theta",
     "ClassicalResult", "brute_force_classical", "classical_upper_bound",
     "classical_value", "closed_form_d2", "subset_value",

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .bell import Strategy, _coefficients, bell_value, pair_blocks, pair_fold
+from .bell import BellReport, Strategy, _coefficients, pair_blocks
 from .bic import GramMatrix
 from .linalg import (
     RANK_CUTOFF,
@@ -103,8 +103,11 @@ def check_as_relations(
     bs = None
     if variant == "standard":
         gram_res = np.zeros((n, n))
+        XjX, T, sXj = np.empty((3, *X.shape), dtype=complex)  # reused by every row
         for j in range(n):  # row j for every k at once; k = j is not a relation
-            gram_res[j] = frobenius_each(X[j] @ X @ X[j] - S.s[j, :, None, None] * X[j])
+            np.matmul(np.matmul(X[j], X, out=XjX), X[j], out=T)
+            np.multiply(S.s[j, :, None, None], X[j], out=sXj)
+            gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T))
         np.fill_diagonal(gram_res, 0.0)
     elif variant == "cube":
         cube_res = np.zeros((n, n))
@@ -746,8 +749,9 @@ class CertificationReport:
                 "maxResidual": self.max_residual, **self.checks.to_json()}
 
 
-def dual_alice_operators(strategy: Strategy, S: GramMatrix) -> np.ndarray:
-    """Operators C_j = (d I + F_j / 2) / d^2, with F_j from ``bell.pair_fold``.
+def dual_alice_operators(strategy: Strategy, S: GramMatrix, F: np.ndarray) -> np.ndarray:
+    """Operators C_j = (d I + F_j / 2) / d^2, with F the first part of
+    ``bell.pair_fold(strategy, S)``.
 
     F_j / 2 sums the differences A1 - A2 of the pairs holding j, each scaled by
     half its correlator weight.  The difference enters antisymmetrically: for
@@ -755,21 +759,20 @@ def dual_alice_operators(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     quantum value (C_j (x) I) rho = (I (x) B_j) rho holds for every j.
     """
     d = S.d
-    weights, _ = _coefficients(S, strategy.pairs)
-    F, _ = pair_fold(strategy, weights)
     return (d * np.eye(strategy.dims.dA) + F / 2) / (d * d)
 
 
 def verify_certification(
-    strategy: Strategy, S: GramMatrix, tol: float = 1e-9
+    strategy: Strategy, S: GramMatrix, bell_report: BellReport, F: np.ndarray, tol: float = 1e-9
 ) -> CertificationReport:
     """Audit every optimality relation of a strategy against S.
 
-    Checks the two state relations, the compressed-measurement algebra
-    relations on both sides, the dual operators C_j (state relation plus
-    algebra relations), and the povm-block identity A^povm_j = (1/d) C_j on
-    the compressed space.  For strategies below the quantum value the report
-    is advisory.
+    ``bell_report`` is ``bell.bell_value(strategy, S)`` and F the first part of
+    ``bell.pair_fold(strategy, S)``.  Checks the two state relations, the
+    compressed-measurement algebra relations on both sides, the dual operators
+    C_j (state relation plus algebra relations), and the povm-block identity
+    A^povm_j = (1/d) C_j on the compressed space.  For strategies below the
+    quantum value the report is advisory.
 
     A state relation Z rho = 0 is measured on the rank factor K = V_r diag(L_r)
     of rho = V diag(L) V* (r = 1 for a pure state): ||Z rho||_F^2 is
@@ -780,7 +783,7 @@ def verify_certification(
     d = S.d
     dims = strategy.dims
     rho, bob, povm = strategy.rho, strategy.bob, strategy.alice_povm
-    value = bell_value(strategy, S).value
+    value = bell_report.value
 
     UA = local_support(rho, dims, "A")
     VB = local_support(rho, dims, "B")
@@ -811,7 +814,7 @@ def verify_certification(
     sync_povm = residuals(E_K - apply_local(bob, E_K, dims, "B"),
                           frobenius_each(povm) * frobenius_each(np.eye(dims.dB) - bob))
 
-    C = dual_alice_operators(strategy, S)
+    C = dual_alice_operators(strategy, S, F)
     C_hat = compress(C, UA)
     pairs = [(j + 1, k + 1) for j, k in strategy.pairs]
     outcomes = range(1, S.n + 1)

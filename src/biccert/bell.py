@@ -9,6 +9,7 @@ terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from operator import ge
@@ -22,12 +23,12 @@ from .linalg import (
     Checks,
     check,
     dagger,
-    eigh,
     frobenius,
     held,
     kron,
     json_checked,
     kron_sum,
+    mapped_zeros,
     matrix_from_json,
     matrix_to_json,
     maximally_entangled,
@@ -38,8 +39,9 @@ PERP = "perp"
 _PAIR_BLOCK = 64
 
 
+@functools.cache
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
-    """All (j, k) with 0 <= j < k < n, lexicographic."""
+    """All (j, k) with 0 <= j < k < n, lexicographic (one shared tuple per n)."""
     return tuple((j, k) for j in range(n) for k in range(j + 1, n))
 
 
@@ -180,22 +182,46 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     projections B_j = |e_j><e_j|; Alice's pair effects are the transposed
     eigenprojections of B_j - B_k (eigenvalues +-sqrt(1-s_jk)), and her povm
     effects are (1/d) B_j^t.  All transposes are in the computational basis.
+
+    Both eigenvectors lie in span{e_j, e_k}, so each pair is a 2x2 problem
+    in the orthonormal basis q1 = e_j / |e_j|, q2 ~ e_k - <q1|e_k> q1, where
+    e_j = |e_j| q1 and e_k = alpha q1 + beta q2 with the vectors' own norms.
     """
     d = povm.d
     n = d * d
     B = povm.projections()
     pairs = pair_list(n)
     overlaps = gram(povm).s
-    pair_effects = np.zeros((len(pairs), 2, d, d), dtype=complex)
+    pair_effects = mapped_zeros((len(pairs), 2, d, d))
     for block, j, k in pair_blocks(pairs):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
                 "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
-        w, V = eigh(B[j] - B[k])
-        _refuse((w[:, -1] < 1e-12) | (w[:, 0] > -1e-12), j, k, w[:, [0, -1]],
+        e_j, e_k = povm.vectors[j], povm.vectors[k]
+        norm_j = np.linalg.norm(e_j, axis=1)
+        q1 = e_j / norm_j[:, None]
+        alpha = np.einsum("pa,pa->p", q1.conj(), e_k)
+        rest = e_k - alpha[:, None] * q1
+        beta = np.linalg.norm(rest, axis=1)
+        # B_j - B_k = [[a, b], [b*, c]] on (q1, q2), eigenvalues (a + c)/2 +- r
+        a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
+        h = (a - c) / 2
+        r = np.hypot(h, np.abs(b))
+        w = np.stack([(a + c) / 2 - r, (a + c) / 2 + r], axis=1)
+        _refuse(~(w[:, 1] >= 1e-12) | ~(w[:, 0] <= -1e-12), j, k, w,
                 "pair ({j}, {k}) difference lacks a +/- eigenvalue pair: extremes {value}")
-        a = V[:, :, [-1, 0]].swapaxes(1, 2)  # a1, a2; the effects are (|a><a|)^t
-        pair_effects[block] = a[:, :, None, :] * a.conj()[:, :, :, None]
+        # the +r eigenvector (x, y), in whichever form avoids cancellation;
+        # the -r one is (-y*, x*)
+        x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
+        x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
+        q2 = rest / beta[:, None]
+        a1 = x[:, None] * q1 + y[:, None] * q2
+        a2 = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
+        a_pair = np.stack([a1, a2], axis=1)  # the effects are (|a><a|)^t
+        effects = a_pair[:, :, None, :] * a_pair.conj()[:, :, :, None]
+        # divided by their traces: a norm within an ulp of 1 rounds to 1, so q1
+        # keeps the input's norm excess, which would enter the Bell value to first order
+        pair_effects[block] = effects / np.einsum("piaa->pi", effects).real[:, :, None, None]
     phi = maximally_entangled(d)
     return Strategy(
         dims=BipartiteDims(d, d),
@@ -224,19 +250,20 @@ def _coefficients(S: GramMatrix, pairs) -> tuple[np.ndarray, int]:
     return np.stack([2.0 * np.sqrt(one_minus_s), one_minus_s], axis=1), S.d * (S.d - 2)
 
 
-def pair_fold(strategy: Strategy, weights) -> tuple[np.ndarray, np.ndarray]:
+def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
     """One walk over the pairs, folding Alice's pair effects per Bob outcome.
 
-    With the per-pair ``weights`` of ``_coefficients``, returns F with
-    F[j] = sum_{k != j} +-2 sqrt(1-s_jk)(A1 - A2), the sign being + when
-    j < k and - when j > k, and M = sum_p (1-s_jk)(A1 + A2).
+    Returns F with F[j] = sum_{k != j} +-2 sqrt(1-s_jk)(A1 - A2), the sign
+    being + when j < k and - when j > k, and M = sum_p (1-s_jk)(A1 + A2).
     Then sum_{j<k} 2 sqrt(1-s_jk)(A1 - A2) (x) (B_j - B_k) = sum_j F_j (x) B_j,
-    so the pair correlators reduce to one term per Bob outcome.
+    so the pair correlators reduce to one term per Bob outcome.  (F, M) feeds
+    ``bell_operator``, and F the dual operators C_j of the certification audit.
     """
+    _check_dims(strategy, S)
     dA = strategy.dims.dA
     F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
-    corr_w, marg_w = np.asarray(weights).T
+    corr_w, marg_w = _coefficients(S, strategy.pairs)[0].T
     for block, j, k in pair_blocks(strategy.pairs):
         A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
         D = corr_w[block, None, None] * (A1 - A2)
@@ -247,12 +274,13 @@ def pair_fold(strategy: Strategy, weights) -> tuple[np.ndarray, np.ndarray]:
     return F, M
 
 
-def bell_operator(strategy: Strategy, S: GramMatrix) -> np.ndarray:
-    """Assemble the Bell operator W_d of the strategy's effects."""
+def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
+    """Assemble the Bell operator W_d of the strategy's effects from their
+    ``fold = pair_fold(strategy, S)``."""
     _check_dims(strategy, S)
     IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
-    weights, bob_weight = _coefficients(S, strategy.pairs)
-    F, M = pair_fold(strategy, weights)
+    F, M = fold
+    _, bob_weight = _coefficients(S, strategy.pairs)
     W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=0))
     return W + kron_sum(F, strategy.bob) - kron_sum(strategy.alice_povm, IB - strategy.bob)
 
@@ -262,7 +290,10 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
 
     tr[rho (X (x) Y)] = tr[X R_Y] with R_Y = tr_B[rho (I (x) Y)], so the state
     is contracted once with each of Bob's effects and with I_B, and every
-    summand of W_d is evaluated on Alice's side.
+    summand of W_d is evaluated on Alice's side: each pair's correlator
+    2 sqrt(1-s_jk) tr[(A1 - A2)(R_j - R_k)] and marginal on the pair axis, in
+    blocks of pairs.  The per-pair and per-outcome terms are summed exactly
+    rounded (``math.fsum``).
     """
     _check_dims(strategy, S)
     dA, dB = strategy.dims.dA, strategy.dims.dB
@@ -271,19 +302,21 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     bob_t = np.einsum("abce,jeb->jca", rho4, strategy.bob)
     rho_A_t = np.einsum("abcb->ca", rho4)
     weights, bob_weight = _coefficients(S, strategy.pairs)
-    F, M = pair_fold(strategy, weights)
 
-    pair_corr = np.sum(F * bob_t)
-    pair_marginal = -np.sum(M * rho_A_t)
-    bob_marginal = -bob_weight * np.trace(bob_t, axis1=1, axis2=2).sum()
-    povm_mismatch = -np.sum(strategy.alice_povm * (rho_A_t - bob_t))
-    breakdown = {
-        "pair_correlation": float(np.real(pair_corr)),
-        "pair_marginal_penalty": float(np.real(pair_marginal)),
-        "bob_marginal_penalty": float(np.real(bob_marginal)),
-        "povm_mismatch_penalty": float(np.real(povm_mismatch)),
+    correlators, marginals = np.empty((2, len(strategy.pairs)))
+    for block, j, k in pair_blocks(strategy.pairs):
+        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+        correlators[block] = np.einsum("pab,pab->p", A1 - A2, bob_t[j] - bob_t[k]).real
+        marginals[block] = np.einsum("pab,ab->p", A1 + A2, rho_A_t).real
+    terms = {
+        "pair_correlation": weights[:, 0] * correlators,
+        "pair_marginal_penalty": -weights[:, 1] * marginals,
+        "bob_marginal_penalty": -bob_weight * np.trace(bob_t, axis1=1, axis2=2).real,
+        "povm_mismatch_penalty": -np.einsum("jab,jab->j", strategy.alice_povm,
+                                            rho_A_t - bob_t).real,
     }
-    value = sum(breakdown.values())
+    breakdown = {name: math.fsum(t) for name, t in terms.items()}
+    value = math.fsum(np.concatenate(list(terms.values())))
     d2 = float(S.d * S.d)
     return BellReport(
         value=value, quantum_bound=d2, gap=d2 - value, term_breakdown=breakdown
@@ -331,9 +364,10 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     return theta
 
 
-def sos_certificate(strategy: Strategy, S: GramMatrix) -> SosReport:
-    """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0."""
-    W = bell_operator(strategy, S)
+def sos_certificate(strategy: Strategy, S: GramMatrix, fold) -> SosReport:
+    """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0;
+    W_d comes from ``fold = pair_fold(strategy, S)``, Theta_d from the effects."""
+    W = bell_operator(strategy, S, fold)
     theta = sos_theta(strategy, S)
     d2 = S.d * S.d
     identity_residual = frobenius(W + theta - d2 * np.eye(W.shape[0]))

@@ -17,6 +17,7 @@ import csv
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,8 @@ def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
 
 def _dump(args, payload: dict, stem: str, **context) -> dict:
     """Write ``stem.json`` under the run header: version, numpy, seed, tol and
-    ``context`` (the dimension d, or dMax for ``report``)."""
+    ``context`` (the dimension d, or dMax for ``report``; ``certify`` adds the
+    seconds of each stage)."""
     payload = {"run": {"version": __version__, "numpy": np.__version__, "seed": args.seed,
                        "tol": args.tol, **context}, **payload}
     args.out.mkdir(parents=True, exist_ok=True)
@@ -128,8 +130,9 @@ def cmd_construct(args) -> int:
     else:
         povm = bic.construct_generic_bic(args.d, args.seed)
     gm = bic.gram(povm)
-    povm_checks = bic.validate_bic(povm, tol=args.tol)
-    gram_checks = bic.validate_gram(gm, tol=args.tol)
+    input_tol = threshold("input", args.tol)
+    povm_checks = bic.validate_bic(povm, tol=input_tol)
+    gram_checks = bic.validate_gram(gm, tol=input_tol)
     ok = povm_checks.passed and gram_checks.passed
 
     _dump(args, bic.povm_to_json(povm), "povm", d=args.d)
@@ -150,7 +153,7 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     povm = bic.povm_from_json(load_json(args.povm))
-    validation = bic.validate_bic(povm, tol=args.tol)
+    validation = bic.validate_bic(povm, tol=threshold("input", args.tol))
     if not validation.passed:
         print("input POVM failed validation: " + validation.failing(), file=sys.stderr)
         _dump(args, {"inputValidation": validation.to_json(), "passed": False},
@@ -158,12 +161,21 @@ def cmd_certify(args) -> int:
         return EXIT_FAILED
 
     d, tol = povm.d, args.tol
+    seconds = {}
+
+    def stage(name, fn, *fn_args, **fn_kwargs):
+        start = time.perf_counter()
+        result = fn(*fn_args, **fn_kwargs)
+        seconds[name] = time.perf_counter() - start
+        return result
+
     S = bic.gram(povm)
-    ref = bell.reference_strategy(povm)
-    value = bell.bell_value(ref, S)
-    sos = bell.sos_certificate(ref, S)
-    cert = algebra.verify_certification(ref, S, tol=tol)
-    rand = randomness.randomness_report(ref, S, tol=tol)
+    ref = stage("reference", bell.reference_strategy, povm)
+    value = stage("bell", bell.bell_value, ref, S)
+    fold = stage("fold", bell.pair_fold, ref, S)  # W_d and the dual operators C_j
+    sos = stage("sos", bell.sos_certificate, ref, S, fold)
+    cert = stage("certification", algebra.verify_certification, ref, S, value, fold[0], tol=tol)
+    rand = stage("randomness", randomness.randomness_report, ref, S, value, tol=tol)
     checks = Checks([
         cert.checks["bell value"],
         check("sos identity", sos.identity_residual, tol, d),
@@ -180,7 +192,7 @@ def cmd_certify(args) -> int:
         "randomness": rand.to_json(),
         **checks.to_json(),
     }
-    _write_outputs(args, report, "certify_report", d=d)
+    _write_outputs(args, report, "certify_report", d=d, seconds=seconds)
 
     print(f"d={d}: bell value {value.value:.9f}, entropy "
           f"{rand.conditional_entropy_bits:.9f} bits; "
@@ -190,7 +202,7 @@ def cmd_certify(args) -> int:
 
 def cmd_classical(args) -> int:
     gm = bic.gram_from_json(load_json(args.gram))
-    validation = bic.validate_gram(gm, tol=threshold("classical input", args.tol))
+    validation = bic.validate_gram(gm, tol=threshold("input", args.tol))
     if not validation.passed:
         print("input Gram matrix failed validation: " + validation.failing(), file=sys.stderr)
         return EXIT_FAILED

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from operator import eq, ge, gt, le, lt
 from types import MappingProxyType
@@ -63,6 +64,24 @@ def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
     if not is_hermitian(M, tol):
         raise ValueError(f"{what} is not hermitian within tolerance {tol}")
+
+
+def mapped_zeros(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """Zeros in an anonymous memory map of their own, unmapped when the
+    array is dropped.
+
+    For the one large array of a call (the reference pair effects, 15.8 MB
+    at d=10).  glibc's malloc maps the first such block, raises its mmap
+    threshold when that block is freed, and serves every later one from
+    the heap; now and then a small long-lived allocation lands in the hole
+    a block leaves between calls, the next block no longer fits, and the
+    heap grows by its size (peak RSS about 13 MB higher in some runs only).
+    A map of its own goes back to the system when the array is dropped.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -342,8 +361,9 @@ THRESHOLDS = MappingProxyType({
                      "pair_effects_capped", "povm_psd", "bob_psd", "bob_capped"), _MINUS_TOL),
     "offdiagonal_below_one": (lambda tol, d: 1.0 - tol, lt),
     "connected": _ONE,  # number of components
-    # the tolerance a Gram file is validated at by ``classical``
-    "classical input": (lambda tol, d: max(tol, DEFAULT_TOL), le),
+    # the tolerance every command validates its input or constructed POVM at:
+    # no tighter than DEFAULT_TOL, so that rounding never reads as invalid input
+    "input": (lambda tol, d: max(tol, DEFAULT_TOL), le),
     # certify (cli, algebra, randomness)
     **dict.fromkeys(("bell value", "sos identity", "sos theta.rho",
                      "certification relations"), _TOL_D2),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import Strategy, bell_value
+from .bell import BellReport, Strategy
 from .bic import GramMatrix
 from .linalg import Check, check, dagger, frobenius, is_state, purify
 
@@ -111,16 +111,16 @@ def conditional_entropy(cq: CqState, base: float = 2.0) -> float:
 
 
 def randomness_report(
-    strategy: Strategy, S: GramMatrix, tol: float = 1e-9
+    strategy: Strategy, S: GramMatrix, bell_report: BellReport, tol: float = 1e-9
 ) -> RandomnessReport:
-    """Bell value, conditional entropy under the canonical purification, and
-    the outcome distribution of the povm setting.
+    """The Bell value ``bell_report = bell.bell_value(strategy, S)``, the
+    conditional entropy under the canonical purification, and the outcome
+    distribution of the povm setting.
 
     ``certified`` checks the optimality hypothesis, the Bell value within its
     table threshold; below the quantum value the entropy is descriptive only,
     not a device-independent bound.
     """
-    report = bell_value(strategy, S)
     psi = purify(strategy.rho)
     cq = cq_state(strategy, psi)
     bits = conditional_entropy(cq, base=2.0)
@@ -128,11 +128,11 @@ def randomness_report(
     dist = cq.outcome_distribution()
     deviation = float(np.abs(dist - 1.0 / strategy.n_outcomes).max())
     return RandomnessReport(
-        bell_value=report.value,
-        gap_to_quantum_max=report.gap,
+        bell_value=bell_report.value,
+        gap_to_quantum_max=bell_report.gap,
         conditional_entropy_bits=float(bits),
         conditional_entropy_nats=float(nats),
         outcome_distribution=dist,
         uniformity_deviation=deviation,
-        certified=check("bell value", abs(report.gap), tol, S.d),
+        certified=check("bell value", abs(bell_report.gap), tol, S.d),
     )

@@ -120,7 +120,7 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
                 alice_povm=np.stack([random_hermitian(d, rng) for _ in range(n)]),
                 bob=np.stack([random_hermitian(d, rng) for _ in range(n)]),
             )
-            W = bell.bell_operator(strat, S)
+            W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
             theta = bell.sos_theta(strat, S)
             res = frobenius(W + theta - d * d * np.eye(n)) / (d * d)
             worst_rel = max(worst_rel, res)
@@ -136,7 +136,7 @@ def criterion_3_sos_bound(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
         S = bic.gram(_weyl_povm(d))
         for i in range(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, seed + i)
-            cert = bell.sos_certificate(strat, S)
+            cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
             min_eig = min(min_eig, cert.theta_min_eigenvalue)
             max_excess = max(
                 max_excess, bell.bell_value(strat, S).value - d * d
@@ -231,7 +231,8 @@ def criterion_7_certification(tol: float = BASE_TOL, d_max: int = 4, seed: int =
     worst, worst_d = 0.0, None
     for d in range(2, max(4, d_max) + 1):
         ref, S = _reference(d)
-        cert = algebra.verify_certification(ref, S, tol=tol)
+        cert = algebra.verify_certification(ref, S, bell.bell_value(ref, S),
+                                            bell.pair_fold(ref, S)[0], tol=tol)
         residual = cert.max_residual if cert.optimal else np.inf
         if residual >= worst:
             worst, worst_d = residual, d
@@ -245,7 +246,7 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
     ref_dev = 0.0
     for d in range(2, max(4, d_max) + 1):
         ref, S = _reference(d)
-        rep = randomness.randomness_report(ref, S)
+        rep = randomness.randomness_report(ref, S, bell.bell_value(ref, S))
         ref_dev = max(ref_dev, abs(rep.conditional_entropy_bits - 2 * math.log2(d)))
 
     ghz = np.zeros(8, dtype=complex)

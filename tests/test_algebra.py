@@ -329,10 +329,16 @@ def test_maxent_sync_precondition():
 # full certification audit
 # ---------------------------------------------------------------------------
 
+def _certify(strat, S, tol=1e-9):
+    """verify_certification given the Bell value and pair fold that it takes."""
+    return algebra.verify_certification(strat, S, bell.bell_value(strat, S),
+                                        bell.pair_fold(strat, S)[0], tol=tol)
+
+
 @pytest.mark.parametrize("fixture", ["reference_d2", "reference_d3", "reference_d4"])
 def test_certification_reference(fixture, request):
     ref, S = request.getfixturevalue(fixture)
-    cert = algebra.verify_certification(ref, S, tol=1e-9)
+    cert = _certify(ref, S, tol=1e-9)
     assert cert.optimal
     assert cert.passed
     assert cert.max_residual <= 1e-9
@@ -342,14 +348,14 @@ def test_certification_reference(fixture, request):
 
 def test_certification_depolarized_is_advisory(reference_d2):
     ref, S = reference_d2
-    cert = algebra.verify_certification(bell.depolarize(ref, 0.9), S)
+    cert = _certify(bell.depolarize(ref, 0.9), S)
     assert not cert.optimal and not cert.passed
     assert cert.bell_value < 4.0
 
 
 def test_dual_operators_reduce_to_bob_transpose(reference_d3):
     ref, S = reference_d3
-    C = algebra.dual_alice_operators(ref, S)
+    C = algebra.dual_alice_operators(ref, S, bell.pair_fold(ref, S)[0])
     for j in range(9):
         assert frobenius(C[j] - ref.bob[j].T) < 1e-10
 
@@ -368,9 +374,10 @@ def _full_rho_state_residuals(strat, S):
     for Ej, Bj in zip(strat.alice_povm, strat.bob):
         E_rho = apply_local(Ej, rho, dims, "A")
         sync_povm.append(frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
+    C = algebra.dual_alice_operators(strat, S, bell.pair_fold(strat, S)[0])
     c_sync = [
         frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))
-        for Cj, Bj in zip(algebra.dual_alice_operators(strat, S), strat.bob)
+        for Cj, Bj in zip(C, strat.bob)
     ]
     return np.array(sync_pair), max(sync_povm), max(c_sync)
 
@@ -389,7 +396,7 @@ def test_rank_factor_residuals_match_full_rho(case, request):
         "random_d2": lambda: bell.random_strategy(BipartiteDims(2, 2), 2, 3),
     }.get(case, lambda: ref)()
     sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
-    cert = algebra.verify_certification(strat, S)
+    cert = _certify(strat, S)
     for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):
         # never below the full-rho value, up to the rounding of the two products
         assert full - 1e-15 * max(1.0, full) <= got <= full + 1e-13
@@ -400,7 +407,7 @@ def test_dropped_eigenvalues_never_lower_a_residual(reference_d2):
     # eigenvalues 2.5e-13 of the noise fall below RANK_CUTOFF and leave the factor
     strat = bell.depolarize(ref, 1.0 - 1e-12)
     sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
-    cert = algebra.verify_certification(strat, S)
+    cert = _certify(strat, S)
     for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):
         assert got >= full > 1e-14
 
@@ -410,19 +417,19 @@ def test_certification_names_worst_pair(reference_d2):
     effects = ref.alice_pair_effects.copy()
     effects[3] = effects[3, ::-1]  # swap the outcomes of pair (1, 2), 0-based
     broken = dataclasses.replace(ref, alice_pair_effects=effects)
-    cert = algebra.verify_certification(broken, S)
+    cert = _certify(broken, S)
     sync_pair, _, _ = _full_rho_state_residuals(broken, S)
     assert int(np.argmax(sync_pair)) == 3
     assert cert.checks["sync pair"].worst == (2, 3)
     payload = cert.to_json()
     assert payload["checks"]["sync pair"]["worst"] == [2, 3]
     assert payload["maxResidual"] == cert.max_residual and payload["passed"] is False
-    assert algebra.verify_certification(ref, S).to_json()["checks"]["sync pair"]["worst"] is not None
+    assert _certify(ref, S).to_json()["checks"]["sync pair"]["worst"] is not None
 
 
 def test_certification_relations_check_agrees_with_a_nan_family(reference_d2):
     ref, S = reference_d2
-    cert = algebra.verify_certification(ref, S)
+    cert = _certify(ref, S)
     nan = dataclasses.replace(cert.checks["c sync"], measured=float("nan"), passed=False)
     broken = dataclasses.replace(cert, checks=Checks([*cert.checks.values(), nan]))
     assert cert.relations.passed and cert.passed

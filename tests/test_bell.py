@@ -1,4 +1,5 @@
 import dataclasses
+import mmap
 
 import numpy as np
 import pytest
@@ -81,13 +82,13 @@ def test_bell_operator_hermitian(reference_d2):
     _, S = reference_d2
     for seed in range(5):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        W = bell.bell_operator(strat, S)
+        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
         assert frobenius(W - W.conj().T) < 1e-12 * max(1.0, frobenius(W))
 
 
 def test_bell_operator_expectation_matches_phi(reference_d3):
     ref, S = reference_d3
-    W = bell.bell_operator(ref, S)
+    W = bell.bell_operator(ref, S, bell.pair_fold(ref, S))
     phi = maximally_entangled(3)
     assert abs(np.real(phi.conj() @ W @ phi) - 9.0) < 1e-9
 
@@ -98,7 +99,7 @@ def test_quantum_bound_random_strategies(reference_d2):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
         value = bell.bell_value(strat, S).value
         assert value <= 4.0 + 1e-8
-        W = bell.bell_operator(strat, S)
+        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
         assert np.linalg.eigvalsh(W)[-1] <= 4.0 + 1e-8
 
 
@@ -136,7 +137,7 @@ TUPLE_CASES = [
 
 def _assert_value_is_operator_trace(strat, S):
     report = bell.bell_value(strat, S)
-    expected = np.trace(bell.bell_operator(strat, S) @ strat.rho).real
+    expected = np.trace(bell.bell_operator(strat, S, bell.pair_fold(strat, S)) @ strat.rho).real
     assert abs(report.value - expected) < 1e-10
     assert set(report.term_breakdown) == BELL_TERMS
 
@@ -170,7 +171,7 @@ def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
     d2 = d * d
     for _ in range(20):
         strat = _arbitrary_tuple_strategy(d, dims, rng)
-        W = bell.bell_operator(strat, S)
+        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
         theta = bell.sos_theta(strat, S)
         assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
@@ -210,7 +211,7 @@ def test_sos_theta_never_uses_the_bell_operator(monkeypatch):
     rng = np.random.default_rng(31)
     S = bic.gram(bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137)))
     strat = _arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
-    W = bell.bell_operator(strat, S)
+    W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Theta_d must be built without W_d or its pair fold")
@@ -232,8 +233,7 @@ def test_pair_fold_matches_signed_loop(d, dA, dB):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
-    weights, _ = bell._coefficients(S, strat.pairs)
-    F_got, M_got = bell.pair_fold(strat, weights)
+    F_got, M_got = bell.pair_fold(strat, S)
     assert np.allclose(F_got, F, atol=1e-12) and np.allclose(M_got, M, atol=1e-12)
 
 
@@ -250,10 +250,84 @@ def test_reference_pair_effects_match_per_pair_eigh(povm_id):
             assert np.abs(effect - np.outer(a, a.conj()).T).max() <= 1e-12
 
 
+def test_reference_pair_effects_have_their_own_memory_map(reference_d3):
+    # the largest array of a certify call stays off the malloc heap (linalg.mapped_zeros)
+    owner = reference_d3[0].alice_pair_effects
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)
+
+
 def test_reference_errors_name_the_first_pair():
     vectors = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
     with pytest.raises(ValueError, match=r"degenerate pair \(0, 1\): overlap s_jk=1"):
         bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
+    # a vector of norm 1e-7 leaves B_0 - B_1 without a negative eigenvalue above 1e-12
+    vectors = bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137)).vectors.copy()
+    vectors[1] *= 1e-7
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) difference lacks a \+/- eigenvalue pair"):
+        bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
+
+
+def test_bell_value_never_folds_the_pairs(reference_d3, monkeypatch):
+    ref, S = reference_d3
+    expected = bell.bell_value(ref, S)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bell_value evaluates the pairs without pair_fold")
+
+    monkeypatch.setattr(bell, "pair_fold", forbidden)
+    assert bell.bell_value(ref, S) == expected
+
+
+def _long_double_reference_value(povm, S):
+    """The Bell value of the reference strategy in extended precision, from the
+    POVM vectors: each pair's eigenvectors a1, a2 of B_j - B_k by the 2x2
+    closed form, and every trace against the maximally entangled state
+    (R_Y = Y^t / d) written out in the vectors."""
+    d = povm.d
+    e = povm.vectors.astype(np.clongdouble)
+    s = S.s.astype(np.longdouble)
+    j, k = np.array(bell.pair_list(d * d)).T
+    e_j, e_k = e[j], e[k]
+    norm_j = np.sqrt(np.sum(np.abs(e_j) ** 2, axis=1))
+    q1 = e_j / norm_j[:, None]
+    alpha = np.sum(q1.conj() * e_k, axis=1)
+    rest = e_k - alpha[:, None] * q1
+    beta = np.sqrt(np.sum(np.abs(rest) ** 2, axis=1))
+    q2 = rest / beta[:, None]
+    a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
+    h = (a - c) / 2
+    assert (h > 0).all()
+    r = np.sqrt(h**2 + np.abs(b) ** 2)
+    x, y = h + r, b.conj()
+    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+    x, y = x / norm, y / norm
+    a1 = x[:, None] * q1 + y[:, None] * q2
+    a2 = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
+
+    def weight(u, v):  # |<u|v>|^2 per pair
+        return np.abs(np.sum(u.conj() * v, axis=1)) ** 2
+
+    corr = weight(a1, e_j) - weight(a1, e_k) - weight(a2, e_j) + weight(a2, e_k)
+    marg = np.sum(np.abs(a1) ** 2 + np.abs(a2) ** 2, axis=1)
+    norms2 = np.sum(np.abs(e) ** 2, axis=1)
+    value = np.sum(2 * np.sqrt(1 - s[j, k]) * corr - (1 - s[j, k]) * marg) / d
+    value -= (d - 2) * np.sum(norms2)
+    value -= np.sum(norms2 - norms2**2) / d**2
+    return value
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("povm_id", ["weyl6", "weyl8", "weyl10", "generic8"])
+def test_bell_value_matches_long_double_oracle(povm_id):
+    d = int(povm_id.lstrip("weylgeneric"))
+    povm = (bic.construct_generic_bic(d, 1) if povm_id.startswith("generic")
+            else bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    S = bic.gram(povm)
+    value = bell.bell_value(bell.reference_strategy(povm), S).value
+    assert abs(np.longdouble(value) - _long_double_reference_value(povm, S)) <= 1e-13
 
 
 def test_overlap_above_one_is_refused(reference_d2):
@@ -270,13 +344,13 @@ def test_sos_identity_independent_of_povm_validity(reference_d2):
     valid = bell.random_strategy(BipartiteDims(2, 2), 2, 0)
     invalid = _arbitrary_tuple_strategy(2, BipartiteDims(2, 2), rng)
     for strat in (ref, valid, invalid):
-        cert = bell.sos_certificate(strat, S)
+        cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
         assert cert.identity_residual <= 1e-9 * 4
 
 
 def test_sos_theta_psd_and_annihilates_reference(reference_d3):
     ref, S = reference_d3
-    cert = bell.sos_certificate(ref, S)
+    cert = bell.sos_certificate(ref, S, bell.pair_fold(ref, S))
     assert cert.theta_min_eigenvalue >= -1e-9
     assert cert.theta_rho_residual <= 1e-9
 
@@ -285,7 +359,8 @@ def test_sos_theta_psd_random_valid(reference_d2):
     _, S = reference_d2
     for seed in range(20):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        assert bell.sos_certificate(strat, S).theta_min_eigenvalue >= -1e-8
+        cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
+        assert cert.theta_min_eigenvalue >= -1e-8
 
 
 def test_correlation_reference_structure(reference_d2):
@@ -394,7 +469,7 @@ def test_bell_operator_dimension_mismatch(reference_d2):
     _, S2 = reference_d2
     strat3 = bell.random_strategy(BipartiteDims(3, 3), 3, 0)
     with pytest.raises(ValueError):
-        bell.bell_operator(strat3, S2)
+        bell.bell_operator(strat3, S2, bell.pair_fold(strat3, S2))
     with pytest.raises(ValueError):
         bell.bell_value(strat3, S2)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biccert import __version__, bic
+from biccert import __version__, bell, bic
 from biccert.classical import bic_gram_d2
 from biccert.cli import main
 from biccert.linalg import dump_json, load_json
@@ -52,7 +52,43 @@ def test_certify_weyl_d2(tmp_path):
     assert 0.0 <= report["certification"]["maxResidual"] <= 1e-9 * 4
     run = report["run"]
     assert run == {"version": __version__, "numpy": np.__version__, "seed": run["seed"],
-                   "tol": 1e-9, "d": 2}
+                   "tol": 1e-9, "d": 2, "seconds": run["seconds"]}
+    stages = ("reference", "bell", "fold", "sos", "certification", "randomness")
+    assert set(run["seconds"]) == set(stages)
+    assert all(run["seconds"][stage] >= 0.0 for stage in stages)
+
+
+def test_certify_folds_the_pairs_once(tmp_path, monkeypatch):
+    assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
+    calls = []
+    fold = bell.pair_fold
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(bell, "pair_fold", counted)
+    assert main(["certify", str(tmp_path / "povm.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_tight_tol_floors_input_validation_only(tmp_path, capsys):
+    # below DEFAULT_TOL the inputs are validated at DEFAULT_TOL: a valid POVM is
+    # not refused as invalid input, but the certification fails at the tight tol
+    assert main(["construct", "--d", "3", "--tol", "1e-17", "--out", str(tmp_path / "d3")]) == 0
+    validation = load_json(tmp_path / "d3" / "construct_validation.json")
+    assert validation["passed"] is True
+    assert validation["povm"]["checks"]["sum_to_d_identity"]["threshold"] == pytest.approx(3e-9)
+    assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["certify", str(tmp_path / "povm.json"), "--tol", "1e-17", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "input POVM failed validation" not in captured.err
+    assert "FAILED: bell value" in captured.out
+    report = load_json(tmp_path / "certify_report.json")
+    assert "inputValidation" not in report and report["passed"] is False
+    assert report["checks"]["bell value"]["threshold"] == pytest.approx(4e-17)
 
 
 def _thresholds(obj, path=""):

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from biccert.linalg import (
     is_psd,
     kron,
     kron_sum,
+    mapped_zeros,
     matricize,
     maximally_entangled,
     partial_trace,
@@ -113,6 +116,19 @@ def test_kron_sum_matches_sum_of_krons():
     Y = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
     expected = sum(kron(Xi, Yi) for Xi, Yi in zip(X, Y))
     assert np.allclose(kron_sum(X, Y), expected, atol=1e-12)
+
+
+def test_mapped_zeros_are_writable_zeros_in_their_own_map():
+    Z = mapped_zeros((3, 2, 4, 4))
+    assert Z.shape == (3, 2, 4, 4) and Z.dtype == complex
+    assert not Z.any() and Z.flags.writeable
+    Z[1, 0] = 1j
+    assert Z.sum() == 16j
+    owner = Z
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)  # via the memoryview of np.frombuffer
+    assert mapped_zeros((0, 2)).shape == (0, 2)
 
 
 def test_eigh_checks_every_matrix_of_a_stack():

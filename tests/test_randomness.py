@@ -148,7 +148,8 @@ def test_conditional_entropy_invariant_under_eve_unitary():
 def test_randomness_report_reference(d):
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
     S = bic.gram(povm)
-    report = randomness.randomness_report(bell.reference_strategy(povm), S)
+    ref = bell.reference_strategy(povm)
+    report = randomness.randomness_report(ref, S, bell.bell_value(ref, S))
     assert abs(report.bell_value - d * d) < 1e-9
     assert abs(report.conditional_entropy_bits - 2 * np.log2(d)) < 1e-9
     assert abs(report.conditional_entropy_nats - 2 * np.log(d)) < 1e-9
@@ -158,7 +159,8 @@ def test_randomness_report_reference(d):
 
 def test_randomness_report_depolarized_not_certified(reference_d2):
     ref, S = reference_d2
-    report = randomness.randomness_report(bell.depolarize(ref, 0.99), S)
+    mixed = bell.depolarize(ref, 0.99)
+    report = randomness.randomness_report(mixed, S, bell.bell_value(mixed, S))
     assert not report.certified.passed
     assert report.bell_value < 4.0
     assert report.gap_to_quantum_max > 0.0
