@@ -355,7 +355,7 @@ def _commutant_basis(X: np.ndarray, rel_cutoff: float = 1e-10) -> list[np.ndarra
     stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T)."""
     m, n, _ = X.shape
     eye = np.eye(n)
-    rows = np.concatenate([np.kron(Xj, eye) - np.kron(eye, Xj.T) for Xj in X])
+    rows = np.concatenate([kron(Xj, eye) - kron(eye, Xj.T) for Xj in X])
     _, sv, Vh = np.linalg.svd(rows)
     cut = rel_cutoff * max(1.0, sv[0] if sv.size else 1.0)
     rank = int((sv > cut).sum())
@@ -799,9 +799,9 @@ def verify_certification(
         return residuals(Z_K, np.sqrt(dims.dB) * frobenius_each(X)
                          + np.sqrt(dims.dA) * frobenius_each(Y))
 
-    corr_w = _coefficients(S, strategy.pairs)[0][:, 0]
+    corr_w = _coefficients(S)[0][:, 0]
     sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
-    for block, j, k in pair_blocks(strategy.pairs):
+    for block, j, k in pair_blocks(strategy.n_outcomes):
         A = strategy.alice_pair_effects[block]
         D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
         sync_pair[block] = sync(D, bob[j] - bob[k])

@@ -45,12 +45,19 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(n) for k in range(j + 1, n))
 
 
-def pair_blocks(pairs):
-    """(slice of the pair axis, j indices, k indices) per block of ``_PAIR_BLOCK`` pairs."""
-    jk = np.array(pairs, dtype=int).reshape(-1, 2)
-    for start in range(0, len(jk), _PAIR_BLOCK):
-        j, k = jk[start:start + _PAIR_BLOCK].T
-        yield slice(start, start + len(j)), j, k
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (j, k) of ``pair_list(n)``: ``np.triu_indices(n, 1)`` at a
+    fifth of its cost for small n."""
+    r = np.arange(n)
+    return np.nonzero(r[:, None] < r)
+
+
+def pair_blocks(n: int):
+    """(slice of the pair axis, j, k) per block of ``_PAIR_BLOCK`` of ``pair_list(n)``."""
+    j_all, k_all = pair_indices(n)
+    for start in range(0, len(j_all), _PAIR_BLOCK):
+        block = slice(start, min(start + _PAIR_BLOCK, len(j_all)))
+        yield block, j_all[block], k_all[block]
 
 
 def _refuse(mask, j, k, values, message: str) -> None:
@@ -140,6 +147,10 @@ class Correlation:
     pair_probs: np.ndarray
     povm_probs: np.ndarray
 
+    def __post_init__(self):
+        if tuple(self.pairs) != pair_list(self.n_outcomes):
+            raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
+
 
 @dataclass(frozen=True)
 class BellReport:
@@ -193,7 +204,7 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     pairs = pair_list(n)
     overlaps = gram(povm).s
     pair_effects = mapped_zeros((len(pairs), 2, d, d))
-    for block, j, k in pair_blocks(pairs):
+    for block, j, k in pair_blocks(n):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
                 "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
@@ -240,11 +251,11 @@ def _check_dims(strategy: Strategy, S: GramMatrix) -> None:
         )
 
 
-def _coefficients(S: GramMatrix, pairs) -> tuple[np.ndarray, int]:
+def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
     """Weights of the Bell function: rows (2 sqrt(1-s_jk), 1-s_jk) on each pair's
-    correlator and Alice marginal, in the order of ``pairs``, and d(d-2) on
-    Bob's marginals."""
-    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
+    correlator and Alice marginal, in the order of ``pair_list(S.n)``, and
+    d(d-2) on Bob's marginals."""
+    j, k = pair_indices(S.n)
     one_minus_s = 1.0 - S.s[j, k]
     _refuse(one_minus_s < 0.0, j, k, S.s[j, k], "pair ({j}, {k}) has overlap s_jk={value} above 1")
     return np.stack([2.0 * np.sqrt(one_minus_s), one_minus_s], axis=1), S.d * (S.d - 2)
@@ -263,8 +274,8 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     dA = strategy.dims.dA
     F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
-    corr_w, marg_w = _coefficients(S, strategy.pairs)[0].T
-    for block, j, k in pair_blocks(strategy.pairs):
+    corr_w, marg_w = _coefficients(S)[0].T
+    for block, j, k in pair_blocks(strategy.n_outcomes):
         A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
         D = corr_w[block, None, None] * (A1 - A2)
         sign = np.zeros((len(F), len(j)), dtype=complex)  # +1 at (j, p), -1 at (k, p)
@@ -280,7 +291,7 @@ def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
     _check_dims(strategy, S)
     IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
     F, M = fold
-    _, bob_weight = _coefficients(S, strategy.pairs)
+    _, bob_weight = _coefficients(S)
     W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=0))
     return W + kron_sum(F, strategy.bob) - kron_sum(strategy.alice_povm, IB - strategy.bob)
 
@@ -301,10 +312,10 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     # stored transposed, so that tr[X R] = sum(X * R^t)
     bob_t = np.einsum("abce,jeb->jca", rho4, strategy.bob)
     rho_A_t = np.einsum("abcb->ca", rho4)
-    weights, bob_weight = _coefficients(S, strategy.pairs)
+    weights, bob_weight = _coefficients(S)
 
     correlators, marginals = np.empty((2, len(strategy.pairs)))
-    for block, j, k in pair_blocks(strategy.pairs):
+    for block, j, k in pair_blocks(strategy.n_outcomes):
         A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
         correlators[block] = np.einsum("pab,pab->p", A1 - A2, bob_t[j] - bob_t[k]).real
         marginals[block] = np.einsum("pab,ab->p", A1 + A2, rho_A_t).real
@@ -345,7 +356,7 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2) and c D (x) E
     hybrid_A, hybrid_B, marginal = (np.zeros((m, m), dtype=complex) for m in (dA, dB, dA))
     cross = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for block, j, k in pair_blocks(strategy.pairs):
+    for block, j, k in pair_blocks(strategy.n_outcomes):
         A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
         one_minus_s = 1.0 - S.s[j, k]
         D, E = A1 - A2, bob[j] - bob[k]
@@ -443,10 +454,10 @@ def bell_value_from_correlation(corr: Correlation, S: GramMatrix, d: int) -> flo
     n = d * d
     if corr.n_outcomes != n:
         raise ValueError("correlation table does not match d")
-    weights, bob_weight = _coefficients(S, corr.pairs)
+    weights, bob_weight = _coefficients(S)
     P = corr.pair_probs
     p = np.arange(len(corr.pairs))
-    j, k = np.array(corr.pairs, dtype=int).reshape(-1, 2).T
+    j, k = pair_indices(n)
     correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
     value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
     value -= bob_weight * corr.povm_probs[:, :, 0].sum()
@@ -469,30 +480,27 @@ def random_strategy(dims: BipartiteDims, d: int, seed: int) -> Strategy:
     rho /= np.trace(rho).real
 
     pairs = pair_list(n)
-    pair_effects = np.stack(
-        [_random_povm(dims.dA, 3, rng)[:2] for _ in pairs], axis=0
-    )
-    alice_povm = _random_povm(dims.dA, n, rng)
-    bob = np.stack([_random_povm(dims.dB, 2, rng)[0] for _ in range(n)], axis=0)
     return Strategy(
         dims=dims,
         rho=rho,
         pairs=pairs,
-        alice_pair_effects=pair_effects,
-        alice_povm=alice_povm,
-        bob=bob,
+        alice_pair_effects=_random_povm(dims.dA, 3, rng, len(pairs))[:, :2],
+        alice_povm=_random_povm(dims.dA, n, rng, 1)[0],
+        bob=_random_povm(dims.dB, 2, rng, n)[:, 0],
     )
 
 
-def _random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> np.ndarray:
-    raw = np.empty((outcomes, dim, dim), dtype=complex)
-    for a in range(outcomes):
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw[a] = G @ dagger(G)
-    total = raw.sum(axis=0)
-    w, U = np.linalg.eigh(total)
-    inv_sqrt = (U / np.sqrt(w)) @ dagger(U)
-    return np.einsum("ab,xbc,cd->xad", inv_sqrt, raw, inv_sqrt)
+def _random_povm(dim: int, outcomes: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` POVMs (count, outcomes, dim, dim) of Ginibre squares normalized
+    by the inverse square root of their sum; the Ginibre matrices are drawn
+    one after another, real part then imaginary part."""
+    z = rng.standard_normal((count, outcomes, 2, dim, dim))
+    G = z[:, :, 0] + 1j * z[:, :, 1]
+    raw = G @ dagger(G)
+    w, U = np.linalg.eigh(raw.sum(axis=1))
+    inv_sqrt = (U / np.sqrt(w)[:, None, :]) @ dagger(U)
+    # einsum: a chain of @ rounds differently, which would change seeded strategies
+    return np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
 
 
 def depolarize(strategy: Strategy, v: float) -> Strategy:

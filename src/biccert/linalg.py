@@ -85,8 +85,10 @@ def mapped_zeros(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(np.asarray(A), np.asarray(B))
+    """Kronecker product A (x) B of two matrices."""
+    A, B = np.asarray(A), np.asarray(B)
+    (a, a2), (b, b2) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * b, a2 * b2)
 
 
 def kron_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -201,9 +203,11 @@ def maximally_entangled(d: int) -> np.ndarray:
     return psi
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_hermitian(n: int, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermitian n x n matrix with Gaussian entries, or a stack ``lead + (n, n)``
+    of them equal to as many single draws in row-major order."""
+    z = rng.standard_normal(lead + (2, n, n))
+    G = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     return (G + dagger(G)) / 2
 
 

@@ -111,14 +111,9 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
                 dims=BipartiteDims(d, d),
                 rho=np.eye(n, dtype=complex) / n,
                 pairs=pairs,
-                alice_pair_effects=np.stack(
-                    [
-                        [random_hermitian(d, rng), random_hermitian(d, rng)]
-                        for _ in pairs
-                    ]
-                ),
-                alice_povm=np.stack([random_hermitian(d, rng) for _ in range(n)]),
-                bob=np.stack([random_hermitian(d, rng) for _ in range(n)]),
+                alice_pair_effects=random_hermitian(d, rng, (len(pairs), 2)),
+                alice_povm=random_hermitian(d, rng, (n,)),
+                bob=random_hermitian(d, rng, (n,)),
             )
             W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
             theta = bell.sos_theta(strat, S)
@@ -312,17 +307,8 @@ def criterion_10_irrep_structure(tol: float = BASE_TOL, d_max: int = 4, seed: in
     X6 = algebra.counterexample_rep()
     reps.append((3, X6))
     sic3 = bic.construct_weyl_bic(3, SIC3_FIDUCIAL).projections()
-    mixed = np.stack(
-        [
-            np.block(
-                [
-                    [sic3[j], np.zeros((3, 6))],
-                    [np.zeros((6, 3)), X6[j]],
-                ]
-            )
-            for j in range(9)
-        ]
-    )
+    mixed = np.stack([np.block([[sic3[j], np.zeros((3, 6))], [np.zeros((6, 3)), X6[j]]])
+                      for j in range(9)])
     reps.append((3, mixed))
 
     trace_dev = 0.0

@@ -177,16 +177,17 @@ def test_irrep_inflated_family(weyl_povm_d2):
         assert frobenius(Q.conj().T @ Xj @ Q - model) < 1e-8
 
 
-def test_irrep_mixed_inequivalent_blocks(sic3_povm):
+def _mixed_rep(sic3_povm):
+    """The 9x9 representation: the SIC-3 block beside the exceptional 6x6 family."""
     X6 = algebra.counterexample_rep()
     P3 = sic3_povm.projections()
-    mixed = np.stack(
-        [
-            np.block([[P3[j], np.zeros((3, 6))], [np.zeros((6, 3)), X6[j]]])
-            for j in range(9)
-        ]
+    return np.stack(
+        [np.block([[P3[j], np.zeros((3, 6))], [np.zeros((6, 3)), X6[j]]]) for j in range(9)]
     )
-    dec = algebra.irrep_decompose(mixed)
+
+
+def test_irrep_mixed_inequivalent_blocks(sic3_povm):
+    dec = algebra.irrep_decompose(_mixed_rep(sic3_povm))
     assert dec.shape_multiset == ((1, 3), (1, 6))
 
 
@@ -214,6 +215,31 @@ def test_irrep_basis_covariance(weyl_povm_d2):
         U = random_unitary(4, rng)
         conjugated = np.stack([U @ Xj @ U.conj().T for Xj in inflated])
         assert algebra.irrep_decompose(conjugated, seed=seed).shape_multiset == baseline
+
+
+@pytest.mark.parametrize("family, count", [
+    ("weyl_d2", 1), ("weyl_d3", 1), ("inflated_d2", 4), ("inflated_d3", 4),
+    ("generic_d2", 1), ("exceptional", 1), ("mixed", 2),
+])
+def test_commutant_basis_on_the_irrep_criterion_families(family, count, request):
+    # the representations the irrep-structure criterion decomposes; the count is
+    # the sum of squared multiplicities of their irreducible blocks
+    if family == "mixed":
+        X = _mixed_rep(request.getfixturevalue("sic3_povm"))
+    elif family == "exceptional":
+        X = algebra.counterexample_rep()
+    elif family == "generic_d2":
+        X = bic.construct_generic_bic(2, 5).projections()
+    else:
+        kind, d = family.split("_")
+        P = request.getfixturevalue(f"weyl_povm_{d}").projections()
+        X = P if kind == "weyl" else np.stack([np.kron(np.eye(2), Pj) for Pj in P])
+    basis = np.stack(algebra._commutant_basis(X))
+    assert len(basis) == count
+    commutators = X[None] @ basis[:, None] - basis[:, None] @ X[None]
+    assert np.abs(commutators).max() < 1e-12
+    gram = np.einsum("iab,jab->ij", basis.conj(), basis)
+    assert np.abs(gram - np.eye(count)).max() < 1e-12
 
 
 def test_irrep_rejects_nonhermitian():
@@ -364,7 +390,7 @@ def _full_rho_state_residuals(strat, S):
     """sync_pair, sync_povm and c_sync maxima with every relation applied to
     the full rho, one pair and one outcome at a time."""
     dims, rho = strat.dims, strat.rho
-    weights, _ = bell._coefficients(S, strat.pairs)
+    weights, _ = bell._coefficients(S)
     sync_pair = [
         frobenius(apply_local(w / 2 * (A1 - A2), rho, dims, "A")
                   - apply_local(strat.bob[j] - strat.bob[k], rho, dims, "B"))

@@ -118,11 +118,9 @@ def _arbitrary_tuple_strategy(d, dims, rng):
         dims=dims,
         rho=np.eye(dims.total, dtype=complex) / dims.total,
         pairs=pairs,
-        alice_pair_effects=np.stack(
-            [[random_hermitian(dA, rng), random_hermitian(dA, rng)] for _ in pairs]
-        ),
-        alice_povm=np.stack([random_hermitian(dA, rng) for _ in range(n)]),
-        bob=np.stack([random_hermitian(dB, rng) for _ in range(n)]),
+        alice_pair_effects=random_hermitian(dA, rng, (len(pairs), 2)),
+        alice_povm=random_hermitian(dA, rng, (n,)),
+        bob=random_hermitian(dB, rng, (n,)),
     )
 
 
@@ -448,6 +446,53 @@ def test_random_strategy_validity_and_determinism():
     assert np.array_equal(a.alice_pair_effects, b.alice_pair_effects)
     assert np.array_equal(a.alice_povm, b.alice_povm)
     assert np.array_equal(a.bob, b.bob)
+
+
+def _random_strategy_one_povm_at_a_time(dims, d, seed):
+    """Oracle for ``random_strategy``: every POVM drawn and normalized on its
+    own, one Ginibre matrix per call, in the order state, pair POVMs, the
+    povm setting, Bob's binary POVMs."""
+    rng = np.random.default_rng(seed)
+
+    def ginibre(m):
+        return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+    def povm(dim, outcomes):
+        raw = np.empty((outcomes, dim, dim), dtype=complex)
+        for a in range(outcomes):
+            G = ginibre(dim)
+            raw[a] = G @ G.conj().T
+        w, U = np.linalg.eigh(raw.sum(axis=0))
+        inv_sqrt = (U / np.sqrt(w)) @ U.conj().T
+        return np.einsum("ab,xbc,cd->xad", inv_sqrt, raw, inv_sqrt)
+
+    G = ginibre(dims.total)
+    rho = G @ G.conj().T
+    rho /= np.trace(rho).real
+    n = d * d
+    pair_effects = np.stack([povm(dims.dA, 3)[:2] for _ in bell.pair_list(n)])
+    alice_povm = povm(dims.dA, n)
+    bob = np.stack([povm(dims.dB, 2)[0] for _ in range(n)])
+    return rho, pair_effects, alice_povm, bob
+
+
+@pytest.mark.parametrize("dA, dB", [(2, 2), (3, 3), (2, 3)])
+def test_random_strategy_matches_one_povm_at_a_time_bitwise(dA, dB):
+    for seed in (0, 1, 7, 42):
+        strat = bell.random_strategy(BipartiteDims(dA, dB), dA, seed)
+        expected = _random_strategy_one_povm_at_a_time(BipartiteDims(dA, dB), dA, seed)
+        got = (strat.rho, strat.alice_pair_effects, strat.alice_povm, strat.bob)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+def test_correlation_requires_all_pairs_in_order():
+    n = 4
+    pairs = bell.pair_list(n)
+    probs = dict(pair_probs=np.zeros((len(pairs), n, 3, 2)), povm_probs=np.zeros((n, n, 2)))
+    for bad in (pairs[::-1], pairs[:-1], ((0, 1),) * len(pairs)):
+        with pytest.raises(ValueError, match="outcome pairs in order"):
+            bell.Correlation(n_outcomes=n, pairs=bad, **probs)
 
 
 def test_depolarize_endpoints_and_affinity(reference_d2):

@@ -40,6 +40,30 @@ def test_kron_identities():
     )
 
 
+def test_kron_equals_numpy_kron_bitwise():
+    rng = np.random.default_rng(3)
+    real = [rng.standard_normal(shape) for shape in ((2, 3), (4, 1), (3, 3), (1, 5))]
+    cases = real + [M + 1j * rng.standard_normal(M.shape) for M in real]
+    for A in cases:
+        for B in cases:
+            assert np.array_equal(kron(A, B), np.kron(A, B))
+    assert kron(real[0], real[1]).shape == (8, 3)
+
+
+def test_random_hermitian_stack_matches_single_draws_bitwise():
+    def single(n, rng):  # one matrix per call, drawing real then imaginary parts
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (G + G.conj().T) / 2
+
+    for n, lead in ((1, ()), (3, ()), (2, (5,)), (3, (4, 2))):
+        stacked = random_hermitian(n, np.random.default_rng(n), lead)
+        rng = np.random.default_rng(n)
+        singles = np.array([single(n, rng) for _ in range(int(np.prod(lead)))])
+        assert stacked.shape == lead + (n, n)
+        assert np.array_equal(stacked, singles.reshape(stacked.shape))
+        assert np.array_equal(stacked, stacked.conj().swapaxes(-1, -2))
+
+
 def test_kron_pauli_against_hand_expansion():
     # oracle: the 4x4 matrix written out entry by entry
     expected = np.array(
@@ -98,8 +122,7 @@ def test_apply_local_matches_kron():
 def test_apply_local_batches_over_leading_axes():
     dims = BipartiteDims(2, 3)
     rng = np.random.default_rng(6)
-    X_A = np.stack([random_hermitian(2, rng) for _ in range(4)])
-    X_B = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    X_A, X_B = random_hermitian(2, rng, (4,)), random_hermitian(3, rng, (4,))
     Ms = rng.standard_normal((4, 6, 2)) + 1j * rng.standard_normal((4, 6, 2))
     one = apply_local(X_A, Ms[0], dims, "A")  # a stack of operators on one M
     assert one.shape == (4, 6, 2)
@@ -133,7 +156,7 @@ def test_mapped_zeros_are_writable_zeros_in_their_own_map():
 
 def test_eigh_checks_every_matrix_of_a_stack():
     rng = np.random.default_rng(9)
-    H = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    H = random_hermitian(3, rng, (4,))
     w, U = eigh(H)
     for i in range(4):
         assert np.allclose(U[i] @ np.diag(w[i]) @ U[i].conj().T, H[i], atol=1e-12)
