@@ -32,14 +32,12 @@ from .bell import (
     pair_fold,
     random_strategy,
     reference_strategy,
-    scenario_shape,
     sos_certificate,
     sos_theta,
 )
 from .classical import (
     ClassicalResult,
     brute_force_classical,
-    classical_upper_bound,
     classical_value,
     closed_form_d2,
     subset_value,
@@ -65,7 +63,6 @@ from .randomness import (
     conditional_entropy,
     cq_state,
     randomness_report,
-    von_neumann_entropy,
 )
 from .linalg import (
     BipartiteDims, Check, Checks, eigh, is_psd, kron, matricize, partial_trace, purify,
@@ -79,16 +76,16 @@ __all__ = [
     "validate_gram", "weyl_operator",
     "BellReport", "Correlation", "SosReport", "Strategy", "bell_operator",
     "bell_value", "bell_value_from_correlation", "correlation", "depolarize",
-    "pair_fold", "random_strategy", "reference_strategy", "scenario_shape",
-    "sos_certificate", "sos_theta",
-    "ClassicalResult", "brute_force_classical", "classical_upper_bound",
-    "classical_value", "closed_form_d2", "subset_value",
+    "pair_fold", "random_strategy", "reference_strategy", "sos_certificate",
+    "sos_theta",
+    "ClassicalResult", "brute_force_classical", "classical_value",
+    "closed_form_d2", "subset_value",
     "CertificationReport", "IrrepDecomposition", "MaxEntReport",
     "RelationReport", "SupportIsometry", "check_as_relations", "compress",
     "counterexample_rep", "irrep_decompose", "local_support",
     "maxent_decompose", "span_dimension", "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
-    "randomness_report", "von_neumann_entropy",
+    "randomness_report",
     "BipartiteDims", "Check", "Checks", "eigh", "is_psd", "kron", "matricize",
     "partial_trace", "purify",
 ]

@@ -17,7 +17,7 @@ bases through its Schur intertwiners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -37,6 +37,7 @@ from .linalg import (
     frobenius,
     frobenius_each,
     held,
+    is_hermitian,
     is_state,
     kron,
     matricize,
@@ -265,13 +266,14 @@ def counterexample_gram() -> GramMatrix:
     return GramMatrix(d=3, s=S)
 
 
-def span_dimension(matrices, cutoff: float = 1e-8) -> int:
-    """Numerical dimension of the linear span of a family of matrices."""
+def span_dimension(matrices) -> int:
+    """Numerical dimension of the linear span of a family of matrices: the
+    singular values above 1e-8 times the largest."""
     stack = np.stack([np.asarray(M, dtype=complex).reshape(-1) for M in matrices])
     sv = np.linalg.svd(stack, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int((sv > cutoff * sv[0]).sum())
+    return int((sv > 1e-8 * sv[0]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +352,15 @@ class IrrepDecomposition:
         return out
 
 
-def _commutant_basis(X: np.ndarray, rel_cutoff: float = 1e-10) -> list[np.ndarray]:
+def _commutant_basis(X: np.ndarray) -> list[np.ndarray]:
     """Basis of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
-    stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T)."""
+    stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T): the right
+    singular vectors past the singular values above 1e-10 * max(1, largest)."""
     m, n, _ = X.shape
     eye = np.eye(n)
     rows = np.concatenate([kron(Xj, eye) - kron(eye, Xj.T) for Xj in X])
     _, sv, Vh = np.linalg.svd(rows)
-    cut = rel_cutoff * max(1.0, sv[0] if sv.size else 1.0)
+    cut = 1e-10 * max(1.0, sv[0] if sv.size else 1.0)
     rank = int((sv > cut).sum())
     return [Vh[i].conj().reshape(n, n) for i in range(rank, n * n)]
 
@@ -383,38 +386,47 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return groups
 
 
-def irrep_decompose(
-    X,
-    tol: float = 1e-8,
-    seed: int = 0,
-    max_attempts: int = 8,
-) -> IrrepDecomposition:
+_IRREP_ATTEMPTS = 8  # random commutant draws of irrep_decompose before it gives up
+
+
+def irrep_decompose(X, tol: float = 1e-8, seed: int = 0) -> IrrepDecomposition:
     """Decompose a hermitian operator family into irreducible blocks.
 
     Returns a unitary Q and blocks (e_a, d_a, X_a) such that Q* X_j Q equals
     the direct sum over a of I_{e_a} (x) X_{j,a} within ``tol``; retries with
-    fresh randomness when eigenvalue collisions spoil the splitting.
+    fresh randomness, at most ``_IRREP_ATTEMPTS`` times, when eigenvalue
+    collisions spoil the splitting.
     """
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    for Xj in X:
-        if frobenius(Xj - dagger(Xj)) > 1e-8 * max(1.0, frobenius(Xj)):
-            raise ValueError("irrep_decompose expects hermitian generators")
+    if not is_hermitian(X, 1e-8):
+        raise ValueError("irrep_decompose expects hermitian generators")
     n = X.shape[1]
     scale = max(1.0, max(frobenius(Xj) for Xj in X))
     basis = _commutant_basis(X)
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(max_attempts):
+    for _ in range(_IRREP_ATTEMPTS):
         result = _attempt_decomposition(X, basis, rng, n, tol, scale)
         if isinstance(result, IrrepDecomposition):
             return result
         worst = min(worst, result)
     raise ValueError(
-        f"irreducible decomposition unverified after {max_attempts} attempts; "
+        f"irreducible decomposition unverified after {_IRREP_ATTEMPTS} attempts; "
         f"worst off-block mass {worst:.3e}"
     )
+
+
+def _unitarized(M: np.ndarray):
+    """M / c when M = c U for a unitary U and a scalar c > 0 (within 1e-6
+    relative), else None."""
+    size = M.shape[1]
+    overlap = dagger(M) @ M
+    c2 = np.trace(overlap).real / size
+    if c2 <= 0 or frobenius(overlap - c2 * np.eye(size)) > 1e-6 * max(1.0, c2) * size:
+        return None
+    return M / np.sqrt(c2)
 
 
 def _attempt_decomposition(X, basis, rng, n, tol, scale):
@@ -445,14 +457,10 @@ def _attempt_decomposition(X, basis, rng, n, tol, scale):
         W_ref = copies[ref]
         aligned = [W_ref]
         for t in group[1:]:
-            M = dagger(copies[t]) @ link @ W_ref
-            overlap = dagger(M) @ M
-            c2 = np.trace(overlap).real / M.shape[1]
-            if c2 <= 0 or frobenius(overlap - c2 * np.eye(M.shape[1])) > 1e-6 * max(
-                1.0, c2
-            ) * M.shape[1]:
+            Z = _unitarized(dagger(copies[t]) @ link @ W_ref)
+            if Z is None:
                 return 0.0  # not a scalar multiple of a unitary; retry
-            aligned.append(copies[t] @ (M / np.sqrt(c2)))
+            aligned.append(copies[t] @ Z)
         gens = np.stack([dagger(W_ref) @ Xj @ W_ref for Xj in X])
         blocks.append(
             IrrepBlock(
@@ -466,32 +474,20 @@ def _attempt_decomposition(X, basis, rng, n, tol, scale):
     order = sorted(
         range(len(blocks)), key=lambda b: (blocks[b].dimension, blocks[b].multiplicity)
     )
-    ordered_blocks = [blocks[b] for b in order]
     Q = np.hstack([copy for b in order for copy in columns[b]])
+    found = IrrepDecomposition(Q, tuple(blocks[b] for b in order), 0.0)
 
     # verify the block structure
     residual = 0.0
-    for Xj_idx, Xj in enumerate(X):
-        T = dagger(Q) @ Xj @ Q
-        model = np.zeros_like(T)
-        pos = 0
-        for blk in ordered_blocks:
-            size = blk.multiplicity * blk.dimension
-            model[pos : pos + size, pos : pos + size] = kron(
-                np.eye(blk.multiplicity), blk.generators[Xj_idx]
-            )
-            pos += size
-        residual = max(residual, frobenius(T - model))
+    for j, Xj in enumerate(X):
+        model = found.block_matrix([blk.generators[j] for blk in found.blocks])
+        residual = max(residual, frobenius(dagger(Q) @ Xj @ Q - model))
     if residual > tol * scale:
         return residual
     unitarity = frobenius(dagger(Q) @ Q - np.eye(n))
     if unitarity > 1e-8:
         return residual
-    return IrrepDecomposition(
-        basis_change=Q,
-        blocks=tuple(ordered_blocks),
-        off_block_residual=float(residual),
-    )
+    return replace(found, off_block_residual=float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +692,7 @@ def _best_intertwiner(T, ablk, bblk, a_off, b_off):
                 best, best_norm = sub, norm
     if best is None or best_norm <= 1e-8:
         return None
-    overlap = dagger(best) @ best
-    c2 = np.trace(overlap).real / da
-    if c2 <= 0 or frobenius(overlap - c2 * np.eye(da)) > 1e-6 * max(1.0, c2) * da:
-        return None
-    return best / np.sqrt(c2)
+    return _unitarized(best)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,11 @@ from .linalg import (
     frobenius,
     held,
     kron,
-    json_checked,
     kron_sum,
     mapped_zeros,
-    matrix_from_json,
-    matrix_to_json,
     maximally_entangled,
 )
 
-PERP = "perp"
 # Pairs per batched step: larger blocks buy little speed and raise peak memory.
 _PAIR_BLOCK = 64
 
@@ -66,35 +62,6 @@ def _refuse(mask, j, k, values, message: str) -> None:
     if bad.size:
         p = bad[0]
         raise ValueError(message.format(j=j[p], k=k[p], value=values[p]))
-
-
-@dataclass(frozen=True)
-class ScenarioShape:
-    """Setting and outcome labels of the scenario for a given d (1-based)."""
-
-    d: int
-    pair_settings: tuple[tuple[int, int], ...]
-    bob_settings: tuple[int, ...]
-    pair_outcomes: tuple[str, ...] = ("1", "2", PERP)
-    bob_outcomes: tuple[str, ...] = ("1", PERP)
-
-    @property
-    def alice_settings(self) -> tuple:
-        return self.pair_settings + ("povm",)
-
-    @property
-    def povm_outcomes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.d * self.d + 1))
-
-
-def scenario_shape(d: int) -> ScenarioShape:
-    """Measurement settings of the scenario: d^2(d^2-1)/2 pair settings plus
-    the povm setting for Alice, and d^2 binary settings for Bob."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    n = d * d
-    pairs = tuple((j + 1, k + 1) for j, k in pair_list(n))
-    return ScenarioShape(d=d, pair_settings=pairs, bob_settings=tuple(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +103,8 @@ class Strategy:
 
 @dataclass(frozen=True)
 class Correlation:
-    """Full outcome probability table of a strategy.
+    """Full outcome probability table of a strategy; the tests score it with
+    ``bell_value_from_correlation`` as an oracle for ``bell_value``.
 
     ``pair_probs[p, y, a, b]`` is p(a,b | pair p, y) with a in (1, 2, perp)
     and b in (1, perp); ``povm_probs[a, y, b]`` covers the povm setting.
@@ -391,7 +359,8 @@ def sos_certificate(strategy: Strategy, S: GramMatrix, fold) -> SosReport:
 
 
 def correlation(strategy: Strategy) -> Correlation:
-    """The full probability table p(a,b|x,y) = tr[rho (A^x_a (x) B^y_b)]."""
+    """The full probability table p(a,b|x,y) = tr[rho (A^x_a (x) B^y_b)]: the
+    table-side oracle that the tests compare ``bell_value`` against."""
     dA, dB = strategy.dims.dA, strategy.dims.dB
     rho4 = strategy.rho.reshape(dA, dB, dA, dB)
     n = strategy.n_outcomes
@@ -420,7 +389,8 @@ def correlation(strategy: Strategy) -> Correlation:
 
 
 def validate_correlation(corr: Correlation, tol: float = 1e-10) -> Checks:
-    """Nonnegativity, normalization per setting pair, and no-signaling."""
+    """Nonnegativity, normalization per setting pair, and no-signaling; the
+    tests hold ``correlation`` tables of valid strategies to it."""
     lo = min(float(corr.pair_probs.min()), float(corr.povm_probs.min()))
     norm_pair = np.abs(corr.pair_probs.sum(axis=(2, 3)) - 1.0)
     norm_povm = np.abs(corr.povm_probs.sum(axis=(0, 2)) - 1.0)
@@ -444,20 +414,20 @@ def validate_correlation(corr: Correlation, tol: float = 1e-10) -> Checks:
     ])
 
 
-def bell_value_from_correlation(corr: Correlation, S: GramMatrix, d: int) -> float:
-    """Evaluate the Bell function directly on a probability table.
+def bell_value_from_correlation(corr: Correlation, S: GramMatrix) -> float:
+    """Evaluate the Bell function directly on a probability table: the
+    oracle the tests compare ``bell_value`` against.
 
     Alice's marginals are read against Bob's first setting and Bob's against
     Alice's povm setting; no-signaling makes both choices immaterial for
     valid tables.
     """
-    n = d * d
-    if corr.n_outcomes != n:
-        raise ValueError("correlation table does not match d")
+    if corr.n_outcomes != S.n:
+        raise ValueError(f"correlation table has {corr.n_outcomes} outcomes, S expects {S.n}")
     weights, bob_weight = _coefficients(S)
     P = corr.pair_probs
     p = np.arange(len(corr.pairs))
-    j, k = pair_indices(n)
+    j, k = pair_indices(S.n)
     correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
     value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
     value -= bob_weight * corr.povm_probs[:, :, 0].sum()
@@ -504,7 +474,8 @@ def _random_povm(dim: int, outcomes: int, rng: np.random.Generator, count: int) 
 
 
 def depolarize(strategy: Strategy, v: float) -> Strategy:
-    """Mix the state with white noise: rho <- v rho + (1-v) I / (dA dB)."""
+    """Mix the state with white noise: rho <- v rho + (1-v) I / (dA dB); the
+    tests use it to drive strategies below the quantum value."""
     if not (0.0 <= v <= 1.0):
         raise ValueError("visibility must lie in [0, 1]")
     n = strategy.dims.total
@@ -512,7 +483,8 @@ def depolarize(strategy: Strategy, v: float) -> Strategy:
 
 
 def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
-    """POVM and state invariants of a strategy."""
+    """POVM and state invariants of a strategy; the tests hold the reference
+    and random strategies to it."""
     rho = strategy.rho
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
     herm_res = frobenius(rho - dagger(rho))
@@ -543,86 +515,3 @@ def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
         check("bob_psd", bob_floor, tol),
         check("bob_capped", bob_cap, tol),
     ])
-
-
-# ---------------------------------------------------------------------------
-# JSON formats
-# ---------------------------------------------------------------------------
-
-def strategy_to_json(strategy: Strategy) -> dict:
-    return {
-        "dims": {"dA": strategy.dims.dA, "dB": strategy.dims.dB},
-        "rho": matrix_to_json(strategy.rho),
-        "alicePairs": [
-            {
-                "j": j + 1,
-                "k": k + 1,
-                "A1": matrix_to_json(strategy.alice_pair_effects[p, 0]),
-                "A2": matrix_to_json(strategy.alice_pair_effects[p, 1]),
-            }
-            for p, (j, k) in enumerate(strategy.pairs)
-        ],
-        "alicePovm": [matrix_to_json(E) for E in strategy.alice_povm],
-        "bob": [matrix_to_json(B) for B in strategy.bob],
-    }
-
-
-def strategy_from_json(obj: dict) -> Strategy:
-    obj = json_checked(obj, "object", "strategy")
-    dims = json_checked(obj["dims"], "object", "dims")
-    entries = [json_checked(e, "object", "pair entry")
-               for e in json_checked(obj["alicePairs"], "list", "alicePairs")]
-    entries.sort(key=lambda e: (json_checked(e["j"], "int", "j"), json_checked(e["k"], "int", "k")))
-
-    def stack(items, name):
-        return np.stack([matrix_from_json(M) for M in json_checked(items, "list", name)])
-
-    return Strategy(
-        dims=BipartiteDims(*(json_checked(dims[key], "int", key) for key in ("dA", "dB"))),
-        rho=matrix_from_json(obj["rho"]),
-        pairs=tuple((e["j"] - 1, e["k"] - 1) for e in entries),
-        alice_pair_effects=np.stack([stack([e["A1"], e["A2"]], "pair entry") for e in entries]),
-        alice_povm=stack(obj["alicePovm"], "alicePovm"),
-        bob=stack(obj["bob"], "bob"),
-    )
-
-
-def correlation_to_json(corr: Correlation) -> dict:
-    """Nested maps keyed by setting labels; the perp outcome is "perp"."""
-    def cell(probs):  # Bob's outcomes 1 and perp
-        return {"1": float(probs[0]), PERP: float(probs[1])}
-
-    ys = [str(y + 1) for y in range(corr.n_outcomes)]
-    table = {
-        f"{j + 1},{k + 1}": {
-            y: {a: cell(corr.pair_probs[p, iy, ia]) for ia, a in enumerate(("1", "2", PERP))}
-            for iy, y in enumerate(ys)
-        }
-        for p, (j, k) in enumerate(corr.pairs)
-    }
-    table["povm"] = {
-        y: {str(a + 1): cell(corr.povm_probs[a, iy]) for a in range(corr.n_outcomes)}
-        for iy, y in enumerate(ys)
-    }
-    return {"nOutcomes": corr.n_outcomes, "table": table}
-
-
-def correlation_from_json(obj: dict) -> Correlation:
-    obj = json_checked(obj, "object", "correlation")
-    n = json_checked(obj["nOutcomes"], "int", "nOutcomes")
-    pairs, table = pair_list(n), json_checked(obj["table"], "object", "table")
-    outcomes = ("1", PERP)
-    try:
-        pair_probs = [[[[table[f"{j + 1},{k + 1}"][str(y + 1)][a][b] for b in outcomes]
-                        for a in ("1", "2", PERP)] for y in range(n)] for j, k in pairs]
-        povm = table["povm"]
-        povm_probs = [[[povm[str(y + 1)][str(a + 1)][b] for b in outcomes] for y in range(n)]
-                      for a in range(n)]
-    except TypeError:
-        raise ValueError("table must nest objects keyed by setting and outcome labels") from None
-    return Correlation(
-        n_outcomes=n,
-        pairs=pairs,
-        pair_probs=json_checked(pair_probs, "numbers", "table").reshape(len(pairs), n, 3, 2),
-        povm_probs=json_checked(povm_probs, "numbers", "povm table"),
-    )

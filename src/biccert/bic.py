@@ -17,6 +17,8 @@ from .linalg import (
     DEFAULT_TOL, Checks, check, components, dagger, eigh, frobenius, held, json_checked,
 )
 
+_GENERIC_ATTEMPTS = 32  # draws of construct_generic_bic before it gives up
+
 
 @dataclass(frozen=True)
 class BicPovm:
@@ -136,11 +138,12 @@ def construct_weyl_bic(d: int, psi: np.ndarray) -> BicPovm:
     return BicPovm(d=d, vectors=vectors)
 
 
-def equalize_diagonal(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def equalize_diagonal(P: np.ndarray) -> np.ndarray:
     """Unitary U such that diag(U P U*) is constant, equal to tr(P)/n.
 
     Uses at most n-1 exact two-index rotations; each rotation picks an index
-    below the mean and one above and sets the first exactly to the mean.
+    below the mean and one above (by more than 1e-12 * max(1, |mean|)) and
+    sets the first exactly to the mean.
     """
     P = np.asarray(P, dtype=complex)
     n = P.shape[0]
@@ -150,11 +153,11 @@ def equalize_diagonal(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     M = P.copy()
     U = np.eye(n, dtype=complex)
     active = list(range(n))
-    scale = max(1.0, abs(mu))
+    band = 1e-12 * max(1.0, abs(mu))
     for _ in range(n - 1):
         diag = M.diagonal().real
-        low = [i for i in active if diag[i] < mu - tol * scale]
-        high = [i for i in active if diag[i] > mu + tol * scale]
+        low = [i for i in active if diag[i] < mu - band]
+        high = [i for i in active if diag[i] > mu + band]
         if not low or not high:
             break
         i, j = low[0], high[0]
@@ -186,20 +189,21 @@ def _fixing_rotation(a: float, c: float, b: complex, mu: float) -> np.ndarray:
     raise ValueError("no rotation angle found; mean outside [min, max] bracket")
 
 
-def construct_generic_bic(d: int, seed: int, max_attempts: int = 32) -> BicPovm:
+def construct_generic_bic(d: int, seed: int) -> BicPovm:
     """Seeded generic BIC-POVM in any dimension d >= 2.
 
     Pipeline: random full-rank d^2 x d matrix -> column orthonormalization ->
     rank-d projection -> unitary equalizing the diagonal to 1/d -> G = d * K3
     -> factor G = V* V and read the vectors off the columns of V.  Retries
-    with fresh randomness until the POVM passes ``validate_bic`` and its Gram
-    matrix passes ``validate_gram``, both at ``DEFAULT_TOL``.
+    with fresh randomness, at most ``_GENERIC_ATTEMPTS`` draws, until the POVM
+    passes ``validate_bic`` and its Gram matrix passes ``validate_gram``, both
+    at ``DEFAULT_TOL``.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = np.random.default_rng(seed)
     n = d * d
-    for _ in range(max_attempts):
+    for _ in range(_GENERIC_ATTEMPTS):
         K0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         K1, _ = np.linalg.qr(K0)
         K2 = K1 @ dagger(K1)
@@ -210,7 +214,7 @@ def construct_generic_bic(d: int, seed: int, max_attempts: int = 32) -> BicPovm:
         if not failures:
             return povm
     raise ValueError(
-        f"generic construction failed after {max_attempts} attempts; "
+        f"generic construction failed after {_GENERIC_ATTEMPTS} attempts; "
         f"the last draw failed {', '.join(failures)}"
     )
 

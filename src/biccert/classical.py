@@ -150,20 +150,11 @@ def classical_value(
     )
 
 
-def classical_upper_bound(
-    S: GramMatrix,
-    *,
-    allow_d5: bool = False,
-    max_subsets: int = MAX_SUBSETS_DEFAULT,
-) -> float:
-    """d^2 - (1/4) min over 0 < |J| < 2d of sum_{j in J, k not in J} s_jk^2."""
-    return classical_value(S, allow_d5=allow_d5, max_subsets=max_subsets).upper_bound
-
-
 def deterministic_score(
     S: GramMatrix, pair_choices, bob_bits, povm_index: int
 ) -> float:
-    """Objective of one local deterministic strategy.
+    """Objective of one local deterministic strategy; the tests maximize it
+    by hand as an oracle for ``brute_force_classical``.
 
     ``pair_choices[p]`` is 0 (output perp), 1 (output 1) or 2 (output 2) for
     the p-th pair in lexicographic order; ``bob_bits[j]`` is Bob's output for
@@ -190,7 +181,8 @@ def brute_force_classical(S: GramMatrix) -> float:
     """Exhaustive maximum over every deterministic strategy (d = 2 only).
 
     Enumerates all 3^6 pair assignments x 2^4 Bob assignments x 4 povm
-    outcomes; serves as the independent oracle for the subset formula.
+    outcomes; serves as the independent oracle for the subset formula:
+    criterion 4 and the tests compare ``classical_value`` against it.
     """
     d, n = S.d, S.n
     if d != 2:
@@ -239,7 +231,8 @@ def bic_gram_d2(t1: float, t2: float) -> GramMatrix:
 
 
 def closed_form_d2(t1: float, t2: float) -> float:
-    """Closed-form classical value of the d=2 Bell function at (t1, t2)."""
+    """Closed-form classical value of the d=2 Bell function at (t1, t2);
+    criterion 4 and the tests compare ``classical_value`` against it on a grid."""
     if not (t1 > 0 and t2 > 0 and t1 + t2 < 1):
         raise ValueError("parameters must satisfy t1, t2 > 0 and t1 + t2 < 1")
     if t2 <= (1.0 - t1) / 2.0 and t1 <= (1.0 - t2) / 2.0:

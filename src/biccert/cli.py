@@ -216,9 +216,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_report(args) -> int:
-    runs = reproduce.run_full_suite(
-        tol=args.tol, d_max=args.d_max, seed=args.seed, verbose=True
-    )
+    runs = reproduce.run_full_suite(tol=args.tol, d_max=args.d_max, seed=args.seed)
     all_passed = all(r.passed for r in runs)
     payload = {"criteria": [r.to_json() for r in runs], "allPassed": all_passed}
     _dump(args, payload, "report", dMax=args.d_max)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, the JSON wire format and the check record
+"""Dense complex linear algebra, the JSON body checks and the check record
 shared by every module.
 
 Operators and states are plain complex ``numpy`` arrays; vectors are
@@ -178,15 +178,6 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (U[:, keep] * np.sqrt(w[keep])).reshape(-1)
 
 
-def trace_out_environment(psi: np.ndarray, system_dim: int) -> np.ndarray:
-    """Reduced state on the leading factor of a pure state in H (x) H_E."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size % system_dim != 0:
-        raise ValueError("vector length is not a multiple of the system dimension")
-    M = psi.reshape(system_dim, -1)
-    return M @ dagger(M)
-
-
 def matricize(v: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Fold a vector in C^{dA} (x) C^{dB} into the dA x dB matrix with
     mat(|a>|b>) = |a><b|; an isometry between the 2-norm and Frobenius norm."""
@@ -239,53 +230,22 @@ def components(adjacency: np.ndarray) -> list[list[int]]:
     return comps
 
 
-# ---------------------------------------------------------------------------
-# JSON wire format, used repo-wide:
-#   {"rows": n, "cols": m, "data": [[re, im], ...]} in row-major order.
-# Vectors are stored with cols = 1.
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(M: np.ndarray) -> dict:
-    """Encode a matrix (or vector, as a column) into the JSON wire format."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
-    if M.ndim != 2:
-        raise ValueError("only vectors and matrices are serializable")
-    flat = M.reshape(-1)
-    return {
-        "rows": int(M.shape[0]),
-        "cols": int(M.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
 def json_checked(value, kind: str, name: str):
-    """``value`` of a JSON body if it is of ``kind`` ("object", "list", "int"
-    but not bool, or "numbers": returned as a finite float array), else ValueError."""
+    """``value`` of a JSON body if it is of ``kind`` ("object", "int" but not
+    bool, or "numbers": returned as a finite float array), else ValueError."""
     if kind == "numbers":
         try:
             array = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             raise ValueError(f"{name} must hold numbers only") from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{name} has non-finite entries") from None
         if not np.isfinite(array).all():
             raise ValueError(f"{name} has non-finite entries")
         return array
-    if isinstance(value, bool) or not isinstance(value, {"object": dict, "list": list,
-                                                         "int": int}[kind]):
+    if isinstance(value, bool) or not isinstance(value, {"object": dict, "int": int}[kind]):
         raise ValueError(f"{name} must be a JSON {kind}, got {type(value).__name__}")
     return value
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the JSON wire format back into a complex array."""
-    obj = json_checked(obj, "object", "matrix")
-    rows, cols = (json_checked(obj[key], "int", key) for key in ("rows", "cols"))
-    data = json_checked(obj["data"], "numbers", "data")
-    if min(rows, cols) < 1 or data.shape != (rows * cols, 2):
-        raise ValueError("data must hold rows*cols [re, im] pairs")
-    M = data.view(complex).reshape(rows, cols)
-    return M[:, 0] if cols == 1 else M
 
 
 def dump_json(obj: dict, path) -> None:
@@ -297,7 +257,10 @@ def dump_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to decode") from None
 
 
 # ---------------------------------------------------------------------------

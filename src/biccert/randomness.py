@@ -15,7 +15,7 @@ import numpy as np
 
 from .bell import BellReport, Strategy
 from .bic import GramMatrix
-from .linalg import Check, check, dagger, frobenius, is_state, purify
+from .linalg import Check, check, dagger, frobenius, purify
 
 EIGENVALUE_FLOOR = 1e-14
 
@@ -82,32 +82,23 @@ def cq_state(strategy: Strategy, psi: np.ndarray) -> CqState:
     )
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """-sum lambda log(lambda) over eigenvalues above the 1e-14 floor."""
-    rho = np.asarray(rho, dtype=complex)
-    if not is_state(rho, 1e-8):
-        raise ValueError("entropy input is not a quantum state")
-    lam = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    lam = lam[lam > EIGENVALUE_FLOOR]
-    return float(-(lam * np.log(lam)).sum() / np.log(base))
-
-
-def _spectrum_entropy(lam: np.ndarray, base: float) -> float:
+def _spectrum_entropy(lam: np.ndarray) -> float:
+    """-sum lambda log2(lambda) over the eigenvalues above EIGENVALUE_FLOOR."""
     lam = lam[lam > EIGENVALUE_FLOOR]
     if lam.size == 0:
         return 0.0
-    return float(-(lam * np.log(lam)).sum() / np.log(base))
+    return float(-(lam * np.log(lam)).sum() / np.log(2.0))
 
 
-def conditional_entropy(cq: CqState, base: float = 2.0) -> float:
-    """H(A|E) = H(AE) - H(E) of the block-diagonal classical-quantum state."""
+def conditional_entropy(cq: CqState) -> float:
+    """H(A|E) = H(AE) - H(E) in bits of the block-diagonal classical-quantum state."""
     joint = np.concatenate(
         [np.linalg.eigvalsh((b + dagger(b)) / 2) for b in cq.blocks]
     )
     eve = np.linalg.eigvalsh(
         (cq.eve_state() + dagger(cq.eve_state())) / 2
     )
-    return _spectrum_entropy(joint, base) - _spectrum_entropy(eve, base)
+    return _spectrum_entropy(joint) - _spectrum_entropy(eve)
 
 
 def randomness_report(
@@ -123,7 +114,7 @@ def randomness_report(
     """
     psi = purify(strategy.rho)
     cq = cq_state(strategy, psi)
-    bits = conditional_entropy(cq, base=2.0)
+    bits = conditional_entropy(cq)
     nats = bits * np.log(2.0)
     dist = cq.outcome_distribution()
     deviation = float(np.abs(dist - 1.0 / strategy.n_outcomes).max())

@@ -379,13 +379,11 @@ def run_criterion(
     return CriterionRun(cid, checks, time.perf_counter() - start)
 
 
-def run_full_suite(
-    tol: float = BASE_TOL, d_max: int = 4, seed: int = 0, verbose: bool = True
-) -> list[CriterionRun]:
+def run_full_suite(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0) -> list[CriterionRun]:
+    """Run every criterion in order, printing each one's line as it finishes."""
     outcomes = []
     for cid in sorted(CRITERIA):
         outcome = run_criterion(cid, tol=tol, d_max=d_max, seed=seed)
         outcomes.append(outcome)
-        if verbose:
-            print(outcome.line())
+        print(outcome.line())
     return outcomes

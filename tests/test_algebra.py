@@ -249,6 +249,13 @@ def test_irrep_rejects_nonhermitian():
         algebra.irrep_decompose(bad)
 
 
+def test_irrep_rejects_nan_generator():
+    bad = np.zeros((2, 2, 2), dtype=complex)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="hermitian"):
+        algebra.irrep_decompose(bad)
+
+
 # ---------------------------------------------------------------------------
 # block-maximally-entangled decomposition
 # ---------------------------------------------------------------------------

@@ -22,21 +22,12 @@ BELL_TERMS = {
 }
 
 
-def test_scenario_shape_counts():
-    shape2 = bell.scenario_shape(2)
-    assert len(shape2.pair_settings) == 6
-    assert len(shape2.alice_settings) == 7
-    assert len(shape2.bob_settings) == 4
-    shape3 = bell.scenario_shape(3)
-    assert len(shape3.pair_settings) == 36
-    assert len(shape3.bob_settings) == 9
-
-
-def test_scenario_shape_lexicographic():
-    shape = bell.scenario_shape(2)
-    assert shape.pair_settings[:3] == ((1, 2), (1, 3), (1, 4))
-    assert shape.alice_settings[-1] == "povm"
-    assert shape.pair_outcomes == ("1", "2", "perp")
+def test_pair_list_counts_and_order():
+    assert len(bell.pair_list(4)) == 6 and len(bell.pair_list(9)) == 36
+    assert bell.pair_list(4)[:3] == ((0, 1), (0, 2), (0, 3))
+    for n in (4, 9):
+        j, k = bell.pair_indices(n)
+        assert list(zip(j.tolist(), k.tolist())) == list(bell.pair_list(n))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -410,14 +401,14 @@ def test_dual_evaluation_agreement(d):
     for seed in range(25):
         strat = bell.random_strategy(BipartiteDims(d, d), d, seed)
         direct = bell.bell_value(strat, S).value
-        from_table = bell.bell_value_from_correlation(bell.correlation(strat), S, d)
+        from_table = bell.bell_value_from_correlation(bell.correlation(strat), S)
         assert abs(direct - from_table) < 1e-9
 
 
 def test_dual_evaluation_reference(reference_d2):
     ref, S = reference_d2
     corr = bell.correlation(ref)
-    assert abs(bell.bell_value_from_correlation(corr, S, 2) - 4.0) < 1e-9
+    assert abs(bell.bell_value_from_correlation(corr, S) - 4.0) < 1e-9
 
 
 def test_bell_value_all_perp_table(reference_d2):
@@ -433,7 +424,14 @@ def test_bell_value_all_perp_table(reference_d2):
     corr = bell.Correlation(
         n_outcomes=n, pairs=pairs, pair_probs=pair_probs, povm_probs=povm_probs
     )
-    assert abs(bell.bell_value_from_correlation(corr, S, 2) - (-1.0)) < 1e-12
+    assert abs(bell.bell_value_from_correlation(corr, S) - (-1.0)) < 1e-12
+
+
+def test_bell_value_from_correlation_refuses_another_scenario(reference_d2, reference_d3):
+    ref, _ = reference_d2
+    _, S3 = reference_d3
+    with pytest.raises(ValueError, match="4 outcomes, S expects 9"):
+        bell.bell_value_from_correlation(bell.correlation(ref), S3)
 
 
 def test_random_strategy_validity_and_determinism():

@@ -170,7 +170,7 @@ def test_classical_upper_bound_quarter_matrix():
     # uniform quarter overlaps: the minimal |J| = 1 boundary sum is 3/16
     S = np.full((4, 4), 0.25)
     np.fill_diagonal(S, 1.0)
-    bound = classical.classical_upper_bound(bic.GramMatrix(d=2, s=S))
+    bound = classical.classical_value(bic.GramMatrix(d=2, s=S)).upper_bound
     assert abs(bound - (4.0 - 3.0 / 64.0)) < 1e-12
 
 

@@ -1,7 +1,11 @@
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biccert import __version__, bell, bic
 from biccert.classical import bic_gram_d2
@@ -241,8 +245,9 @@ def test_d1_input_is_usage_error(tmp_path, capsys, command, payload):
         lambda key, rows, nan_rows: {"d": 2.5, key: rows},
         lambda key, rows, nan_rows: {"d": "2", key: rows},
         lambda key, rows, nan_rows: {"d": 2, key: nan_rows},
+        lambda key, rows, nan_rows: {"d": 2, key: [10**400]},
     ],
-    ids=["null", "list", "list-d", "float-d", "string-d", "nan-entries"],
+    ids=["null", "list", "list-d", "float-d", "string-d", "nan-entries", "int-beyond-float"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, key, rows, nan_rows,
                                         malform):
@@ -253,6 +258,81 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, key, rows, na
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["certify", "classical"])
+def test_too_deeply_nested_input_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path), "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=20) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=40,
+)
+
+
+@st.composite
+def input_bodies(draw, key: str, last: int):
+    """A body shaped like a POVM (key "vectors", entries of ``last`` numbers)
+    or Gram file (key "s", last = 0), with d mostly in -1..4, at most 20
+    entries per list and entries mostly numbers; or any JSON value.  No draw
+    allocates by d: a d that does not fit the entries is refused first."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    entry = st.floats() | st.integers(-2, 2) | st.integers(2**1023, 2**1100) | JSON_SCALARS
+    shape = [draw(st.integers(0, 20)), draw(st.integers(0, 20))]
+    shape += [draw(st.integers(1, 3))] if last else []
+
+    def nested(dims):
+        return draw(entry) if not dims else [nested(dims[1:]) for _ in range(dims[0])]
+
+    body = {"d": draw(st.integers(-1, 4) | JSON_SCALARS), key: nested(shape)}
+    extra = draw(st.sampled_from(["none", "drop-d", "drop-entries", "extra-key"]))
+    if extra == "drop-d":
+        del body["d"]
+    elif extra == "drop-entries":
+        del body[key]
+    elif extra == "extra-key":
+        body["other"] = draw(JSON_VALUES)
+    return body
+
+
+@pytest.mark.parametrize(
+    "command, key, last, decode, validate",
+    [
+        ("certify", "vectors", 2, bic.povm_from_json, bic.validate_bic),
+        ("classical", "s", 0, bic.gram_from_json, bic.validate_gram),
+    ],
+    ids=["certify", "classical"],
+)
+def test_fuzzed_input_file_exits_cleanly(tmp_path_factory, command, key, last, decode,
+                                         validate):
+    out = tmp_path_factory.mktemp(f"fuzz-{command}")
+    path = out / "body.json"
+
+    @settings(max_examples=40, deadline=None)
+    @given(body=input_bodies(key, last))
+    def run(body):
+        dump_json(body, path)
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main([command, str(path), "--out", str(out)])
+        if code == 0:  # only a body that decodes and validates may pass
+            assert validate(decode(load_json(path))).passed
+            return
+        assert code in (2, 3)
+        assert stderr.getvalue().count("\n") == 1
+
+    run()
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])

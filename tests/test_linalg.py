@@ -19,11 +19,16 @@ from biccert.linalg import (
     partial_trace,
     purify,
     random_hermitian,
-    trace_out_environment,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def trace_out_environment(psi, system_dim):
+    """Reduced state on the leading factor of a pure state in H (x) H_E."""
+    M = psi.reshape(system_dim, -1)
+    return M @ M.conj().T
 
 
 def random_state(n, seed):

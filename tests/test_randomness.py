@@ -25,30 +25,12 @@ def eavesdropped_pair():
     return strategy, ghz
 
 
-def test_von_neumann_entropy_basics():
-    assert randomness.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
-    assert abs(randomness.von_neumann_entropy(np.eye(4, dtype=complex) / 4) - 2.0) < 1e-12
-    assert (
-        abs(
-            randomness.von_neumann_entropy(
-                np.diag([0.5, 0.25, 0.25]).astype(complex)
-            )
-            - 1.5
-        )
-        < 1e-12
-    )
-
-
-def test_von_neumann_entropy_base_conversion():
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    bits = randomness.von_neumann_entropy(rho)
-    nats = randomness.von_neumann_entropy(rho, base=np.e)
-    assert abs(nats - bits * np.log(2.0)) < 1e-12
-
-
-def test_von_neumann_entropy_rejects_nonstate():
-    with pytest.raises(ValueError):
-        randomness.von_neumann_entropy(np.diag([1.0, 1.0]))
+def test_conditional_entropy_trivial_environment_is_shannon():
+    # a one-dimensional environment learns nothing: H(A|E) is the Shannon entropy
+    for dist, bits in (([1.0, 0.0], 0.0), ([0.25] * 4, 2.0), ([0.5, 0.25, 0.25], 1.5)):
+        blocks = np.array(dist, dtype=complex)[:, None, None]
+        cq = randomness.CqState(num_outcomes=len(dist), eve_dim=1, blocks=blocks)
+        assert abs(randomness.conditional_entropy(cq) - bits) < 1e-12
 
 
 def test_cq_state_reference_d2(reference_d2):
