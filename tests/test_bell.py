@@ -22,12 +22,26 @@ BELL_TERMS = {
 }
 
 
-def test_pair_list_counts_and_order():
+def test_scenario_shape_counts(reference_d2, reference_d3):
+    (ref2, _), (ref3, _) = reference_d2, reference_d3
     assert len(bell.pair_list(4)) == 6 and len(bell.pair_list(9)) == 36
+    # Alice: one setting per pair plus the povm setting; Bob: one per outcome.
+    assert ref2.alice_pair_effects.shape[0] + 1 == 7
+    assert ref2.bob.shape[0] == 4
+    assert ref3.alice_pair_effects.shape[0] == 36
+    assert ref3.bob.shape[0] == 9
+
+
+def test_scenario_shape_lexicographic(reference_d2):
+    ref2, _ = reference_d2
     assert bell.pair_list(4)[:3] == ((0, 1), (0, 2), (0, 3))
     for n in (4, 9):
         j, k = bell.pair_indices(n)
         assert list(zip(j.tolist(), k.tolist())) == list(bell.pair_list(n))
+    assert ref2.pairs == bell.pair_list(4)
+    # Outcomes 1 and 2 are stored; perp is I - A1 - A2.
+    assert ref2.alice_pair_effects.shape[1] == 2
+    assert ref2.alice_povm.shape[0] == 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
