@@ -18,6 +18,7 @@ from .linalg import (
 )
 
 _GENERIC_ATTEMPTS = 32  # draws of construct_generic_bic before it gives up
+_MAX_ENTRY = 1e50  # valid entries are at most about 1; POVM entries above ~1e77 overflow
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,13 @@ def povm_to_json(povm: BicPovm) -> dict:
 
 
 def _decode(obj, key: str) -> tuple[int, np.ndarray]:
-    """The integer d and the finite float array under ``key`` of a JSON body."""
+    """The integer d and the finite float array under ``key`` of a JSON body,
+    refused before any arithmetic if an entry exceeds _MAX_ENTRY in magnitude."""
     obj = json_checked(obj, "object", "body")
-    return json_checked(obj["d"], "int", "d"), json_checked(obj[key], "numbers", key)
+    d, values = json_checked(obj["d"], "int", "d"), json_checked(obj[key], "numbers", key)
+    if (np.abs(values) > _MAX_ENTRY).any():
+        raise ValueError(f"{key} has entries of magnitude above {_MAX_ENTRY:g}")
+    return d, values
 
 
 def povm_from_json(obj) -> BicPovm:

@@ -6,8 +6,11 @@ subsets J with 0 < |J| < 2d:
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
 with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
-expansion, each from its parent in O(1), and breaks ties within rounding
-toward the smallest, then lexicographically first, subset.  A brute-force
+expansion, each from its parent in O(1), and scores the last three
+cardinalities from their common ancestors through per-n tables of 1-, 2- and
+3-combinations, with the same float operations, so every value is bitwise
+the one the expansion would compute.  Ties within rounding go to the
+smallest, then lexicographically first, subset.  A brute-force
 enumeration over all deterministic strategies serves as an independent oracle
 at d = 2, and the d = 2 landscape has a closed three-branch form in the
 parameters (t1, t2) of the general two-dimensional BIC family.
@@ -17,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .bic import GramMatrix
 
 MAX_SUBSETS_DEFAULT = 5_000_000
 _PARENTS = 512  # parents expanded per block; bounds every temporary
+_FOLD = 1 << 14  # values scored per fold chunk; bounds the fold's temporaries
 _TIE_TOL = 1e-12  # values within _TIE_TOL * d^2 of the maximum are tied
 
 
@@ -46,7 +53,7 @@ class ClassicalResult:
 
 
 def _payoff_matrix(S: GramMatrix) -> np.ndarray:
-    gap = np.clip(1.0 - S.s, 0.0, None)  # the diagonal carries float noise around 0
+    gap = np.maximum(1.0 - S.s, 0.0)  # the diagonal carries float noise around 0
     W = 2.0 * np.sqrt(gap) - gap
     np.fill_diagonal(W, 0.0)
     return W
@@ -65,6 +72,66 @@ def subset_value(J, S: GramMatrix) -> float:
     inside[J] = True
     boundary = W[np.ix_(inside, ~inside)].sum()
     return float(-d * (d - 2) * len(J) + boundary)
+
+
+class _Group(NamedTuple):
+    """The 1-, 2- and 3-combinations a < b < c of the outcomes >= first, as
+    the columns of one fold buffer: the 1-combinations, the 2-combinations
+    from column at2 on and the 3-combinations from column at3 on, each in
+    lexicographic order.  The 2- and 3-combinations are the suffixes, from
+    pair_start and triple_start on, of the pair and triple tables.  Per
+    2-combination, a is the buffer column of (a) and b the outcome b - first;
+    per 3-combination, ab is the buffer column of (a, b) and ac the position
+    of (a, c) among the 2-combinations."""
+
+    first: int
+    pair_start: int
+    triple_start: int
+    at2: int
+    at3: int
+    a: np.ndarray
+    b: np.ndarray
+    ab: np.ndarray
+    ac: np.ndarray
+    lead: np.ndarray  # per column: its smallest outcome
+    key: np.ndarray  # per column: depth 0, 1 or 2, index in its table, bitmask
+
+
+@cache
+def _combination_tables(n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The flat positions, in an (n, 2, n) array r, of r[a, :, b] over the
+    lexicographic pairs and of r[b, :, c] over the lexicographic triples of n
+    outcomes, each shaped (2, count); and per l = -1..n-1 (at index l + 1)
+    the ``_Group`` of the outcomes > l, or None for l = n - 1."""
+    pairs = np.array(list(combinations(range(n), 2)))
+    triples = np.array(list(combinations(range(n), 3)))
+    pair_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    ab = np.array([pair_index[a, b] for a, b, _ in combinations(range(n), 3)], dtype=np.intp)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    groups = [None] * (n + 1)
+    for first in range(n):
+        p = int(np.searchsorted(pairs[:, 0], first))
+        q = int(np.searchsorted(triples[:, 0], first))
+        at2 = n - first
+        at3 = at2 + len(pairs) - p
+        sizes = [at2, at3 - at2, len(triples) - q]
+        groups[first] = _Group(
+            first, p, q, at2, at3,
+            a=pairs[p:, 0] - first,
+            b=pairs[p:, 1] - first,
+            ab=at2 + ab[q:] - p,
+            ac=np.array([pair_index[a, c] for a, _, c in triples[q:]], dtype=np.intp) - p,
+            lead=np.concatenate([np.arange(first, n), pairs[p:, 0], triples[q:, 0]]),
+            key=np.stack([
+                np.repeat(np.arange(3), sizes),
+                np.concatenate([np.arange(first, n), np.arange(p, len(pairs)),
+                                np.arange(q, len(triples))]),
+                np.concatenate([bits[first:], bits[pairs[p:]].sum(axis=1),
+                                bits[triples[q:]].sum(axis=1)]),
+            ]),
+        )
+    return (pairs[:, 0] * 2 * n + pairs[:, 1] + np.c_[0, n].T,
+            triples[:, 1] * 2 * n + triples[:, 2] + np.c_[0, n].T, groups)
 
 
 def _subset_budget(n: int, max_card: int) -> int:
@@ -92,21 +159,41 @@ def classical_value(
     allow_d5: bool = False,
     max_subsets: int = MAX_SUBSETS_DEFAULT,
 ) -> ClassicalResult:
-    """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix expansion.
+    """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix
+    expansion down to |J| = 2d - 4 and a fold of the last three cardinalities.
 
     Each J + {k} with k > max(J) takes its value from J's in O(1):
     v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
     - 2 sum_{j in J} W[j,k] (W the payoff matrix), and step_{J+k} =
-    step_J - 2 W[k]; the s_jk^2 boundary sum follows likewise from Q = s^2.
-    A block of parents yields its children at once from the mask k > max(J);
-    children are expanded depth first, block by block, so temporaries stay
-    small and each cardinality is visited in lexicographic order.  The same
-    pass yields the upper bound d^2 - (1/4) min boundary sum of s_jk^2.
+    step_J - 2 W[k] = step_J - r[k]; the s_jk^2 boundary sum follows likewise
+    from Q = s^2.  A block of parents yields its children at once from the
+    mask k > max(J); children are expanded depth first, block by block, so
+    temporaries stay small and each cardinality is visited in lexicographic
+    order.  The same pass yields the upper bound d^2 - (1/4) min boundary sum
+    of s_jk^2.
+
+    The last three cardinalities are never built subset by subset.  The
+    children, grandchildren and great-grandchildren of the parents J with
+    max(J) = l are J + {a}, J + {a, b} and J + {a, b, c} over the 1-, 2- and
+    3-combinations a < b < c of the outcomes above l, a suffix of the
+    per-n combination tables; with t = step_J,
+
+        v(J+a)     = v(J) + t[a]
+        v(J+a+b)   = v(J+a) + (t[b] - r[a,b])
+        v(J+a+b+c) = v(J+a+b) + ((t[c] - r[a,c]) - r[b,c]),
+
+    the very float operations, in the same order, that the expansion would
+    perform, so every value is bitwise the one the expansion computes.
 
     Values within _TIE_TOL * d^2 of the maximum are tied (exact ties, such as
     J and its complement at d=2, differ by rounding only): the smallest
     cardinality wins, then the lexicographically first J, and best_value is
-    the value of that J.
+    the value of that J.  Each cardinality keeps the running maxima, in
+    lexicographic order, of the values within the band of the top seen so
+    far; the fold sorts its tie candidates back into lexicographic order
+    before they enter these records.  The first record within the band of
+    the final top is the lexicographically first J of its cardinality there,
+    however the top rose, so the fold leaves the tie rule unchanged.
     """
     d, n = S.d, S.n
     max_card = _check_budget(S, allow_d5, max_subsets)
@@ -114,14 +201,29 @@ def classical_value(
     Q = S.s**2
     np.fill_diagonal(Q, 0.0)
     # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
-    rows = 2.0 * np.stack([_payoff_matrix(S), Q], axis=1)
+    rows = np.empty((n, 2, n))
+    np.multiply(2.0, _payoff_matrix(S), out=rows[:, 0])
+    np.multiply(2.0, Q, out=rows[:, 1])
     outcomes, top, min_boundary = np.arange(n), -math.inf, math.inf
     records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
+    at_ab, at_bc, groups = _combination_tables(n)
+    r_ab, r_bc = rows.take(at_ab), rows.take(at_bc)
+
+    def record(cards, values, masks):
+        """Feed tie candidates, given by cardinality, value and bitmask, into
+        the records; per cardinality they come in lexicographic order."""
+        for m, value, mask in zip(cards, values.tolist(), masks.tolist()):
+            run = records[m]
+            if not run or value > run[-1][0]:
+                run.append((value, mask))
 
     def expand(m, score, step, last, mask):
         """Score the children, of cardinality m, of parents J given as
-        score = (v(J), Q boundary), step, last = max(J) and bitmask; recurse."""
+        score = (v(J), Q boundary), step, last = max(J) and bitmask; recurse,
+        and fold the last three cardinalities."""
         nonlocal top, min_boundary
+        if m == max_card - 2:
+            return fold(m, score, step, last, mask)
         for b in range(0, len(last), _PARENTS):
             s = slice(b, b + _PARENTS)
             pi, k = (outcomes > last[s, None]).nonzero()
@@ -131,14 +233,60 @@ def classical_value(
             values = child[:, 0]
             top = max(top, float(values.max()))
             min_boundary = min(min_boundary, float(child[:, 1].min()))
-            run = records[m]
-            for i in (values >= top - band).nonzero()[0]:
-                if not run or values[i] > run[-1][0]:
-                    run.append((float(values[i]), int(child_mask[i])))
-            if m < max_card:
-                expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
+            tied = (values >= top - band).nonzero()[0]
+            record(repeat(m), values[tied], child_mask[tied])
+            expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
 
-    root_step = 0.5 * rows.sum(axis=2).T - np.array([[d * (d - 2)], [0.0]])
+    def fold(m, score, step, last, mask):
+        """Score the descendants, of cardinalities m, m + 1 and m + 2, of the
+        parents J (as in expand) in chunks of at most _FOLD values.  The
+        parents, sorted by max(J), take the combination group of their
+        max(J), in chunks as needed.  If all of them fit in one chunk of the
+        group of the smallest max(J), they make one chunk, and the columns
+        that do not descend from a parent are masked out of its row."""
+        nonlocal top, min_boundary
+        order = np.argsort(last, kind="stable")
+        g = groups[last[order[0]] + 1]
+        if g is not None and len(last) * len(g.lead) <= _FOLD:
+            chunks = [(0, len(last), g)]
+        else:
+            ends = np.searchsorted(last, outcomes - 1, "right", sorter=order).tolist()
+            chunks = []
+            for start, stop, g in zip([0] + ends, ends + [len(last)], groups):
+                if g is not None:
+                    size = max(1, _FOLD // len(g.lead))
+                    chunks += [(b, min(b + size, stop), g) for b in range(start, stop, size)]
+        tied = []  # (depth, index, bitmask), parent and value of the tie candidates
+        for start, stop, g in chunks:
+            parents = order[start:stop]
+            t = step[parents, :, g.first:]
+            out = np.empty((len(parents), 2, len(g.lead)))
+            np.add(score[parents, :, None], t, out=out[:, :, :g.at2])
+            u = t[:, :, g.b] - r_ab[:, g.pair_start:]  # step_{J+a}[b]
+            np.add(out[:, :, g.a], u, out=out[:, :, g.at2:g.at3])
+            # u[ac] = t[c] - r[a,c]: v(J+a+b+c) = v(J+a+b) + ((t[c] - r[a,c]) - r[b,c])
+            np.add(out[:, :, g.ab], u[:, :, g.ac] - r_bc[:, g.triple_start:],
+                   out=out[:, :, g.at3:])
+            values, bounds = out[:, 0], out[:, 1]
+            if last[parents[-1]] >= g.first:  # parents of several groups
+                inside = g.lead > last[parents, None]
+                values = np.where(inside, values, -math.inf)
+                bounds = np.where(inside, bounds, math.inf)
+            high = float(values.max())
+            top = max(top, high)
+            min_boundary = min(min_boundary, float(bounds.min()))
+            if high >= top - band:
+                pi, ci = (values >= top - band).nonzero()
+                tied.append((g.key[:, ci], parents[pi], values[pi, ci]))
+        if tied:  # back into lexicographic order per cardinality
+            keys, parents, values = zip(*tied)
+            (depth, index, bits), parents = np.concatenate(keys, axis=1), np.concatenate(parents)
+            values = np.concatenate(values)
+            lex = np.lexsort((index, parents))
+            record((m + depth[lex]).tolist(), values[lex], mask[parents[lex]] | bits[lex])
+
+    root_step = 0.5 * rows.sum(axis=2).T
+    root_step[0] -= d * (d - 2)
     expand(1, np.zeros((1, 2)), root_step[None], np.array([-1]), np.zeros(1, np.int64))
     best_value, best_mask = next(r for run in records for r in run if r[0] >= top - band)
 

@@ -106,7 +106,8 @@ def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
 def _dump(args, payload: dict, stem: str, **context) -> dict:
     """Write ``stem.json`` under the run header: version, numpy, seed, tol and
     ``context`` (the dimension d, or dMax for ``report``; ``certify`` adds the
-    seconds of each stage)."""
+    seconds of each stage, ``classical`` the seconds of the enumeration and
+    the number of subsets it scores)."""
     payload = {"run": {"version": __version__, "numpy": np.__version__, "seed": args.seed,
                        "tol": args.tol, **context}, **payload}
     args.out.mkdir(parents=True, exist_ok=True)
@@ -206,10 +207,13 @@ def cmd_classical(args) -> int:
     if not validation.passed:
         print("input Gram matrix failed validation: " + validation.failing(), file=sys.stderr)
         return EXIT_FAILED
+    start = time.perf_counter()
     result = classical.classical_value(
         gm, allow_d5=args.allow_d5, max_subsets=args.max_subsets
     )
-    _write_outputs(args, result.to_json(), "classical", d=gm.d)
+    seconds = {"enumeration": time.perf_counter() - start}
+    _write_outputs(args, result.to_json(), "classical", d=gm.d, seconds=seconds,
+                   subsets=classical._subset_budget(gm.n, 2 * gm.d - 1))
     print(f"d={gm.d}: classical value {result.best_value:.9f} "
           f"(upper bound {result.upper_bound:.9f}, gap {result.quantum_gap:.9f})")
     return EXIT_OK

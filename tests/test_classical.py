@@ -166,6 +166,102 @@ def test_classical_value_matches_plain_oracle(make_gram):
     assert result.best_subset == subset
 
 
+def _prefix_expansion_payoff(S):
+    gap = np.clip(1.0 - S.s, 0.0, None)  # the diagonal carries float noise around 0
+    W = 2.0 * np.sqrt(gap) - gap
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+def _prefix_expansion_classical(S, *, allow_d5=False,
+                                max_subsets=classical.MAX_SUBSETS_DEFAULT):
+    """Bitwise regression oracle: the prefix expansion over every cardinality
+    that preceded the fold of the last three, kept verbatim with its payoff
+    matrix."""
+    d, n = S.d, S.n
+    max_card = classical._check_budget(S, allow_d5, max_subsets)
+    band = classical._TIE_TOL * d * d
+    Q = S.s**2
+    np.fill_diagonal(Q, 0.0)
+    # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
+    rows = 2.0 * np.stack([_prefix_expansion_payoff(S), Q], axis=1)
+    outcomes, top, min_boundary = np.arange(n), -math.inf, math.inf
+    records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
+
+    def expand(m, score, step, last, mask):
+        nonlocal top, min_boundary
+        for b in range(0, len(last), classical._PARENTS):
+            s = slice(b, b + classical._PARENTS)
+            pi, k = (outcomes > last[s, None]).nonzero()
+            if not len(k):
+                continue
+            child, child_mask = score[s][pi] + step[s][pi, :, k], mask[s][pi] | (1 << k)
+            values = child[:, 0]
+            top = max(top, float(values.max()))
+            min_boundary = min(min_boundary, float(child[:, 1].min()))
+            run = records[m]
+            for i in (values >= top - band).nonzero()[0]:
+                if not run or values[i] > run[-1][0]:
+                    run.append((float(values[i]), int(child_mask[i])))
+            if m < max_card:
+                expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
+
+    root_step = 0.5 * rows.sum(axis=2).T - np.array([[d * (d - 2)], [0.0]])
+    expand(1, np.zeros((1, 2)), root_step[None], np.array([-1]), np.zeros(1, np.int64))
+    best_value, best_mask = next(r for run in records for r in run if r[0] >= top - band)
+
+    return classical.ClassicalResult(
+        best_value=best_value,
+        best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
+        upper_bound=float(d * d - 0.25 * min_boundary),
+        quantum_gap=d * d - best_value,
+    )
+
+
+def _generic_gram(d, seed):
+    return bic.gram(bic.construct_generic_bic(d, seed))
+
+
+def _criterion_4_grams():
+    grid = [(i / 21.5, j / 21.5) for i in range(1, 21) for j in range(1, 21)]
+    return [bic_gram_d2(1 / 3, 1 / 3)] + [
+        bic_gram_d2(t1, t2) for t1, t2 in grid if t1 + t2 < 1.0
+    ]
+
+
+BITWISE_GRAMS = [
+    pytest.param(_criterion_4_grams, id="sic-and-d2-grid"),
+    pytest.param(lambda: [_generic_gram(2, s) for s in range(100, 120)], id="d2-generic"),
+    pytest.param(lambda: [_generic_gram(3, s) for s in range(6)], id="d3-generic"),
+    pytest.param(lambda: [_weyl_gram(3), _weyl_gram(4)], id="weyl-d3-d4"),
+    pytest.param(lambda: [_generic_gram(4, s) for s in (1, 3, 4)], id="d4-generic"),
+    pytest.param(lambda: [_generic_gram(5, 3)], id="d5-generic"),
+]
+
+
+@pytest.mark.parametrize("make_grams", BITWISE_GRAMS)
+def test_classical_value_bitwise_equals_prefix_expansion(make_grams):
+    for S in make_grams():
+        allow_d5 = S.d == 5
+        assert (classical.classical_value(S, allow_d5=allow_d5)
+                == _prefix_expansion_classical(S, allow_d5=allow_d5))
+
+
+def test_fold_keeps_the_lexicographic_tie_across_groups():
+    # Weyl d=3 ties exactly at (0,1,2), (3,4,5) and (6,7,8); their size-2
+    # parents end in 1, 4 and 7, three different last-element groups
+    S = _weyl_gram(3)
+    result = classical.classical_value(S)
+    assert result.best_subset == (0, 1, 2) == _plain_classical(S)[1]
+    # relabelled, the first tie (0,5,8) has the parent with the largest last
+    # element, so (1,2,3) and (4,6,7) are scored before it
+    relabel = np.array([0, 5, 8, 1, 2, 3, 4, 6, 7])  # old outcome -> new outcome
+    old = np.argsort(relabel)
+    P = bic.GramMatrix(d=3, s=S.s[np.ix_(old, old)])
+    result = classical.classical_value(P)
+    assert result.best_subset == (0, 5, 8) == _plain_classical(P)[1]
+
+
 def test_classical_upper_bound_quarter_matrix():
     # uniform quarter overlaps: the minimal |J| = 1 boundary sum is 3/16
     S = np.full((4, 4), 0.25)

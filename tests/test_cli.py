@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -177,6 +178,16 @@ def test_classical_sic_gram(tmp_path):
     assert (tmp_path / "classical.csv").exists()
 
 
+def test_classical_run_header_times_the_enumeration(tmp_path):
+    assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
+    assert main(["classical", str(tmp_path / "gram.json"), "--out", str(tmp_path)]) == 0
+    result = load_json(tmp_path / "classical.json")
+    # every subset of the 9 outcomes with 0 < |J| < 6
+    assert result["run"]["subsets"] == sum(math.comb(9, m) for m in range(1, 6)) == 381
+    assert list(result["run"]["seconds"]) == ["enumeration"]
+    assert 0.0 < result["run"]["seconds"]["enumeration"] < 60.0
+
+
 def test_classical_weyl_d3(tmp_path):
     assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
     code = main(["classical", str(tmp_path / "gram.json"), "--out", str(tmp_path)])
@@ -268,6 +279,28 @@ def test_too_deeply_nested_input_is_usage_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("certify", {"d": 2, "vectors": [[[1e308, 1e308]] * 2] * 4}),
+        ("certify", {"d": 2, "vectors": [[[1e100, 0.0]] * 2] * 4}),  # |v|^4 overflows
+        ("classical", {"d": 2, "s": [[1e308] * 4] * 4}),
+    ],
+    ids=["certify", "certify-1e100", "classical"],
+)
+def test_huge_entries_are_usage_error_without_warnings(tmp_path, capsys, command, body):
+    # pytest's own capture hides numpy's RuntimeWarnings; make them fail here
+    path = tmp_path / "huge.json"
+    dump_json(body, path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "magnitude above 1e+50" in captured.err
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -62,6 +62,10 @@ MALFORMED_BODIES = [
                  id="gram-text"),
     pytest.param(bic.gram_from_json, {"d": 2, "s": [[float("nan")] * 4] * 4}, "non-finite",
                  id="gram-nan"),
+    pytest.param(bic.povm_from_json, {"d": 2, "vectors": [[[0.5, -1e151]] * 2] * 4},
+                 r"magnitude above 1e\+50", id="povm-huge"),
+    pytest.param(bic.gram_from_json, {"d": 2, "s": [[1e308] * 4] * 4},
+                 r"magnitude above 1e\+50", id="gram-huge"),
 ]
 
 
