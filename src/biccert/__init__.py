@@ -46,8 +46,6 @@ from .algebra import (
     CertificationReport,
     IrrepDecomposition,
     MaxEntReport,
-    RelationReport,
-    SupportIsometry,
     check_as_relations,
     compress,
     counterexample_rep,
@@ -81,9 +79,9 @@ __all__ = [
     "ClassicalResult", "brute_force_classical", "classical_value",
     "closed_form_d2", "subset_value",
     "CertificationReport", "IrrepDecomposition", "MaxEntReport",
-    "RelationReport", "SupportIsometry", "check_as_relations", "compress",
-    "counterexample_rep", "irrep_decompose", "local_support",
-    "maxent_decompose", "span_dimension", "verify_certification",
+    "check_as_relations", "compress", "counterexample_rep", "irrep_decompose",
+    "local_support", "maxent_decompose", "span_dimension",
+    "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
     "randomness_report",
     "BipartiteDims", "Check", "Checks", "eigh", "is_psd", "kron", "matricize",

@@ -2,11 +2,11 @@
 
 A tuple X_1..X_{d^2} of projections with sum d*I and X_j X_k X_j = s_jk X_j
 generates a finite-dimensional *-algebra whose irreducible blocks all have
-dimension divisible by d.  This module checks those relations (in three
-equivalent presentations), decomposes finite representations into
-irreducible blocks, certifies the block-maximally-entangled structure of
-synchronized bipartite states, and runs the full optimality-relation audit
-for strategies attaining the quantum value.
+dimension divisible by d.  This module checks those relations, decomposes
+finite representations into irreducible blocks, certifies the
+block-maximally-entangled structure of synchronized bipartite states, and
+runs the full optimality-relation audit for strategies attaining the quantum
+value.
 
 The irreducible decomposition is computed numerically: the commutant of the
 generated algebra is solved as a linear system, a random hermitian commutant
@@ -18,13 +18,13 @@ bases through its Schur intertwiners.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from .bell import BellReport, Strategy, _coefficients, pair_blocks
 from .bic import GramMatrix
 from .linalg import (
+    DEFAULT_TOL,
     RANK_CUTOFF,
     BipartiteDims,
     Check,
@@ -49,43 +49,16 @@ from .linalg import (
 # Relation checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Frobenius residuals of the defining relations of a projection family.
+def check_as_relations(X, S: GramMatrix) -> Check:
+    """Largest Frobenius residual of the projection-family relations against S.
 
-    ``gram[j, k]`` holds ||X_j X_k X_j - s_jk X_j|| (standard variant),
-    ``cube[j, k]`` holds ||(1-s_jk)(X_j - X_k) - (X_j - X_k)^3||, and
-    ``bs_commutators`` maps index 4-tuples to commutator residuals.
-    ``check`` holds the largest residual (NaN if any is NaN) against ``tol *
-    max(1, max_j ||X_j||_F)``; its worst offender is "completeness", the
-    1-based index j of a projectivity relation, the pair (j, k) or the 4-tuple.
-    That verdict is for standalone callers: ``verify_certification`` and the
-    reproduction suite hold ``check.measured`` to their own threshold in
+    The relations are projectivity X_j^2 = X_j, completeness sum_j X_j = d I
+    and X_j X_k X_j = s_jk X_j for j != k.  The check holds the largest
+    residual (NaN if any is NaN) to ``DEFAULT_TOL * max(1, max_j ||X_j||_F)``;
+    its worst offender is "completeness", the 1-based index j of a
+    projectivity relation or the pair (j, k).  ``verify_certification`` and
+    the reproduction suite hold ``measured`` to their own threshold in
     ``linalg.THRESHOLDS`` instead.
-    """
-
-    variant: str
-    check: Check
-    projectivity: np.ndarray
-    completeness: float
-    gram: np.ndarray | None = None
-    cube: np.ndarray | None = None
-    bs_commutators: dict[tuple[int, int, int, int], float] | None = None
-
-
-def check_as_relations(
-    X,
-    S: GramMatrix,
-    tol: float = 1e-9,
-    variant: str = "standard",
-    seed: int = 0,
-) -> RelationReport:
-    """Residuals of the projection-family relations against the matrix S.
-
-    variant "standard" checks X_j X_k X_j = s_jk X_j, "cube" the equivalent
-    (1-s_jk)(X_j - X_k) = (X_j - X_k)^3, and "bs" additionally the
-    commutators [X_1 X_a X_b X_1, X_1 X_c X_d X_1] = 0 (all 4-tuples when
-    d^2 <= 9, otherwise 512 seeded samples).
     """
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
@@ -93,62 +66,24 @@ def check_as_relations(
     n = X.shape[0]
     if n != S.n:
         raise ValueError(f"expected {S.n} generators for S, got {n}")
-    d = S.d
-    dim = X.shape[1]
     scale = max(1.0, float(frobenius_each(X).max(initial=0.0)))
 
     projectivity = frobenius_each(X @ X - X)
-    completeness = frobenius(X.sum(axis=0) - d * np.eye(dim))
-
-    gram_res = cube_res = None
-    bs = None
-    if variant == "standard":
-        gram_res = np.zeros((n, n))
-        XjX, T, sXj = np.empty((3, *X.shape), dtype=complex)  # reused by every row
-        for j in range(n):  # row j for every k at once; k = j is not a relation
-            np.matmul(np.matmul(X[j], X, out=XjX), X[j], out=T)
-            np.multiply(S.s[j, :, None, None], X[j], out=sXj)
-            gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T))
-        np.fill_diagonal(gram_res, 0.0)
-    elif variant == "cube":
-        cube_res = np.zeros((n, n))
-        for j in range(n):
-            D = X[j] - X
-            cube_res[j] = frobenius_each((1.0 - S.s[j, :, None, None]) * D - D @ D @ D)
-        np.fill_diagonal(cube_res, 0.0)
-    elif variant == "bs":
-        words = np.einsum("ab,jbc,kcd,de->jkae", X[0], X, X, X[0], optimize=True)
-        if n <= 9:
-            tuples = list(product(range(n), repeat=4))
-        else:
-            rng = np.random.default_rng(seed)
-            tuples = [tuple(rng.integers(0, n, size=4)) for _ in range(512)]
-        bs = {}
-        for a, b, c, e in tuples:
-            M, N = words[a, b], words[c, e]
-            bs[(a, b, c, e)] = frobenius(M @ N - N @ M)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    completeness = frobenius(X.sum(axis=0) - S.d * np.eye(X.shape[1]))
+    gram_res = np.zeros((n, n))
+    XjX, T, sXj = np.empty((3, *X.shape), dtype=complex)  # reused by every row
+    for j in range(n):  # row j for every k at once; k = j is not a relation
+        np.matmul(np.matmul(X[j], X, out=XjX), X[j], out=T)
+        np.multiply(S.s[j, :, None, None], X[j], out=sXj)
+        gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T))
+    np.fill_diagonal(gram_res, 0.0)
 
     j = int(np.argmax(projectivity))  # n = S.n >= 4
-    candidates = [(completeness, "completeness"), (projectivity[j], j + 1)]
-    for block in (gram_res, cube_res):
-        if block is not None:
-            at = np.unravel_index(np.argmax(block), block.shape)
-            candidates.append((block[at], tuple(int(i) + 1 for i in at)))
-    if bs:
-        key = max(bs, key=bs.get)
-        candidates.append((bs[key], tuple(int(i) + 1 for i in key)))
+    at = np.unravel_index(np.argmax(gram_res), gram_res.shape)
+    candidates = [(completeness, "completeness"), (projectivity[j], j + 1),
+                  (gram_res[at], tuple(int(i) + 1 for i in at))]
     measured, worst = candidates[int(np.argmax([c[0] for c in candidates]))]
-    return RelationReport(
-        variant=variant,
-        check=held(f"{variant} relations", measured, tol * scale, worst=worst),
-        projectivity=projectivity,
-        completeness=float(completeness),
-        gram=gram_res,
-        cube=cube_res,
-        bs_commutators=bs,
-    )
+    return held("standard relations", measured, DEFAULT_TOL * scale, worst=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +215,21 @@ def span_dimension(matrices) -> int:
 # Local supports and compressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupportIsometry:
-    """Inclusion of the local support of a state into the ambient space."""
-
-    isometry: np.ndarray  # (ambient, support_dim), orthonormal columns
-    support_dim: int
-    side: str
-
-    def projector(self) -> np.ndarray:
-        return self.isometry @ dagger(self.isometry)
-
-
-def local_support(rho: np.ndarray, dims: BipartiteDims, side: str) -> SupportIsometry:
-    """Isometry onto the range of the reduced state on the given side."""
+def local_support(rho: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
+    """Isometry (ambient x support dimension, orthonormal columns) onto the
+    range of the reduced state on the given side."""
     rho = np.asarray(rho, dtype=complex)
     if not is_state(rho, 1e-8):
         raise ValueError("local_support expects a quantum state")
     reduced = partial_trace(rho, dims, "B" if side == "A" else "A")
     w, U = eigh(reduced, tol=1e-8)
-    keep = w > RANK_CUTOFF
-    return SupportIsometry(
-        isometry=U[:, keep], support_dim=int(keep.sum()), side=side
-    )
+    return U[:, w > RANK_CUTOFF]
 
 
-def compress(X: np.ndarray, U: SupportIsometry) -> np.ndarray:
-    """X_hat = U* X U, the operator (or each of a stack) restricted to the support space."""
+def compress(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """X_hat = V* X V, the operator (or each of a stack) restricted to the
+    range of the isometry V."""
     X = np.asarray(X, dtype=complex)
-    V = U.isometry
     if X.ndim < 2 or X.shape[-2:] != (V.shape[0], V.shape[0]):
         raise ValueError("operator size does not match the isometry")
     return dagger(V) @ X @ V
@@ -355,11 +276,13 @@ class IrrepDecomposition:
 def _commutant_basis(X: np.ndarray) -> list[np.ndarray]:
     """Basis of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
     stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T): the right
-    singular vectors past the singular values above 1e-10 * max(1, largest)."""
+    singular vectors past the singular values above 1e-10 * max(1, largest).
+    The system has at least as many rows as columns, so the thin SVD's Vh
+    still spans the whole null space."""
     m, n, _ = X.shape
     eye = np.eye(n)
     rows = np.concatenate([kron(Xj, eye) - kron(eye, Xj.T) for Xj in X])
-    _, sv, Vh = np.linalg.svd(rows)
+    _, sv, Vh = np.linalg.svd(rows, full_matrices=False)
     cut = 1e-10 * max(1.0, sv[0] if sv.size else 1.0)
     rank = int((sv > cut).sum())
     return [Vh[i].conj().reshape(n, n) for i in range(rank, n * n)]
@@ -515,25 +438,10 @@ class MaxEntReport:
     blocks: tuple[MaxEntBlock, ...]
     state_residuals: np.ndarray
     ef_transpose_residual: float
-    sync_residual: float
-    alice_isometry: np.ndarray
-    bob_isometry: np.ndarray
 
     @property
     def max_state_residual(self) -> float:
         return float(self.state_residuals.max(initial=0.0))
-
-    def to_json(self) -> dict:
-        return {
-            "blocks": [
-                {"e": b.alice_multiplicity, "f": b.bob_multiplicity, "d": b.dimension}
-                for b in self.blocks
-            ],
-            "stateResiduals": [float(x) for x in self.state_residuals],
-            "maxStateResidual": self.max_state_residual,
-            "efTransposeResidual": float(self.ef_transpose_residual),
-            "syncResidual": float(self.sync_residual),
-        }
 
 
 def maxent_decompose(
@@ -569,8 +477,8 @@ def maxent_decompose(
     dec_A = irrep_decompose(E_hat, tol=tol, seed=seed)
     dec_B = irrep_decompose(F_hat_t, tol=tol, seed=seed + 1)
 
-    U_full = UA.isometry @ dec_A.basis_change
-    V_full = VB.isometry @ dec_B.basis_change.conj()
+    U_full = UA @ dec_A.basis_change
+    V_full = VB @ dec_B.basis_change.conj()
     NA, NB = U_full.shape[1], V_full.shape[1]
 
     w, vecs = eigh(rho, tol=1e-8)
@@ -664,9 +572,6 @@ def maxent_decompose(
         blocks=blocks,
         state_residuals=residuals,
         ef_transpose_residual=float(ef),
-        sync_residual=float(sync),
-        alice_isometry=U_full,
-        bob_isometry=V_matched,
     )
 
 
@@ -816,7 +721,7 @@ def verify_certification(
         return check(name, values[at], tol, d, labels[at])
 
     def relations(name, X):
-        found = check_as_relations(X, S, tol=tol, variant="standard").check
+        found = check_as_relations(X, S)
         return check(name, found.measured, tol, d, found.worst)
 
     return CertificationReport(d=d, bell_value=value, checks=Checks([

@@ -96,13 +96,15 @@ def weyl_overlaps(d: int, psi: np.ndarray) -> np.ndarray:
 def geometric_fiducial(d: int, r: float, t: float) -> np.ndarray:
     """Normalized sum_k alpha^k |k> with alpha = r e^{2 pi i t}.
 
-    Requires r in (0, 1/2); for even d, t must stay off the lattice
-    (1/(2d)) Z, where the orbit fails to be informationally complete.
+    Requires r in (0, 1/2) and a finite t; for even d, t must stay off the
+    lattice (1/(2d)) Z, where the orbit fails to be informationally complete.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if not (0.0 < r < 0.5):
         raise ValueError(f"r must lie in (0, 1/2), got {r}")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be a finite number, got {t}")
     if d % 2 == 0:
         lattice = round(2 * d * t) / (2 * d)
         if abs(t - lattice) <= 1e-12:

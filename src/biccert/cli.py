@@ -46,8 +46,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BICCERT_SEED", "0"))
+def _seed(text: str) -> int:
+    """argparse type of --seed; argparse also applies it to the BICCERT_SEED
+    default, so a bad environment value is a usage error too."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer seed (from --seed or BICCERT_SEED), got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=_positive_float, default=1e-9, help="relative tolerance")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=_seed, default=os.environ.get("BICCERT_SEED", "0"),
                        help="RNG seed (default from BICCERT_SEED, else 0)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for result files")

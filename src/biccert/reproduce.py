@@ -282,7 +282,7 @@ def criterion_9_counterexample(tol: float = BASE_TOL, d_max: int = 4, seed: int 
     irreducible block of multiplicity 1 and dimension 6."""
     X = algebra.counterexample_rep()
     S = algebra.counterexample_gram()
-    relations = algebra.check_as_relations(X, S, variant="standard").check
+    relations = algebra.check_as_relations(X, S)
     span = algebra.span_dimension([Xj @ Xk for Xj in X for Xk in X])
     dec = algebra.irrep_decompose(X, seed=seed)
     return [

@@ -394,6 +394,25 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert (out_a / "povm.json").read_bytes() == (out_b / "povm.json").read_bytes()
 
 
+def test_bad_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BICCERT_SEED", "abc")
+    assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "BICCERT_SEED" in captured.err and "'abc'" in captured.err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_t_is_usage_error_without_warnings(tmp_path, capsys, d, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["construct", "--d", str(d), f"--t={t}", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: t must be a finite number")
+
+
 def test_construct_deterministic_given_flags(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
