@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import BellReport, Strategy, _coefficients, pair_blocks
+from .bell import BellReport, Strategy, _coefficients
 from .bic import GramMatrix
 from .linalg import (
     DEFAULT_TOL,
@@ -71,11 +71,15 @@ def check_as_relations(X, S: GramMatrix) -> Check:
     projectivity = frobenius_each(X @ X - X)
     completeness = frobenius(X.sum(axis=0) - S.d * np.eye(X.shape[1]))
     gram_res = np.zeros((n, n))
-    XjX, T, sXj = np.empty((3, *X.shape), dtype=complex)  # reused by every row
-    for j in range(n):  # row j for every k at once; k = j is not a relation
-        np.matmul(np.matmul(X[j], X, out=XjX), X[j], out=T)
-        np.multiply(S.s[j, :, None, None], X[j], out=sXj)
-        gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T))
+    m = X.shape[1]
+    side_by_side = X.transpose(1, 0, 2).reshape(m, n * m)  # [X_1 | ... | X_n]
+    # reused by every row, indexed (a, k, c) for the entry (a, c) of the k-th product
+    XjX, T, sXj = np.empty((3, m, n, m), dtype=complex)
+    for j in range(n):  # row j for every k at once, two GEMMs; k = j is not a relation
+        np.matmul(X[j], side_by_side, out=XjX.reshape(m, n * m))
+        np.matmul(XjX.reshape(m * n, m), X[j], out=T.reshape(m * n, m))
+        np.multiply(X[j][:, None, :], S.s[j, None, :, None], out=sXj)
+        gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T).transpose(1, 0, 2))
     np.fill_diagonal(gram_res, 0.0)
 
     j = int(np.argmax(projectivity))  # n = S.n >= 4
@@ -698,8 +702,7 @@ def verify_certification(
 
     corr_w = _coefficients(S)[0][:, 0]
     sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
-    for block, j, k in pair_blocks(strategy.n_outcomes):
-        A = strategy.alice_pair_effects[block]
+    for block, j, k, A in strategy.pair_effect_blocks():
         D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
         sync_pair[block] = sync(D, bob[j] - bob[k])
         Ah = compress(A, UA)

@@ -27,7 +27,6 @@ from .linalg import (
     held,
     kron,
     kron_sum,
-    mapped_zeros,
     maximally_entangled,
 )
 
@@ -68,15 +67,18 @@ def _refuse(mask, j, k, values, message: str) -> None:
 class Strategy:
     """A quantum strategy: state, Alice's pair-setting and povm effects, Bob's effects.
 
-    ``alice_pair_effects[p]`` holds (A1, A2) for the p-th pair in ``pairs``;
-    the third outcome is I - A1 - A2.  ``bob[j]`` is the first effect of
-    Bob's binary setting j; the second is I - bob[j].
+    ``alice_pair_effects[p]`` holds (A1, A2) for the p-th pair in ``pairs``,
+    either as matrices (n_pairs, 2, dA, dA) or, for rank-one effects, as
+    unit vectors (n_pairs, 2, dA) standing for A = (|a><a|)^t / tr (|a><a|)^t;
+    every reader takes dense blocks from ``pair_effect_blocks``.  The third
+    outcome is I - A1 - A2.  ``bob[j]`` is the first effect of Bob's binary
+    setting j; the second is I - bob[j].
     """
 
     dims: BipartiteDims
     rho: np.ndarray
     pairs: tuple[tuple[int, int], ...]
-    alice_pair_effects: np.ndarray  # (n_pairs, 2, dA, dA)
+    alice_pair_effects: np.ndarray  # (n_pairs, 2, dA, dA), or (n_pairs, 2, dA) vectors
     alice_povm: np.ndarray          # (n_outcomes, dA, dA)
     bob: np.ndarray                 # (n_outcomes, dB, dB)
 
@@ -89,7 +91,9 @@ class Strategy:
         object.__setattr__(self, "bob", np.asarray(self.bob, dtype=complex))
         if tuple(self.pairs) != pair_list(self.n_outcomes):
             raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
-        if len(self.alice_pair_effects) != len(self.pairs):
+        dA = self.dims.dA
+        if (len(self.alice_pair_effects) != len(self.pairs)
+                or self.alice_pair_effects.shape[1:] not in ((2, dA, dA), (2, dA))):
             raise ValueError("alice_pair_effects must hold one (A1, A2) per pair")
 
     @property
@@ -99,6 +103,30 @@ class Strategy:
     @property
     def d(self) -> int:
         return math.isqrt(self.n_outcomes)
+
+    def pair_effect_blocks(self):
+        """(slice of the pair axis, j, k, dense effects (len, 2, dA, dA)) per block
+        of ``pair_blocks``.
+
+        Vector-stored effects are expanded to (|a><a|)^t divided by its computed
+        trace (a norm within an ulp of 1 rounds to 1, so a vector keeps the
+        input's norm excess, which would enter the Bell value to first order),
+        in one buffer that the next block overwrites: copy a block to keep it.
+        """
+        effects = self.alice_pair_effects
+        blocks = pair_blocks(self.n_outcomes)
+        if effects.ndim == 4:
+            for block, j, k in blocks:
+                yield block, j, k, effects[block]
+            return
+        dA = self.dims.dA
+        buffer = np.empty((min(_PAIR_BLOCK, len(effects)), 2, dA, dA), dtype=complex)
+        for block, j, k in blocks:
+            a = effects[block]
+            dense = buffer[:len(a)]
+            np.multiply(a[:, :, None, :], a.conj()[:, :, :, None], out=dense)
+            dense /= np.einsum("piaa->pi", dense).real[:, :, None, None]
+            yield block, j, k, dense
 
 
 @dataclass(frozen=True)
@@ -159,8 +187,9 @@ def reference_strategy(povm: BicPovm) -> Strategy:
 
     Shares the maximally entangled state; Bob measures the rank-one
     projections B_j = |e_j><e_j|; Alice's pair effects are the transposed
-    eigenprojections of B_j - B_k (eigenvalues +-sqrt(1-s_jk)), and her povm
-    effects are (1/d) B_j^t.  All transposes are in the computational basis.
+    eigenprojections of B_j - B_k (eigenvalues +-sqrt(1-s_jk)), stored as their
+    unit eigenvectors, and her povm effects are (1/d) B_j^t.  All transposes
+    are in the computational basis.
 
     Both eigenvectors lie in span{e_j, e_k}, so each pair is a 2x2 problem
     in the orthonormal basis q1 = e_j / |e_j|, q2 ~ e_k - <q1|e_k> q1, where
@@ -171,7 +200,7 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     B = povm.projections()
     pairs = pair_list(n)
     overlaps = gram(povm).s
-    pair_effects = mapped_zeros((len(pairs), 2, d, d))
+    pair_vectors = np.empty((len(pairs), 2, d), dtype=complex)
     for block, j, k in pair_blocks(n):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
@@ -194,19 +223,14 @@ def reference_strategy(povm: BicPovm) -> Strategy:
         x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
         x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
         q2 = rest / beta[:, None]
-        a1 = x[:, None] * q1 + y[:, None] * q2
-        a2 = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
-        a_pair = np.stack([a1, a2], axis=1)  # the effects are (|a><a|)^t
-        effects = a_pair[:, :, None, :] * a_pair.conj()[:, :, :, None]
-        # divided by their traces: a norm within an ulp of 1 rounds to 1, so q1
-        # keeps the input's norm excess, which would enter the Bell value to first order
-        pair_effects[block] = effects / np.einsum("piaa->pi", effects).real[:, :, None, None]
+        pair_vectors[block, 0] = x[:, None] * q1 + y[:, None] * q2
+        pair_vectors[block, 1] = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
     phi = maximally_entangled(d)
     return Strategy(
         dims=BipartiteDims(d, d),
         rho=np.outer(phi, phi.conj()),
         pairs=pairs,
-        alice_pair_effects=pair_effects,
+        alice_pair_effects=pair_vectors,
         alice_povm=B.transpose(0, 2, 1) / d,
         bob=B,
     )
@@ -243,8 +267,8 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
     corr_w, marg_w = _coefficients(S)[0].T
-    for block, j, k in pair_blocks(strategy.n_outcomes):
-        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+    for block, j, k, A in strategy.pair_effect_blocks():
+        A1, A2 = A.swapaxes(0, 1)
         D = corr_w[block, None, None] * (A1 - A2)
         sign = np.zeros((len(F), len(j)), dtype=complex)  # +1 at (j, p), -1 at (k, p)
         sign[j, np.arange(len(j))], sign[k, np.arange(len(j))] = 1.0, -1.0
@@ -283,8 +307,8 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     weights, bob_weight = _coefficients(S)
 
     correlators, marginals = np.empty((2, len(strategy.pairs)))
-    for block, j, k in pair_blocks(strategy.n_outcomes):
-        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+    for block, j, k, A in strategy.pair_effect_blocks():
+        A1, A2 = A.swapaxes(0, 1)
         correlators[block] = np.einsum("pab,pab->p", A1 - A2, bob_t[j] - bob_t[k]).real
         marginals[block] = np.einsum("pab,ab->p", A1 + A2, rho_A_t).real
     terms = {
@@ -324,8 +348,8 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2) and c D (x) E
     hybrid_A, hybrid_B, marginal = (np.zeros((m, m), dtype=complex) for m in (dA, dB, dA))
     cross = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for block, j, k in pair_blocks(strategy.n_outcomes):
-        A1, A2 = strategy.alice_pair_effects[block].swapaxes(0, 1)
+    for block, j, k, A in strategy.pair_effect_blocks():
+        A1, A2 = A.swapaxes(0, 1)
         one_minus_s = 1.0 - S.s[j, k]
         D, E = A1 - A2, bob[j] - bob[k]
         D2 = D @ D
@@ -368,15 +392,13 @@ def correlation(strategy: Strategy) -> Correlation:
 
     bob_effects = np.stack([strategy.bob, IB - strategy.bob], axis=1)  # (n, 2, dB, dB)
 
-    n_pairs = len(strategy.pairs)
-    alice_pair = np.zeros((n_pairs, 3, dA, dA), dtype=complex)
-    alice_pair[:, :2] = strategy.alice_pair_effects
-    alice_pair[:, 2] = IA - strategy.alice_pair_effects.sum(axis=1)
-
     # tr[rho (X (x) Y)] = sum rho[a,b,a',b'] X[a',a] Y[b',b]
-    pair_probs = np.einsum(
-        "abcd,xuca,yvdb->xyuv", rho4, alice_pair, bob_effects, optimize=True
-    ).real
+    pair_probs = np.empty((len(strategy.pairs), n, 3, 2))
+    for block, _, _, A in strategy.pair_effect_blocks():
+        alice_pair = np.concatenate([A, (IA - A.sum(axis=1))[:, None]], axis=1)
+        pair_probs[block] = np.einsum(
+            "abcd,xuca,yvdb->xyuv", rho4, alice_pair, bob_effects, optimize=True
+        ).real
     povm_probs = np.einsum(
         "abcd,uca,yvdb->uyv", rho4, strategy.alice_povm, bob_effects, optimize=True
     ).real
@@ -496,9 +518,10 @@ def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
         return float(np.linalg.eigvalsh((M + dagger(M)) / 2).min(initial=cap))
 
     dA, dB = strategy.dims.dA, strategy.dims.dB
-    pair_floor = min_eig(strategy.alice_pair_effects, 0.0)
-    A1, A2 = strategy.alice_pair_effects.swapaxes(0, 1)
-    pair_cap = min_eig(np.eye(dA) - A1 - A2, 0.0)
+    pair_floor = pair_cap = 0.0
+    for _, _, _, A in strategy.pair_effect_blocks():
+        pair_floor = min_eig(A, pair_floor)
+        pair_cap = min_eig(np.eye(dA) - A[:, 0] - A[:, 1], pair_cap)
     povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(dA))
     povm_floor = min_eig(strategy.alice_povm)
     bob_floor = min_eig(strategy.bob)

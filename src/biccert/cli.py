@@ -56,6 +56,19 @@ def _seed(text: str) -> int:
             f"expected an integer seed (from --seed or BICCERT_SEED), got {text!r}") from None
 
 
+def _d_max(text: str) -> int:
+    """argparse type of --d-max: an integer of at least 4.  The criteria run up
+    to the larger of their own ceiling (4 or more) and --d-max, so a smaller
+    value would silently run the defaults."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 4, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="biccert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("report", help="run the full reproduction suite")
-    p.add_argument("--d-max", type=int, default=4,
+    p.add_argument("--d-max", type=_d_max, default=4,
                    help="extend certification checks up to this dimension")
     common(p)
 

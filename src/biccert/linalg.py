@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 from dataclasses import dataclass
 from operator import eq, ge, gt, le, lt
 from types import MappingProxyType
@@ -48,8 +47,13 @@ def frobenius(M: np.ndarray) -> float:
 
 
 def frobenius_each(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (..., n, m)."""
-    return np.linalg.norm(M, axis=(-2, -1))
+    """Frobenius norm of each matrix of a stack (..., n, m): the sum of squares
+    over a real view, without the conjugate and product copies of
+    ``np.linalg.norm``, and without copying a stack strided in its leading axes."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        M = (M if M.strides[-1] == M.itemsize else M.copy()).view(M.real.dtype)
+    return np.sqrt(np.einsum("...ij,...ij->...", M, M))
 
 
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -64,24 +68,6 @@ def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
     if not is_hermitian(M, tol):
         raise ValueError(f"{what} is not hermitian within tolerance {tol}")
-
-
-def mapped_zeros(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-    """Zeros in an anonymous memory map of their own, unmapped when the
-    array is dropped.
-
-    For the one large array of a call (the reference pair effects, 15.8 MB
-    at d=10).  glibc's malloc maps the first such block, raises its mmap
-    threshold when that block is freed, and serves every later one from
-    the heap; now and then a small long-lived allocation lands in the hole
-    a block leaves between calls, the next block no longer fits, and the
-    heap grows by its size (peak RSS about 13 MB higher in some runs only).
-    A map of its own goes back to the system when the array is dropped.
-    """
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
-    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

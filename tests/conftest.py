@@ -4,6 +4,16 @@ import pytest
 from biccert import bell, bic
 
 
+def dense_pair_effects(strategy):
+    """Alice's pair effects as one dense (n_pairs, 2, dA, dA) array, read
+    through ``Strategy.pair_effect_blocks``, whichever form they are stored in."""
+    dA = strategy.dims.dA
+    dense = np.empty((len(strategy.pairs), 2, dA, dA), dtype=complex)
+    for block, _, _, A in strategy.pair_effect_blocks():
+        dense[block] = A
+    return dense
+
+
 @pytest.fixture(scope="session")
 def weyl_povm_d2():
     return bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import dense_pair_effects
 
 from biccert import algebra, bell, bic
 from biccert.linalg import (
@@ -48,6 +49,25 @@ def test_random_projections_fail_gram_relation(weyl_povm_d2):
     P = weyl_povm_d2.projections().copy()
     P[0] += 1e-3 * np.eye(2)
     assert not algebra.check_as_relations(P, S).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_check_as_relations_matches_per_pair_loop(d):
+    # projections of another POVM: projective and complete, so a pair is the worst
+    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    X = bic.construct_generic_bic(d, 5).projections()
+    residuals = {j + 1: frobenius(X[j] @ X[j] - X[j]) for j in range(d * d)}
+    residuals["completeness"] = frobenius(X.sum(axis=0) - d * np.eye(d))
+    for j in range(d * d):
+        for k in range(d * d):
+            if k != j:
+                residuals[(j + 1, k + 1)] = frobenius(X[j] @ X[k] @ X[j] - S.s[j, k] * X[j])
+    top = max(residuals.values())
+    found = algebra.check_as_relations(X, S)
+    # rank-one X ties (j, k) with (k, j) up to rounding, so either may be named
+    assert isinstance(found.worst, tuple)
+    for value in (found.measured, residuals[found.worst]):
+        assert abs(value - top) <= 1e-15 * max(1.0, top)
 
 
 def test_bs_variant_separates_exceptional_family(sic3_povm):
@@ -396,7 +416,7 @@ def _full_rho_state_residuals(strat, S):
     sync_pair = [
         frobenius(apply_local(w / 2 * (A1 - A2), rho, dims, "A")
                   - apply_local(strat.bob[j] - strat.bob[k], rho, dims, "B"))
-        for (j, k), (A1, A2), (w, _) in zip(strat.pairs, strat.alice_pair_effects, weights)
+        for (j, k), (A1, A2), (w, _) in zip(strat.pairs, dense_pair_effects(strat), weights)
     ]
     sync_povm = []
     for Ej, Bj in zip(strat.alice_povm, strat.bob):

@@ -1,10 +1,10 @@
 import dataclasses
-import mmap
 
 import numpy as np
 import pytest
+from conftest import dense_pair_effects
 
-from biccert import bell, bic
+from biccert import algebra, bell, bic
 from biccert.linalg import (
     BipartiteDims,
     frobenius,
@@ -184,7 +184,7 @@ def _sos_theta_oracle(strat, S):
     dA, dB = strat.dims.dA, strat.dims.dB
     IA, IB = np.eye(dA), np.eye(dB)
     theta = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for (j, k), (A1, A2) in zip(strat.pairs, strat.alice_pair_effects):
+    for (j, k), (A1, A2) in zip(strat.pairs, dense_pair_effects(strat)):
         c = np.sqrt(1.0 - S.s[j, k])
         hybrid = c * kron(A1 - A2, IB) - kron(IA, strat.bob[j] - strat.bob[k])
         theta += hybrid @ hybrid
@@ -232,7 +232,7 @@ def test_pair_fold_matches_signed_loop(d, dA, dB):
     strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
     F = np.zeros((d * d, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
-    for (j, k), (A1, A2) in zip(strat.pairs, strat.alice_pair_effects):
+    for (j, k), (A1, A2) in zip(strat.pairs, dense_pair_effects(strat)):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
@@ -240,25 +240,91 @@ def test_pair_fold_matches_signed_loop(d, dA, dB):
     assert np.allclose(F_got, F, atol=1e-12) and np.allclose(M_got, M, atol=1e-12)
 
 
-@pytest.mark.parametrize("povm_id", ["weyl2", "weyl3", "generic3", "weyl4"])
-def test_reference_pair_effects_match_per_pair_eigh(povm_id):
+def _povm(povm_id):
     d = int(povm_id[-1])
-    povm = (bic.construct_generic_bic(d, 9) if povm_id.startswith("generic")
-            else bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    if povm_id.startswith("generic"):
+        return bic.construct_generic_bic(d, 9)
+    return bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
+
+
+STORAGE_CASES = ["weyl2", "weyl3", "weyl4", "generic3"]
+
+
+@pytest.mark.parametrize("povm_id", STORAGE_CASES)
+def test_reference_pair_effects_match_per_pair_eigh(povm_id):
+    povm = _povm(povm_id)
     ref = bell.reference_strategy(povm)
     B = povm.projections()
-    for (j, k), effects in zip(ref.pairs, ref.alice_pair_effects):
+    for (j, k), effects in zip(ref.pairs, dense_pair_effects(ref)):
         _, V = np.linalg.eigh(B[j] - B[k])
         for a, effect in zip((V[:, -1], V[:, 0]), effects):
             assert np.abs(effect - np.outer(a, a.conj()).T).max() <= 1e-12
 
 
-def test_reference_pair_effects_have_their_own_memory_map(reference_d3):
-    # the largest array of a certify call stays off the malloc heap (linalg.mapped_zeros)
-    owner = reference_d3[0].alice_pair_effects
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    assert isinstance(owner.obj, mmap.mmap)
+def _closed_form_pair_effects(povm):
+    """The dense reference pair effects as the closed form built them when it
+    stored every (|a><a|)^t / tr as a d x d matrix, kept bit for bit."""
+    d, n = povm.d, povm.d * povm.d
+    pair_effects = np.zeros((len(bell.pair_list(n)), 2, d, d), dtype=complex)
+    for block, j, k in bell.pair_blocks(n):
+        e_j, e_k = povm.vectors[j], povm.vectors[k]
+        norm_j = np.linalg.norm(e_j, axis=1)
+        q1 = e_j / norm_j[:, None]
+        alpha = np.einsum("pa,pa->p", q1.conj(), e_k)
+        rest = e_k - alpha[:, None] * q1
+        beta = np.linalg.norm(rest, axis=1)
+        a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
+        h = (a - c) / 2
+        r = np.hypot(h, np.abs(b))
+        x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
+        x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
+        q2 = rest / beta[:, None]
+        a1 = x[:, None] * q1 + y[:, None] * q2
+        a2 = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
+        a_pair = np.stack([a1, a2], axis=1)
+        effects = a_pair[:, :, None, :] * a_pair.conj()[:, :, :, None]
+        pair_effects[block] = effects / np.einsum("piaa->pi", effects).real[:, :, None, None]
+    return pair_effects
+
+
+@pytest.mark.parametrize("povm_id", STORAGE_CASES)
+def test_expanded_pair_effects_equal_the_closed_form(povm_id):
+    povm = _povm(povm_id)
+    ref = bell.reference_strategy(povm)
+    assert np.array_equal(dense_pair_effects(ref), _closed_form_pair_effects(povm))
+
+
+@pytest.mark.parametrize("povm_id", STORAGE_CASES)
+def test_vector_and_dense_storage_agree_bitwise(povm_id):
+    povm = _povm(povm_id)
+    S = bic.gram(povm)
+    vectors = bell.reference_strategy(povm)
+    dense = dataclasses.replace(vectors, alice_pair_effects=dense_pair_effects(vectors))
+    assert vectors.alice_pair_effects.ndim == 3 and dense.alice_pair_effects.ndim == 4
+    folds = [bell.pair_fold(strat, S) for strat in (vectors, dense)]
+    for got, expected in zip(*folds):
+        assert np.array_equal(got, expected)
+    values = [bell.bell_value(strat, S) for strat in (vectors, dense)]
+    assert values[0] == values[1]
+    sos = [bell.sos_certificate(strat, S, fold) for strat, fold in zip((vectors, dense), folds)]
+    assert sos[0] == sos[1]
+    certs = [algebra.verify_certification(strat, S, value, fold[0])
+             for strat, value, fold in zip((vectors, dense), values, folds)]
+    assert certs[0].to_json() == certs[1].to_json()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_reference_pair_effects_are_stored_as_vectors(d):
+    ref = bell.reference_strategy(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    P = len(ref.pairs)
+    assert ref.alice_pair_effects.shape == (P, 2, d)
+    assert ref.alice_pair_effects.nbytes == P * 2 * d * 16
+    # no dense copy hides behind the vectors or another field
+    for field in dataclasses.fields(ref):
+        owner = getattr(ref, field.name)
+        while isinstance(owner, np.ndarray):
+            assert owner.size != P * 2 * d * d
+            owner = owner.base
 
 
 def test_reference_errors_name_the_first_pair():
@@ -542,3 +608,6 @@ def test_strategy_requires_every_pair_in_order(reference_d2):
         dataclasses.replace(ref, pairs=ref.pairs[::-1])
     with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
         dataclasses.replace(ref, alice_pair_effects=ref.alice_pair_effects[:5])
+    for shape in ((6, 2, 3), (6, 3, 2), (6, 2, 2, 3), (6, 2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
+            dataclasses.replace(ref, alice_pair_effects=np.zeros(shape, dtype=complex))

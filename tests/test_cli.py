@@ -378,6 +378,16 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     assert "--tol" in captured.err
 
 
+@pytest.mark.parametrize("d_max", ["-2", "0", "3", "abc"])
+def test_d_max_below_4_is_usage_error(tmp_path, capsys, d_max):
+    # every criterion already runs d up to 4 or more, so these changed nothing
+    assert main(["report", "--d-max", d_max, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "--d-max" in captured.err and "at least 4" in captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"

@@ -1,5 +1,3 @@
-import mmap
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +7,11 @@ from biccert.linalg import (
     BipartiteDims,
     apply_local,
     eigh,
+    frobenius_each,
     is_hermitian,
     is_psd,
     kron,
     kron_sum,
-    mapped_zeros,
     matricize,
     maximally_entangled,
     partial_trace,
@@ -146,17 +144,16 @@ def test_kron_sum_matches_sum_of_krons():
     assert np.allclose(kron_sum(X, Y), expected, atol=1e-12)
 
 
-def test_mapped_zeros_are_writable_zeros_in_their_own_map():
-    Z = mapped_zeros((3, 2, 4, 4))
-    assert Z.shape == (3, 2, 4, 4) and Z.dtype == complex
-    assert not Z.any() and Z.flags.writeable
-    Z[1, 0] = 1j
-    assert Z.sum() == 16j
-    owner = Z
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    assert isinstance(owner.obj, mmap.mmap)  # via the memoryview of np.frombuffer
-    assert mapped_zeros((0, 2)).shape == (0, 2)
+def test_frobenius_each_matches_numpy_norm_on_any_layout():
+    rng = np.random.default_rng(10)
+    Z = rng.standard_normal((4, 3, 5, 6)) + 1j * rng.standard_normal((4, 3, 5, 6))
+    for M in (Z, Z.transpose(1, 0, 2, 3), Z.swapaxes(-1, -2), Z[:, :, ::2, 1:], Z.real,
+              np.arange(24).reshape(2, 3, 4), Z[0, 0]):
+        expected = np.linalg.norm(M, axis=(-2, -1))
+        got = frobenius_each(M)
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=1e-15, atol=0)
+    assert np.isnan(frobenius_each(np.full((2, 2, 2), np.nan + 0j))).all()
 
 
 def test_eigh_checks_every_matrix_of_a_stack():
