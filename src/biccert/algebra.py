@@ -72,13 +72,16 @@ def check_as_relations(X, S: GramMatrix) -> Check:
     completeness = frobenius(X.sum(axis=0) - S.d * np.eye(X.shape[1]))
     gram_res = np.zeros((n, n))
     m = X.shape[1]
-    side_by_side = X.transpose(1, 0, 2).reshape(m, n * m)  # [X_1 | ... | X_n]
+    # the transposed relations X_j^t X_k^t X_j^t = s_jk X_j^t have the same
+    # residual norms, and [X_1^t | ... | X_n^t] is a view of X
+    side_by_side = X.reshape(n * m, m).T
     # reused by every row, indexed (a, k, c) for the entry (a, c) of the k-th product
     XjX, T, sXj = np.empty((3, m, n, m), dtype=complex)
     for j in range(n):  # row j for every k at once, two GEMMs; k = j is not a relation
-        np.matmul(X[j], side_by_side, out=XjX.reshape(m, n * m))
-        np.matmul(XjX.reshape(m * n, m), X[j], out=T.reshape(m * n, m))
-        np.multiply(X[j][:, None, :], S.s[j, None, :, None], out=sXj)
+        Xj_t = X[j].T
+        np.matmul(Xj_t, side_by_side, out=XjX.reshape(m, n * m))
+        np.matmul(XjX.reshape(m * n, m), Xj_t, out=T.reshape(m * n, m))
+        np.multiply(Xj_t[:, None, :], S.s[j, None, :, None], out=sXj)
         gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T).transpose(1, 0, 2))
     np.fill_diagonal(gram_res, 0.0)
 
@@ -702,10 +705,11 @@ def verify_certification(
 
     corr_w = _coefficients(S)[0][:, 0]
     sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
+    full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
     for block, j, k, A in strategy.pair_effect_blocks():
         D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
         sync_pair[block] = sync(D, bob[j] - bob[k])
-        Ah = compress(A, UA)
+        Ah = A if full_support else compress(A, UA)
         a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
         a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
 

@@ -125,7 +125,8 @@ class Strategy:
             a = effects[block]
             dense = buffer[:len(a)]
             np.multiply(a[:, :, None, :], a.conj()[:, :, :, None], out=dense)
-            dense /= np.einsum("piaa->pi", dense).real[:, :, None, None]
+            # times 1/trace on the real view: bitwise equal to the complex division
+            dense.view(float)[...] *= 1.0 / np.einsum("piaa->pi", dense).real[:, :, None, None]
             yield block, j, k, dense
 
 
@@ -270,9 +271,12 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     for block, j, k, A in strategy.pair_effect_blocks():
         A1, A2 = A.swapaxes(0, 1)
         D = corr_w[block, None, None] * (A1 - A2)
-        sign = np.zeros((len(F), len(j)), dtype=complex)  # +1 at (j, p), -1 at (k, p)
-        sign[j, np.arange(len(j))], sign[k, np.arange(len(j))] = 1.0, -1.0
-        F += (sign @ D.reshape(len(j), -1)).reshape(F.shape)
+        # pairs are lexicographic: the block is runs of j[0], j[0] + 1, ..., j[-1],
+        # each over consecutive k
+        starts = np.searchsorted(j, np.arange(j[0], j[-1] + 1))
+        F[j[0]:j[-1] + 1] += np.add.reduceat(D, starts, axis=0)
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(j)]):
+            F[k[lo]:k[hi - 1] + 1] -= D[lo:hi]
         M += np.tensordot(marg_w[block], A1 + A2, axes=1)
     return F, M
 

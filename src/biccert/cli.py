@@ -56,17 +56,17 @@ def _seed(text: str) -> int:
             f"expected an integer seed (from --seed or BICCERT_SEED), got {text!r}") from None
 
 
-def _d_max(text: str) -> int:
-    """argparse type of --d-max: an integer of at least 4.  The criteria run up
-    to the larger of their own ceiling (4 or more) and --d-max, so a smaller
-    value would silently run the defaults."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 4:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 4, got {text!r}")
-    return value
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="csv-summary also writes flat CSV files")
 
     p = sub.add_parser("construct", help="construct and validate a BIC-POVM")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_at_least(2), default=2, help="dimension, at least 2")
     p.add_argument("--construction", choices=("weyl", "generic"), default="weyl")
     p.add_argument("--r", type=float, default=0.3, help="fiducial radius (weyl)")
     p.add_argument("--t", type=float, default=0.137, help="fiducial phase (weyl)")
@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("report", help="run the full reproduction suite")
-    p.add_argument("--d-max", type=_d_max, default=4,
+    # the criteria run up to the larger of their own ceiling (4 or more) and
+    # --d-max, so a smaller value would silently run the defaults
+    p.add_argument("--d-max", type=_at_least(4), default=4,
                    help="extend certification checks up to this dimension")
     common(p)
 

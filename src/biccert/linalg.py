@@ -106,13 +106,22 @@ def partial_trace(M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
 def apply_local(X: np.ndarray, M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
     """(X (x) I_B) M for ``side="A"``, (I_A (x) X) M for ``side="B"``, where M
     has dA*dB rows; computed by reshaping, without the Kronecker product.
-    Leading axes of X (..., local, local) and M (..., dA*dB, cols) broadcast."""
+    Leading axes of X (..., local, local) and M (..., dA*dB, cols) broadcast;
+    a single M takes one GEMM for the whole stack X."""
     X, M = np.asarray(X), np.asarray(M)
     local = {"A": dims.dA, "B": dims.dB}.get(side)
     if local is None:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if X.shape[-2:] != (local, local) or X.ndim < 2 or M.ndim < 2 or M.shape[-2] != dims.total:
         raise ValueError(f"shapes {X.shape} and {M.shape} do not fit {dims} on side {side}")
+    if M.ndim == 2:
+        lead, cols = X.shape[:-2], M.shape[1]
+        if side == "A":  # rows (x_i, a) of [X_1; ...; X_L] times M as (a, (b, col))
+            return (X.reshape(-1, local) @ M.reshape(local, -1)).reshape(lead + M.shape)
+        # B's axis first, M as (b, (a, col)), then back to (i, a, b, col)
+        M_b = M.reshape(dims.dA, local, cols).swapaxes(0, 1).reshape(local, -1)
+        out = (X.reshape(-1, local) @ M_b).reshape(-1, local, dims.dA, cols).swapaxes(1, 2)
+        return out.reshape(lead + M.shape)
     rows = (dims.dA, -1) if side == "A" else (dims.dA, dims.dB, -1)
     out = (X if side == "A" else X[..., None, :, :]) @ M.reshape(M.shape[:-2] + rows)
     return out.reshape(out.shape[:-len(rows)] + M.shape[-2:])

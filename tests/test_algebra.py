@@ -483,3 +483,47 @@ def test_certification_relations_check_agrees_with_a_nan_family(reference_d2):
     assert cert.relations.passed and cert.passed
     assert not broken.relations.passed and not broken.passed
     assert np.isnan(broken.max_residual) and broken.relations.worst.startswith("c sync")
+
+
+def _compressed_alice_oracle(strat):
+    """a projectivity and a orthogonality per pair, with each effect compressed
+    to Alice's local support, one pair at a time."""
+    UA = algebra.local_support(strat.rho, strat.dims, "A")
+    proj, ortho = [], []
+    for A1, A2 in dense_pair_effects(strat):
+        A1h, A2h = algebra.compress(A1, UA), algebra.compress(A2, UA)
+        proj.append(max(frobenius(A1h @ A1h - A1h), frobenius(A2h @ A2h - A2h)))
+        ortho.append(frobenius(A1h @ A2h))
+    return UA, np.array(proj), np.array(ortho)
+
+
+def _assert_alice_checks_match_oracle(strat, S):
+    UA, proj, ortho = _compressed_alice_oracle(strat)
+    cert = _certify(strat, S)
+    for name, oracle in (("a projectivity", proj), ("a orthogonality", ortho)):
+        got = cert.checks[name]
+        assert abs(got.measured - oracle.max()) <= 1e-13
+        j, k = strat.pairs[int(np.argmax(oracle))]
+        assert got.worst == (j + 1, k + 1)
+    return UA, proj
+
+
+def test_alice_checks_with_full_support_match_compressed_oracle(reference_d2):
+    # a full-rank state: the support is the whole space, reached by a unitary
+    # that is not the identity, so the checks read the uncompressed effects
+    strat = bell.random_strategy(BipartiteDims(3, 2), 2, 11)
+    UA, _ = _assert_alice_checks_match_oracle(strat, reference_d2[1])
+    assert UA.shape == (3, 3) and not np.allclose(np.abs(UA), np.eye(3), atol=1e-3)
+
+
+def test_alice_checks_with_partial_support_still_compress(reference_d2):
+    # the state lives on a random 2-dimensional subspace of Alice's C^3
+    strat = bell.random_strategy(BipartiteDims(3, 2), 2, 11)
+    Q = random_unitary(3, np.random.default_rng(12))[:, :2]
+    P = kron(Q @ Q.conj().T, np.eye(2))
+    rho = P @ strat.rho @ P
+    strat = dataclasses.replace(strat, rho=rho / np.trace(rho).real)
+    UA, proj = _assert_alice_checks_match_oracle(strat, reference_d2[1])
+    assert UA.shape == (3, 2)
+    uncompressed = [max(frobenius(A @ A - A) for A in pair) for pair in dense_pair_effects(strat)]
+    assert abs(max(uncompressed) - proj.max()) > 1e-3  # the compression changes the check

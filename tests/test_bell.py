@@ -225,19 +225,34 @@ def test_sos_theta_never_uses_the_bell_operator(monkeypatch):
     assert frobenius(W + theta - 4 * np.eye(6)) <= 1e-9 * 4
 
 
-@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
-def test_pair_fold_matches_signed_loop(d, dA, dB):
-    rng = np.random.default_rng(37)
-    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
-    strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
-    F = np.zeros((d * d, dA, dA), dtype=complex)
+def _assert_pair_fold_matches_signed_loop(strat, S):
+    dA = strat.dims.dA
+    F = np.zeros((S.n, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
     for (j, k), (A1, A2) in zip(strat.pairs, dense_pair_effects(strat)):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
     F_got, M_got = bell.pair_fold(strat, S)
-    assert np.allclose(F_got, F, atol=1e-12) and np.allclose(M_got, M, atol=1e-12)
+    assert np.allclose(F_got, F, rtol=0, atol=1e-12) and np.allclose(M_got, M, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_pair_fold_matches_signed_loop(d, dA, dB):
+    rng = np.random.default_rng(37)
+    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    _assert_pair_fold_matches_signed_loop(
+        _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng), S)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_pair_fold_matches_signed_loop_reference(d):
+    # at d = 4 and 5 a block boundary falls inside a run of pairs of one j
+    povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
+    j_all, _ = bell.pair_indices(d * d)
+    bounds = range(bell._PAIR_BLOCK, len(j_all), bell._PAIR_BLOCK)
+    assert any(j_all[b - 1] == j_all[b] for b in bounds)
+    _assert_pair_fold_matches_signed_loop(bell.reference_strategy(povm), bic.gram(povm))
 
 
 def _povm(povm_id):

@@ -388,6 +388,15 @@ def test_d_max_below_4_is_usage_error(tmp_path, capsys, d_max):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("d", ["-4", "0", "1"])
+def test_construct_d_below_2_is_usage_error(tmp_path, capsys, d):
+    assert main(["construct", "--d", d, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "--d" in captured.err and f"at least 2, got '{d}'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BICCERT_SEED", "123")
     out_a = tmp_path / "a"

@@ -136,6 +136,20 @@ def test_apply_local_batches_over_leading_axes():
         assert np.allclose(paired[i], kron(np.eye(2), X_B[i]) @ Ms[i], atol=1e-12)
 
 
+@pytest.mark.parametrize("dA, dB", [(2, 3), (3, 2)])
+def test_apply_local_one_M_matches_kron_on_both_sides(dA, dB):
+    # a stack of operators on one M: one GEMM for the whole stack
+    dims = BipartiteDims(dA, dB)
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((dA * dB, 3)) + 1j * rng.standard_normal((dA * dB, 3))
+    X_A, X_B = random_hermitian(dA, rng, (2, 3)), random_hermitian(dB, rng, (2, 3))
+    got_A, got_B = apply_local(X_A, M, dims, "A"), apply_local(X_B, M, dims, "B")
+    assert got_A.shape == got_B.shape == (2, 3, dA * dB, 3)
+    for i in np.ndindex(2, 3):
+        assert np.allclose(got_A[i], kron(X_A[i], np.eye(dB)) @ M, rtol=0, atol=1e-13)
+        assert np.allclose(got_B[i], kron(np.eye(dA), X_B[i]) @ M, rtol=0, atol=1e-13)
+
+
 def test_kron_sum_matches_sum_of_krons():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
