@@ -255,10 +255,12 @@ def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL) -> Checks:
 
 
 def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> Checks:
-    """Check the induced-matrix laws: unit diagonal, off-diagonal in [0,1),
-    positive definiteness, column sums d, and connectivity of the
+    """Check the induced-matrix laws: symmetry, unit diagonal, off-diagonal
+    in [0,1), positive definiteness, column sums d, and connectivity of the
     nonzero-overlap graph."""
     S, d = gm.s, gm.d
+    skew = np.abs(S - S.T)
+    pair = np.unravel_index(np.argmax(skew), skew.shape)
     off = np.where(np.eye(gm.n, dtype=bool), 0.5, S)  # midpoint, never the offender
     lo, hi = (np.unravel_index(arg(off), off.shape) for arg in (np.argmin, np.argmax))
     w = np.linalg.eigvalsh((S + S.T) / 2)
@@ -267,6 +269,7 @@ def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> Checks:
     adjacency = S > tol
     np.fill_diagonal(adjacency, False)
     return Checks([
+        check("symmetric", skew[pair], tol, d, tuple(sorted(int(i) + 1 for i in pair))),
         check("unit_diagonal", np.max(np.abs(np.diagonal(S) - 1.0)), tol, d),
         check("offdiagonal_nonnegative", off[lo], tol, d, tuple(int(i) + 1 for i in lo)),
         check("offdiagonal_below_one", off[hi], tol, d, tuple(int(i) + 1 for i in hi)),

@@ -14,12 +14,19 @@ smallest, then lexicographically first, subset.  A brute-force
 enumeration over all deterministic strategies serves as an independent oracle
 at d = 2, and the d = 2 landscape has a closed three-branch form in the
 parameters (t1, t2) of the general two-dimensional BIC family.
+
+Since every W entry is at most 1, v(J) <= m (2d - m) for |J| = m, which
+peaks at m = d.  Above d the scan stops once per-cardinality bounds prove
+that no deeper J can either reach the top (row sums of the largest W
+entries, and lambda_max(L_W) m (n-m) / n) or lower the minimum s_jk^2
+boundary sum (row sums of the smallest Q entries, and Fiedler's
+lambda_2(L_Q) m (n-m) / n); the outputs stay bitwise those of the full scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, repeat
 from typing import NamedTuple
@@ -32,16 +39,20 @@ MAX_SUBSETS_DEFAULT = 5_000_000
 _PARENTS = 512  # parents expanded per block; bounds every temporary
 _FOLD = 1 << 14  # values scored per fold chunk; bounds the fold's temporaries
 _TIE_TOL = 1e-12  # values within _TIE_TOL * d^2 of the maximum are tied
+_MARGIN = 1e-9  # per n^2: widens the cardinality bounds past any rounding
 
 
 @dataclass(frozen=True)
 class ClassicalResult:
-    """Best deterministic value, its witness subset (0-based), and the bound."""
+    """Best deterministic value, its witness subset (0-based), and the bound;
+    and, outside equality, the subsets the scan scored out of its search space."""
 
     best_value: float
     best_subset: tuple[int, ...]
     upper_bound: float
     quantum_gap: float
+    subsets_scored: int = field(compare=False)
+    search_space: int = field(compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -153,6 +164,56 @@ def _check_budget(S: GramMatrix, allow_d5: bool, max_subsets: int) -> int:
     return max_card
 
 
+def _cardinality_bounds(W: np.ndarray, Q: np.ndarray, d: int, max_card: int):
+    """Per m = 0..max_card, ub[m] >= v(J) and lb[m] <= the Q boundary sum of
+    every J with m <= |J| <= max_card, as the scan computes them; +-inf,
+    which proves nothing, for m <= d, where v(J) <= m (2d - m) peaks.
+
+    The bounds at |J| = m, widened by the margin, before their suffix
+    max / min over m..max_card:
+
+        v(J)  <= -d(d-2) m + min(sum of the m largest row values of W,
+                                 lambda_max(L_W) m (n-m) / n),
+        Q(J)  >= max(sum of the m smallest row values of Q,
+                     sum of the n-m smallest complement row values of Q,
+                     lambda_2(L_Q) m (n-m) / n),
+
+    where a row value sums the n-m largest (smallest) off-diagonal entries
+    of the row, a complement row value the m smallest, and L_A is the
+    Laplacian of (A + A^T) / 2.  The scan reads the rows of W and Q only:
+    its v(J) is -d(d-2) m plus sum_{j in J, k not in J} W[j, k] plus
+    sum_{j < k in J} (W[k, j] - W[j, k]), and the Laplacian form of the cut
+    is within m (n-m) / 2 max |W - W^T| of that row sum; so the margin is
+    n^2 (_MARGIN + the larger asymmetry of W and Q), which covers both
+    terms and the rounding of the scan and of the bounds."""
+    n = len(W)
+    ub, lb = [math.inf] * (max_card + 1), [-math.inf] * (max_card + 1)
+    m = np.arange(d + 1, max_card + 1)
+    cut = m * (n - m) / n
+    off = ~np.eye(n, dtype=bool)
+
+    def extreme_sums(A, sign, rows, entries):
+        """sign * (the sum of the `rows` smallest per-row sums of the
+        `entries` smallest off-diagonal entries of sign * A), per m."""
+        per_row = np.cumsum(np.sort(sign * A[off].reshape(n, n - 1), axis=1), axis=1)
+        col = np.cumsum(np.sort(per_row[:, entries - 1], axis=0), axis=0)
+        return sign * col[rows - 1, np.arange(len(m))]
+
+    def laplacian_eigenvalues(A):
+        A = 0.5 * (A + A.T)
+        return np.linalg.eigvalsh(np.diag(A.sum(axis=1)) - A)
+
+    w_max, q_2 = laplacian_eigenvalues(W)[-1], laplacian_eigenvalues(Q)[1]
+    upper = -d * (d - 2) * m + np.minimum(extreme_sums(W, -1.0, m, n - m), w_max * cut)
+    lower = np.maximum.reduce([extreme_sums(Q, 1.0, m, n - m),
+                               extreme_sums(Q, 1.0, n - m, m), q_2 * cut])
+    asymmetry = max(np.abs(W - W.T).max(), np.abs(Q - Q.T).max())
+    margin = n * n * (_MARGIN + asymmetry)
+    ub[d + 1:] = (np.maximum.accumulate(upper[::-1])[::-1] + margin).tolist()
+    lb[d + 1:] = (np.minimum.accumulate(lower[::-1])[::-1] - margin).tolist()
+    return ub, lb
+
+
 def classical_value(
     S: GramMatrix,
     *,
@@ -194,17 +255,36 @@ def classical_value(
     before they enter these records.  The first record within the band of
     the final top is the lexicographically first J of its cardinality there,
     however the top rose, so the fold leaves the tie rule unchanged.
+
+    Above d, the scan skips a level, and everything below it, when the
+    ``_cardinality_bounds`` ub[m] and lb[m] of its cardinality m (suffix max
+    and min over m..max_card, widened by the margin) satisfy
+    ub[m] < top - band and lb[m] > min_boundary; ``expand`` checks before it
+    builds the children's steps, ``fold`` before each chunk.  top only rises
+    and min_boundary only falls, so a skipped J lies strictly below the final
+    top - band and above the final minimum: it could neither have moved top
+    or min_boundary nor entered a record that the final band reads, and the
+    first record within the band is the lexicographically first J there
+    whatever records below the band hold.  best_value, best_subset, the tie
+    rule and upper_bound are therefore bitwise unchanged.  When the bounds
+    prove nothing, as on Weyl d = 5 at (0.3, 0.137), every J is scored.
+    subsets_scored counts the J scored, search_space all 0 < |J| < 2d.
     """
     d, n = S.d, S.n
     max_card = _check_budget(S, allow_d5, max_subsets)
     band = _TIE_TOL * d * d
     Q = S.s**2
     np.fill_diagonal(Q, 0.0)
+    W = _payoff_matrix(S)
     # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
     rows = np.empty((n, 2, n))
-    np.multiply(2.0, _payoff_matrix(S), out=rows[:, 0])
+    np.multiply(2.0, W, out=rows[:, 0])
     np.multiply(2.0, Q, out=rows[:, 1])
-    outcomes, top, min_boundary = np.arange(n), -math.inf, math.inf
+    # the scan reads the bounds of the levels it enters, up to the fold's
+    # first, 2d - 3; only those above d prove anything, so below d = 4 none
+    ub, lb = (_cardinality_bounds(W, Q, d, max_card) if 2 * d - 3 > d
+              else ([math.inf] * (max_card + 1), [-math.inf] * (max_card + 1)))
+    outcomes, top, min_boundary, scored = np.arange(n), -math.inf, math.inf, 0
     records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
     at_ab, at_bc, groups = _combination_tables(n)
     r_ab, r_bc = rows.take(at_ab), rows.take(at_bc)
@@ -217,11 +297,17 @@ def classical_value(
             if not run or value > run[-1][0]:
                 run.append((value, mask))
 
+    def hopeless(m):
+        """No J with m <= |J| <= max_card can reach the final tie band or
+        lower the final minimum boundary sum: top only rises, min_boundary
+        only falls."""
+        return ub[m] < top - band and lb[m] > min_boundary
+
     def expand(m, score, step, last, mask):
         """Score the children, of cardinality m, of parents J given as
         score = (v(J), Q boundary), step, last = max(J) and bitmask; recurse,
         and fold the last three cardinalities."""
-        nonlocal top, min_boundary
+        nonlocal top, min_boundary, scored
         if m == max_card - 2:
             return fold(m, score, step, last, mask)
         for b in range(0, len(last), _PARENTS):
@@ -229,13 +315,15 @@ def classical_value(
             pi, k = (outcomes > last[s, None]).nonzero()
             if not len(k):
                 continue
+            scored += len(k)
             child, child_mask = score[s][pi] + step[s][pi, :, k], mask[s][pi] | (1 << k)
             values = child[:, 0]
             top = max(top, float(values.max()))
             min_boundary = min(min_boundary, float(child[:, 1].min()))
             tied = (values >= top - band).nonzero()[0]
             record(repeat(m), values[tied], child_mask[tied])
-            expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
+            if not hopeless(m + 1):
+                expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
 
     def fold(m, score, step, last, mask):
         """Score the descendants, of cardinalities m, m + 1 and m + 2, of the
@@ -244,7 +332,7 @@ def classical_value(
         max(J), in chunks as needed.  If all of them fit in one chunk of the
         group of the smallest max(J), they make one chunk, and the columns
         that do not descend from a parent are masked out of its row."""
-        nonlocal top, min_boundary
+        nonlocal top, min_boundary, scored
         order = np.argsort(last, kind="stable")
         g = groups[last[order[0]] + 1]
         if g is not None and len(last) * len(g.lead) <= _FOLD:
@@ -258,6 +346,8 @@ def classical_value(
                     chunks += [(b, min(b + size, stop), g) for b in range(start, stop, size)]
         tied = []  # (depth, index, bitmask), parent and value of the tie candidates
         for start, stop, g in chunks:
+            if hopeless(m):
+                break
             parents = order[start:stop]
             t = step[parents, :, g.first:]
             out = np.empty((len(parents), 2, len(g.lead)))
@@ -272,6 +362,9 @@ def classical_value(
                 inside = g.lead > last[parents, None]
                 values = np.where(inside, values, -math.inf)
                 bounds = np.where(inside, bounds, math.inf)
+                scored += int(inside.sum())
+            else:
+                scored += values.size
             high = float(values.max())
             top = max(top, high)
             min_boundary = min(min_boundary, float(bounds.min()))
@@ -295,6 +388,8 @@ def classical_value(
         best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
         upper_bound=float(d * d - 0.25 * min_boundary),
         quantum_gap=d * d - best_value,
+        subsets_scored=scored,
+        search_space=_subset_budget(n, max_card),
     )
 
 

@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="exact classical value of a Gram file")
     p.add_argument("gram", type=Path, help="GramMatrix JSON file")
     p.add_argument("--allow-d5", action="store_true",
-                   help="enable the d=5 enumeration (~4e6 subsets)")
+                   help="enable the d=5 scan (a search space of 3,850,755 subsets)")
     p.add_argument("--max-subsets", type=int, default=classical.MAX_SUBSETS_DEFAULT,
-                   help="hard cap on enumerated subsets")
+                   help="hard cap on the search space, in subsets")
     common(p)
 
     p = sub.add_parser("report", help="run the full reproduction suite")
@@ -127,8 +127,8 @@ def _flatten(prefix: str, obj, rows: list[tuple]) -> None:
 def _dump(args, payload: dict, stem: str, **context) -> dict:
     """Write ``stem.json`` under the run header: version, numpy, seed, tol and
     ``context`` (the dimension d, or dMax for ``report``; ``certify`` adds the
-    seconds of each stage, ``classical`` the seconds of the enumeration and
-    the number of subsets it scores)."""
+    seconds of each stage, ``classical`` the seconds of the enumeration, the
+    number of subsets it scores and the number in its search space)."""
     payload = {"run": {"version": __version__, "numpy": np.__version__, "seed": args.seed,
                        "tol": args.tol, **context}, **payload}
     args.out.mkdir(parents=True, exist_ok=True)
@@ -234,7 +234,7 @@ def cmd_classical(args) -> int:
     )
     seconds = {"enumeration": time.perf_counter() - start}
     _write_outputs(args, result.to_json(), "classical", d=gm.d, seconds=seconds,
-                   subsets=classical._subset_budget(gm.n, 2 * gm.d - 1))
+                   subsets=result.subsets_scored, searchSpace=result.search_space)
     print(f"d={gm.d}: classical value {result.best_value:.9f} "
           f"(upper bound {result.upper_bound:.9f}, gap {result.quantum_gap:.9f})")
     return EXIT_OK

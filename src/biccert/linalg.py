@@ -317,7 +317,7 @@ THRESHOLDS = MappingProxyType({
     # input validation (bic, bell)
     "unit_norms": (lambda tol, d: 1e-10, le),
     **dict.fromkeys(("sum_to_d_identity", "column_sums", "povm_sums_to_identity"), _TOL_D),
-    **dict.fromkeys(("unit_diagonal", "normalized", "no_signaling_alice",
+    **dict.fromkeys(("symmetric", "unit_diagonal", "normalized", "no_signaling_alice",
                      "no_signaling_bob"), _TOL),
     **dict.fromkeys(("offdiagonal_nonnegative", "nonnegative", "pair_effects_psd",
                      "pair_effects_capped", "povm_psd", "bob_psd", "bob_capped"), _MINUS_TOL),

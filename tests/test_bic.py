@@ -203,6 +203,18 @@ def test_validate_gram_disconnected_fails():
     assert "connected" in report.failures()
 
 
+def test_validate_gram_refuses_asymmetry_and_names_the_pair():
+    S = bic_gram_d2(0.2, 0.3).s.copy()
+    S[3, 1] += 1e-6  # column 2 still sums to d
+    S[2, 1] -= 2e-6
+    S[0, 1] += 1e-6
+    report = bic.validate_gram(bic.GramMatrix(d=2, s=S), tol=1e-7)
+    symmetric = report["symmetric"]
+    assert report.failures() == ["symmetric"]
+    assert symmetric.worst == (2, 3) and abs(symmetric.measured - 2e-6) < 1e-15
+    assert bic.validate_gram(bic.GramMatrix(d=2, s=S), tol=1e-5)["symmetric"].passed
+
+
 def test_gram_diagonal_ones(weyl_povm_d3):
     S = bic.gram(weyl_povm_d3).s
     assert np.allclose(np.diagonal(S), 1.0, atol=1e-12)

@@ -185,16 +185,17 @@ def _prefix_expansion_classical(S, *, allow_d5=False,
     np.fill_diagonal(Q, 0.0)
     # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
     rows = 2.0 * np.stack([_prefix_expansion_payoff(S), Q], axis=1)
-    outcomes, top, min_boundary = np.arange(n), -math.inf, math.inf
+    outcomes, top, min_boundary, scored = np.arange(n), -math.inf, math.inf, 0
     records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
 
     def expand(m, score, step, last, mask):
-        nonlocal top, min_boundary
+        nonlocal top, min_boundary, scored
         for b in range(0, len(last), classical._PARENTS):
             s = slice(b, b + classical._PARENTS)
             pi, k = (outcomes > last[s, None]).nonzero()
             if not len(k):
                 continue
+            scored += len(k)
             child, child_mask = score[s][pi] + step[s][pi, :, k], mask[s][pi] | (1 << k)
             values = child[:, 0]
             top = max(top, float(values.max()))
@@ -215,6 +216,8 @@ def _prefix_expansion_classical(S, *, allow_d5=False,
         best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
         upper_bound=float(d * d - 0.25 * min_boundary),
         quantum_gap=d * d - best_value,
+        subsets_scored=scored,
+        search_space=scored,
     )
 
 
@@ -235,7 +238,8 @@ BITWISE_GRAMS = [
     pytest.param(lambda: [_generic_gram(3, s) for s in range(6)], id="d3-generic"),
     pytest.param(lambda: [_weyl_gram(3), _weyl_gram(4)], id="weyl-d3-d4"),
     pytest.param(lambda: [_generic_gram(4, s) for s in (1, 3, 4)], id="d4-generic"),
-    pytest.param(lambda: [_generic_gram(5, 3)], id="d5-generic"),
+    pytest.param(lambda: [_generic_gram(5, s) for s in (1, 2, 3)], id="d5-generic"),
+    pytest.param(lambda: [_weyl_gram(5)], id="weyl-d5-unpruned"),
 ]
 
 
@@ -245,6 +249,74 @@ def test_classical_value_bitwise_equals_prefix_expansion(make_grams):
         allow_d5 = S.d == 5
         assert (classical.classical_value(S, allow_d5=allow_d5)
                 == _prefix_expansion_classical(S, allow_d5=allow_d5))
+
+
+def test_classical_value_bitwise_equals_prefix_expansion_on_asymmetric_rows():
+    # the scan reads rows of W and Q only; the bounds' margin widens by the
+    # asymmetry, so pruning stays exact on an input that validation refuses
+    S = _generic_gram(4, 1)
+    rng = np.random.default_rng(7)
+    for scale in (1e-9, 1e-4, 1e-2):
+        P = bic.GramMatrix(d=4, s=S.s + scale * rng.uniform(-1, 1, S.s.shape))
+        assert (classical.classical_value(P) == _prefix_expansion_classical(P))
+
+
+def _all_subsets(n, max_card):
+    """Indicator rows of every J with 0 < |J| <= max_card."""
+    rows = [np.isin(np.arange(n), J) for m in range(1, max_card + 1)
+            for J in combinations(range(n), m)]
+    return np.array(rows)
+
+
+CRITERION_1_GRAMS = [
+    pytest.param(lambda d=d, s=s: _generic_gram(d, s), id=f"d{d}-generic-{s}")
+    for d in (3, 4) for s in (1, 2, 3)
+] + [
+    pytest.param(lambda d=d, r=r, t=t: bic.gram(
+        bic.construct_weyl_bic(d, bic.geometric_fiducial(d, r, t))), id=f"d{d}-weyl-{r}-{t}")
+    for d in (3, 4) for r, t in ((0.3, 0.137), (0.25, 0.21), (0.45, 0.0733))
+]
+
+
+@pytest.mark.parametrize("make_gram", CRITERION_1_GRAMS)
+def test_cardinality_bounds_hold_on_every_subset(make_gram):
+    S = make_gram()
+    d, n = S.d, S.n
+    max_card = 2 * d - 1
+    W = classical._payoff_matrix(S)
+    Q = S.s**2
+    np.fill_diagonal(Q, 0.0)
+    ub, lb = classical._cardinality_bounds(W, Q, d, max_card)
+    X = _all_subsets(n, max_card).astype(float)
+    card = X.sum(axis=1).astype(int)
+    assert len(X) == classical._subset_budget(n, max_card)  # 26,332 at d = 4
+    values = -d * (d - 2) * card + ((X @ W) * (1 - X)).sum(axis=1)
+    boundary = ((X @ Q) * (1 - X)).sum(axis=1)
+    for m in range(1, max_card + 1):
+        at = card == m
+        if m <= d:
+            assert ub[m] == math.inf and lb[m] == -math.inf
+            continue
+        assert values[at].max() <= ub[m] and boundary[at].min() >= lb[m]
+        # the tightest J of the cardinality, rescored by subset_value
+        tight = X[at][np.argmax(values[at])].nonzero()[0]
+        assert classical.subset_value(tight, S) <= ub[m]
+    # suffix maxima and minima: each bound covers every deeper cardinality
+    assert ub[d + 1:] == sorted(ub[d + 1:], reverse=True)
+    assert lb[d + 1:] == sorted(lb[d + 1:])
+
+
+def test_pruned_scan_scores_few_subsets_on_generic_d5():
+    for seed in (1, 2):
+        result = classical.classical_value(_generic_gram(5, seed), allow_d5=True)
+        assert result.search_space == 3_850_755
+        assert result.subsets_scored <= 100_000
+
+
+def test_scan_scores_everything_when_the_bounds_prove_nothing():
+    # Weyl d=5 at (0.3, 0.137): the Q bound lies below the minimum boundary sum
+    result = classical.classical_value(_weyl_gram(5), allow_d5=True)
+    assert result.subsets_scored == result.search_space == 3_850_755
 
 
 def test_fold_keeps_the_lexicographic_tie_across_groups():

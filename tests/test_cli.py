@@ -182,10 +182,34 @@ def test_classical_run_header_times_the_enumeration(tmp_path):
     assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
     assert main(["classical", str(tmp_path / "gram.json"), "--out", str(tmp_path)]) == 0
     result = load_json(tmp_path / "classical.json")
-    # every subset of the 9 outcomes with 0 < |J| < 6
+    # every subset of the 9 outcomes with 0 < |J| < 6; no bound is read below d = 4
     assert result["run"]["subsets"] == sum(math.comb(9, m) for m in range(1, 6)) == 381
+    assert result["run"]["searchSpace"] == 381
     assert list(result["run"]["seconds"]) == ["enumeration"]
     assert 0.0 < result["run"]["seconds"]["enumeration"] < 60.0
+
+
+def test_classical_run_header_counts_the_subsets_scored(tmp_path):
+    gram_file = tmp_path / "gram.json"
+    dump_json(bic.gram_to_json(bic.gram(bic.construct_generic_bic(4, 1))), gram_file)
+    assert main(["classical", str(gram_file), "--out", str(tmp_path)]) == 0
+    run = load_json(tmp_path / "classical.json")["run"]
+    assert run["searchSpace"] == sum(math.comb(16, m) for m in range(1, 8)) == 26_332
+    # the cardinalities above d = 4 are proven below the top and skipped
+    assert run["subsets"] == sum(math.comb(16, m) for m in range(1, 5)) == 2516
+
+
+def test_classical_asymmetric_gram_exits_2(tmp_path, capsys):
+    s = bic_gram_d2(0.2, 0.3).s.copy()
+    s[0, 1] += 0.05  # column sums kept: column 1 gains and loses 0.05
+    s[2, 1] -= 0.05
+    gram_file = tmp_path / "gram.json"
+    dump_json(bic.gram_to_json(bic.GramMatrix(d=2, s=s)), gram_file)
+    assert main(["classical", str(gram_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "symmetric 5.000e-02 (threshold 1.000e-09, worst (1, 2))" in err
+    assert not (tmp_path / "classical.json").exists()
 
 
 def test_classical_weyl_d3(tmp_path):
