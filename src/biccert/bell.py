@@ -67,20 +67,25 @@ def _refuse(mask, j, k, values, message: str) -> None:
 class Strategy:
     """A quantum strategy: state, Alice's pair-setting and povm effects, Bob's effects.
 
-    ``alice_pair_effects[p]`` holds (A1, A2) for the p-th pair in ``pairs``,
-    either as matrices (n_pairs, 2, dA, dA) or, for rank-one effects, as
-    unit vectors (n_pairs, 2, dA) standing for A = (|a><a|)^t / tr (|a><a|)^t;
-    every reader takes dense blocks from ``pair_effect_blocks``.  The third
-    outcome is I - A1 - A2.  ``bob[j]`` is the first effect of Bob's binary
-    setting j; the second is I - bob[j].
+    ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair in
+    ``pairs``, either as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
+    effects, as unit vectors (..., n_pairs, 2, dA) standing for
+    A = (|a><a|)^t / tr (|a><a|)^t; every reader takes dense blocks from
+    ``pair_effect_blocks``.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
+    is the first effect of Bob's binary setting j; the second is I - bob[j].
+
+    All four arrays may carry the same leading axes ``stack``, those of
+    ``rho``: a stack of strategies that ``pair_fold``, ``bell_operator``,
+    ``sos_theta``, ``sos_certificate`` and ``bell_value`` treat member by
+    member, against one Gram matrix.
     """
 
     dims: BipartiteDims
-    rho: np.ndarray
+    rho: np.ndarray                 # (..., dA dB, dA dB)
     pairs: tuple[tuple[int, int], ...]
-    alice_pair_effects: np.ndarray  # (n_pairs, 2, dA, dA), or (n_pairs, 2, dA) vectors
-    alice_povm: np.ndarray          # (n_outcomes, dA, dA)
-    bob: np.ndarray                 # (n_outcomes, dB, dB)
+    alice_pair_effects: np.ndarray  # (..., n_pairs, 2, dA, dA), or (..., n_pairs, 2, dA) vectors
+    alice_povm: np.ndarray          # (..., n_outcomes, dA, dA)
+    bob: np.ndarray                 # (..., n_outcomes, dB, dB)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=complex))
@@ -91,22 +96,34 @@ class Strategy:
         object.__setattr__(self, "bob", np.asarray(self.bob, dtype=complex))
         if tuple(self.pairs) != pair_list(self.n_outcomes):
             raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
-        dA = self.dims.dA
-        if (len(self.alice_pair_effects) != len(self.pairs)
-                or self.alice_pair_effects.shape[1:] not in ((2, dA, dA), (2, dA))):
+        stack, dA = self.stack, self.dims.dA
+        per_pair = stack + (len(self.pairs), 2, dA)
+        if self.alice_pair_effects.shape not in (per_pair, per_pair + (dA,)):
             raise ValueError("alice_pair_effects must hold one (A1, A2) per pair")
+        if self.alice_povm.shape[:-3] != stack or self.bob.shape[:-3] != stack:
+            raise ValueError("rho, alice_povm and bob must share one stack shape")
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """The leading axes of a stack of strategies; () for one strategy."""
+        return self.rho.shape[:-2]
 
     @property
     def n_outcomes(self) -> int:
-        return self.bob.shape[0]
+        return self.bob.shape[-3]
+
+    def member(self, index) -> Strategy:
+        """The strategy at ``index`` of the stack."""
+        return replace(self, **{name: getattr(self, name)[index]
+                                for name in ("rho", "alice_pair_effects", "alice_povm", "bob")})
 
     @property
     def d(self) -> int:
         return math.isqrt(self.n_outcomes)
 
     def pair_effect_blocks(self):
-        """(slice of the pair axis, j, k, dense effects (len, 2, dA, dA)) per block
-        of ``pair_blocks``.
+        """(slice of the pair axis, j, k, dense effects (..., len, 2, dA, dA)) per
+        block of ``pair_blocks``.
 
         Vector-stored effects are expanded to (|a><a|)^t divided by its computed
         trace (a norm within an ulp of 1 rounds to 1, so a vector keeps the
@@ -115,18 +132,19 @@ class Strategy:
         """
         effects = self.alice_pair_effects
         blocks = pair_blocks(self.n_outcomes)
-        if effects.ndim == 4:
+        if effects.ndim == self.rho.ndim + 2:
             for block, j, k in blocks:
-                yield block, j, k, effects[block]
+                yield block, j, k, effects[..., block, :, :, :]
             return
         dA = self.dims.dA
-        buffer = np.empty((min(_PAIR_BLOCK, len(effects)), 2, dA, dA), dtype=complex)
+        buffer = np.empty(self.stack + (min(_PAIR_BLOCK, len(self.pairs)), 2, dA, dA),
+                          dtype=complex)
         for block, j, k in blocks:
-            a = effects[block]
-            dense = buffer[:len(a)]
-            np.multiply(a[:, :, None, :], a.conj()[:, :, :, None], out=dense)
+            a = effects[..., block, :, :]
+            dense = buffer[..., :len(j), :, :, :]
+            np.multiply(a[..., None, :], a.conj()[..., :, None], out=dense)
             # times 1/trace on the real view: bitwise equal to the complex division
-            dense.view(float)[...] *= 1.0 / np.einsum("piaa->pi", dense).real[:, :, None, None]
+            dense.view(float)[...] *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None, None]
             yield block, j, k, dense
 
 
@@ -151,7 +169,8 @@ class Correlation:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Bell value with the four summand groups of the Bell function."""
+    """Bell value with the four summand groups of the Bell function; for a
+    stack of strategies each value is an array over the stack."""
 
     value: float
     quantum_bound: float
@@ -169,7 +188,8 @@ class BellReport:
 
 @dataclass(frozen=True)
 class SosReport:
-    """Residuals of the sum-of-squares certificate at a strategy."""
+    """Residuals of the sum-of-squares certificate at a strategy; for a stack
+    of strategies each residual is an array over the stack."""
 
     identity_residual: float
     theta_min_eigenvalue: float
@@ -264,21 +284,40 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     ``bell_operator``, and F the dual operators C_j of the certification audit.
     """
     _check_dims(strategy, S)
-    dA = strategy.dims.dA
-    F = np.zeros((strategy.n_outcomes, dA, dA), dtype=complex)
-    M = np.zeros((dA, dA), dtype=complex)
+    stack, dA = strategy.stack, strategy.dims.dA
+    F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
+    M = np.zeros(stack + (dA, dA), dtype=complex)
     corr_w, marg_w = _coefficients(S)[0].T
     for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = A.swapaxes(0, 1)
+        A1, A2 = np.moveaxis(A, -3, 0)
         D = corr_w[block, None, None] * (A1 - A2)
         # pairs are lexicographic: the block is runs of j[0], j[0] + 1, ..., j[-1],
         # each over consecutive k
         starts = np.searchsorted(j, np.arange(j[0], j[-1] + 1))
-        F[j[0]:j[-1] + 1] += np.add.reduceat(D, starts, axis=0)
+        F[..., j[0]:j[-1] + 1, :, :] += np.add.reduceat(D, starts, axis=-3)
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(j)]):
-            F[k[lo]:k[hi - 1] + 1] -= D[lo:hi]
-        M += np.tensordot(marg_w[block], A1 + A2, axes=1)
+            F[..., k[lo]:k[hi - 1] + 1, :, :] -= D[..., lo:hi, :, :]
+        M += _pair_sum(marg_w[block], A1 + A2)
     return F, M
+
+
+def _pair_sum(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_p weights[p] X[..., p, :, :]: one vector-matrix product per strategy,
+    each bitwise equal to ``np.tensordot(weights, X[i], axes=1)``."""
+    T = weights @ X.reshape(X.shape[:-2] + (-1,))
+    return T.reshape(X.shape[:-3] + X.shape[-2:])
+
+
+def _each(values: np.ndarray) -> float | np.ndarray:
+    """A float for one strategy, the array over the stack for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _frobenius_per_member(M: np.ndarray) -> float | np.ndarray:
+    """``frobenius`` of each matrix of a stack, computed as for that matrix alone
+    (``linalg.frobenius_each`` sums in another order)."""
+    norms = [frobenius(m) for m in M.reshape((-1,) + M.shape[-2:])]
+    return _each(np.reshape(norms, M.shape[:-2]))
 
 
 def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
@@ -288,7 +327,7 @@ def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
     IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
     F, M = fold
     _, bob_weight = _coefficients(S)
-    W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=0))
+    W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=-3))
     return W + kron_sum(F, strategy.bob) - kron_sum(strategy.alice_povm, IB - strategy.bob)
 
 
@@ -299,31 +338,38 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     is contracted once with each of Bob's effects and with I_B, and every
     summand of W_d is evaluated on Alice's side: each pair's correlator
     2 sqrt(1-s_jk) tr[(A1 - A2)(R_j - R_k)] and marginal on the pair axis, in
-    blocks of pairs.  The per-pair and per-outcome terms are summed exactly
-    rounded (``math.fsum``).
+    blocks of pairs.  The per-pair and per-outcome terms of each strategy are
+    summed exactly rounded (``math.fsum``).
     """
     _check_dims(strategy, S)
     dA, dB = strategy.dims.dA, strategy.dims.dB
-    rho4 = strategy.rho.reshape(dA, dB, dA, dB)
+    stack = strategy.stack
+    rho4 = strategy.rho.reshape(stack + (dA, dB, dA, dB))
     # stored transposed, so that tr[X R] = sum(X * R^t)
-    bob_t = np.einsum("abce,jeb->jca", rho4, strategy.bob)
-    rho_A_t = np.einsum("abcb->ca", rho4)
+    bob_t = np.einsum("...abce,...jeb->...jca", rho4, strategy.bob)
+    rho_A_t = np.einsum("...abcb->...ca", rho4)
     weights, bob_weight = _coefficients(S)
 
-    correlators, marginals = np.empty((2, len(strategy.pairs)))
+    correlators, marginals = np.empty((2,) + stack + (len(strategy.pairs),))
     for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = A.swapaxes(0, 1)
-        correlators[block] = np.einsum("pab,pab->p", A1 - A2, bob_t[j] - bob_t[k]).real
-        marginals[block] = np.einsum("pab,ab->p", A1 + A2, rho_A_t).real
+        A1, A2 = np.moveaxis(A, -3, 0)
+        correlators[..., block] = np.einsum(
+            "...pab,...pab->...p", A1 - A2, bob_t[..., j, :, :] - bob_t[..., k, :, :]).real
+        marginals[..., block] = np.einsum("...pab,...ab->...p", A1 + A2, rho_A_t).real
     terms = {
         "pair_correlation": weights[:, 0] * correlators,
         "pair_marginal_penalty": -weights[:, 1] * marginals,
-        "bob_marginal_penalty": -bob_weight * np.trace(bob_t, axis1=1, axis2=2).real,
-        "povm_mismatch_penalty": -np.einsum("jab,jab->j", strategy.alice_povm,
-                                            rho_A_t - bob_t).real,
+        "bob_marginal_penalty": -bob_weight * np.trace(bob_t, axis1=-2, axis2=-1).real,
+        "povm_mismatch_penalty": -np.einsum("...jab,...jab->...j", strategy.alice_povm,
+                                            rho_A_t[..., None, :, :] - bob_t).real,
     }
-    breakdown = {name: math.fsum(t) for name, t in terms.items()}
-    value = math.fsum(np.concatenate(list(terms.values())))
+
+    def fsum_each(t):
+        return _each(np.reshape([math.fsum(row) for row in t.reshape(-1, t.shape[-1])],
+                                t.shape[:-1]))
+
+    breakdown = {name: fsum_each(t) for name, t in terms.items()}
+    value = fsum_each(np.concatenate(list(terms.values()), axis=-1))
     d2 = float(S.d * S.d)
     return BellReport(
         value=value, quantum_bound=d2, gap=d2 - value, term_breakdown=breakdown
@@ -347,27 +393,28 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     d = S.d
     dA, dB = strategy.dims.dA, strategy.dims.dB
     IA, IB = np.eye(dA), np.eye(dB)
-    bob = strategy.bob
+    stack, bob = strategy.stack, strategy.bob
 
     # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2) and c D (x) E
-    hybrid_A, hybrid_B, marginal = (np.zeros((m, m), dtype=complex) for m in (dA, dB, dA))
-    cross = np.zeros((dA * dB, dA * dB), dtype=complex)
+    hybrid_A, hybrid_B, marginal = (np.zeros(stack + (m, m), dtype=complex)
+                                    for m in (dA, dB, dA))
+    cross = np.zeros(stack + (dA * dB, dA * dB), dtype=complex)
     for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = A.swapaxes(0, 1)
+        A1, A2 = np.moveaxis(A, -3, 0)
         one_minus_s = 1.0 - S.s[j, k]
-        D, E = A1 - A2, bob[j] - bob[k]
+        D, E = A1 - A2, bob[..., j, :, :] - bob[..., k, :, :]
         D2 = D @ D
-        hybrid_A += np.tensordot(one_minus_s, D2, axes=1)
-        hybrid_B += (E @ E).sum(axis=0)
-        marginal += np.tensordot(one_minus_s, A1 + A2 - D2, axes=1)
+        hybrid_A += _pair_sum(one_minus_s, D2)
+        hybrid_B += (E @ E).sum(axis=-3)
+        marginal += _pair_sum(one_minus_s, A1 + A2 - D2)
         cross += kron_sum(np.sqrt(one_minus_s)[:, None, None] * D, E)
 
     theta = kron(hybrid_A, IB) - 2.0 * cross + kron(IA, hybrid_B)
     theta += kron(marginal, IB)
-    completeness = d * IB - bob.sum(axis=0)
+    completeness = d * IB - bob.sum(axis=-3)
     theta += kron(IA, completeness @ completeness)
     theta += kron_sum(strategy.alice_povm, IB - bob)
-    theta += d * d * kron(IA, (bob - bob @ bob).sum(axis=0))
+    theta += d * d * kron(IA, (bob - bob @ bob).sum(axis=-3))
     return theta
 
 
@@ -377,12 +424,11 @@ def sos_certificate(strategy: Strategy, S: GramMatrix, fold) -> SosReport:
     W = bell_operator(strategy, S, fold)
     theta = sos_theta(strategy, S)
     d2 = S.d * S.d
-    identity_residual = frobenius(W + theta - d2 * np.eye(W.shape[0]))
     w = np.linalg.eigvalsh((theta + dagger(theta)) / 2)
     return SosReport(
-        identity_residual=float(identity_residual),
-        theta_min_eigenvalue=float(w[0]),
-        theta_rho_residual=float(frobenius(theta @ strategy.rho)),
+        identity_residual=_frobenius_per_member(W + theta - d2 * np.eye(W.shape[-1])),
+        theta_min_eigenvalue=_each(w[..., 0]),
+        theta_rho_residual=_frobenius_per_member(theta @ strategy.rho),
     )
 
 
@@ -461,42 +507,55 @@ def bell_value_from_correlation(corr: Correlation, S: GramMatrix) -> float:
     return float(value)
 
 
-def random_strategy(dims: BipartiteDims, d: int, seed: int) -> Strategy:
-    """Seeded random strategy with full-support POVMs.
+def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
+    """Seeded random strategy with full-support POVMs, or, for a sequence of
+    seeds, the stack of them, each member bitwise equal to its single draw.
 
     Effects are Ginibre squares normalized by the inverse square root of
-    their sum; the state is a normalized Ginibre square.
+    their sum; the state is a normalized Ginibre square.  Each seed's
+    generator draws the state, the pair POVMs, the povm setting and Bob's
+    binary POVMs in that order; the normalizations run on the whole stack.
     """
-    rng = np.random.default_rng(seed)
-    n = d * d
-    G = rng.standard_normal((dims.total, dims.total)) + 1j * rng.standard_normal(
-        (dims.total, dims.total)
-    )
-    rho = G @ dagger(G)
-    rho /= np.trace(rho).real
-
+    n, N = d * d, dims.total
     pairs = pair_list(n)
+    seeds = np.reshape(seed, -1).tolist()
+    shapes = ((2, N, N), (len(pairs), 3, 2, dims.dA, dims.dA), (1, n, 2, dims.dA, dims.dA),
+              (n, 2, 2, dims.dB, dims.dB))
+    state_z, pair_z, povm_z, bob_z = (np.empty((len(seeds),) + shape) for shape in shapes)
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for z in (state_z, pair_z, povm_z, bob_z):
+            rng.standard_normal(out=z[i])
+    G = state_z[:, 0] + 1j * state_z[:, 1]
+    rho = G @ dagger(G)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+    def unstack(x):  # the leading axis of the draws -> the stack shape of ``seed``
+        return x.reshape(np.shape(seed) + x.shape[1:])
+
     return Strategy(
         dims=dims,
-        rho=rho,
+        rho=unstack(rho),
         pairs=pairs,
-        alice_pair_effects=_random_povm(dims.dA, 3, rng, len(pairs))[:, :2],
-        alice_povm=_random_povm(dims.dA, n, rng, 1)[0],
-        bob=_random_povm(dims.dB, 2, rng, n)[:, 0],
+        alice_pair_effects=unstack(_random_povm(pair_z)[:, :, :2]),
+        alice_povm=unstack(_random_povm(povm_z)[:, 0]),
+        bob=unstack(_random_povm(bob_z)[:, :, 0]),
     )
 
 
-def _random_povm(dim: int, outcomes: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` POVMs (count, outcomes, dim, dim) of Ginibre squares normalized
-    by the inverse square root of their sum; the Ginibre matrices are drawn
-    one after another, real part then imaginary part."""
-    z = rng.standard_normal((count, outcomes, 2, dim, dim))
+def _random_povm(z: np.ndarray) -> np.ndarray:
+    """POVMs (..., outcomes, dim, dim) of the Ginibre squares of ``z`` (...,
+    outcomes, 2, dim, dim), real part then imaginary part, normalized by the
+    inverse square root of their sum."""
+    lead, (outcomes, _, dim, _) = z.shape[:-4], z.shape[-4:]
+    z = z.reshape((-1,) + z.shape[-4:])
     G = z[:, :, 0] + 1j * z[:, :, 1]
     raw = G @ dagger(G)
     w, U = np.linalg.eigh(raw.sum(axis=1))
     inv_sqrt = (U / np.sqrt(w)[:, None, :]) @ dagger(U)
     # einsum: a chain of @ rounds differently, which would change seeded strategies
-    return np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
+    povms = np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
+    return povms.reshape(lead + (outcomes, dim, dim))
 
 
 def depolarize(strategy: Strategy, v: float) -> Strategy:

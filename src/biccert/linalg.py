@@ -71,18 +71,21 @@ def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B of two matrices."""
+    """Kronecker product A (x) B of two matrices; leading axes broadcast."""
     A, B = np.asarray(A), np.asarray(B)
-    (a, a2), (b, b2) = A.shape, B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * b, a2 * b2)
+    (a, a2), (b, b2) = A.shape[-2:], B.shape[-2:]
+    P = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return P.reshape(P.shape[:-4] + (a * b, a2 * b2))
 
 
 def kron_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum_i X_i (x) Y_i for stacks X (m, a, a') and Y (m, b, b'): one
-    (a a' x m) @ (m x b b') product, permuted to (a b) x (a' b')."""
-    (m, a, a2), (_, b, b2) = X.shape, Y.shape
-    T = X.reshape(m, -1).T @ Y.reshape(m, -1)
-    return T.reshape(a, a2, b, b2).transpose(0, 2, 1, 3).reshape(a * b, a2 * b2)
+    """sum_i X_i (x) Y_i for stacks X (..., m, a, a') and Y (..., m, b, b'): one
+    (a a' x m) @ (m x b b') product per leading index, permuted to
+    (a b) x (a' b'); leading axes broadcast."""
+    (m, a, a2), (b, b2) = X.shape[-3:], Y.shape[-2:]
+    T = X.reshape(X.shape[:-3] + (m, -1)).swapaxes(-1, -2) @ Y.reshape(Y.shape[:-3] + (m, -1))
+    T = T.reshape(T.shape[:-2] + (a, a2, b, b2)).swapaxes(-3, -2)
+    return T.reshape(T.shape[:-4] + (a * b, a2 * b2))
 
 
 def partial_trace(M: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
@@ -162,12 +165,16 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Returns a vector in H (x) H_E with dim E = rank(rho) (eigenvalues above
     the 1e-12 cutoff), built from the eigendecomposition; tracing out the
-    trailing E factor recovers rho.
+    trailing E factor recovers rho.  The input is checked as ``is_state``
+    does, with the PSD verdict read from that same eigendecomposition.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not is_state(rho, tol):
+    scale = tol * max(1.0, frobenius(rho))
+    if not is_hermitian(rho, tol) or abs(np.trace(rho) - 1.0) > scale:
         raise ValueError("purify input is not a quantum state")
-    w, U = eigh(rho, tol)
+    w, U = np.linalg.eigh((rho + dagger(rho)) / 2)
+    if not w[0] >= -scale:
+        raise ValueError("purify input is not a quantum state")
     keep = w > RANK_CUTOFF
     # sum_i sqrt(lam_i) u_i (x) e_i, i.e. the matrix U_keep sqrt(lam) read row by row
     return (U[:, keep] * np.sqrt(w[keep])).reshape(-1)

@@ -74,8 +74,11 @@ def cq_state(strategy: Strategy, psi: np.ndarray) -> CqState:
     if frobenius(marginal - strategy.rho) > 1e-9 * max(1.0, frobenius(strategy.rho)):
         raise ValueError("psi does not purify the strategy state")
     tensor = psi.reshape(dA, dB, d_e)
+    # the order optimize=True picks, without its search on every call: psi with
+    # its conjugate first, or with the povm first for a full-rank state
+    path = ["einsum_path", (0, 1) if d_e == n_ab else (0, 2), (0, 1)]
     blocks = np.einsum(
-        "abe,jpa,pbf->jef", tensor, strategy.alice_povm, tensor.conj(), optimize=True
+        "abe,jpa,pbf->jef", tensor, strategy.alice_povm, tensor.conj(), optimize=path
     )
     return CqState(
         num_outcomes=strategy.alice_povm.shape[0], eve_dim=d_e, blocks=blocks
@@ -92,12 +95,9 @@ def _spectrum_entropy(lam: np.ndarray) -> float:
 
 def conditional_entropy(cq: CqState) -> float:
     """H(A|E) = H(AE) - H(E) in bits of the block-diagonal classical-quantum state."""
-    joint = np.concatenate(
-        [np.linalg.eigvalsh((b + dagger(b)) / 2) for b in cq.blocks]
-    )
-    eve = np.linalg.eigvalsh(
-        (cq.eve_state() + dagger(cq.eve_state())) / 2
-    )
+    blocks, eve = cq.blocks, cq.eve_state()
+    joint = np.linalg.eigvalsh((blocks + dagger(blocks)) / 2).reshape(-1)
+    eve = np.linalg.eigvalsh((eve + dagger(eve)) / 2)
     return _spectrum_entropy(joint) - _spectrum_entropy(eve)
 
 

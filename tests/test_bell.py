@@ -210,10 +210,28 @@ def test_sos_theta_matches_per_pair_oracle_reference(reference_d4):
     assert frobenius(bell.sos_theta(ref, S) - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
 
 
+def _stacked(strategies):
+    """One stack of the given single strategies."""
+    fields = ("rho", "alice_pair_effects", "alice_povm", "bob")
+    return dataclasses.replace(
+        strategies[0], **{f: np.stack([getattr(s, f) for s in strategies]) for f in fields})
+
+
 def test_sos_theta_never_uses_the_bell_operator(monkeypatch):
+    _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack=0)
+
+
+def test_sos_theta_never_uses_the_bell_operator_for_stacks(monkeypatch):
+    _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack=3)
+
+
+def _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack):
     rng = np.random.default_rng(31)
     S = bic.gram(bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137)))
     strat = _arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
+    if stack:
+        strat = _stacked([strat] + [_arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
+                                    for _ in range(stack - 1)])
     W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
 
     def forbidden(*args, **kwargs):
@@ -222,7 +240,9 @@ def test_sos_theta_never_uses_the_bell_operator(monkeypatch):
     monkeypatch.setattr(bell, "pair_fold", forbidden)
     monkeypatch.setattr(bell, "bell_operator", forbidden)
     theta = bell.sos_theta(strat, S)
-    assert frobenius(W + theta - 4 * np.eye(6)) <= 1e-9 * 4
+    assert theta.shape == strat.stack + (6, 6)
+    for R in (W + theta - 4 * np.eye(6)).reshape(-1, 6, 6):
+        assert frobenius(R) <= 1e-9 * 4
 
 
 def _assert_pair_fold_matches_signed_loop(strat, S):
@@ -626,3 +646,67 @@ def test_strategy_requires_every_pair_in_order(reference_d2):
     for shape in ((6, 2, 3), (6, 3, 2), (6, 2, 2, 3), (6, 2, 2, 2, 2)):
         with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
             dataclasses.replace(ref, alice_pair_effects=np.zeros(shape, dtype=complex))
+    # a stack shares its leading axes across all four arrays
+    with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
+        dataclasses.replace(ref, rho=ref.rho[None])
+    with pytest.raises(ValueError, match="one stack shape"):
+        dataclasses.replace(ref, bob=ref.bob[None])
+
+
+@pytest.mark.parametrize("dA, dB", [(2, 2), (3, 3), (2, 3)])
+def test_random_strategy_stack_equals_the_per_seed_draws_bitwise(dA, dB):
+    dims, seeds = BipartiteDims(dA, dB), [0, 1, 7, 42, 3]
+    stack = bell.random_strategy(dims, dA, seeds)
+    assert stack.stack == (5,)
+    for i, seed in enumerate(seeds):
+        one, member = bell.random_strategy(dims, dA, seed), stack.member(i)
+        for field in ("rho", "alice_pair_effects", "alice_povm", "bob"):
+            assert np.array_equal(getattr(member, field), getattr(one, field))
+    assert bell.random_strategy(dims, dA, range(2, 4)).stack == (2,)
+
+
+def _all_layers(strat, S):
+    """What pair_fold, bell_operator, sos_theta, sos_certificate and bell_value
+    return at one strategy or a stack."""
+    fold = bell.pair_fold(strat, S)
+    sos = bell.sos_certificate(strat, S, fold)
+    value = bell.bell_value(strat, S)
+    return {
+        "F": fold[0], "M": fold[1],
+        "W": bell.bell_operator(strat, S, fold), "theta": bell.sos_theta(strat, S),
+        "identity": sos.identity_residual, "eig": sos.theta_min_eigenvalue,
+        "theta rho": sos.theta_rho_residual,
+        "value": value.value, "gap": value.gap,
+        **{f"term {name}": t for name, t in value.term_breakdown.items()},
+    }
+
+
+@pytest.mark.parametrize("case", ["random d2", "random d3", "reference d3", "tuple d2-dA3-dB2"])
+def test_stack_of_one_equals_the_single_call_bitwise(case, reference_d3):
+    kind, d = case.split()[0], int(case.split()[1][1])
+    if kind == "reference":  # its pair effects are stored as vectors
+        one, S = reference_d3
+    else:
+        S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+        one = (bell.random_strategy(BipartiteDims(d, d), d, 5) if kind == "random" else
+               _arbitrary_tuple_strategy(d, BipartiteDims(3, 2), np.random.default_rng(5)))
+    single, stacked = _all_layers(one, S), _all_layers(_stacked([one]), S)
+    for name, value in single.items():
+        assert np.shape(stacked[name]) == (1,) + np.shape(value), name
+        assert np.array_equal(stacked[name][0], value), name
+        if np.ndim(value) == 0:
+            assert type(value) is float, name
+
+
+@pytest.mark.parametrize("d, dA, dB", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 3)])
+def test_stack_members_equal_their_single_calls(d, dA, dB):
+    S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+    dims, seeds = BipartiteDims(dA, dB), [11, 12, 13, 14, 15]
+    stacked = _all_layers(bell.random_strategy(dims, d, seeds), S)
+    for i, seed in enumerate(seeds):
+        single = _all_layers(bell.random_strategy(dims, d, seed), S)
+        for name, value in single.items():
+            # residuals that are rounding noise are held to 1e-13 absolute
+            scale = max(np.abs(value).max(), 1.0 if name in ("identity", "eig", "theta rho")
+                        else 0.0)
+            assert np.abs(stacked[name][i] - value).max() <= 1e-13 * scale, name

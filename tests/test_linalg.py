@@ -158,6 +158,19 @@ def test_kron_sum_matches_sum_of_krons():
     assert np.allclose(kron_sum(X, Y), expected, atol=1e-12)
 
 
+def test_kron_and_kron_sum_stacks_equal_each_member_bitwise():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((3, 5, 2, 3)) + 1j * rng.standard_normal((3, 5, 2, 3))
+    Y = rng.standard_normal((3, 5, 4, 2)) + 1j * rng.standard_normal((3, 5, 4, 2))
+    stacked, one_side = kron_sum(X, Y), kron_sum(X, Y[0])
+    assert stacked.shape == one_side.shape == (3, 8, 6)
+    for i in range(3):
+        assert np.array_equal(stacked[i], kron_sum(X[i], Y[i]))
+        assert np.array_equal(one_side[i], kron_sum(X[i], Y[0]))
+        assert np.array_equal(kron(X[i, 0], Y[i, 0]), kron(X[:, 0], Y[:, 0])[i])
+        assert np.array_equal(kron(X[i, 0], np.eye(2)), kron(X[:, 0], np.eye(2))[i])
+
+
 def test_frobenius_each_matches_numpy_norm_on_any_layout():
     rng = np.random.default_rng(10)
     Z = rng.standard_normal((4, 3, 5, 6)) + 1j * rng.standard_normal((4, 3, 5, 6))
@@ -263,6 +276,17 @@ def test_purify_rejects_nonstate():
         purify(np.diag([1.0, 1.0]))  # trace 2
     with pytest.raises(ValueError):
         purify(np.diag([1.5, -0.5]))  # not PSD
+    with pytest.raises(ValueError):
+        purify(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
+    with pytest.raises(ValueError):
+        purify(np.ones(4) / 4)  # not a matrix
+
+
+def test_purify_equals_the_eigh_of_the_state_bitwise():
+    for seed in range(5):
+        rho = random_state(4, seed)
+        w, U = eigh(rho)
+        assert np.array_equal(purify(rho), (U * np.sqrt(w)).reshape(-1))
 
 
 def test_matricize_elementary():
