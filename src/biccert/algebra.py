@@ -18,10 +18,11 @@ bases through its Schur intertwiners.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bell import BellReport, Strategy, _coefficients
+from .bell import BellReport, Strategy, _coefficients, walk
 from .bic import GramMatrix
 from .linalg import (
     DEFAULT_TOL,
@@ -222,11 +223,13 @@ def span_dimension(matrices) -> int:
 # Local supports and compressions
 # ---------------------------------------------------------------------------
 
-def local_support(rho: np.ndarray, dims: BipartiteDims, side: str) -> np.ndarray:
+def local_support(rho: np.ndarray, dims: BipartiteDims, side: str,
+                  eigenvalues: np.ndarray | None = None) -> np.ndarray:
     """Isometry (ambient x support dimension, orthonormal columns) onto the
-    range of the reduced state on the given side."""
+    range of the reduced state on the given side; ``eigenvalues`` are rho's
+    from ``linalg.eigh``, when already computed."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_state(rho, 1e-8):
+    if not is_state(rho, 1e-8, eigenvalues):
         raise ValueError("local_support expects a quantum state")
     reduced = partial_trace(rho, dims, "B" if side == "A" else "A")
     w, U = eigh(reduced, tol=1e-8)
@@ -666,17 +669,69 @@ def dual_alice_operators(strategy: Strategy, S: GramMatrix, F: np.ndarray) -> np
     return (d * np.eye(strategy.dims.dA) + F / 2) / (d * d)
 
 
+class PairAudit(NamedTuple):
+    """What ``certification_reader`` returns: rho's decomposition ``spectrum =
+    linalg.eigh(rho, tol=1e-8)``, its local supports UA and VB, its rank
+    factor K with the summed squares ``tail`` of the dropped eigenvalues, and
+    the "sync pair", "a projectivity" and "a orthogonality" residual of each pair."""
+
+    spectrum: tuple[np.ndarray, np.ndarray]
+    UA: np.ndarray
+    VB: np.ndarray
+    K: np.ndarray
+    tail: float
+    sync_pair: np.ndarray
+    a_proj: np.ndarray
+    a_ortho: np.ndarray
+
+
+def _residuals(Z_K, Z_norm_bound, tail):
+    """||Z rho||_F bounded through the rank factor: see ``verify_certification``."""
+    return np.sqrt(frobenius_each(Z_K) ** 2 + Z_norm_bound**2 * tail)
+
+
+def _sync(X, Y, K, tail, dims):
+    """``_residuals`` of Z = X (x) I - I (x) Y, for each (X, Y) of the stacks."""
+    Z_K = apply_local(X, K, dims, "A") - apply_local(Y, K, dims, "B")
+    return _residuals(Z_K, np.sqrt(dims.dB) * frobenius_each(X)
+                      + np.sqrt(dims.dA) * frobenius_each(Y), tail)
+
+
+def certification_reader(strategy: Strategy, S: GramMatrix):
+    """The ``bell.walk`` reader behind ``verify_certification``: a ``PairAudit``,
+    from the one decomposition of rho that the run needs."""
+    rho, dims = strategy.rho, strategy.dims
+    L, V = spectrum = eigh(rho, tol=1e-8)
+    UA = local_support(rho, dims, "A", L)
+    VB = local_support(rho, dims, "B", L)
+    keep = np.abs(L) > RANK_CUTOFF
+    K, tail = V[:, keep] * L[keep], float(np.sum(L[~keep] ** 2))
+
+    corr_w = _coefficients(S)[0][:, 0]
+    sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
+    full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
+    while (step := (yield)) is not None:
+        block, A = step.block, step.A
+        sync_pair[block] = _sync(corr_w[block, None, None] / 2 * step.D, step.E, K, tail, dims)
+        Ah = A if full_support else compress(A, UA)
+        a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
+        a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
+    return PairAudit(spectrum, UA, VB, K, tail, sync_pair, a_proj, a_ortho)
+
+
 def verify_certification(
-    strategy: Strategy, S: GramMatrix, bell_report: BellReport, F: np.ndarray, tol: float = 1e-9
+    strategy: Strategy, S: GramMatrix, bell_report: BellReport, F: np.ndarray, tol: float = 1e-9,
+    audit: PairAudit | None = None,
 ) -> CertificationReport:
     """Audit every optimality relation of a strategy against S.
 
-    ``bell_report`` is ``bell.bell_value(strategy, S)`` and F the first part of
-    ``bell.pair_fold(strategy, S)``.  Checks the two state relations, the
-    compressed-measurement algebra relations on both sides, the dual operators
-    C_j (state relation plus algebra relations), and the povm-block identity
-    A^povm_j = (1/d) C_j on the compressed space.  For strategies below the
-    quantum value the report is advisory.
+    ``bell_report`` is ``bell.bell_value(strategy, S)``, F the first part of
+    ``bell.pair_fold(strategy, S)`` and ``audit`` what ``certification_reader``
+    returned from a walk (without it, a walk of its own).  Checks the two
+    state relations, the compressed-measurement algebra relations on both
+    sides, the dual operators C_j (state relation plus algebra relations),
+    and the povm-block identity A^povm_j = (1/d) C_j on the compressed space.
+    For strategies below the quantum value the report is advisory.
 
     A state relation Z rho = 0 is measured on the rank factor K = V_r diag(L_r)
     of rho = V diag(L) V* (r = 1 for a pure state): ||Z rho||_F^2 is
@@ -684,39 +739,18 @@ def verify_certification(
     below ``RANK_CUTOFF``, and both are reported, so no residual reads below
     its full-rho value.  Pair terms run in blocks of pairs.
     """
+    if audit is None:
+        audit = walk(strategy, certification_reader(strategy, S))[0]
     d = S.d
     dims = strategy.dims
-    rho, bob, povm = strategy.rho, strategy.bob, strategy.alice_povm
+    bob, povm = strategy.bob, strategy.alice_povm
     value = bell_report.value
-
-    UA = local_support(rho, dims, "A")
-    VB = local_support(rho, dims, "B")
-    L, V = eigh(rho, tol=1e-8)
-    keep = np.abs(L) > RANK_CUTOFF
-    K, tail = V[:, keep] * L[keep], float(np.sum(L[~keep] ** 2))
-
-    def residuals(Z_K, Z_norm_bound):
-        return np.sqrt(frobenius_each(Z_K) ** 2 + Z_norm_bound**2 * tail)
-
-    def sync(X, Y):  # Z = X (x) I - I (x) Y
-        Z_K = apply_local(X, K, dims, "A") - apply_local(Y, K, dims, "B")
-        return residuals(Z_K, np.sqrt(dims.dB) * frobenius_each(X)
-                         + np.sqrt(dims.dA) * frobenius_each(Y))
-
-    corr_w = _coefficients(S)[0][:, 0]
-    sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
-    full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
-    for block, j, k, A in strategy.pair_effect_blocks():
-        D = corr_w[block, None, None] / 2 * (A[:, 0] - A[:, 1])
-        sync_pair[block] = sync(D, bob[j] - bob[k])
-        Ah = A if full_support else compress(A, UA)
-        a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
-        a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
+    UA, VB, K, tail = audit.UA, audit.VB, audit.K, audit.tail
 
     # (E_j (x) I) rho = (I (x) B_j)(E_j (x) I) rho: Z = E_j (x) (I - B_j)
     E_K = apply_local(povm, K, dims, "A")
-    sync_povm = residuals(E_K - apply_local(bob, E_K, dims, "B"),
-                          frobenius_each(povm) * frobenius_each(np.eye(dims.dB) - bob))
+    sync_povm = _residuals(E_K - apply_local(bob, E_K, dims, "B"),
+                           frobenius_each(povm) * frobenius_each(np.eye(dims.dB) - bob), tail)
 
     C = dual_alice_operators(strategy, S, F)
     C_hat = compress(C, UA)
@@ -733,12 +767,12 @@ def verify_certification(
 
     return CertificationReport(d=d, bell_value=value, checks=Checks([
         check("bell value", abs(value - d * d), tol, d),
-        worst("sync pair", sync_pair, pairs),
+        worst("sync pair", audit.sync_pair, pairs),
         worst("sync povm", sync_povm, outcomes),
         relations("b relations", compress(bob, VB)),
-        worst("a projectivity", a_proj, pairs),
-        worst("a orthogonality", a_ortho, pairs),
-        worst("c sync", sync(C, bob), outcomes),
+        worst("a projectivity", audit.a_proj, pairs),
+        worst("a orthogonality", audit.a_ortho, pairs),
+        worst("c sync", _sync(C, bob, K, tail, dims), outcomes),
         relations("c relations", C_hat),
         worst("povm c", frobenius_each(compress(povm, UA) - C_hat / d), outcomes),
     ]))

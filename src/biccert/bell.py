@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from operator import ge
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,8 @@ class Strategy:
     ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair in
     ``pairs``, either as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
     effects, as unit vectors (..., n_pairs, 2, dA) standing for
-    A = (|a><a|)^t / tr (|a><a|)^t; every reader takes dense blocks from
-    ``pair_effect_blocks``.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
+    A = (|a><a|)^t / tr (|a><a|)^t; ``walk`` hands every reader dense blocks
+    from ``pair_effect_blocks``.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
     is the first effect of Bob's binary setting j; the second is I - bob[j].
 
     All four arrays may carry the same leading axes ``stack``, those of
@@ -274,8 +275,60 @@ def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
     return np.stack([2.0 * np.sqrt(one_minus_s), one_minus_s], axis=1), S.d * (S.d - 2)
 
 
+class PairBlock(NamedTuple):
+    """One block of the pair axis as ``walk`` sends it to its readers: the slice
+    of the pair axis, the pairs' (j, k), Alice's dense effects A (..., len, 2,
+    dA, dA) from ``Strategy.pair_effect_blocks``, D = A1 - A2, P = A1 + A2 and
+    E = B_j - B_k.  The next block overwrites all four arrays."""
+
+    block: slice
+    j: np.ndarray
+    k: np.ndarray
+    A: np.ndarray
+    D: np.ndarray
+    P: np.ndarray
+    E: np.ndarray
+
+
+def walk(strategy: Strategy, *readers) -> tuple:
+    """Drive the pair axis of ``strategy`` once for all ``readers``; their results, in order.
+
+    A reader is a generator such as ``bell_value_reader(strategy, S)``: ``walk``
+    starts it, sends it each ``PairBlock`` and then None, on which it returns
+    its result.  Each block is expanded, and its D, P and E formed, once for
+    every reader, into buffers reused from block to block.
+    """
+    for reader in readers:
+        next(reader)
+    stack, sides = strategy.stack, (strategy.dims.dA, strategy.dims.dA, strategy.dims.dB)
+    most = math.prod(stack) * min(_PAIR_BLOCK, len(strategy.pairs))
+    buffers = [np.empty(most * m * m, dtype=complex) for m in sides]
+    for block, j, k, A in strategy.pair_effect_blocks():
+        # C-contiguous views, laid out as the arrays that A1 - A2 etc. would be
+        shapes = [stack + (len(j), m, m) for m in sides]
+        D, P, E = (buffer[:math.prod(shape)].reshape(shape)
+                   for buffer, shape in zip(buffers, shapes))
+        A1, A2 = A[..., 0, :, :], A[..., 1, :, :]
+        np.subtract(A1, A2, out=D)
+        np.add(A1, A2, out=P)
+        np.subtract(strategy.bob[..., j, :, :], strategy.bob[..., k, :, :], out=E)
+        step = PairBlock(block, j, k, A, D, P, E)
+        for reader in readers:
+            reader.send(step)
+    return tuple(_result(reader) for reader in readers)
+
+
+def _result(reader):
+    """What ``reader`` returns when ``walk`` sends it the end of the pair axis."""
+    try:
+        reader.send(None)
+    except StopIteration as end:
+        return end.value
+    raise RuntimeError("a walk reader must return after the last block")
+
+
 def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """One walk over the pairs, folding Alice's pair effects per Bob outcome.
+    """Alice's pair effects folded per Bob outcome.
 
     Returns F with F[j] = sum_{k != j} +-2 sqrt(1-s_jk)(A1 - A2), the sign
     being + when j < k and - when j > k, and M = sum_p (1-s_jk)(A1 + A2).
@@ -283,21 +336,26 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     so the pair correlators reduce to one term per Bob outcome.  (F, M) feeds
     ``bell_operator``, and F the dual operators C_j of the certification audit.
     """
+    return walk(strategy, pair_fold_reader(strategy, S))[0]
+
+
+def pair_fold_reader(strategy: Strategy, S: GramMatrix):
+    """The ``walk`` reader behind ``pair_fold``."""
     _check_dims(strategy, S)
     stack, dA = strategy.stack, strategy.dims.dA
     F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros(stack + (dA, dA), dtype=complex)
     corr_w, marg_w = _coefficients(S)[0].T
-    for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = np.moveaxis(A, -3, 0)
-        D = corr_w[block, None, None] * (A1 - A2)
+    while (step := (yield)) is not None:
+        block, j, k = step.block, step.j, step.k
+        D = corr_w[block, None, None] * step.D
         # pairs are lexicographic: the block is runs of j[0], j[0] + 1, ..., j[-1],
         # each over consecutive k
         starts = np.searchsorted(j, np.arange(j[0], j[-1] + 1))
         F[..., j[0]:j[-1] + 1, :, :] += np.add.reduceat(D, starts, axis=-3)
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(j)]):
             F[..., k[lo]:k[hi - 1] + 1, :, :] -= D[..., lo:hi, :, :]
-        M += _pair_sum(marg_w[block], A1 + A2)
+        M += _pair_sum(marg_w[block], step.P)
     return F, M
 
 
@@ -341,6 +399,11 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     blocks of pairs.  The per-pair and per-outcome terms of each strategy are
     summed exactly rounded (``math.fsum``).
     """
+    return walk(strategy, bell_value_reader(strategy, S))[0]
+
+
+def bell_value_reader(strategy: Strategy, S: GramMatrix):
+    """The ``walk`` reader behind ``bell_value``."""
     _check_dims(strategy, S)
     dA, dB = strategy.dims.dA, strategy.dims.dB
     stack = strategy.stack
@@ -351,11 +414,11 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     weights, bob_weight = _coefficients(S)
 
     correlators, marginals = np.empty((2,) + stack + (len(strategy.pairs),))
-    for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = np.moveaxis(A, -3, 0)
+    while (step := (yield)) is not None:
+        block, j, k = step.block, step.j, step.k
         correlators[..., block] = np.einsum(
-            "...pab,...pab->...p", A1 - A2, bob_t[..., j, :, :] - bob_t[..., k, :, :]).real
-        marginals[..., block] = np.einsum("...pab,...ab->...p", A1 + A2, rho_A_t).real
+            "...pab,...pab->...p", step.D, bob_t[..., j, :, :] - bob_t[..., k, :, :]).real
+        marginals[..., block] = np.einsum("...pab,...ab->...p", step.P, rho_A_t).real
     terms = {
         "pair_correlation": weights[:, 0] * correlators,
         "pair_marginal_penalty": -weights[:, 1] * marginals,
@@ -389,6 +452,12 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     The identity is purely algebraic: it holds for arbitrary hermitian
     operator tuples, POVM-valid or not.
     """
+    return walk(strategy, sos_theta_reader(strategy, S))[0]
+
+
+def sos_theta_reader(strategy: Strategy, S: GramMatrix):
+    """The ``walk`` reader behind ``sos_theta``: it reads only the effects and
+    the walk's D, P and E."""
     _check_dims(strategy, S)
     d = S.d
     dA, dB = strategy.dims.dA, strategy.dims.dB
@@ -399,14 +468,13 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     hybrid_A, hybrid_B, marginal = (np.zeros(stack + (m, m), dtype=complex)
                                     for m in (dA, dB, dA))
     cross = np.zeros(stack + (dA * dB, dA * dB), dtype=complex)
-    for block, j, k, A in strategy.pair_effect_blocks():
-        A1, A2 = np.moveaxis(A, -3, 0)
-        one_minus_s = 1.0 - S.s[j, k]
-        D, E = A1 - A2, bob[..., j, :, :] - bob[..., k, :, :]
+    while (step := (yield)) is not None:
+        one_minus_s = 1.0 - S.s[step.j, step.k]
+        D, E = step.D, step.E
         D2 = D @ D
         hybrid_A += _pair_sum(one_minus_s, D2)
         hybrid_B += (E @ E).sum(axis=-3)
-        marginal += _pair_sum(one_minus_s, A1 + A2 - D2)
+        marginal += _pair_sum(one_minus_s, step.P - D2)
         cross += kron_sum(np.sqrt(one_minus_s)[:, None, None] * D, E)
 
     theta = kron(hybrid_A, IB) - 2.0 * cross + kron(IA, hybrid_B)
@@ -418,11 +486,12 @@ def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
     return theta
 
 
-def sos_certificate(strategy: Strategy, S: GramMatrix, fold) -> SosReport:
+def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta=None) -> SosReport:
     """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0;
-    W_d comes from ``fold = pair_fold(strategy, S)``, Theta_d from the effects."""
+    W_d comes from ``fold = pair_fold(strategy, S)``, Theta_d from the effects
+    (``theta``, when a walk already built it with ``sos_theta_reader``)."""
     W = bell_operator(strategy, S, fold)
-    theta = sos_theta(strategy, S)
+    theta = sos_theta(strategy, S) if theta is None else theta
     d2 = S.d * S.d
     w = np.linalg.eigvalsh((theta + dagger(theta)) / 2)
     return SosReport(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -47,8 +48,8 @@ def _positive_float(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed; argparse also applies it to the BICCERT_SEED
-    default, so a bad environment value is a usage error too."""
+    """argparse type of --seed; ``main`` also applies it to BICCERT_SEED, read
+    on each call, so that a bad environment value is a usage error too."""
     try:
         return int(text)
     except ValueError:
@@ -69,13 +70,15 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     parser = _Parser(prog="biccert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--tol", type=_positive_float, default=1e-9, help="relative tolerance")
-        p.add_argument("--seed", type=_seed, default=os.environ.get("BICCERT_SEED", "0"),
+        p.add_argument("--seed", type=_seed,
                        help="RNG seed (default from BICCERT_SEED, else 0)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for result files")
@@ -193,11 +196,17 @@ def cmd_certify(args) -> int:
 
     S = bic.gram(povm)
     ref = stage("reference", bell.reference_strategy, povm)
-    value = stage("bell", bell.bell_value, ref, S)
-    fold = stage("fold", bell.pair_fold, ref, S)  # W_d and the dual operators C_j
-    sos = stage("sos", bell.sos_certificate, ref, S, fold)
-    cert = stage("certification", algebra.verify_certification, ref, S, value, fold[0], tol=tol)
-    rand = stage("randomness", randomness.randomness_report, ref, S, value, tol=tol)
+    # one pass over the pairs for the Bell value, the fold that W_d and the dual
+    # operators C_j take, Theta_d and the pair relations of the audit
+    value, fold, theta, audit = stage(
+        "walk", bell.walk, ref, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
+        bell.sos_theta_reader(ref, S), algebra.certification_reader(ref, S))
+    sos = stage("sos", bell.sos_certificate, ref, S, fold, theta)
+    del theta  # a (d^2 x d^2) matrix the later stages do not read
+    cert = stage("certification", algebra.verify_certification, ref, S, value, fold[0], tol=tol,
+                 audit=audit)
+    rand = stage("randomness", randomness.randomness_report, ref, S, value, tol=tol,
+                 spectrum=audit.spectrum)
     checks = Checks([
         cert.checks["bell value"],
         check("sos identity", sos.identity_residual, tol, d),
@@ -264,6 +273,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            try:
+                args.seed = _seed(os.environ.get("BICCERT_SEED", "0"))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"argument --seed: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

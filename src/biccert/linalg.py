@@ -150,29 +150,34 @@ def is_psd(H: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(w[0] >= -tol * max(1.0, frobenius(H)))
 
 
-def is_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff rho is PSD with unit trace, within tol."""
+def is_state(rho: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> bool:
+    """True iff rho is PSD with unit trace, within tol; the PSD verdict reads
+    ``eigenvalues``, rho's ascending ones from ``eigh``, when given."""
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho, tol):
         return False
-    if abs(np.trace(rho) - 1.0) > tol * max(1.0, frobenius(rho)):
+    scale = tol * max(1.0, frobenius(rho))
+    if abs(np.trace(rho) - 1.0) > scale:
         return False
-    return is_psd(rho, tol)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+    return bool(eigenvalues[0] >= -scale)
 
 
-def purify(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def purify(rho: np.ndarray, tol: float = DEFAULT_TOL, spectrum=None) -> np.ndarray:
     """Canonical purification of a state.
 
     Returns a vector in H (x) H_E with dim E = rank(rho) (eigenvalues above
-    the 1e-12 cutoff), built from the eigendecomposition; tracing out the
-    trailing E factor recovers rho.  The input is checked as ``is_state``
-    does, with the PSD verdict read from that same eigendecomposition.
+    the 1e-12 cutoff), built from the eigendecomposition ``spectrum = eigh(rho)``,
+    computed here when not given; tracing out the trailing E factor recovers
+    rho.  The input is checked as ``is_state`` does, with the PSD verdict read
+    from that same eigendecomposition.
     """
     rho = np.asarray(rho, dtype=complex)
     scale = tol * max(1.0, frobenius(rho))
     if not is_hermitian(rho, tol) or abs(np.trace(rho) - 1.0) > scale:
         raise ValueError("purify input is not a quantum state")
-    w, U = np.linalg.eigh((rho + dagger(rho)) / 2)
+    w, U = np.linalg.eigh((rho + dagger(rho)) / 2) if spectrum is None else spectrum
     if not w[0] >= -scale:
         raise ValueError("purify input is not a quantum state")
     keep = w > RANK_CUTOFF

@@ -102,17 +102,19 @@ def conditional_entropy(cq: CqState) -> float:
 
 
 def randomness_report(
-    strategy: Strategy, S: GramMatrix, bell_report: BellReport, tol: float = 1e-9
+    strategy: Strategy, S: GramMatrix, bell_report: BellReport, tol: float = 1e-9,
+    spectrum=None,
 ) -> RandomnessReport:
     """The Bell value ``bell_report = bell.bell_value(strategy, S)``, the
-    conditional entropy under the canonical purification, and the outcome
+    conditional entropy under the canonical purification (from ``spectrum``,
+    rho's ``linalg.eigh``, when already computed), and the outcome
     distribution of the povm setting.
 
     ``certified`` checks the optimality hypothesis, the Bell value within its
     table threshold; below the quantum value the entropy is descriptive only,
     not a device-independent bound.
     """
-    psi = purify(strategy.rho)
+    psi = purify(strategy.rho, spectrum=spectrum)
     cq = cq_state(strategy, psi)
     bits = conditional_entropy(cq)
     nats = bits * np.log(2.0)

@@ -128,8 +128,9 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
                 alice_povm=povm,
                 bob=bob,
             )
-            W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
-            residuals = W + bell.sos_theta(strat, S) - d * d * np.eye(n)
+            fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                    bell.sos_theta_reader(strat, S))
+            residuals = bell.bell_operator(strat, S, fold) + theta - d * d * np.eye(n)
             worst_rel = max(worst_rel, *(frobenius(r) / (d * d) for r in residuals))
     return [check("max residual / d^2", worst_rel, tol)]
 
@@ -143,9 +144,12 @@ def criterion_3_sos_bound(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
         S = bic.gram(_weyl_povm(d))
         for members in _stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
+            value, fold, theta = bell.walk(strat, bell.bell_value_reader(strat, S),
+                                           bell.pair_fold_reader(strat, S),
+                                           bell.sos_theta_reader(strat, S))
+            cert = bell.sos_certificate(strat, S, fold, theta)
             min_eig = min(min_eig, cert.theta_min_eigenvalue.min())
-            max_excess = max(max_excess, (bell.bell_value(strat, S).value - d * d).max())
+            max_excess = max(max_excess, (value.value - d * d).max())
     return [check("min eig Theta", min_eig, tol), check("max value - d^2", max_excess, tol)]
 
 
@@ -236,8 +240,10 @@ def criterion_7_certification(tol: float = BASE_TOL, d_max: int = 4, seed: int =
     worst, worst_d = 0.0, None
     for d in range(2, max(4, d_max) + 1):
         ref, S = _reference(d)
-        cert = algebra.verify_certification(ref, S, bell.bell_value(ref, S),
-                                            bell.pair_fold(ref, S)[0], tol=tol)
+        value, fold, audit = bell.walk(ref, bell.bell_value_reader(ref, S),
+                                       bell.pair_fold_reader(ref, S),
+                                       algebra.certification_reader(ref, S))
+        cert = algebra.verify_certification(ref, S, value, fold[0], tol=tol, audit=audit)
         residual = cert.max_residual if cert.optimal else np.inf
         if residual >= worst:
             worst, worst_d = residual, d

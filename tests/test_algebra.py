@@ -70,7 +70,7 @@ def test_check_as_relations_matches_per_pair_loop(d):
         assert abs(value - top) <= 1e-15 * max(1.0, top)
 
 
-def test_bs_variant_separates_exceptional_family(sic3_povm):
+def test_standard_relations_accept_both_exceptional_and_minimal_families(sic3_povm):
     # the relations do not see the block dimension: the 6-dimensional family
     # and a true 3-dimensional family both satisfy them
     S = algebra.counterexample_gram()

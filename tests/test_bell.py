@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_pair_effects
 
-from biccert import algebra, bell, bic
+from biccert import algebra, bell, bic, linalg, randomness
 from biccert.linalg import (
     BipartiteDims,
     frobenius,
@@ -346,6 +346,56 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     certs = [algebra.verify_certification(strat, S, value, fold[0])
              for strat, value, fold in zip((vectors, dense), values, folds)]
     assert certs[0].to_json() == certs[1].to_json()
+
+
+def _walk_case(case):
+    """(strategy, S): a vector-stored reference, a dense random strategy, a
+    stack of three, or a random strategy on dims (2, 3)."""
+    if case in ("weyl3", "generic4"):
+        povm = _povm(case)
+        return bell.reference_strategy(povm), bic.gram(povm)
+    dims = BipartiteDims(2, 3) if case == "dims23" else BipartiteDims(2, 2)
+    seed = [41, 42, 43] if case == "stack3" else 41
+    return bell.random_strategy(dims, 2, seed), bic.gram(_povm("weyl2"))
+
+
+def _assert_bitwise(got, expected):
+    """Equal bit for bit, through dataclasses, dicts, tuples and arrays."""
+    if dataclasses.is_dataclass(got):
+        got, expected = vars(got), vars(expected)
+    if isinstance(got, dict):
+        assert got.keys() == expected.keys()
+        for key in got:
+            _assert_bitwise(got[key], expected[key])
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            _assert_bitwise(a, b)
+    else:
+        assert np.shape(got) == np.shape(expected) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", ["weyl3", "generic4", "random", "stack3", "dims23"])
+def test_one_walk_equals_the_standalone_readers_bitwise(case):
+    strat, S = _walk_case(case)
+    readers = [bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
+               bell.sos_theta_reader(strat, S)]
+    if not strat.stack:  # the certification audit takes one strategy at a time
+        readers.append(algebra.certification_reader(strat, S))
+    value, fold, theta, *audit = bell.walk(strat, *readers)
+    _assert_bitwise(value, bell.bell_value(strat, S))
+    _assert_bitwise(fold, bell.pair_fold(strat, S))
+    _assert_bitwise(theta, bell.sos_theta(strat, S))
+    _assert_bitwise(bell.sos_certificate(strat, S, fold, theta),
+                    bell.sos_certificate(strat, S, fold))
+    if strat.stack:
+        return
+    (audit,) = audit
+    _assert_bitwise(audit.spectrum, linalg.eigh(strat.rho, tol=1e-8))
+    _assert_bitwise(algebra.verify_certification(strat, S, value, fold[0], audit=audit),
+                    algebra.verify_certification(strat, S, value, fold[0]))
+    _assert_bitwise(randomness.randomness_report(strat, S, value, spectrum=audit.spectrum),
+                    randomness.randomness_report(strat, S, value))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biccert import __version__, bell, bic
 from biccert.classical import bic_gram_d2
-from biccert.cli import main
+from biccert.cli import build_parser, main
 from biccert.linalg import dump_json, load_json
 
 
@@ -58,23 +58,24 @@ def test_certify_weyl_d2(tmp_path):
     run = report["run"]
     assert run == {"version": __version__, "numpy": np.__version__, "seed": run["seed"],
                    "tol": 1e-9, "d": 2, "seconds": run["seconds"]}
-    stages = ("reference", "bell", "fold", "sos", "certification", "randomness")
+    stages = ("reference", "walk", "sos", "certification", "randomness")
     assert set(run["seconds"]) == set(stages)
     assert all(run["seconds"][stage] >= 0.0 for stage in stages)
 
 
-def test_certify_folds_the_pairs_once(tmp_path, monkeypatch):
-    assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
-    calls = []
-    fold = bell.pair_fold
+def test_certify_walks_the_pairs_once(tmp_path, monkeypatch):
+    # d=4 has 120 pairs: the walk takes two blocks
+    assert main(["construct", "--d", "4", "--out", str(tmp_path)]) == 0
+    walks = []
+    blocks = bell.Strategy.pair_effect_blocks
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fold(*args, **kwargs)
+    def counted(self):
+        walks.append(self)
+        return blocks(self)
 
-    monkeypatch.setattr(bell, "pair_fold", counted)
+    monkeypatch.setattr(bell.Strategy, "pair_effect_blocks", counted)
     assert main(["certify", str(tmp_path / "povm.json"), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert len(walks) == 1
 
 
 def test_tight_tol_floors_input_validation_only(tmp_path, capsys):
@@ -435,6 +436,23 @@ def test_seed_env_override(tmp_path, monkeypatch):
          "--out", str(out_b)]
     ) == 0
     assert (out_a / "povm.json").read_bytes() == (out_b / "povm.json").read_bytes()
+
+
+def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
+    for seed in ("5", "6"):
+        monkeypatch.setenv("BICCERT_SEED", seed)
+        out = tmp_path / seed
+        assert main(["construct", "--d", "2", "--construction", "generic",
+                     "--out", str(out)]) == 0
+        assert load_json(out / "povm.json")["run"]["seed"] == int(seed)
+    vectors = [load_json(tmp_path / seed / "povm.json")["vectors"] for seed in ("5", "6")]
+    assert vectors[0] != vectors[1]
+    monkeypatch.setenv("BICCERT_SEED", "abc")
+    assert main(["construct", "--d", "2", "--out", str(tmp_path / "bad")]) == 3
+    monkeypatch.delenv("BICCERT_SEED")
+    assert main(["construct", "--d", "2", "--out", str(tmp_path / "unset")]) == 0
+    assert load_json(tmp_path / "unset" / "povm.json")["run"]["seed"] == 0
+    assert build_parser() is build_parser()  # one parser for every call
 
 
 def test_bad_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
