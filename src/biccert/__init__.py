@@ -21,14 +21,10 @@ from .bic import (
 )
 from .bell import (
     BellReport,
-    Correlation,
     SosReport,
     Strategy,
     bell_operator,
     bell_value,
-    bell_value_from_correlation,
-    correlation,
-    depolarize,
     pair_fold,
     random_strategy,
     reference_strategy,
@@ -72,8 +68,7 @@ __all__ = [
     "BicPovm", "GramMatrix", "construct_generic_bic", "construct_weyl_bic",
     "equalize_diagonal", "geometric_fiducial", "gram", "validate_bic",
     "validate_gram", "weyl_operator",
-    "BellReport", "Correlation", "SosReport", "Strategy", "bell_operator",
-    "bell_value", "bell_value_from_correlation", "correlation", "depolarize",
+    "BellReport", "SosReport", "Strategy", "bell_operator", "bell_value",
     "pair_fold", "random_strategy", "reference_strategy", "sos_certificate",
     "sos_theta",
     "ClassicalResult", "brute_force_classical", "classical_value",

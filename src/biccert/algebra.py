@@ -54,7 +54,10 @@ def check_as_relations(X, S: GramMatrix) -> Check:
     """Largest Frobenius residual of the projection-family relations against S.
 
     The relations are projectivity X_j^2 = X_j, completeness sum_j X_j = d I
-    and X_j X_k X_j = s_jk X_j for j != k.  The check holds the largest
+    and X_j X_k X_j = s_jk X_j for j != k.  Projectivity and completeness are
+    measured exactly; each pair residual is the upper bound of
+    ``_pair_bounds``, through the rank-r eigenpart of X_j, so it never reads
+    below the exact residual beyond rounding.  The check holds the largest
     residual (NaN if any is NaN) to ``DEFAULT_TOL * max(1, max_j ||X_j||_F)``;
     its worst offender is "completeness", the 1-based index j of a
     projectivity relation or the pair (j, k).  ``verify_certification`` and
@@ -71,20 +74,9 @@ def check_as_relations(X, S: GramMatrix) -> Check:
 
     projectivity = frobenius_each(X @ X - X)
     completeness = frobenius(X.sum(axis=0) - S.d * np.eye(X.shape[1]))
-    gram_res = np.zeros((n, n))
-    m = X.shape[1]
-    # the transposed relations X_j^t X_k^t X_j^t = s_jk X_j^t have the same
-    # residual norms, and [X_1^t | ... | X_n^t] is a view of X
-    side_by_side = X.reshape(n * m, m).T
-    # reused by every row, indexed (a, k, c) for the entry (a, c) of the k-th product
-    XjX, T, sXj = np.empty((3, m, n, m), dtype=complex)
-    for j in range(n):  # row j for every k at once, two GEMMs; k = j is not a relation
-        Xj_t = X[j].T
-        np.matmul(Xj_t, side_by_side, out=XjX.reshape(m, n * m))
-        np.matmul(XjX.reshape(m * n, m), Xj_t, out=T.reshape(m * n, m))
-        np.multiply(Xj_t[:, None, :], S.s[j, None, :, None], out=sXj)
-        gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T).transpose(1, 0, 2))
-    np.fill_diagonal(gram_res, 0.0)
+    core, tail = _pair_bounds(X, S.s)
+    gram_res = core + tail
+    np.fill_diagonal(gram_res, 0.0)  # k = j is not a relation
 
     j = int(np.argmax(projectivity))  # n = S.n >= 4
     at = np.unravel_index(np.argmax(gram_res), gram_res.shape)
@@ -92,6 +84,64 @@ def check_as_relations(X, S: GramMatrix) -> Check:
                   (gram_res[at], tuple(int(i) + 1 for i in at))]
     measured, worst = candidates[int(np.argmax([c[0] for c in candidates]))]
     return held("standard relations", measured, DEFAULT_TOL * scale, worst=worst)
+
+
+def _eigenparts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, V), (n, r) and (n, m, r): for each X_j, the r eigenpairs of its
+    hermitian part of largest |eigenvalue|, r the largest count above
+    ``RANK_CUTOFF`` over j.  Non-finite entries enter eigh as 0."""
+    herm = np.where(np.isfinite(X), X, 0)  # eigh may refuse NaN; D_j carries it
+    herm = herm + dagger(herm)
+    herm *= 0.5
+    w, U = np.linalg.eigh(herm)
+    r = max(1, int((np.abs(w) > RANK_CUTOFF).sum(axis=1).max()))
+    top = np.argsort(-np.abs(w), axis=1)[:, :r]
+    return np.take_along_axis(w, top, axis=1), np.take_along_axis(U, top[:, None, :], axis=2)
+
+
+def _pair_bounds(X: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds ``core + tail`` on ||X_j X_k X_j - s_jk X_j||_F, as two
+    (n, n) arrays indexed (j, k).
+
+    X_j = P_j + D_j, with P_j = V_j diag(L_j) V_j* from the eigenpairs of the
+    hermitian part of X_j with |L| > ``RANK_CUTOFF`` (one common count r, the
+    largest over j) and D_j = X_j - P_j formed densely, so that D_j also
+    holds eigh's rounding and any anti-hermitian part.  Then
+
+        X_j X_k X_j - s X_j = V_j C V_j* + D_j X_k X_j + P_j X_k D_j - s D_j
+
+    with C = L G L - s L and G = V_j* X_k V_j.  ``core`` is ||V_j C V_j*||_F =
+    sqrt(tr(C* H C H)), H = V_j* V_j, and ``tail`` bounds the other three
+    terms by ||D_j||_F (||X_k||_F (||X_j||_F + ||P_j||_F) + |s_jk|).  Every G
+    comes from O(n^2 m^2 r) products, in blocks of j whose products take no
+    more room than X.  A NaN in X_j reads as a NaN in row j.
+    """
+    n, m = X.shape[:2]
+    L, V = _eigenparts(X)  # a call of its own, so that eigh's temporaries are freed here
+    r = L.shape[1]
+    P = (V * L[:, None, :]) @ dagger(V)
+    norm_X, norm_P = frobenius_each(X), frobenius_each(P)
+    delta = frobenius_each(np.subtract(X, P, out=P))
+    tail = delta[:, None] * (norm_X[None, :] * (norm_X + norm_P)[:, None] + np.abs(s))
+
+    H = dagger(V) @ V
+    LL = L[:, :, None] * L[:, None, :]
+    diag_L = L[:, None, :, None] * np.eye(r)  # (n, 1, r, r)
+    # [X_1^t | ... | X_n^t], a view of X: rows s of V_j^t times it are (V_j^t X_k^t)[s, a]
+    side_by_side = X.reshape(n * m, m).T
+    step = m // r
+    Z = np.empty((step * r, n * m), dtype=complex)  # reused by every block
+    core = np.empty((n, n))
+    for start in range(0, n, step):
+        js = slice(start, min(start + step, n))
+        b = js.stop - start
+        z = np.matmul(V[js].transpose(0, 2, 1).reshape(b * r, m), side_by_side, out=Z[:b * r])
+        # G_jk[t, s] = sum_a conj(V_j[a, t]) (V_j^t X_k^t)[s, a], from rows (s, k)
+        G = (z.reshape(b, r * n, m) @ V[js].conj()).reshape(b, r, n, r).transpose(0, 2, 3, 1)
+        C = G * LL[js, None] - s[js, :, None, None] * diag_L[js]
+        HCH = H[js, None] @ C @ H[js, None]
+        core[js] = np.sqrt(np.maximum(np.einsum("jkts,jkts->jk", C.conj(), HCH).real, 0.0))
+    return core, tail
 
 
 # ---------------------------------------------------------------------------

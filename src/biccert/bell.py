@@ -12,20 +12,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from operator import ge
 from typing import NamedTuple
 
 import numpy as np
 
 from .bic import BicPovm, GramMatrix, gram
 from .linalg import (
-    DEFAULT_TOL,
     BipartiteDims,
-    Checks,
-    check,
     dagger,
     frobenius,
-    held,
     kron,
     kron_sum,
     maximally_entangled,
@@ -147,25 +142,6 @@ class Strategy:
             # times 1/trace on the real view: bitwise equal to the complex division
             dense.view(float)[...] *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None, None]
             yield block, j, k, dense
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """Full outcome probability table of a strategy; the tests score it with
-    ``bell_value_from_correlation`` as an oracle for ``bell_value``.
-
-    ``pair_probs[p, y, a, b]`` is p(a,b | pair p, y) with a in (1, 2, perp)
-    and b in (1, perp); ``povm_probs[a, y, b]`` covers the povm setting.
-    """
-
-    n_outcomes: int
-    pairs: tuple[tuple[int, int], ...]
-    pair_probs: np.ndarray
-    povm_probs: np.ndarray
-
-    def __post_init__(self):
-        if tuple(self.pairs) != pair_list(self.n_outcomes):
-            raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
 
 
 @dataclass(frozen=True)
@@ -501,81 +477,6 @@ def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta=None) -> SosR
     )
 
 
-def correlation(strategy: Strategy) -> Correlation:
-    """The full probability table p(a,b|x,y) = tr[rho (A^x_a (x) B^y_b)]: the
-    table-side oracle that the tests compare ``bell_value`` against."""
-    dA, dB = strategy.dims.dA, strategy.dims.dB
-    rho4 = strategy.rho.reshape(dA, dB, dA, dB)
-    n = strategy.n_outcomes
-    IA, IB = np.eye(dA), np.eye(dB)
-
-    bob_effects = np.stack([strategy.bob, IB - strategy.bob], axis=1)  # (n, 2, dB, dB)
-
-    # tr[rho (X (x) Y)] = sum rho[a,b,a',b'] X[a',a] Y[b',b]
-    pair_probs = np.empty((len(strategy.pairs), n, 3, 2))
-    for block, _, _, A in strategy.pair_effect_blocks():
-        alice_pair = np.concatenate([A, (IA - A.sum(axis=1))[:, None]], axis=1)
-        pair_probs[block] = np.einsum(
-            "abcd,xuca,yvdb->xyuv", rho4, alice_pair, bob_effects, optimize=True
-        ).real
-    povm_probs = np.einsum(
-        "abcd,uca,yvdb->uyv", rho4, strategy.alice_povm, bob_effects, optimize=True
-    ).real
-    return Correlation(
-        n_outcomes=n,
-        pairs=strategy.pairs,
-        pair_probs=pair_probs,
-        povm_probs=povm_probs,
-    )
-
-
-def validate_correlation(corr: Correlation, tol: float = 1e-10) -> Checks:
-    """Nonnegativity, normalization per setting pair, and no-signaling; the
-    tests hold ``correlation`` tables of valid strategies to it."""
-    lo = min(float(corr.pair_probs.min()), float(corr.povm_probs.min()))
-    norm_pair = np.abs(corr.pair_probs.sum(axis=(2, 3)) - 1.0)
-    norm_povm = np.abs(corr.povm_probs.sum(axis=(0, 2)) - 1.0)
-    norm_res = max(float(norm_pair.max()), float(norm_povm.max()))
-
-    # Alice marginals must not depend on y; Bob marginals must not depend on x.
-    a_pair = corr.pair_probs.sum(axis=3)  # (n_pairs, y, a)
-    a_res = float(np.abs(a_pair - a_pair[:, :1, :]).max())
-    a_povm = corr.povm_probs.sum(axis=2)  # (a, y)
-    a_res = max(a_res, float(np.abs(a_povm - a_povm[:, :1]).max()))
-    b_pair = corr.pair_probs.sum(axis=2)  # (x, y, b)
-    b_povm = corr.povm_probs.sum(axis=0)  # (y, b)
-    b_ref = b_povm[None, :, :]
-    b_res = float(np.abs(b_pair - b_ref).max())
-
-    return Checks([
-        check("nonnegative", lo, tol),
-        check("normalized", norm_res, tol),
-        check("no_signaling_alice", a_res, tol),
-        check("no_signaling_bob", b_res, tol),
-    ])
-
-
-def bell_value_from_correlation(corr: Correlation, S: GramMatrix) -> float:
-    """Evaluate the Bell function directly on a probability table: the
-    oracle the tests compare ``bell_value`` against.
-
-    Alice's marginals are read against Bob's first setting and Bob's against
-    Alice's povm setting; no-signaling makes both choices immaterial for
-    valid tables.
-    """
-    if corr.n_outcomes != S.n:
-        raise ValueError(f"correlation table has {corr.n_outcomes} outcomes, S expects {S.n}")
-    weights, bob_weight = _coefficients(S)
-    P = corr.pair_probs
-    p = np.arange(len(corr.pairs))
-    j, k = pair_indices(S.n)
-    correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
-    value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
-    value -= bob_weight * corr.povm_probs[:, :, 0].sum()
-    value -= np.trace(corr.povm_probs[:, :, 1])
-    return float(value)
-
-
 def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
     """Seeded random strategy with full-support POVMs, or, for a sequence of
     seeds, the stack of them, each member bitwise equal to its single draw.
@@ -625,48 +526,3 @@ def _random_povm(z: np.ndarray) -> np.ndarray:
     # einsum: a chain of @ rounds differently, which would change seeded strategies
     povms = np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
     return povms.reshape(lead + (outcomes, dim, dim))
-
-
-def depolarize(strategy: Strategy, v: float) -> Strategy:
-    """Mix the state with white noise: rho <- v rho + (1-v) I / (dA dB); the
-    tests use it to drive strategies below the quantum value."""
-    if not (0.0 <= v <= 1.0):
-        raise ValueError("visibility must lie in [0, 1]")
-    n = strategy.dims.total
-    return replace(strategy, rho=v * strategy.rho + (1.0 - v) * np.eye(n) / n)
-
-
-def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
-    """POVM and state invariants of a strategy; the tests hold the reference
-    and random strategies to it."""
-    rho = strategy.rho
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    herm_res = frobenius(rho - dagger(rho))
-    trace_res = abs(np.trace(rho).real - 1.0)
-    scale = max(1.0, frobenius(rho))
-
-    def min_eig(M, cap=np.inf):
-        """Smallest eigenvalue over a stack of matrices, at most ``cap``."""
-        return float(np.linalg.eigvalsh((M + dagger(M)) / 2).min(initial=cap))
-
-    dA, dB = strategy.dims.dA, strategy.dims.dB
-    pair_floor = pair_cap = 0.0
-    for _, _, _, A in strategy.pair_effect_blocks():
-        pair_floor = min_eig(A, pair_floor)
-        pair_cap = min_eig(np.eye(dA) - A[:, 0] - A[:, 1], pair_cap)
-    povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(dA))
-    povm_floor = min_eig(strategy.alice_povm)
-    bob_floor = min_eig(strategy.bob)
-    bob_cap = min_eig(np.eye(dB) - strategy.bob)
-
-    return Checks([
-        held("state_hermitian", herm_res, tol * scale),
-        held("state_psd", w[0], -tol * scale, ge),
-        held("state_trace", trace_res, tol * scale),
-        check("pair_effects_psd", pair_floor, tol),
-        check("pair_effects_capped", pair_cap, tol),
-        check("povm_psd", povm_floor, tol),
-        check("povm_sums_to_identity", povm_sum_res, tol, dA),
-        check("bob_psd", bob_floor, tol),
-        check("bob_capped", bob_cap, tol),
-    ])

@@ -393,33 +393,6 @@ def classical_value(
     )
 
 
-def deterministic_score(
-    S: GramMatrix, pair_choices, bob_bits, povm_index: int
-) -> float:
-    """Objective of one local deterministic strategy; the tests maximize it
-    by hand as an oracle for ``brute_force_classical``.
-
-    ``pair_choices[p]`` is 0 (output perp), 1 (output 1) or 2 (output 2) for
-    the p-th pair in lexicographic order; ``bob_bits[j]`` is Bob's output for
-    setting j; ``povm_index`` is Alice's deterministic povm outcome.
-    """
-    d, n = S.d, S.n
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    if len(pair_choices) != len(pairs) or len(bob_bits) != n:
-        raise ValueError("assignment lengths do not match the scenario")
-    value = 0.0
-    for p, (j, k) in enumerate(pairs):
-        choice = pair_choices[p]
-        a1 = 1.0 if choice == 1 else 0.0
-        a2 = 1.0 if choice == 2 else 0.0
-        s_jk = S.s[j, k]
-        value += 2.0 * math.sqrt(1.0 - s_jk) * (a1 - a2) * (bob_bits[j] - bob_bits[k])
-        value -= (1.0 - s_jk) * (a1 + a2)
-    value -= d * (d - 2) * sum(bob_bits)
-    value -= 1.0 - bob_bits[povm_index]
-    return value
-
-
 def brute_force_classical(S: GramMatrix) -> float:
     """Exhaustive maximum over every deterministic strategy (d = 2 only).
 

@@ -1,0 +1,251 @@
+"""Test-only oracles: slower or more direct restatements of what the package
+computes, which the tests compare it against.
+
+- ``dense_relations`` and ``dense_pair_residuals``: the exact relation
+  check, every X_j X_k X_j formed densely (two GEMMs per row, O(n^2 m^3));
+  ``algebra.check_as_relations`` bounds the same pair residuals from above
+  through the rank-r eigenpart of each X_j.
+- ``Correlation``, ``correlation``, ``validate_correlation`` and
+  ``bell_value_from_correlation``: the full probability table of a strategy
+  and the Bell function evaluated on it, an oracle for ``bell.bell_value``.
+- ``depolarize`` and ``validate_strategy``: strategies below the quantum
+  value, and the POVM and state invariants of a strategy.
+- ``deterministic_score``: one local deterministic strategy's score, which
+  the tests maximize by hand as an oracle for ``brute_force_classical``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from operator import ge
+
+import numpy as np
+
+from biccert.bell import Strategy, _coefficients, pair_indices, pair_list
+from biccert.bic import GramMatrix
+from biccert.linalg import (
+    DEFAULT_TOL,
+    Check,
+    Checks,
+    check,
+    dagger,
+    frobenius,
+    frobenius_each,
+    held,
+)
+
+
+def dense_pair_residuals(X: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """||X_j X_k X_j - s_jk X_j||_F for every pair (j, k), zero on the diagonal."""
+    n, m = X.shape[:2]
+    gram_res = np.zeros((n, n))
+    # the transposed relations X_j^t X_k^t X_j^t = s_jk X_j^t have the same
+    # residual norms, and [X_1^t | ... | X_n^t] is a view of X
+    side_by_side = X.reshape(n * m, m).T
+    # reused by every row, indexed (a, k, c) for the entry (a, c) of the k-th product
+    XjX, T, sXj = np.empty((3, m, n, m), dtype=complex)
+    for j in range(n):  # row j for every k at once, two GEMMs; k = j is not a relation
+        Xj_t = X[j].T
+        np.matmul(Xj_t, side_by_side, out=XjX.reshape(m, n * m))
+        np.matmul(XjX.reshape(m * n, m), Xj_t, out=T.reshape(m * n, m))
+        np.multiply(Xj_t[:, None, :], s[j, None, :, None], out=sXj)
+        gram_res[j] = frobenius_each(np.subtract(T, sXj, out=T).transpose(1, 0, 2))
+    np.fill_diagonal(gram_res, 0.0)
+    return gram_res
+
+
+def dense_relations(X, S: GramMatrix) -> Check:
+    """The relation check with every pair residual exact, from
+    ``dense_pair_residuals``.
+
+    The relations are projectivity X_j^2 = X_j, completeness sum_j X_j = d I
+    and X_j X_k X_j = s_jk X_j for j != k.  The check holds the largest
+    residual (NaN if any is NaN) to ``DEFAULT_TOL * max(1, max_j ||X_j||_F)``;
+    its worst offender is "completeness", the 1-based index j of a
+    projectivity relation or the pair (j, k).
+    """
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 3 or X.shape[1] != X.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    n = X.shape[0]
+    if n != S.n:
+        raise ValueError(f"expected {S.n} generators for S, got {n}")
+    scale = max(1.0, float(frobenius_each(X).max(initial=0.0)))
+
+    projectivity = frobenius_each(X @ X - X)
+    completeness = frobenius(X.sum(axis=0) - S.d * np.eye(X.shape[1]))
+    gram_res = dense_pair_residuals(X, S.s)
+
+    j = int(np.argmax(projectivity))  # n = S.n >= 4
+    at = np.unravel_index(np.argmax(gram_res), gram_res.shape)
+    candidates = [(completeness, "completeness"), (projectivity[j], j + 1),
+                  (gram_res[at], tuple(int(i) + 1 for i in at))]
+    measured, worst = candidates[int(np.argmax([c[0] for c in candidates]))]
+    return held("standard relations", measured, DEFAULT_TOL * scale, worst=worst)
+
+
+@dataclass(frozen=True)
+class Correlation:
+    """Full outcome probability table of a strategy; the tests score it with
+    ``bell_value_from_correlation`` as an oracle for ``bell_value``.
+
+    ``pair_probs[p, y, a, b]`` is p(a,b | pair p, y) with a in (1, 2, perp)
+    and b in (1, perp); ``povm_probs[a, y, b]`` covers the povm setting.
+    """
+
+    n_outcomes: int
+    pairs: tuple[tuple[int, int], ...]
+    pair_probs: np.ndarray
+    povm_probs: np.ndarray
+
+    def __post_init__(self):
+        if tuple(self.pairs) != pair_list(self.n_outcomes):
+            raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
+
+
+def correlation(strategy: Strategy) -> Correlation:
+    """The full probability table p(a,b|x,y) = tr[rho (A^x_a (x) B^y_b)]: the
+    table-side oracle that the tests compare ``bell_value`` against."""
+    dA, dB = strategy.dims.dA, strategy.dims.dB
+    rho4 = strategy.rho.reshape(dA, dB, dA, dB)
+    n = strategy.n_outcomes
+    IA, IB = np.eye(dA), np.eye(dB)
+
+    bob_effects = np.stack([strategy.bob, IB - strategy.bob], axis=1)  # (n, 2, dB, dB)
+
+    # tr[rho (X (x) Y)] = sum rho[a,b,a',b'] X[a',a] Y[b',b]
+    pair_probs = np.empty((len(strategy.pairs), n, 3, 2))
+    for block, _, _, A in strategy.pair_effect_blocks():
+        alice_pair = np.concatenate([A, (IA - A.sum(axis=1))[:, None]], axis=1)
+        pair_probs[block] = np.einsum(
+            "abcd,xuca,yvdb->xyuv", rho4, alice_pair, bob_effects, optimize=True
+        ).real
+    povm_probs = np.einsum(
+        "abcd,uca,yvdb->uyv", rho4, strategy.alice_povm, bob_effects, optimize=True
+    ).real
+    return Correlation(
+        n_outcomes=n,
+        pairs=strategy.pairs,
+        pair_probs=pair_probs,
+        povm_probs=povm_probs,
+    )
+
+
+def validate_correlation(corr: Correlation, tol: float = 1e-10) -> Checks:
+    """Nonnegativity, normalization per setting pair, and no-signaling; the
+    tests hold ``correlation`` tables of valid strategies to it."""
+    lo = min(float(corr.pair_probs.min()), float(corr.povm_probs.min()))
+    norm_pair = np.abs(corr.pair_probs.sum(axis=(2, 3)) - 1.0)
+    norm_povm = np.abs(corr.povm_probs.sum(axis=(0, 2)) - 1.0)
+    norm_res = max(float(norm_pair.max()), float(norm_povm.max()))
+
+    # Alice marginals must not depend on y; Bob marginals must not depend on x.
+    a_pair = corr.pair_probs.sum(axis=3)  # (n_pairs, y, a)
+    a_res = float(np.abs(a_pair - a_pair[:, :1, :]).max())
+    a_povm = corr.povm_probs.sum(axis=2)  # (a, y)
+    a_res = max(a_res, float(np.abs(a_povm - a_povm[:, :1]).max()))
+    b_pair = corr.pair_probs.sum(axis=2)  # (x, y, b)
+    b_povm = corr.povm_probs.sum(axis=0)  # (y, b)
+    b_ref = b_povm[None, :, :]
+    b_res = float(np.abs(b_pair - b_ref).max())
+
+    return Checks([
+        check("nonnegative", lo, tol),
+        check("normalized", norm_res, tol),
+        check("no_signaling_alice", a_res, tol),
+        check("no_signaling_bob", b_res, tol),
+    ])
+
+
+def bell_value_from_correlation(corr: Correlation, S: GramMatrix) -> float:
+    """Evaluate the Bell function directly on a probability table: the
+    oracle the tests compare ``bell_value`` against.
+
+    Alice's marginals are read against Bob's first setting and Bob's against
+    Alice's povm setting; no-signaling makes both choices immaterial for
+    valid tables.
+    """
+    if corr.n_outcomes != S.n:
+        raise ValueError(f"correlation table has {corr.n_outcomes} outcomes, S expects {S.n}")
+    weights, bob_weight = _coefficients(S)
+    P = corr.pair_probs
+    p = np.arange(len(corr.pairs))
+    j, k = pair_indices(S.n)
+    correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
+    value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
+    value -= bob_weight * corr.povm_probs[:, :, 0].sum()
+    value -= np.trace(corr.povm_probs[:, :, 1])
+    return float(value)
+
+
+def depolarize(strategy: Strategy, v: float) -> Strategy:
+    """Mix the state with white noise: rho <- v rho + (1-v) I / (dA dB); the
+    tests use it to drive strategies below the quantum value."""
+    if not (0.0 <= v <= 1.0):
+        raise ValueError("visibility must lie in [0, 1]")
+    n = strategy.dims.total
+    return replace(strategy, rho=v * strategy.rho + (1.0 - v) * np.eye(n) / n)
+
+
+def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
+    """POVM and state invariants of a strategy; the tests hold the reference
+    and random strategies to it."""
+    rho = strategy.rho
+    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+    herm_res = frobenius(rho - dagger(rho))
+    trace_res = abs(np.trace(rho).real - 1.0)
+    scale = max(1.0, frobenius(rho))
+
+    def min_eig(M, cap=np.inf):
+        """Smallest eigenvalue over a stack of matrices, at most ``cap``."""
+        return float(np.linalg.eigvalsh((M + dagger(M)) / 2).min(initial=cap))
+
+    dA, dB = strategy.dims.dA, strategy.dims.dB
+    pair_floor = pair_cap = 0.0
+    for _, _, _, A in strategy.pair_effect_blocks():
+        pair_floor = min_eig(A, pair_floor)
+        pair_cap = min_eig(np.eye(dA) - A[:, 0] - A[:, 1], pair_cap)
+    povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(dA))
+    povm_floor = min_eig(strategy.alice_povm)
+    bob_floor = min_eig(strategy.bob)
+    bob_cap = min_eig(np.eye(dB) - strategy.bob)
+
+    return Checks([
+        held("state_hermitian", herm_res, tol * scale),
+        held("state_psd", w[0], -tol * scale, ge),
+        held("state_trace", trace_res, tol * scale),
+        check("pair_effects_psd", pair_floor, tol),
+        check("pair_effects_capped", pair_cap, tol),
+        check("povm_psd", povm_floor, tol),
+        check("povm_sums_to_identity", povm_sum_res, tol, dA),
+        check("bob_psd", bob_floor, tol),
+        check("bob_capped", bob_cap, tol),
+    ])
+
+
+def deterministic_score(
+    S: GramMatrix, pair_choices, bob_bits, povm_index: int
+) -> float:
+    """Objective of one local deterministic strategy; the tests maximize it
+    by hand as an oracle for ``brute_force_classical``.
+
+    ``pair_choices[p]`` is 0 (output perp), 1 (output 1) or 2 (output 2) for
+    the p-th pair in lexicographic order; ``bob_bits[j]`` is Bob's output for
+    setting j; ``povm_index`` is Alice's deterministic povm outcome.
+    """
+    d, n = S.d, S.n
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    if len(pair_choices) != len(pairs) or len(bob_bits) != n:
+        raise ValueError("assignment lengths do not match the scenario")
+    value = 0.0
+    for p, (j, k) in enumerate(pairs):
+        choice = pair_choices[p]
+        a1 = 1.0 if choice == 1 else 0.0
+        a2 = 1.0 if choice == 2 else 0.0
+        s_jk = S.s[j, k]
+        value += 2.0 * math.sqrt(1.0 - s_jk) * (a1 - a2) * (bob_bits[j] - bob_bits[k])
+        value -= (1.0 - s_jk) * (a1 + a2)
+    value -= d * (d - 2) * sum(bob_bits)
+    value -= 1.0 - bob_bits[povm_index]
+    return value

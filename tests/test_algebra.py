@@ -3,15 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import dense_pair_effects
+import oracles
 
-from biccert import algebra, bell, bic
+from biccert import algebra, bell, bic, reproduce
 from biccert.linalg import (
     BipartiteDims,
     Checks,
     apply_local,
     frobenius,
+    frobenius_each,
     kron,
     maximally_entangled,
+    random_hermitian,
     random_unitary,
 )
 
@@ -29,6 +32,45 @@ def test_package_exports_resolve():
 # relation checks
 # ---------------------------------------------------------------------------
 
+def _assert_brackets_dense_oracle(X, S):
+    """``check_as_relations`` against ``oracles.dense_relations``.
+
+    Each pair bound core + tail of ``_pair_bounds`` lies between the exact
+    residual less the rounding allowance 8 m eps ||X_j||_F^2 ||X_k||_F and the
+    exact residual plus 2 tail plus that allowance: core is within tail of the
+    exact residual, both ways.  The named worst offender is a relation whose
+    own residual attains ``measured``, and ``measured`` never reads below the
+    oracle's beyond the allowance.
+    """
+    X = np.asarray(X, dtype=complex)
+    n, m = X.shape[:2]
+    found, dense = algebra.check_as_relations(X, S), oracles.dense_relations(X, S)
+    core, tail = algebra._pair_bounds(X, S.s)
+    exact = oracles.dense_pair_residuals(X, S.s)
+    norms = frobenius_each(X)
+    allow = 8 * m * np.finfo(float).eps * norms[:, None] ** 2 * norms[None, :]
+    bound = core + tail
+    inside = (exact - allow <= bound) & (bound <= exact + 2 * tail + allow)
+    assert inside[~np.eye(n, dtype=bool)].all()
+
+    if isinstance(found.worst, tuple):
+        at = tuple(i - 1 for i in found.worst)
+        assert found.measured == bound[at]
+        assert exact[at] - allow[at] <= found.measured <= exact[at] + 2 * tail[at] + allow[at]
+    else:
+        own = dict(enumerate(frobenius_each(X @ X - X), start=1))
+        own["completeness"] = frobenius(X.sum(axis=0) - S.d * np.eye(m))
+        assert found.measured == own[found.worst]
+    slack = allow[tuple(i - 1 for i in dense.worst)] if isinstance(dense.worst, tuple) else 0.0
+    assert found.measured >= dense.measured - slack
+    return found, dense
+
+
+def _rank(X):
+    """The common rank r of ``_pair_bounds``' eigenparts."""
+    return algebra._eigenparts(X)[0].shape[1]
+
+
 def test_weyl_family_passes_all_variants(weyl_povm_d3):
     P = weyl_povm_d3.projections()
     S = bic.gram(weyl_povm_d3)
@@ -41,14 +83,14 @@ def test_random_projections_fail_gram_relation(weyl_povm_d2):
     S = bic.gram(weyl_povm_d2)
     # projective and summing to 2I, so only X_j X_k X_j = s_jk X_j can fail
     e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    found = algebra.check_as_relations(np.stack([e0, e1, e0, e1]), S)
+    found, _ = _assert_brackets_dense_oracle(np.stack([e0, e1, e0, e1]), S)
     assert not found.passed
     assert found.measured > 0.1
     assert isinstance(found.worst, tuple) and len(found.worst) == 2
     # a perturbed Weyl family fails too
     P = weyl_povm_d2.projections().copy()
     P[0] += 1e-3 * np.eye(2)
-    assert not algebra.check_as_relations(P, S).passed
+    assert not _assert_brackets_dense_oracle(P, S)[0].passed
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -56,25 +98,82 @@ def test_check_as_relations_matches_per_pair_loop(d):
     # projections of another POVM: projective and complete, so a pair is the worst
     S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
     X = bic.construct_generic_bic(d, 5).projections()
-    residuals = {j + 1: frobenius(X[j] @ X[j] - X[j]) for j in range(d * d)}
-    residuals["completeness"] = frobenius(X.sum(axis=0) - d * np.eye(d))
-    for j in range(d * d):
-        for k in range(d * d):
-            if k != j:
-                residuals[(j + 1, k + 1)] = frobenius(X[j] @ X[k] @ X[j] - S.s[j, k] * X[j])
-    top = max(residuals.values())
-    found = algebra.check_as_relations(X, S)
+    found, dense = _assert_brackets_dense_oracle(X, S)
     # rank-one X ties (j, k) with (k, j) up to rounding, so either may be named
-    assert isinstance(found.worst, tuple)
-    for value in (found.measured, residuals[found.worst]):
-        assert abs(value - top) <= 1e-15 * max(1.0, top)
+    assert isinstance(found.worst, tuple) and isinstance(dense.worst, tuple)
+    assert not found.passed
+
+
+def _reference_relation_families(povm):
+    """S and the audit's two relation families of the reference strategy:
+    Bob's compressed effects and the compressed dual operators."""
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm)
+    audit, (F, _) = bell.walk(ref, algebra.certification_reader(ref, S),
+                              bell.pair_fold_reader(ref, S))
+    C = algebra.dual_alice_operators(ref, S, F)
+    return S, algebra.compress(ref.bob, audit.VB), algebra.compress(C, audit.UA)
+
+
+@pytest.mark.parametrize("kind, d", [("weyl", 3), ("weyl", 4), ("weyl", 5), ("weyl", 6),
+                                     ("generic", 4), ("generic", 5), ("generic", 6)])
+def test_relation_bounds_bracket_the_reference_families(kind, d):
+    povm = (bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)) if kind == "weyl"
+            else bic.construct_generic_bic(d, 1))
+    S, B_hat, C_hat = _reference_relation_families(povm)
+    for X in (B_hat, C_hat):
+        assert _rank(X) == 1
+        found, _ = _assert_brackets_dense_oracle(X, S)
+        assert found.passed and found.measured < 1e-13
+
+
+def test_relation_bounds_bracket_perturbed_and_general_families(weyl_povm_d3, weyl_povm_d4):
+    rng = np.random.default_rng(7)
+    # rank 2 at m = 4: each projection plus a small rank-one term
+    X = weyl_povm_d4.projections().copy()
+    w = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    X += 1e-6 * w[:, :, None] * w[:, None, :].conj()
+    assert _rank(X) == 2
+    assert not _assert_brackets_dense_oracle(X, bic.gram(weyl_povm_d4))[0].passed
+    # non-hermitian: the anti-hermitian part enters the bound through D_j
+    S = bic.gram(weyl_povm_d3)
+    Y = weyl_povm_d3.projections() + 1e-3 * (rng.standard_normal((9, 3, 3))
+                                               + 1j * rng.standard_normal((9, 3, 3)))
+    assert not _assert_brackets_dense_oracle(Y, S)[0].passed
+    # full rank, r = m
+    H = random_hermitian(3, rng, (9,))
+    assert _rank(H) == 3
+    assert not _assert_brackets_dense_oracle(H, S)[0].passed
+
+
+def test_check_as_relations_reads_nan_without_raising(weyl_povm_d3, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def refusing_eigh(a, *args, **kwargs):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("non-finite input")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", refusing_eigh)
+    X = weyl_povm_d3.projections().copy()
+    X[4, 1, 2] = np.nan
+    found = algebra.check_as_relations(X, bic.gram(weyl_povm_d3))
+    assert np.isnan(found.measured) and not found.passed
+
+
+def test_criterion_9_relation_residual_stays_below_criterion_1_headroom():
+    # criterion 1 reads 8.5e-14 against 1e-9 (4.07 decades); criterion 9's
+    # threshold is 1e-10, so below 8e-15 it cannot become report's minimum
+    measured = reproduce.run_criterion(9).checks["max relation residual"].measured
+    assert measured < 8e-15
 
 
 def test_standard_relations_accept_both_exceptional_and_minimal_families(sic3_povm):
     # the relations do not see the block dimension: the 6-dimensional family
     # and a true 3-dimensional family both satisfy them
-    S = algebra.counterexample_gram()
-    assert algebra.check_as_relations(algebra.counterexample_rep(), S).passed
+    S, X = algebra.counterexample_gram(), algebra.counterexample_rep()
+    assert _rank(X) == 2
+    assert _assert_brackets_dense_oracle(X, S)[0].passed
     assert algebra.check_as_relations(sic3_povm.projections(), S).passed
 
 
@@ -396,7 +495,7 @@ def test_certification_reference(fixture, request):
 
 def test_certification_depolarized_is_advisory(reference_d2):
     ref, S = reference_d2
-    cert = _certify(bell.depolarize(ref, 0.9), S)
+    cert = _certify(oracles.depolarize(ref, 0.9), S)
     assert not cert.optimal and not cert.passed
     assert cert.bell_value < 4.0
 
@@ -440,7 +539,7 @@ def _reported_state_residuals(cert):
 def test_rank_factor_residuals_match_full_rho(case, request):
     ref, S = request.getfixturevalue("reference_d2" if case.endswith("_d2") else case)
     strat = {
-        "depolarized_d2": lambda: bell.depolarize(ref, 0.9),
+        "depolarized_d2": lambda: oracles.depolarize(ref, 0.9),
         "random_d2": lambda: bell.random_strategy(BipartiteDims(2, 2), 2, 3),
     }.get(case, lambda: ref)()
     sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
@@ -453,7 +552,7 @@ def test_rank_factor_residuals_match_full_rho(case, request):
 def test_dropped_eigenvalues_never_lower_a_residual(reference_d2):
     ref, S = reference_d2
     # eigenvalues 2.5e-13 of the noise fall below RANK_CUTOFF and leave the factor
-    strat = bell.depolarize(ref, 1.0 - 1e-12)
+    strat = oracles.depolarize(ref, 1.0 - 1e-12)
     sync_pair, sync_povm, c_sync = _full_rho_state_residuals(strat, S)
     cert = _certify(strat, S)
     for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):

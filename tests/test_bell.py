@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import dense_pair_effects
+import oracles
 
 from biccert import algebra, bell, bic, linalg, randomness
 from biccert.linalg import (
@@ -73,7 +74,7 @@ def test_reference_pair_eigenvalues(reference_d3):
 
 def test_reference_strategy_valid(reference_d3):
     ref, _ = reference_d3
-    assert bell.validate_strategy(ref).passed
+    assert oracles.validate_strategy(ref).passed
 
 
 def test_reference_rejects_degenerate_pair():
@@ -110,7 +111,7 @@ def test_quantum_bound_random_strategies(reference_d2):
 
 def test_maximally_mixed_state_obeys_bound(reference_d2):
     ref, S = reference_d2
-    mixed = bell.depolarize(ref, 0.0)
+    mixed = oracles.depolarize(ref, 0.0)
     assert bell.bell_value(mixed, S).value <= 4.0 + 1e-8
 
 
@@ -519,8 +520,8 @@ def test_sos_theta_psd_random_valid(reference_d2):
 
 def test_correlation_reference_structure(reference_d2):
     ref, _ = reference_d2
-    corr = bell.correlation(ref)
-    assert bell.validate_correlation(corr).passed
+    corr = oracles.correlation(ref)
+    assert oracles.validate_correlation(corr).passed
     # povm outcomes are uniform and never disagree with Bob's matching setting
     dist = corr.povm_probs.sum(axis=2)[:, 0]
     assert np.abs(dist - 0.25).max() < 1e-10
@@ -541,7 +542,7 @@ def test_correlation_product_state_factorizes():
         alice_povm=strat.alice_povm,
         bob=strat.bob,
     )
-    corr = bell.correlation(product)
+    corr = oracles.correlation(product)
     for p in range(len(corr.pairs)):
         for y in range(4):
             for a in range(3):
@@ -554,8 +555,8 @@ def test_correlation_product_state_factorizes():
 def test_correlation_normalization_random():
     for seed in (0, 1):
         strat = bell.random_strategy(BipartiteDims(2, 3), 2, seed)
-        corr = bell.correlation(strat)
-        report = bell.validate_correlation(corr)
+        corr = oracles.correlation(strat)
+        report = oracles.validate_correlation(corr)
         assert report.passed, report.failures()
 
 
@@ -566,14 +567,14 @@ def test_dual_evaluation_agreement(d):
     for seed in range(25):
         strat = bell.random_strategy(BipartiteDims(d, d), d, seed)
         direct = bell.bell_value(strat, S).value
-        from_table = bell.bell_value_from_correlation(bell.correlation(strat), S)
+        from_table = oracles.bell_value_from_correlation(oracles.correlation(strat), S)
         assert abs(direct - from_table) < 1e-9
 
 
 def test_dual_evaluation_reference(reference_d2):
     ref, S = reference_d2
-    corr = bell.correlation(ref)
-    assert abs(bell.bell_value_from_correlation(corr, S) - 4.0) < 1e-9
+    corr = oracles.correlation(ref)
+    assert abs(oracles.bell_value_from_correlation(corr, S) - 4.0) < 1e-9
 
 
 def test_bell_value_all_perp_table(reference_d2):
@@ -586,23 +587,23 @@ def test_bell_value_all_perp_table(reference_d2):
     pair_probs[:, :, 2, 1] = 1.0
     povm_probs = np.zeros((n, n, 2))
     povm_probs[:, :, 1] = 1.0 / n
-    corr = bell.Correlation(
+    corr = oracles.Correlation(
         n_outcomes=n, pairs=pairs, pair_probs=pair_probs, povm_probs=povm_probs
     )
-    assert abs(bell.bell_value_from_correlation(corr, S) - (-1.0)) < 1e-12
+    assert abs(oracles.bell_value_from_correlation(corr, S) - (-1.0)) < 1e-12
 
 
 def test_bell_value_from_correlation_refuses_another_scenario(reference_d2, reference_d3):
     ref, _ = reference_d2
     _, S3 = reference_d3
     with pytest.raises(ValueError, match="4 outcomes, S expects 9"):
-        bell.bell_value_from_correlation(bell.correlation(ref), S3)
+        oracles.bell_value_from_correlation(oracles.correlation(ref), S3)
 
 
 def test_random_strategy_validity_and_determinism():
     for seed in range(100):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        assert bell.validate_strategy(strat).passed
+        assert oracles.validate_strategy(strat).passed
     a = bell.random_strategy(BipartiteDims(2, 2), 2, 7)
     b = bell.random_strategy(BipartiteDims(2, 2), 2, 7)
     assert np.array_equal(a.rho, b.rho)
@@ -655,22 +656,22 @@ def test_correlation_requires_all_pairs_in_order():
     probs = dict(pair_probs=np.zeros((len(pairs), n, 3, 2)), povm_probs=np.zeros((n, n, 2)))
     for bad in (pairs[::-1], pairs[:-1], ((0, 1),) * len(pairs)):
         with pytest.raises(ValueError, match="outcome pairs in order"):
-            bell.Correlation(n_outcomes=n, pairs=bad, **probs)
+            oracles.Correlation(n_outcomes=n, pairs=bad, **probs)
 
 
 def test_depolarize_endpoints_and_affinity(reference_d2):
     ref, S = reference_d2
-    unchanged = bell.depolarize(ref, 1.0)
+    unchanged = oracles.depolarize(ref, 1.0)
     assert np.allclose(unchanged.rho, ref.rho)
-    mixed = bell.depolarize(ref, 0.0)
+    mixed = oracles.depolarize(ref, 0.0)
     assert np.allclose(mixed.rho, np.eye(4) / 4)
     v1 = bell.bell_value(ref, S).value
     v0 = bell.bell_value(mixed, S).value
     for v in (0.25, 0.5, 0.9):
-        value = bell.bell_value(bell.depolarize(ref, v), S).value
+        value = bell.bell_value(oracles.depolarize(ref, v), S).value
         assert abs(value - (v * v1 + (1 - v) * v0)) < 1e-10
     with pytest.raises(ValueError):
-        bell.depolarize(ref, 1.5)
+        oracles.depolarize(ref, 1.5)
 
 
 def test_bell_operator_dimension_mismatch(reference_d2):

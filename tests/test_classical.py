@@ -4,6 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import oracles
+
 from biccert import bic, classical
 from biccert.classical import bic_gram_d2
 
@@ -80,7 +82,7 @@ def test_deterministic_score_all_bob_zero_stratum():
             choices = [(code // 3**p) % 3 for p in range(n_pairs)]
             best = max(
                 best,
-                classical.deterministic_score(S, choices, [0, 0, 0, 0], povm_index),
+                oracles.deterministic_score(S, choices, [0, 0, 0, 0], povm_index),
             )
     assert best <= -1.0 + 1e-12
 
@@ -95,7 +97,7 @@ def test_deterministic_score_matches_brute_force_maximum():
             for code in range(3**6):
                 choices = [(code // 3**p) % 3 for p in range(6)]
                 best = max(
-                    best, classical.deterministic_score(S, choices, bits, povm_index)
+                    best, oracles.deterministic_score(S, choices, bits, povm_index)
                 )
     assert abs(best - target) < 1e-12
 

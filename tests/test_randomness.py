@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from biccert import bell, bic, randomness
 from biccert.linalg import BipartiteDims, purify, random_unitary
 
@@ -44,7 +46,7 @@ def test_cq_state_reference_d2(reference_d2):
 
 def test_cq_state_trace_matches_outcome_probability(reference_d3):
     ref, _ = reference_d3
-    strat = bell.depolarize(ref, 0.7)
+    strat = oracles.depolarize(ref, 0.7)
     psi = purify(strat.rho)
     cq = randomness.cq_state(strat, psi)
     assert abs(cq.outcome_distribution().sum() - 1.0) < 1e-10
@@ -141,7 +143,7 @@ def test_randomness_report_reference(d):
 
 def test_randomness_report_depolarized_not_certified(reference_d2):
     ref, S = reference_d2
-    mixed = bell.depolarize(ref, 0.99)
+    mixed = oracles.depolarize(ref, 0.99)
     report = randomness.randomness_report(mixed, S, bell.bell_value(mixed, S))
     assert not report.certified.passed
     assert report.bell_value < 4.0
