@@ -14,7 +14,7 @@ from operator import gt
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, Checks, check, components, dagger, eigh, frobenius, held, json_checked,
+    DEFAULT_TOL, Checks, check, components, dagger, frobenius, held, json_checked,
 )
 
 _GENERIC_ATTEMPTS = 32  # draws of construct_generic_bic before it gives up
@@ -66,16 +66,29 @@ class GramMatrix:
         return self.d * self.d
 
 
+def _weyl_phases(d: int) -> np.ndarray:
+    """The phases w^{jq} with w = e^{2 pi i/d}, indexed [q, j]."""
+    j = np.arange(d)
+    return np.exp(2j * np.pi / d) ** np.outer(j, j)
+
+
 def weyl_operator(d: int, p: int, q: int) -> np.ndarray:
     """Shift-and-phase unitary U_{p,q} = sum_j w^{jq} |j+p><j| with w = e^{2 pi i/d}."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    p, q = p % d, q % d
+    j = np.arange(d)
     U = np.zeros((d, d), dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    for j in range(d):
-        U[(j + p) % d, j] = omega ** (j * q)
+    U[(j + p) % d, j] = _weyl_phases(d)[q % d]
     return U
+
+
+def _weyl_stack(d: int) -> np.ndarray:
+    """Every U_{p,q}, ordered by (p,q) lexicographic, shape (d^2, d, d)."""
+    j = np.arange(d)
+    p = j[:, None, None]
+    W = np.zeros((d, d, d, d), dtype=complex)
+    W[p, j[:, None], (j + p) % d, j] = _weyl_phases(d)
+    return W.reshape(d * d, d, d)
 
 
 def weyl_overlaps(d: int, psi: np.ndarray) -> np.ndarray:
@@ -83,14 +96,9 @@ def weyl_overlaps(d: int, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d:
         raise ValueError("fiducial length does not match d")
-    out = np.empty((d, d), dtype=complex)
     j = np.arange(d)
-    omega = np.exp(2j * np.pi / d)
-    for p in range(d):
-        shifted = psi[(j + p) % d].conj() * psi
-        for q in range(d):
-            out[p, q] = np.sum(omega ** (j * q) * shifted)
-    return out
+    shifted = psi[(j + j[:, None]) % d].conj() * psi  # [p, j]
+    return (_weyl_phases(d) * shifted[:, None, :]).sum(axis=-1)
 
 
 def geometric_fiducial(d: int, r: float, t: float) -> np.ndarray:
@@ -135,10 +143,7 @@ def construct_weyl_bic(d: int, psi: np.ndarray) -> BicPovm:
             "fiducial fails informational completeness: vanishing overlap at "
             + ", ".join(str(pq) for pq in bad)
         )
-    vectors = np.stack(
-        [weyl_operator(d, p, q) @ psi for p in range(d) for q in range(d)]
-    )
-    return BicPovm(d=d, vectors=vectors)
+    return BicPovm(d=d, vectors=_weyl_stack(d) @ psi)
 
 
 def equalize_diagonal(P: np.ndarray) -> np.ndarray:
@@ -146,7 +151,8 @@ def equalize_diagonal(P: np.ndarray) -> np.ndarray:
 
     Uses at most n-1 exact two-index rotations; each rotation picks an index
     below the mean and one above (by more than 1e-12 * max(1, |mean|)) and
-    sets the first exactly to the mean.
+    sets the first exactly to the mean.  A rotation touches only its two rows
+    and columns, so the whole costs O(n^2).
     """
     P = np.asarray(P, dtype=complex)
     n = P.shape[0]
@@ -155,21 +161,20 @@ def equalize_diagonal(P: np.ndarray) -> np.ndarray:
     mu = np.trace(P).real / n
     M = P.copy()
     U = np.eye(n, dtype=complex)
-    active = list(range(n))
+    diag = M.diagonal().real  # a view: follows M as the rotations update it
+    active = np.ones(n, dtype=bool)
     band = 1e-12 * max(1.0, abs(mu))
     for _ in range(n - 1):
-        diag = M.diagonal().real
-        low = [i for i in active if diag[i] < mu - band]
-        high = [i for i in active if diag[i] > mu + band]
-        if not low or not high:
+        low, high = active & (diag < mu - band), active & (diag > mu + band)
+        if not (low.any() and high.any()):
             break
-        i, j = low[0], high[0]
+        i, j = int(low.argmax()), int(high.argmax())  # the first of each
         R = _fixing_rotation(diag[i], diag[j], M[i, j], mu)
-        G = np.eye(n, dtype=complex)
-        G[np.ix_([i, j], [i, j])] = R
-        M = G @ M @ dagger(G)
-        U = G @ U
-        active.remove(i)
+        pair = [i, j]
+        M[pair] = R @ M[pair]
+        M[:, pair] = M[:, pair] @ dagger(R)
+        U[pair] = R @ U[pair]
+        active[i] = False
     return U
 
 
@@ -195,12 +200,12 @@ def _fixing_rotation(a: float, c: float, b: complex, mu: float) -> np.ndarray:
 def construct_generic_bic(d: int, seed: int) -> BicPovm:
     """Seeded generic BIC-POVM in any dimension d >= 2.
 
-    Pipeline: random full-rank d^2 x d matrix -> column orthonormalization ->
-    rank-d projection -> unitary equalizing the diagonal to 1/d -> G = d * K3
-    -> factor G = V* V and read the vectors off the columns of V.  Retries
-    with fresh randomness, at most ``_GENERIC_ATTEMPTS`` draws, until the POVM
-    passes ``validate_bic`` and its Gram matrix passes ``validate_gram``, both
-    at ``DEFAULT_TOL``.
+    Pipeline: random full-rank d^2 x d matrix -> column orthonormalization
+    K1 -> rank-d projection K2 = K1 K1* -> unitary U equalizing the diagonal
+    to 1/d.  Then G = d U K2 U* = A A* with A = sqrt(d) U K1, and the vectors
+    are the rows of conj(A).  Retries with fresh randomness, at most
+    ``_GENERIC_ATTEMPTS`` draws, until the POVM passes ``validate_bic`` and
+    its Gram matrix passes ``validate_gram``, both at ``DEFAULT_TOL``.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -209,10 +214,8 @@ def construct_generic_bic(d: int, seed: int) -> BicPovm:
     for _ in range(_GENERIC_ATTEMPTS):
         K0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         K1, _ = np.linalg.qr(K0)
-        K2 = K1 @ dagger(K1)
-        U = equalize_diagonal(K2)
-        K3 = U @ K2 @ dagger(U)
-        povm = BicPovm(d=d, vectors=_factor_gram(d * K3, d))
+        U = equalize_diagonal(K1 @ dagger(K1))
+        povm = BicPovm(d=d, vectors=(np.sqrt(d) * (U @ K1)).conj())
         failures = validate_bic(povm).failures() + validate_gram(gram(povm)).failures()
         if not failures:
             return povm
@@ -220,17 +223,6 @@ def construct_generic_bic(d: int, seed: int) -> BicPovm:
         f"generic construction failed after {_GENERIC_ATTEMPTS} attempts; "
         f"the last draw failed {', '.join(failures)}"
     )
-
-
-def _factor_gram(G: np.ndarray, d: int) -> np.ndarray:
-    """Vectors (rows) whose Gram matrix is G, via the top-d eigenpairs."""
-    w, W = eigh(G, tol=1e-8)
-    lam = w[-d:]
-    V = (W[:, -d:] * np.sqrt(lam)).conj()  # row j = e_j with <e_j|e_k> = G_jk
-    residual = frobenius(V.conj() @ V.T - G)
-    if residual > 1e-9 * max(1.0, frobenius(G)):
-        raise ValueError(f"gram factorization residual {residual:.3e} too large")
-    return V
 
 
 def gram(povm: BicPovm) -> GramMatrix:

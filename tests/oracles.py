@@ -12,6 +12,13 @@ computes, which the tests compare it against.
   value, and the POVM and state invariants of a strategy.
 - ``deterministic_score``: one local deterministic strategy's score, which
   the tests maximize by hand as an oracle for ``brute_force_classical``.
+- ``weyl_operator_loop``, ``weyl_orbit_loop`` and ``weyl_overlaps_loop``:
+  the Weyl operators, orbit and overlaps one (p, q) at a time; ``bic``
+  builds them as array operations on one phase table.
+- ``equalize_diagonal_dense``, ``factor_gram`` and ``generic_bic_dense``: the
+  generic construction with dense n x n rotations and an eigendecomposition
+  of the n x n Gram matrix for the vectors, O(d^8) per draw; ``bic`` rotates
+  two rows and two columns and reads the vectors off the factor it holds.
 """
 
 from __future__ import annotations
@@ -23,13 +30,16 @@ from operator import ge
 import numpy as np
 
 from biccert.bell import Strategy, _coefficients, pair_indices, pair_list
-from biccert.bic import GramMatrix
+from biccert.bic import (
+    _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, gram, validate_bic, validate_gram,
+)
 from biccert.linalg import (
     DEFAULT_TOL,
     Check,
     Checks,
     check,
     dagger,
+    eigh,
     frobenius,
     frobenius_each,
     held,
@@ -249,3 +259,87 @@ def deterministic_score(
     value -= d * (d - 2) * sum(bob_bits)
     value -= 1.0 - bob_bits[povm_index]
     return value
+
+
+def weyl_operator_loop(d: int, p: int, q: int) -> np.ndarray:
+    """U_{p,q} = sum_j w^{jq} |j+p><j| filled one entry at a time, each phase a
+    scalar power; an oracle for ``bic.weyl_operator`` and the orbit stack."""
+    p, q = p % d, q % d
+    U = np.zeros((d, d), dtype=complex)
+    omega = np.exp(2j * np.pi / d)
+    for j in range(d):
+        U[(j + p) % d, j] = omega ** (j * q)
+    return U
+
+
+def weyl_orbit_loop(d: int, psi: np.ndarray) -> np.ndarray:
+    """The vectors U_{p,q}|psi>, one matrix-vector product per (p, q) in
+    lexicographic order; an oracle for ``bic.construct_weyl_bic``."""
+    return np.stack([weyl_operator_loop(d, p, q) @ psi for p in range(d) for q in range(d)])
+
+
+def weyl_overlaps_loop(d: int, psi: np.ndarray) -> np.ndarray:
+    """<psi|U_{p,q}|psi> by a double loop over (p, q); an oracle for
+    ``bic.weyl_overlaps``."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    out = np.empty((d, d), dtype=complex)
+    j = np.arange(d)
+    omega = np.exp(2j * np.pi / d)
+    for p in range(d):
+        shifted = psi[(j + p) % d].conj() * psi
+        for q in range(d):
+            out[p, q] = np.sum(omega ** (j * q) * shifted)
+    return out
+
+
+def equalize_diagonal_dense(P: np.ndarray) -> np.ndarray:
+    """``bic.equalize_diagonal`` with each rotation applied as a dense n x n
+    unitary, G M G* and G U, so O(n^3) per rotation."""
+    P = np.asarray(P, dtype=complex)
+    n = P.shape[0]
+    mu = np.trace(P).real / n
+    M = P.copy()
+    U = np.eye(n, dtype=complex)
+    active = list(range(n))
+    band = 1e-12 * max(1.0, abs(mu))
+    for _ in range(n - 1):
+        diag = M.diagonal().real
+        low = [i for i in active if diag[i] < mu - band]
+        high = [i for i in active if diag[i] > mu + band]
+        if not low or not high:
+            break
+        i, j = low[0], high[0]
+        R = _fixing_rotation(diag[i], diag[j], M[i, j], mu)
+        G = np.eye(n, dtype=complex)
+        G[np.ix_([i, j], [i, j])] = R
+        M = G @ M @ dagger(G)
+        U = G @ U
+        active.remove(i)
+    return U
+
+
+def factor_gram(G: np.ndarray, d: int) -> np.ndarray:
+    """Vectors (rows) whose Gram matrix is G, via the top-d eigenpairs."""
+    w, W = eigh(G, tol=1e-8)
+    V = (W[:, -d:] * np.sqrt(w[-d:])).conj()  # row j = e_j with <e_j|e_k> = G_jk
+    residual = frobenius(V.conj() @ V.T - G)
+    if residual > 1e-9 * max(1.0, frobenius(G)):
+        raise ValueError(f"gram factorization residual {residual:.3e} too large")
+    return V
+
+
+def generic_bic_dense(d: int, seed: int) -> tuple[BicPovm, int]:
+    """``bic.construct_generic_bic`` through the dense pipeline: dense
+    rotations, K3 = U K2 U*, then an eigendecomposition of G = d K3 for the
+    vectors, O(d^8).  Returns the POVM and the number of draws it took."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    for draw in range(1, _GENERIC_ATTEMPTS + 1):
+        K0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        K1, _ = np.linalg.qr(K0)
+        K2 = K1 @ dagger(K1)
+        U = equalize_diagonal_dense(K2)
+        povm = BicPovm(d=d, vectors=factor_gram(d * (U @ K2 @ dagger(U)), d))
+        if validate_bic(povm).passed and validate_gram(gram(povm)).passed:
+            return povm, draw
+    raise ValueError(f"generic construction failed after {_GENERIC_ATTEMPTS} attempts")

@@ -1,17 +1,10 @@
 import numpy as np
+import oracles
 import pytest
 
 from biccert import bic
 from biccert.classical import bic_gram_d2
-
-
-def weyl_by_hand(d, p, q):
-    """Independent construction: sum_j w^{jq} |j+p mod d><j|."""
-    omega = np.exp(2j * np.pi / d)
-    U = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        U[(j + p) % d, j] += omega ** (j * q)
-    return U
+from biccert.reproduce import SIC3_FIDUCIAL, WEYL_PARAMETERS
 
 
 def test_weyl_identity_element():
@@ -25,10 +18,12 @@ def test_weyl_pauli_cases():
 
 
 def test_weyl_matches_hand_expansion():
-    for d in (2, 3, 4):
-        for p in range(d):
-            for q in range(d):
-                assert np.allclose(bic.weyl_operator(d, p, q), weyl_by_hand(d, p, q))
+    # bitwise: the operator reads the same phases as the orbit stack, and the
+    # indices wrap mod d
+    for d in (1, 2, 3, 4, 5, 9):
+        for p in range(-1, d + 1):
+            for q in range(-1, d + 1):
+                assert np.array_equal(bic.weyl_operator(d, p, q), oracles.weyl_operator_loop(d, p, q))
 
 
 def test_weyl_powers_proportional_to_identity():
@@ -72,9 +67,30 @@ def test_fiducial_overlaps_all_nonzero_d3():
     # oracle: explicit matrix products rather than the overlap formula
     for p in range(3):
         for q in range(3):
-            val = psi.conj() @ weyl_by_hand(3, p, q) @ psi
+            val = psi.conj() @ oracles.weyl_operator_loop(3, p, q) @ psi
             assert abs(val) > 1e-10
             assert abs(val - bic.weyl_overlaps(3, psi)[p, q]) < 1e-12
+
+
+def test_weyl_overlaps_bitwise_equal_double_loop():
+    rng = np.random.default_rng(0)
+    for d in range(2, 33):
+        lattice = 0.3 ** np.arange(d)  # criterion 6's lattice fiducial
+        fiducials = [lattice / np.linalg.norm(lattice)]
+        fiducials += [bic.geometric_fiducial(d, rng.uniform(0.05, 0.45), rng.uniform(0.0, 1.0))
+                      for _ in range(2)]
+        for _ in range(3):
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            fiducials.append(psi / np.linalg.norm(psi))
+        for psi in fiducials:
+            assert np.array_equal(bic.weyl_overlaps(d, psi), oracles.weyl_overlaps_loop(d, psi)), d
+
+
+def test_weyl_vectors_bitwise_equal_per_operator_orbit():
+    cases = [(3, SIC3_FIDUCIAL)] + [
+        (d, bic.geometric_fiducial(d, r, t)) for d in range(2, 25) for r, t in WEYL_PARAMETERS]
+    for d, psi in cases:
+        assert np.array_equal(bic.construct_weyl_bic(d, psi).vectors, oracles.weyl_orbit_loop(d, psi)), d
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -114,13 +130,51 @@ def test_weyl_bic_valid_up_to_d8(d):
     assert bic.validate_bic(povm).passed
 
 
-def test_generic_bic_small_and_beyond_sic_range():
+def _counting_draws(monkeypatch) -> list[int]:
+    """Patch ``bic.validate_gram``, which the generic construction calls once
+    per draw, to count those calls; the returned list holds the count."""
+    draws = [0]
+    validate_gram = bic.validate_gram
+
+    def counted(gm, *args, **kwargs):
+        draws[0] += 1
+        return validate_gram(gm, *args, **kwargs)
+
+    monkeypatch.setattr(bic, "validate_gram", counted)
+    return draws
+
+
+def test_generic_bic_small_and_beyond_sic_range(monkeypatch):
     # (4, 2) and (8, 3) first draw a Gram matrix just below the invertibility
     # tolerance, which the construction must reject and redraw
+    draws = _counting_draws(monkeypatch)
     for d, seed in ((2, 1), (4, 0), (4, 1), (4, 2), (4, 3), (6, 7), (8, 3)):
+        draws[0] = 0
         povm = bic.construct_generic_bic(d, seed)
+        assert draws[0] == (2 if (d, seed) in ((4, 2), (8, 3)) else 1), (d, seed)
         assert bic.validate_bic(povm).passed
         assert bic.validate_gram(bic.gram(povm)).passed
+
+
+@pytest.mark.parametrize("d", [12, 16, 20])
+def test_generic_bic_validates_at_scale(d):
+    povm = bic.construct_generic_bic(d, 1)
+    assert bic.validate_bic(povm).passed
+    assert bic.validate_gram(bic.gram(povm)).passed
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_generic_gram_matches_dense_pipeline(d, monkeypatch):
+    # the vectors differ from the dense pipeline's by a unitary, so only the
+    # Gram matrices are compared
+    draws = _counting_draws(monkeypatch)
+    for seed in range(8):
+        draws[0] = 0
+        S = bic.gram(bic.construct_generic_bic(d, seed)).s
+        new_draws = draws[0]
+        oracle, oracle_draws = oracles.generic_bic_dense(d, seed)
+        assert new_draws == oracle_draws, seed
+        assert np.abs(S - bic.gram(oracle).s).max() <= 1e-12, seed
 
 
 def test_generic_bic_unit_projection_traces():
@@ -157,6 +211,23 @@ def test_equalize_diagonal_random_nine():
     mean = np.trace(H).real / 9
     assert np.abs(np.diagonal(M).real - mean).max() < 1e-10
     assert np.linalg.norm(U @ U.conj().T - np.eye(9)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_equalize_diagonal_at_scale(n):
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    d = int(np.sqrt(n))
+    K1, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    # a random hermitian matrix and a rank-d projection, the generic construction's input
+    for H in ((G + G.conj().T) / 2, K1 @ K1.conj().T):
+        U = bic.equalize_diagonal(H)
+        mu = np.trace(H).real / n
+        M = U @ H @ U.conj().T
+        assert np.abs(np.diagonal(M).real - mu).max() <= 1e-12 * max(1.0, abs(mu))
+        assert np.linalg.norm(U @ U.conj().T - np.eye(n)) <= 1e-12 * n
+    with pytest.raises(ValueError, match="hermitian"):
+        bic.equalize_diagonal(G)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
