@@ -78,7 +78,6 @@ class Strategy:
 
     dims: BipartiteDims
     rho: np.ndarray                 # (..., dA dB, dA dB)
-    pairs: tuple[tuple[int, int], ...]
     alice_pair_effects: np.ndarray  # (..., n_pairs, 2, dA, dA), or (..., n_pairs, 2, dA) vectors
     alice_povm: np.ndarray          # (..., n_outcomes, dA, dA)
     bob: np.ndarray                 # (..., n_outcomes, dB, dB)
@@ -90,8 +89,6 @@ class Strategy:
         )
         object.__setattr__(self, "alice_povm", np.asarray(self.alice_povm, dtype=complex))
         object.__setattr__(self, "bob", np.asarray(self.bob, dtype=complex))
-        if tuple(self.pairs) != pair_list(self.n_outcomes):
-            raise ValueError(f"pairs must be all {self.n_outcomes} outcome pairs in order")
         stack, dA = self.stack, self.dims.dA
         per_pair = stack + (len(self.pairs), 2, dA)
         if self.alice_pair_effects.shape not in (per_pair, per_pair + (dA,)):
@@ -107,6 +104,11 @@ class Strategy:
     @property
     def n_outcomes(self) -> int:
         return self.bob.shape[-3]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every outcome pair, in the order of the pair axis: ``pair_list(n_outcomes)``."""
+        return pair_list(self.n_outcomes)
 
     def member(self, index) -> Strategy:
         """The strategy at ``index`` of the stack."""
@@ -196,9 +198,8 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     d = povm.d
     n = d * d
     B = povm.projections()
-    pairs = pair_list(n)
     overlaps = gram(povm).s
-    pair_vectors = np.empty((len(pairs), 2, d), dtype=complex)
+    pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
     for block, j, k in pair_blocks(n):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
@@ -227,7 +228,6 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     return Strategy(
         dims=BipartiteDims(d, d),
         rho=np.outer(phi, phi.conj()),
-        pairs=pairs,
         alice_pair_effects=pair_vectors,
         alice_povm=B.transpose(0, 2, 1) / d,
         bob=B,
@@ -506,7 +506,6 @@ def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
     return Strategy(
         dims=dims,
         rho=unstack(rho),
-        pairs=pairs,
         alice_pair_effects=unstack(_random_povm(pair_z)[:, :, :2]),
         alice_povm=unstack(_random_povm(povm_z)[:, 0]),
         bob=unstack(_random_povm(bob_z)[:, :, 0]),

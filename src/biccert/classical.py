@@ -6,10 +6,7 @@ subsets J with 0 < |J| < 2d:
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
 with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
-expansion, each from its parent in O(1), and scores the last three
-cardinalities from their common ancestors through per-n tables of 1-, 2- and
-3-combinations, with the same float operations, so every value is bitwise
-the one the expansion would compute.  Ties within rounding go to the
+expansion, each from its parent in O(1).  Ties within rounding go to the
 smallest, then lexicographically first, subset.  A brute-force
 enumeration over all deterministic strategies serves as an independent oracle
 at d = 2, and the d = 2 landscape has a closed three-branch form in the
@@ -27,9 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import combinations, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +31,6 @@ from .bic import GramMatrix
 
 MAX_SUBSETS_DEFAULT = 5_000_000
 _PARENTS = 512  # parents expanded per block; bounds every temporary
-_FOLD = 1 << 14  # values scored per fold chunk; bounds the fold's temporaries
 _TIE_TOL = 1e-12  # values within _TIE_TOL * d^2 of the maximum are tied
 _MARGIN = 1e-9  # per n^2: widens the cardinality bounds past any rounding
 
@@ -85,76 +78,19 @@ def subset_value(J, S: GramMatrix) -> float:
     return float(-d * (d - 2) * len(J) + boundary)
 
 
-class _Group(NamedTuple):
-    """The 1-, 2- and 3-combinations a < b < c of the outcomes >= first, as
-    the columns of one fold buffer: the 1-combinations, the 2-combinations
-    from column at2 on and the 3-combinations from column at3 on, each in
-    lexicographic order.  The 2- and 3-combinations are the suffixes, from
-    pair_start and triple_start on, of the pair and triple tables.  Per
-    2-combination, a is the buffer column of (a) and b the outcome b - first;
-    per 3-combination, ab is the buffer column of (a, b) and ac the position
-    of (a, c) among the 2-combinations."""
-
-    first: int
-    pair_start: int
-    triple_start: int
-    at2: int
-    at3: int
-    a: np.ndarray
-    b: np.ndarray
-    ab: np.ndarray
-    ac: np.ndarray
-    lead: np.ndarray  # per column: its smallest outcome
-    key: np.ndarray  # per column: depth 0, 1 or 2, index in its table, bitmask
-
-
-@cache
-def _combination_tables(n: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The flat positions, in an (n, 2, n) array r, of r[a, :, b] over the
-    lexicographic pairs and of r[b, :, c] over the lexicographic triples of n
-    outcomes, each shaped (2, count); and per l = -1..n-1 (at index l + 1)
-    the ``_Group`` of the outcomes > l, or None for l = n - 1."""
-    pairs = np.array(list(combinations(range(n), 2)))
-    triples = np.array(list(combinations(range(n), 3)))
-    pair_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-    ab = np.array([pair_index[a, b] for a, b, _ in combinations(range(n), 3)], dtype=np.intp)
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    groups = [None] * (n + 1)
-    for first in range(n):
-        p = int(np.searchsorted(pairs[:, 0], first))
-        q = int(np.searchsorted(triples[:, 0], first))
-        at2 = n - first
-        at3 = at2 + len(pairs) - p
-        sizes = [at2, at3 - at2, len(triples) - q]
-        groups[first] = _Group(
-            first, p, q, at2, at3,
-            a=pairs[p:, 0] - first,
-            b=pairs[p:, 1] - first,
-            ab=at2 + ab[q:] - p,
-            ac=np.array([pair_index[a, c] for a, _, c in triples[q:]], dtype=np.intp) - p,
-            lead=np.concatenate([np.arange(first, n), pairs[p:, 0], triples[q:, 0]]),
-            key=np.stack([
-                np.repeat(np.arange(3), sizes),
-                np.concatenate([np.arange(first, n), np.arange(p, len(pairs)),
-                                np.arange(q, len(triples))]),
-                np.concatenate([bits[first:], bits[pairs[p:]].sum(axis=1),
-                                bits[triples[q:]].sum(axis=1)]),
-            ]),
-        )
-    return (pairs[:, 0] * 2 * n + pairs[:, 1] + np.c_[0, n].T,
-            triples[:, 1] * 2 * n + triples[:, 2] + np.c_[0, n].T, groups)
-
-
 def _subset_budget(n: int, max_card: int) -> int:
     return sum(math.comb(n, m) for m in range(1, max_card + 1))
 
 
 def _check_budget(S: GramMatrix, allow_d5: bool, max_subsets: int) -> int:
     d = S.d
+    if not np.isfinite(S.s).all():
+        raise ValueError("Gram matrix entries must be finite")
     if d > 5:
         raise ValueError(f"exhaustive enumeration is not supported for d={d}")
     if d == 5 and not allow_d5:
-        raise ValueError("d=5 enumeration must be enabled explicitly (allow_d5=True)")
+        raise ValueError(
+            "d=5 enumeration must be enabled explicitly (--allow-d5, or allow_d5=True)")
     max_card = min(2 * d - 1, S.n)
     budget = _subset_budget(S.n, max_card)
     if budget > max_subsets:
@@ -221,54 +157,39 @@ def classical_value(
     max_subsets: int = MAX_SUBSETS_DEFAULT,
 ) -> ClassicalResult:
     """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix
-    expansion down to |J| = 2d - 4 and a fold of the last three cardinalities.
+    expansion.
 
     Each J + {k} with k > max(J) takes its value from J's in O(1):
     v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
     - 2 sum_{j in J} W[j,k] (W the payoff matrix), and step_{J+k} =
-    step_J - 2 W[k] = step_J - r[k]; the s_jk^2 boundary sum follows likewise
-    from Q = s^2.  A block of parents yields its children at once from the
-    mask k > max(J); children are expanded depth first, block by block, so
+    step_J - 2 W[k]; the s_jk^2 boundary sum follows likewise from Q = s^2.
+    A block of parents yields its children at once from the mask
+    k > max(J); children are expanded depth first, block by block, so
     temporaries stay small and each cardinality is visited in lexicographic
     order.  The same pass yields the upper bound d^2 - (1/4) min boundary sum
     of s_jk^2.
-
-    The last three cardinalities are never built subset by subset.  The
-    children, grandchildren and great-grandchildren of the parents J with
-    max(J) = l are J + {a}, J + {a, b} and J + {a, b, c} over the 1-, 2- and
-    3-combinations a < b < c of the outcomes above l, a suffix of the
-    per-n combination tables; with t = step_J,
-
-        v(J+a)     = v(J) + t[a]
-        v(J+a+b)   = v(J+a) + (t[b] - r[a,b])
-        v(J+a+b+c) = v(J+a+b) + ((t[c] - r[a,c]) - r[b,c]),
-
-    the very float operations, in the same order, that the expansion would
-    perform, so every value is bitwise the one the expansion computes.
 
     Values within _TIE_TOL * d^2 of the maximum are tied (exact ties, such as
     J and its complement at d=2, differ by rounding only): the smallest
     cardinality wins, then the lexicographically first J, and best_value is
     the value of that J.  Each cardinality keeps the running maxima, in
     lexicographic order, of the values within the band of the top seen so
-    far; the fold sorts its tie candidates back into lexicographic order
-    before they enter these records.  The first record within the band of
-    the final top is the lexicographically first J of its cardinality there,
-    however the top rose, so the fold leaves the tie rule unchanged.
+    far.  The first record within the band of the final top is the
+    lexicographically first J of its cardinality there, however the top rose.
 
     Above d, the scan skips a level, and everything below it, when the
     ``_cardinality_bounds`` ub[m] and lb[m] of its cardinality m (suffix max
     and min over m..max_card, widened by the margin) satisfy
     ub[m] < top - band and lb[m] > min_boundary; ``expand`` checks before it
-    builds the children's steps, ``fold`` before each chunk.  top only rises
-    and min_boundary only falls, so a skipped J lies strictly below the final
-    top - band and above the final minimum: it could neither have moved top
-    or min_boundary nor entered a record that the final band reads, and the
-    first record within the band is the lexicographically first J there
-    whatever records below the band hold.  best_value, best_subset, the tie
-    rule and upper_bound are therefore bitwise unchanged.  When the bounds
-    prove nothing, as on Weyl d = 5 at (0.3, 0.137), every J is scored.
-    subsets_scored counts the J scored, search_space all 0 < |J| < 2d.
+    builds the children's steps.  top only rises and min_boundary only
+    falls, so a skipped J lies strictly below the final top - band and above
+    the final minimum: it could neither have moved top or min_boundary nor
+    entered a record that the final band reads, and the first record within
+    the band is the lexicographically first J there whatever records below
+    the band hold.  best_value, best_subset, the tie rule and upper_bound are
+    therefore bitwise unchanged.  When the bounds prove nothing, as on Weyl
+    d = 5 at (0.3, 0.137), every J is scored.  subsets_scored counts the J
+    scored, search_space all 0 < |J| < 2d.
     """
     d, n = S.d, S.n
     max_card = _check_budget(S, allow_d5, max_subsets)
@@ -280,22 +201,13 @@ def classical_value(
     rows = np.empty((n, 2, n))
     np.multiply(2.0, W, out=rows[:, 0])
     np.multiply(2.0, Q, out=rows[:, 1])
-    # the scan reads the bounds of the levels it enters, up to the fold's
-    # first, 2d - 3; only those above d prove anything, so below d = 4 none
-    ub, lb = (_cardinality_bounds(W, Q, d, max_card) if 2 * d - 3 > d
+    # the bounds cost about 0.15 ms (1 BLAS thread), as much as a whole scan
+    # below d = 4: a d = 2 call (14 subsets) would go from 0.12 to 0.3 ms,
+    # and a generic d = 3 call (381 subsets, none pruned) would double
+    ub, lb = (_cardinality_bounds(W, Q, d, max_card) if d >= 4
               else ([math.inf] * (max_card + 1), [-math.inf] * (max_card + 1)))
     outcomes, top, min_boundary, scored = np.arange(n), -math.inf, math.inf, 0
     records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
-    at_ab, at_bc, groups = _combination_tables(n)
-    r_ab, r_bc = rows.take(at_ab), rows.take(at_bc)
-
-    def record(cards, values, masks):
-        """Feed tie candidates, given by cardinality, value and bitmask, into
-        the records; per cardinality they come in lexicographic order."""
-        for m, value, mask in zip(cards, values.tolist(), masks.tolist()):
-            run = records[m]
-            if not run or value > run[-1][0]:
-                run.append((value, mask))
 
     def hopeless(m):
         """No J with m <= |J| <= max_card can reach the final tie band or
@@ -305,11 +217,9 @@ def classical_value(
 
     def expand(m, score, step, last, mask):
         """Score the children, of cardinality m, of parents J given as
-        score = (v(J), Q boundary), step, last = max(J) and bitmask; recurse,
-        and fold the last three cardinalities."""
+        score = (v(J), Q boundary), step, last = max(J) and bitmask, and
+        recurse down to max_card."""
         nonlocal top, min_boundary, scored
-        if m == max_card - 2:
-            return fold(m, score, step, last, mask)
         for b in range(0, len(last), _PARENTS):
             s = slice(b, b + _PARENTS)
             pi, k = (outcomes > last[s, None]).nonzero()
@@ -321,62 +231,12 @@ def classical_value(
             top = max(top, float(values.max()))
             min_boundary = min(min_boundary, float(child[:, 1].min()))
             tied = (values >= top - band).nonzero()[0]
-            record(repeat(m), values[tied], child_mask[tied])
-            if not hopeless(m + 1):
+            run = records[m]
+            for value, bits in zip(values[tied].tolist(), child_mask[tied].tolist()):
+                if not run or value > run[-1][0]:
+                    run.append((value, bits))
+            if m < max_card and not hopeless(m + 1):
                 expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
-
-    def fold(m, score, step, last, mask):
-        """Score the descendants, of cardinalities m, m + 1 and m + 2, of the
-        parents J (as in expand) in chunks of at most _FOLD values.  The
-        parents, sorted by max(J), take the combination group of their
-        max(J), in chunks as needed.  If all of them fit in one chunk of the
-        group of the smallest max(J), they make one chunk, and the columns
-        that do not descend from a parent are masked out of its row."""
-        nonlocal top, min_boundary, scored
-        order = np.argsort(last, kind="stable")
-        g = groups[last[order[0]] + 1]
-        if g is not None and len(last) * len(g.lead) <= _FOLD:
-            chunks = [(0, len(last), g)]
-        else:
-            ends = np.searchsorted(last, outcomes - 1, "right", sorter=order).tolist()
-            chunks = []
-            for start, stop, g in zip([0] + ends, ends + [len(last)], groups):
-                if g is not None:
-                    size = max(1, _FOLD // len(g.lead))
-                    chunks += [(b, min(b + size, stop), g) for b in range(start, stop, size)]
-        tied = []  # (depth, index, bitmask), parent and value of the tie candidates
-        for start, stop, g in chunks:
-            if hopeless(m):
-                break
-            parents = order[start:stop]
-            t = step[parents, :, g.first:]
-            out = np.empty((len(parents), 2, len(g.lead)))
-            np.add(score[parents, :, None], t, out=out[:, :, :g.at2])
-            u = t[:, :, g.b] - r_ab[:, g.pair_start:]  # step_{J+a}[b]
-            np.add(out[:, :, g.a], u, out=out[:, :, g.at2:g.at3])
-            # u[ac] = t[c] - r[a,c]: v(J+a+b+c) = v(J+a+b) + ((t[c] - r[a,c]) - r[b,c])
-            np.add(out[:, :, g.ab], u[:, :, g.ac] - r_bc[:, g.triple_start:],
-                   out=out[:, :, g.at3:])
-            values, bounds = out[:, 0], out[:, 1]
-            if last[parents[-1]] >= g.first:  # parents of several groups
-                inside = g.lead > last[parents, None]
-                values = np.where(inside, values, -math.inf)
-                bounds = np.where(inside, bounds, math.inf)
-                scored += int(inside.sum())
-            else:
-                scored += values.size
-            high = float(values.max())
-            top = max(top, high)
-            min_boundary = min(min_boundary, float(bounds.min()))
-            if high >= top - band:
-                pi, ci = (values >= top - band).nonzero()
-                tied.append((g.key[:, ci], parents[pi], values[pi, ci]))
-        if tied:  # back into lexicographic order per cardinality
-            keys, parents, values = zip(*tied)
-            (depth, index, bits), parents = np.concatenate(keys, axis=1), np.concatenate(parents)
-            values = np.concatenate(values)
-            lex = np.lexsort((index, parents))
-            record((m + depth[lex]).tolist(), values[lex], mask[parents[lex]] | bits[lex])
 
     root_step = 0.5 * rows.sum(axis=2).T
     root_step[0] -= d * (d - 2)

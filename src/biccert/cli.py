@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gram", type=Path, help="GramMatrix JSON file")
     p.add_argument("--allow-d5", action="store_true",
                    help="enable the d=5 scan (a search space of 3,850,755 subsets)")
-    p.add_argument("--max-subsets", type=int, default=classical.MAX_SUBSETS_DEFAULT,
+    p.add_argument("--max-subsets", type=_at_least(1), default=classical.MAX_SUBSETS_DEFAULT,
                    help="hard cap on the search space, in subsets")
     common(p)
 

@@ -123,7 +123,6 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
             strat = bell.Strategy(
                 dims=BipartiteDims(d, d),
                 rho=np.broadcast_to(np.eye(n, dtype=complex) / n, (len(members), n, n)),
-                pairs=pairs,
                 alice_pair_effects=effects,
                 alice_povm=povm,
                 bob=bob,
@@ -269,7 +268,6 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
         * (
             np.outer(np.eye(4)[0], np.eye(4)[0]) + np.outer(np.eye(4)[3], np.eye(4)[3])
         ).astype(complex),
-        pairs=bell.pair_list(2),
         alice_pair_effects=np.zeros((1, 2, 2, 2), dtype=complex),
         alice_povm=basis,
         bob=basis.copy(),

@@ -140,8 +140,8 @@ def _plain_classical(S):
     return value, J, d * d - 0.25 * min_boundary
 
 
-def _weyl_gram(d):
-    return bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
+def _weyl_gram(d, r=0.3, t=0.137):
+    return bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, r, t)))
 
 
 ORACLE_GRAMS = (
@@ -177,8 +177,8 @@ def _prefix_expansion_payoff(S):
 
 def _prefix_expansion_classical(S, *, allow_d5=False,
                                 max_subsets=classical.MAX_SUBSETS_DEFAULT):
-    """Bitwise regression oracle: the prefix expansion over every cardinality
-    that preceded the fold of the last three, kept verbatim with its payoff
+    """Bitwise regression oracle: the prefix expansion as it stood before the
+    cardinality bounds, every subset scored, kept verbatim with its payoff
     matrix."""
     d, n = S.d, S.n
     max_card = classical._check_budget(S, allow_d5, max_subsets)
@@ -242,6 +242,8 @@ BITWISE_GRAMS = [
     pytest.param(lambda: [_generic_gram(4, s) for s in (1, 3, 4)], id="d4-generic"),
     pytest.param(lambda: [_generic_gram(5, s) for s in (1, 2, 3)], id="d5-generic"),
     pytest.param(lambda: [_weyl_gram(5)], id="weyl-d5-unpruned"),
+    pytest.param(lambda: [_weyl_gram(4, 0.25, 0.21), _weyl_gram(4, 0.45, 0.0733)],
+                 id="weyl-d4-unpruned-and-pruned"),
 ]
 
 
@@ -319,16 +321,18 @@ def test_scan_scores_everything_when_the_bounds_prove_nothing():
     # Weyl d=5 at (0.3, 0.137): the Q bound lies below the minimum boundary sum
     result = classical.classical_value(_weyl_gram(5), allow_d5=True)
     assert result.subsets_scored == result.search_space == 3_850_755
+    result = classical.classical_value(_weyl_gram(4, 0.25, 0.21))
+    assert result.subsets_scored == result.search_space == 26_332
 
 
-def test_fold_keeps_the_lexicographic_tie_across_groups():
+def test_scan_keeps_the_lexicographic_tie_across_parents():
     # Weyl d=3 ties exactly at (0,1,2), (3,4,5) and (6,7,8); their size-2
-    # parents end in 1, 4 and 7, three different last-element groups
+    # parents end in 1, 4 and 7, three different last elements
     S = _weyl_gram(3)
     result = classical.classical_value(S)
     assert result.best_subset == (0, 1, 2) == _plain_classical(S)[1]
-    # relabelled, the first tie (0,5,8) has the parent with the largest last
-    # element, so (1,2,3) and (4,6,7) are scored before it
+    # relabelled, the first tie (0,5,8) has the parent (0,5) with the largest
+    # last element of the three, and must still win over (1,2,3) and (4,6,7)
     relabel = np.array([0, 5, 8, 1, 2, 3, 4, 6, 7])  # old outcome -> new outcome
     old = np.argsort(relabel)
     P = bic.GramMatrix(d=3, s=S.s[np.ix_(old, old)])
@@ -413,6 +417,17 @@ def test_enumeration_budget_rules():
     S6 = bic.gram(bic.construct_generic_bic(6, 1))
     with pytest.raises(ValueError):
         classical.classical_value(S6, allow_d5=True)
+
+
+def test_classical_value_refuses_non_finite_entries():
+    # one NaN pair used to let a bare StopIteration out of the record search
+    S = bic_gram_d2(0.3, 0.25).s.copy()
+    S[0, 1] = S[1, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        classical.classical_value(bic.GramMatrix(d=2, s=S))
+    S[0, 1] = S[1, 0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        classical.classical_value(bic.GramMatrix(d=2, s=S))
 
 
 def test_d5_enumeration_behind_flag():

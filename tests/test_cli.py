@@ -232,6 +232,28 @@ def test_classical_d6_budget_exit(tmp_path):
     assert code == 3
 
 
+def test_classical_d5_refusal_names_the_flag(tmp_path, capsys):
+    gram_file = tmp_path / "gram.json"
+    dump_json(bic.gram_to_json(bic.gram(bic.construct_generic_bic(5, 1))), gram_file)
+    assert main(["classical", str(gram_file), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "d=5 enumeration must be enabled explicitly (--allow-d5" in err
+    assert not (tmp_path / "classical.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_classical_max_subsets_below_one_is_usage_error(tmp_path, capsys, cap):
+    gram_file = tmp_path / "gram.json"
+    dump_json(bic.gram_to_json(bic_gram_d2(1 / 3, 1 / 3)), gram_file)
+    argv = ["classical", str(gram_file), "--max-subsets", cap, "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"--max-subsets: expected an integer of at least 1, got '{cap}'" in err
+    assert "budget" not in err
+    assert not (tmp_path / "classical.json").exists()
+
+
 def test_classical_wrong_schema_is_usage_error(tmp_path):
     assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 0
     code = main(["classical", str(tmp_path / "povm.json"), "--out", str(tmp_path)])

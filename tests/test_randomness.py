@@ -19,7 +19,6 @@ def eavesdropped_pair():
     strategy = bell.Strategy(
         dims=BipartiteDims(2, 2),
         rho=rho,
-        pairs=bell.pair_list(2),
         alice_pair_effects=np.zeros((1, 2, 2, 2), dtype=complex),
         alice_povm=basis,
         bob=basis.copy(),
@@ -69,7 +68,6 @@ def test_cq_state_product_pure_blocks_proportional():
     pure = bell.Strategy(
         dims=strategy.dims,
         rho=np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex),
-        pairs=strategy.pairs,
         alice_pair_effects=strategy.alice_pair_effects,
         alice_povm=strategy.alice_povm,
         bob=strategy.bob,

@@ -21,7 +21,6 @@ def _criterion_2_one_at_a_time(seed):
             strat = bell.Strategy(
                 dims=BipartiteDims(d, d),
                 rho=np.eye(n, dtype=complex) / n,
-                pairs=pairs,
                 alice_pair_effects=random_hermitian(d, rng, (len(pairs), 2)),
                 alice_povm=random_hermitian(d, rng, (n,)),
                 bob=random_hermitian(d, rng, (n,)),
