@@ -25,11 +25,9 @@ from .bell import (
     Strategy,
     bell_operator,
     bell_value,
-    pair_fold,
     random_strategy,
     reference_strategy,
     sos_certificate,
-    sos_theta,
 )
 from .classical import (
     ClassicalResult,
@@ -40,8 +38,10 @@ from .classical import (
 )
 from .algebra import (
     CertificationReport,
+    CertifyRun,
     IrrepDecomposition,
     MaxEntReport,
+    certify,
     check_as_relations,
     compress,
     counterexample_rep,
@@ -59,7 +59,7 @@ from .randomness import (
     randomness_report,
 )
 from .linalg import (
-    BipartiteDims, Check, Checks, eigh, is_psd, kron, matricize, partial_trace, purify,
+    BipartiteDims, Check, Checks, eigh, kron, matricize, partial_trace, purify,
 )
 
 __version__ = "0.1.0"
@@ -69,16 +69,15 @@ __all__ = [
     "equalize_diagonal", "geometric_fiducial", "gram", "validate_bic",
     "validate_gram", "weyl_operator",
     "BellReport", "SosReport", "Strategy", "bell_operator", "bell_value",
-    "pair_fold", "random_strategy", "reference_strategy", "sos_certificate",
-    "sos_theta",
+    "random_strategy", "reference_strategy", "sos_certificate",
     "ClassicalResult", "brute_force_classical", "classical_value",
     "closed_form_d2", "subset_value",
-    "CertificationReport", "IrrepDecomposition", "MaxEntReport",
-    "check_as_relations", "compress", "counterexample_rep", "irrep_decompose",
+    "CertificationReport", "CertifyRun", "IrrepDecomposition", "MaxEntReport",
+    "certify", "check_as_relations", "compress", "counterexample_rep", "irrep_decompose",
     "local_support", "maxent_decompose", "span_dimension",
     "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
     "randomness_report",
-    "BipartiteDims", "Check", "Checks", "eigh", "is_psd", "kron", "matricize",
+    "BipartiteDims", "Check", "Checks", "eigh", "kron", "matricize",
     "partial_trace", "purify",
 ]

@@ -4,9 +4,9 @@ A tuple X_1..X_{d^2} of projections with sum d*I and X_j X_k X_j = s_jk X_j
 generates a finite-dimensional *-algebra whose irreducible blocks all have
 dimension divisible by d.  This module checks those relations, decomposes
 finite representations into irreducible blocks, certifies the
-block-maximally-entangled structure of synchronized bipartite states, and
-runs the full optimality-relation audit for strategies attaining the quantum
-value.
+block-maximally-entangled structure of synchronized bipartite states, runs
+the full optimality-relation audit for strategies attaining the quantum value,
+and ``certify`` runs the whole certification of a POVM.
 
 The irreducible decomposition is computed numerically: the commutant of the
 generated algebra is solved as a linear system, a random hermitian commutant
@@ -17,12 +17,14 @@ bases through its Schur intertwiners.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .bell import BellReport, Strategy, _coefficients, walk
+from . import bell, bic, randomness
+from .bell import BellReport, SosReport, Strategy, _coefficients
 from .bic import GramMatrix
 from .linalg import (
     DEFAULT_TOL,
@@ -43,7 +45,9 @@ from .linalg import (
     kron,
     matricize,
     partial_trace,
+    threshold,
 )
+from .randomness import RandomnessReport
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +711,8 @@ class CertificationReport:
 
 
 def dual_alice_operators(strategy: Strategy, S: GramMatrix, F: np.ndarray) -> np.ndarray:
-    """Operators C_j = (d I + F_j / 2) / d^2, with F the first part of
-    ``bell.pair_fold(strategy, S)``.
+    """Operators C_j = (d I + F_j / 2) / d^2, with F the first part of what
+    ``bell.pair_fold_reader`` returned from a walk.
 
     F_j / 2 sums the differences A1 - A2 of the pairs holding j, each scaled by
     half its correlator weight.  The difference enters antisymmetrically: for
@@ -770,14 +774,14 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
 
 
 def verify_certification(
-    strategy: Strategy, S: GramMatrix, bell_report: BellReport, F: np.ndarray, tol: float = 1e-9,
-    audit: PairAudit | None = None,
+    strategy: Strategy, S: GramMatrix, bell_report: BellReport, F: np.ndarray,
+    audit: PairAudit, tol: float = 1e-9,
 ) -> CertificationReport:
     """Audit every optimality relation of a strategy against S.
 
     ``bell_report`` is ``bell.bell_value(strategy, S)``, F the first part of
-    ``bell.pair_fold(strategy, S)`` and ``audit`` what ``certification_reader``
-    returned from a walk (without it, a walk of its own).  Checks the two
+    what ``bell.pair_fold_reader`` returned from a walk and ``audit`` what
+    ``certification_reader`` returned from the same walk.  Checks the two
     state relations, the compressed-measurement algebra relations on both
     sides, the dual operators C_j (state relation plus algebra relations),
     and the povm-block identity A^povm_j = (1/d) C_j on the compressed space.
@@ -789,8 +793,6 @@ def verify_certification(
     below ``RANK_CUTOFF``, and both are reported, so no residual reads below
     its full-rho value.  Pair terms run in blocks of pairs.
     """
-    if audit is None:
-        audit = walk(strategy, certification_reader(strategy, S))[0]
     d = S.d
     dims = strategy.dims
     bob, povm = strategy.bob, strategy.alice_povm
@@ -826,3 +828,70 @@ def verify_certification(
         relations("c relations", C_hat),
         worst("povm c", frobenius_each(compress(povm, UA) - C_hat / d), outcomes),
     ]))
+
+
+@dataclass(frozen=True)
+class CertifyRun:
+    """What ``certify`` found: the input validation and, for a valid input, the
+    Bell value, the SOS residuals, the optimality relations, the entropy, the
+    six top-level ``checks`` and the seconds of each stage (None when refused)."""
+
+    d: int
+    validation: Checks
+    bell: BellReport | None = None
+    sos: SosReport | None = None
+    certification: CertificationReport | None = None
+    randomness: RandomnessReport | None = None
+    checks: Checks | None = None
+    seconds: dict[str, float] | None = None
+
+    @property
+    def optimal(self) -> bool:
+        """A valid input whose reference strategy attains d^2 within its threshold."""
+        return self.certification is not None and self.certification.optimal
+
+    def to_json(self) -> dict:
+        """The body of ``certify_report.json``."""
+        if self.checks is None:
+            return {"inputValidation": self.validation.to_json(), "passed": False}
+        reports = ("bell", "sos", "certification", "randomness")
+        return {"d": self.d, **{name: getattr(self, name).to_json() for name in reports},
+                **self.checks.to_json()}
+
+
+def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
+    """The certification run: ``povm`` validated at the "input" threshold and, if
+    it passes, the reference strategy, one ``bell.walk``, the SOS certificate,
+    the optimality relations and the entropy, each stage timed."""
+    d = povm.d
+    validation = bic.validate_bic(povm, tol=threshold("input", tol))
+    if not validation.passed:
+        return CertifyRun(d, validation)
+    seconds = {}
+
+    def stage(name, fn, *fn_args):
+        start = time.perf_counter()
+        result = fn(*fn_args)
+        seconds[name] = time.perf_counter() - start
+        return result
+
+    S = bic.gram(povm)
+    ref = stage("reference", bell.reference_strategy, povm)
+    # one pass over the pairs for the Bell value, the fold that W_d and the dual
+    # operators C_j take, Theta_d and the pair relations of the audit
+    value, fold, theta, audit = stage(
+        "walk", bell.walk, ref, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
+        bell.sos_theta_reader(ref, S), certification_reader(ref, S))
+    sos = stage("sos", bell.sos_certificate, ref, S, fold, theta)
+    del theta  # a (d^2 x d^2) matrix the later stages do not read
+    cert = stage("certification", verify_certification, ref, S, value, fold[0], audit, tol)
+    rand = stage("randomness", randomness.randomness_report, ref, S, value, audit.spectrum, tol)
+    checks = Checks([
+        cert.checks["bell value"],
+        check("sos identity", sos.identity_residual, tol, d),
+        check("sos positivity", sos.theta_min_eigenvalue, tol, d),
+        check("sos theta.rho", sos.theta_rho_residual, tol, d),
+        cert.relations,
+        check("entropy", abs(rand.conditional_entropy_bits - 2 * np.log2(d)), tol, d),
+    ])
+    return CertifyRun(d, validation, value, sos, cert, rand, checks, seconds)

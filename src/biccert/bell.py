@@ -71,8 +71,8 @@ class Strategy:
     is the first effect of Bob's binary setting j; the second is I - bob[j].
 
     All four arrays may carry the same leading axes ``stack``, those of
-    ``rho``: a stack of strategies that ``pair_fold``, ``bell_operator``,
-    ``sos_theta``, ``sos_certificate`` and ``bell_value`` treat member by
+    ``rho``: a stack of strategies that ``walk`` and its readers,
+    ``bell_operator``, ``sos_certificate`` and ``bell_value`` treat member by
     member, against one Gram matrix.
     """
 
@@ -303,8 +303,8 @@ def _result(reader):
     raise RuntimeError("a walk reader must return after the last block")
 
 
-def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's pair effects folded per Bob outcome.
+def pair_fold_reader(strategy: Strategy, S: GramMatrix):
+    """The ``walk`` reader of Alice's pair effects folded per Bob outcome.
 
     Returns F with F[j] = sum_{k != j} +-2 sqrt(1-s_jk)(A1 - A2), the sign
     being + when j < k and - when j > k, and M = sum_p (1-s_jk)(A1 + A2).
@@ -312,11 +312,6 @@ def pair_fold(strategy: Strategy, S: GramMatrix) -> tuple[np.ndarray, np.ndarray
     so the pair correlators reduce to one term per Bob outcome.  (F, M) feeds
     ``bell_operator``, and F the dual operators C_j of the certification audit.
     """
-    return walk(strategy, pair_fold_reader(strategy, S))[0]
-
-
-def pair_fold_reader(strategy: Strategy, S: GramMatrix):
-    """The ``walk`` reader behind ``pair_fold``."""
     _check_dims(strategy, S)
     stack, dA = strategy.stack, strategy.dims.dA
     F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
@@ -356,7 +351,7 @@ def _frobenius_per_member(M: np.ndarray) -> float | np.ndarray:
 
 def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
     """Assemble the Bell operator W_d of the strategy's effects from their
-    ``fold = pair_fold(strategy, S)``."""
+    ``fold``, what ``pair_fold_reader`` returned from a walk."""
     _check_dims(strategy, S)
     IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
     F, M = fold
@@ -415,25 +410,21 @@ def bell_value_reader(strategy: Strategy, S: GramMatrix):
     )
 
 
-def sos_theta(strategy: Strategy, S: GramMatrix) -> np.ndarray:
-    """The five-term positive certificate Theta_d with W_d + Theta_d = d^2 I.
+def sos_theta_reader(strategy: Strategy, S: GramMatrix):
+    """The ``walk`` reader of the five-term positive certificate Theta_d with
+    W_d + Theta_d = d^2 I.
 
     The pair squares hybrid^2, hybrid = c D (x) I - I (x) E with D = A1 - A2,
     E = B_j - B_k, c = sqrt(1-s_jk), expand exactly (D (x) I and I (x) E
     commute) to c^2 D^2 (x) I - 2c D (x) E + I (x) E^2: the squares are summed
     as local matrices and the cross terms by ``kron_sum``, one product per
-    block of pairs.  Nothing comes from ``pair_fold`` or W_d, so the identity
-    compares two independent constructions.
+    block of pairs.  It reads only the effects and the walk's D, P and E;
+    nothing comes from ``pair_fold_reader`` or W_d, so the identity compares
+    two independent constructions.
 
     The identity is purely algebraic: it holds for arbitrary hermitian
     operator tuples, POVM-valid or not.
     """
-    return walk(strategy, sos_theta_reader(strategy, S))[0]
-
-
-def sos_theta_reader(strategy: Strategy, S: GramMatrix):
-    """The ``walk`` reader behind ``sos_theta``: it reads only the effects and
-    the walk's D, P and E."""
     _check_dims(strategy, S)
     d = S.d
     dA, dB = strategy.dims.dA, strategy.dims.dB
@@ -462,12 +453,11 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     return theta
 
 
-def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta=None) -> SosReport:
+def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport:
     """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0;
-    W_d comes from ``fold = pair_fold(strategy, S)``, Theta_d from the effects
-    (``theta``, when a walk already built it with ``sos_theta_reader``)."""
+    W_d comes from ``fold``, what ``pair_fold_reader`` returned from a walk, and
+    ``theta`` from the effects, what ``sos_theta_reader`` returned."""
     W = bell_operator(strategy, S, fold)
-    theta = sos_theta(strategy, S) if theta is None else theta
     d2 = S.d * S.d
     w = np.linalg.eigvalsh((theta + dagger(theta)) / 2)
     return SosReport(

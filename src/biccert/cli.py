@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra, bell, bic, classical, randomness, reproduce
-from .linalg import Checks, check, dump_json, load_json, threshold
+from . import __version__, algebra, bic, classical, reproduce
+from .linalg import dump_json, load_json, threshold
 
 EXIT_OK = 0
 EXIT_FAILED = 2
@@ -51,10 +51,13 @@ def _seed(text: str) -> int:
     """argparse type of --seed; ``main`` also applies it to BICCERT_SEED, read
     on each call, so that a bad environment value is a usage error too."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected an integer seed (from --seed or BICCERT_SEED), got {text!r}") from None
+            f"expected a non-negative integer seed (from --seed or BICCERT_SEED), got {text!r}")
+    return value
 
 
 def _at_least(low: int):
@@ -178,57 +181,16 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     povm = bic.povm_from_json(load_json(args.povm))
-    validation = bic.validate_bic(povm, tol=threshold("input", args.tol))
-    if not validation.passed:
-        print("input POVM failed validation: " + validation.failing(), file=sys.stderr)
-        _dump(args, {"inputValidation": validation.to_json(), "passed": False},
-              "certify_report", d=povm.d)
+    run = algebra.certify(povm, tol=args.tol)
+    if not run.validation.passed:
+        print("input POVM failed validation: " + run.validation.failing(), file=sys.stderr)
+        _dump(args, run.to_json(), "certify_report", d=run.d)
         return EXIT_FAILED
-
-    d, tol = povm.d, args.tol
-    seconds = {}
-
-    def stage(name, fn, *fn_args, **fn_kwargs):
-        start = time.perf_counter()
-        result = fn(*fn_args, **fn_kwargs)
-        seconds[name] = time.perf_counter() - start
-        return result
-
-    S = bic.gram(povm)
-    ref = stage("reference", bell.reference_strategy, povm)
-    # one pass over the pairs for the Bell value, the fold that W_d and the dual
-    # operators C_j take, Theta_d and the pair relations of the audit
-    value, fold, theta, audit = stage(
-        "walk", bell.walk, ref, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
-        bell.sos_theta_reader(ref, S), algebra.certification_reader(ref, S))
-    sos = stage("sos", bell.sos_certificate, ref, S, fold, theta)
-    del theta  # a (d^2 x d^2) matrix the later stages do not read
-    cert = stage("certification", algebra.verify_certification, ref, S, value, fold[0], tol=tol,
-                 audit=audit)
-    rand = stage("randomness", randomness.randomness_report, ref, S, value, tol=tol,
-                 spectrum=audit.spectrum)
-    checks = Checks([
-        cert.checks["bell value"],
-        check("sos identity", sos.identity_residual, tol, d),
-        check("sos positivity", sos.theta_min_eigenvalue, tol, d),
-        check("sos theta.rho", sos.theta_rho_residual, tol, d),
-        cert.relations,
-        check("entropy", abs(rand.conditional_entropy_bits - 2 * np.log2(d)), tol, d),
-    ])
-    report = {
-        "d": d,
-        "bell": value.to_json(),
-        "sos": sos.to_json(),
-        "certification": cert.to_json(),
-        "randomness": rand.to_json(),
-        **checks.to_json(),
-    }
-    _write_outputs(args, report, "certify_report", d=d, seconds=seconds)
-
-    print(f"d={d}: bell value {value.value:.9f}, entropy "
-          f"{rand.conditional_entropy_bits:.9f} bits; "
-          f"{'all checks passed' if checks.passed else 'FAILED: ' + checks.failing()}")
-    return EXIT_OK if checks.passed else EXIT_FAILED
+    _write_outputs(args, run.to_json(), "certify_report", d=run.d, seconds=run.seconds)
+    print(f"d={run.d}: bell value {run.bell.value:.9f}, entropy "
+          f"{run.randomness.conditional_entropy_bits:.9f} bits; "
+          f"{'all checks passed' if run.checks.passed else 'FAILED: ' + run.checks.failing()}")
+    return EXIT_OK if run.checks.passed else EXIT_FAILED
 
 
 def cmd_classical(args) -> int:

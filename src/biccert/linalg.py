@@ -65,11 +65,6 @@ def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(frobenius_each(M - dagger(M)) <= tol * np.maximum(1.0, frobenius_each(M))))
 
 
-def _require_hermitian(M: np.ndarray, tol: float, what: str) -> None:
-    if not is_hermitian(M, tol):
-        raise ValueError(f"{what} is not hermitian within tolerance {tol}")
-
-
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B of two matrices; leading axes broadcast."""
     A, B = np.asarray(A), np.asarray(B)
@@ -137,17 +132,9 @@ def eigh(H: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     such that ``H = U diag(w) U*``.
     """
     H = np.asarray(H, dtype=complex)
-    _require_hermitian(H, tol, "eigh input")
-    w, U = np.linalg.eigh((H + dagger(H)) / 2)
-    return w, U
-
-
-def is_psd(H: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the minimal eigenvalue is >= -tol * max(1, ||H||_F)."""
-    H = np.asarray(H, dtype=complex)
-    _require_hermitian(H, tol, "is_psd input")
-    w = np.linalg.eigvalsh((H + dagger(H)) / 2)
-    return bool(w[0] >= -tol * max(1.0, frobenius(H)))
+    if not is_hermitian(H, tol):
+        raise ValueError(f"eigh input is not hermitian within tolerance {tol}")
+    return np.linalg.eigh((H + dagger(H)) / 2)
 
 
 def is_state(rho: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> bool:

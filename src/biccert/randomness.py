@@ -101,14 +101,12 @@ def conditional_entropy(cq: CqState) -> float:
     return _spectrum_entropy(joint) - _spectrum_entropy(eve)
 
 
-def randomness_report(
-    strategy: Strategy, S: GramMatrix, bell_report: BellReport, tol: float = 1e-9,
-    spectrum=None,
-) -> RandomnessReport:
+def randomness_report(strategy: Strategy, S: GramMatrix, bell_report: BellReport, spectrum,
+                      tol: float = 1e-9) -> RandomnessReport:
     """The Bell value ``bell_report = bell.bell_value(strategy, S)``, the
-    conditional entropy under the canonical purification (from ``spectrum``,
-    rho's ``linalg.eigh``, when already computed), and the outcome
-    distribution of the povm setting.
+    conditional entropy under the canonical purification built from
+    ``spectrum``, rho's ``linalg.eigh``, and the outcome distribution of the
+    povm setting.
 
     ``certified`` checks the optimality hypothesis, the Bell value within its
     table threshold; below the quantum value the entropy is descriptive only,

@@ -45,5 +45,13 @@ def reference_d4(weyl_povm_d4):
 
 
 @pytest.fixture(scope="session")
+def lattice_povm_d2():
+    """The d=2 Weyl orbit of the on-lattice fiducial (1, 0.3): unit vectors that
+    sum to 2 I, but a singular Gram matrix, so ``validate_bic`` refuses them."""
+    psi = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+    return bic.BicPovm(2, bic._weyl_stack(2) @ psi)
+
+
+@pytest.fixture(scope="session")
 def sic3_povm():
     return bic.construct_weyl_bic(3, np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0))

@@ -477,9 +477,19 @@ def test_maxent_sync_precondition():
 # ---------------------------------------------------------------------------
 
 def _certify(strat, S, tol=1e-9):
-    """verify_certification given the Bell value and pair fold that it takes."""
-    return algebra.verify_certification(strat, S, bell.bell_value(strat, S),
-                                        bell.pair_fold(strat, S)[0], tol=tol)
+    """verify_certification given the Bell value, pair fold and audit of one walk."""
+    value, fold, audit = bell.walk(strat, bell.bell_value_reader(strat, S),
+                                   bell.pair_fold_reader(strat, S),
+                                   algebra.certification_reader(strat, S))
+    return algebra.verify_certification(strat, S, value, fold[0], audit, tol=tol)
+
+
+def test_certify_refuses_a_povm_that_fails_validation(lattice_povm_d2):
+    run = algebra.certify(lattice_povm_d2)
+    validation = bic.validate_bic(lattice_povm_d2, tol=1e-9)
+    assert validation.failures() == ["gram_invertible"]
+    assert run.to_json() == {"inputValidation": validation.to_json(), "passed": False}
+    assert run.checks is None and not run.optimal and run.seconds is None
 
 
 @pytest.mark.parametrize("fixture", ["reference_d2", "reference_d3", "reference_d4"])
@@ -502,7 +512,8 @@ def test_certification_depolarized_is_advisory(reference_d2):
 
 def test_dual_operators_reduce_to_bob_transpose(reference_d3):
     ref, S = reference_d3
-    C = algebra.dual_alice_operators(ref, S, bell.pair_fold(ref, S)[0])
+    ((F, _),) = bell.walk(ref, bell.pair_fold_reader(ref, S))
+    C = algebra.dual_alice_operators(ref, S, F)
     for j in range(9):
         assert frobenius(C[j] - ref.bob[j].T) < 1e-10
 
@@ -521,7 +532,8 @@ def _full_rho_state_residuals(strat, S):
     for Ej, Bj in zip(strat.alice_povm, strat.bob):
         E_rho = apply_local(Ej, rho, dims, "A")
         sync_povm.append(frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
-    C = algebra.dual_alice_operators(strat, S, bell.pair_fold(strat, S)[0])
+    ((F, _),) = bell.walk(strat, bell.pair_fold_reader(strat, S))
+    C = algebra.dual_alice_operators(strat, S, F)
     c_sync = [
         frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))
         for Cj, Bj in zip(C, strat.bob)

@@ -88,13 +88,13 @@ def test_bell_operator_hermitian(reference_d2):
     _, S = reference_d2
     for seed in range(5):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
+        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
         assert frobenius(W - W.conj().T) < 1e-12 * max(1.0, frobenius(W))
 
 
 def test_bell_operator_expectation_matches_phi(reference_d3):
     ref, S = reference_d3
-    W = bell.bell_operator(ref, S, bell.pair_fold(ref, S))
+    W = bell.bell_operator(ref, S, bell.walk(ref, bell.pair_fold_reader(ref, S))[0])
     phi = maximally_entangled(3)
     assert abs(np.real(phi.conj() @ W @ phi) - 9.0) < 1e-9
 
@@ -105,7 +105,7 @@ def test_quantum_bound_random_strategies(reference_d2):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
         value = bell.bell_value(strat, S).value
         assert value <= 4.0 + 1e-8
-        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
+        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
         assert np.linalg.eigvalsh(W)[-1] <= 4.0 + 1e-8
 
 
@@ -140,7 +140,8 @@ TUPLE_CASES = [
 
 def _assert_value_is_operator_trace(strat, S):
     report = bell.bell_value(strat, S)
-    expected = np.trace(bell.bell_operator(strat, S, bell.pair_fold(strat, S)) @ strat.rho).real
+    W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+    expected = np.trace(W @ strat.rho).real
     assert abs(report.value - expected) < 1e-10
     assert set(report.term_breakdown) == BELL_TERMS
 
@@ -174,8 +175,8 @@ def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
     d2 = d * d
     for _ in range(20):
         strat = _arbitrary_tuple_strategy(d, dims, rng)
-        W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
-        theta = bell.sos_theta(strat, S)
+        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+        theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
         assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
 
@@ -202,12 +203,14 @@ def test_sos_theta_matches_per_pair_oracle(d, dA, dB):
     S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
     for _ in range(5):
         strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
-        assert frobenius(bell.sos_theta(strat, S) - _sos_theta_oracle(strat, S)) <= 1e-12 * d * d
+        theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
+        assert frobenius(theta - _sos_theta_oracle(strat, S)) <= 1e-12 * d * d
 
 
 def test_sos_theta_matches_per_pair_oracle_reference(reference_d4):
     ref, S = reference_d4
-    assert frobenius(bell.sos_theta(ref, S) - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
+    theta = bell.walk(ref, bell.sos_theta_reader(ref, S))[0]
+    assert frobenius(theta - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
 
 
 def _stacked(strategies):
@@ -232,14 +235,14 @@ def _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack):
     if stack:
         strat = _stacked([strat] + [_arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
                                     for _ in range(stack - 1)])
-    W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
+    W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Theta_d must be built without W_d or its pair fold")
 
-    monkeypatch.setattr(bell, "pair_fold", forbidden)
+    monkeypatch.setattr(bell, "pair_fold_reader", forbidden)
     monkeypatch.setattr(bell, "bell_operator", forbidden)
-    theta = bell.sos_theta(strat, S)
+    theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
     assert theta.shape == strat.stack + (6, 6)
     for R in (W + theta - 4 * np.eye(6)).reshape(-1, 6, 6):
         assert frobenius(R) <= 1e-9 * 4
@@ -253,7 +256,7 @@ def _assert_pair_fold_matches_signed_loop(strat, S):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
-    F_got, M_got = bell.pair_fold(strat, S)
+    ((F_got, M_got),) = bell.walk(strat, bell.pair_fold_reader(strat, S))
     assert np.allclose(F_got, F, rtol=0, atol=1e-12) and np.allclose(M_got, M, rtol=0, atol=1e-12)
 
 
@@ -336,15 +339,19 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     vectors = bell.reference_strategy(povm)
     dense = dataclasses.replace(vectors, alice_pair_effects=dense_pair_effects(vectors))
     assert vectors.alice_pair_effects.ndim == 3 and dense.alice_pair_effects.ndim == 4
-    folds = [bell.pair_fold(strat, S) for strat in (vectors, dense)]
+    strats = (vectors, dense)
+    walks = [bell.walk(strat, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
+                       bell.sos_theta_reader(strat, S), algebra.certification_reader(strat, S))
+             for strat in strats]
+    values, folds = [w[0] for w in walks], [w[1] for w in walks]
     for got, expected in zip(*folds):
         assert np.array_equal(got, expected)
-    values = [bell.bell_value(strat, S) for strat in (vectors, dense)]
     assert values[0] == values[1]
-    sos = [bell.sos_certificate(strat, S, fold) for strat, fold in zip((vectors, dense), folds)]
+    sos = [bell.sos_certificate(strat, S, fold, theta)
+           for strat, (_, fold, theta, _) in zip(strats, walks)]
     assert sos[0] == sos[1]
-    certs = [algebra.verify_certification(strat, S, value, fold[0])
-             for strat, value, fold in zip((vectors, dense), values, folds)]
+    certs = [algebra.verify_certification(strat, S, value, fold[0], audit)
+             for strat, (value, fold, _, audit) in zip(strats, walks)]
     assert certs[0].to_json() == certs[1].to_json()
 
 
@@ -378,24 +385,25 @@ def _assert_bitwise(got, expected):
 @pytest.mark.parametrize("case", ["weyl3", "generic4", "random", "stack3", "dims23"])
 def test_one_walk_equals_the_standalone_readers_bitwise(case):
     strat, S = _walk_case(case)
-    readers = [bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
-               bell.sos_theta_reader(strat, S)]
+    readers = [bell.bell_value_reader, bell.pair_fold_reader, bell.sos_theta_reader]
     if not strat.stack:  # the certification audit takes one strategy at a time
-        readers.append(algebra.certification_reader(strat, S))
-    value, fold, theta, *audit = bell.walk(strat, *readers)
-    _assert_bitwise(value, bell.bell_value(strat, S))
-    _assert_bitwise(fold, bell.pair_fold(strat, S))
-    _assert_bitwise(theta, bell.sos_theta(strat, S))
-    _assert_bitwise(bell.sos_certificate(strat, S, fold, theta),
-                    bell.sos_certificate(strat, S, fold))
+        readers.append(algebra.certification_reader)
+    alone = [bell.walk(strat, reader(strat, S))[0] for reader in readers]
+    _assert_bitwise(bell.walk(strat, *(reader(strat, S) for reader in readers)), alone)
     if strat.stack:
         return
-    (audit,) = audit
+    value, fold, theta, audit = alone
     _assert_bitwise(audit.spectrum, linalg.eigh(strat.rho, tol=1e-8))
-    _assert_bitwise(algebra.verify_certification(strat, S, value, fold[0], audit=audit),
-                    algebra.verify_certification(strat, S, value, fold[0]))
-    _assert_bitwise(randomness.randomness_report(strat, S, value, spectrum=audit.spectrum),
-                    randomness.randomness_report(strat, S, value))
+    if case not in ("weyl3", "generic4"):
+        return
+    # every stage of ``certify`` equals its inputs taken from one-reader walks
+    run = algebra.certify(_povm(case))
+    _assert_bitwise(run.bell, value)
+    _assert_bitwise(run.sos, bell.sos_certificate(strat, S, fold, theta))
+    _assert_bitwise(run.certification,
+                    algebra.verify_certification(strat, S, value, fold[0], audit))
+    _assert_bitwise(run.randomness,
+                    randomness.randomness_report(strat, S, value, audit.spectrum))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -430,7 +438,7 @@ def test_bell_value_never_folds_the_pairs(reference_d3, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("bell_value evaluates the pairs without pair_fold")
 
-    monkeypatch.setattr(bell, "pair_fold", forbidden)
+    monkeypatch.setattr(bell, "pair_fold_reader", forbidden)
     assert bell.bell_value(ref, S) == expected
 
 
@@ -498,13 +506,15 @@ def test_sos_identity_independent_of_povm_validity(reference_d2):
     valid = bell.random_strategy(BipartiteDims(2, 2), 2, 0)
     invalid = _arbitrary_tuple_strategy(2, BipartiteDims(2, 2), rng)
     for strat in (ref, valid, invalid):
-        cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                                  bell.sos_theta_reader(strat, S)))
         assert cert.identity_residual <= 1e-9 * 4
 
 
 def test_sos_theta_psd_and_annihilates_reference(reference_d3):
     ref, S = reference_d3
-    cert = bell.sos_certificate(ref, S, bell.pair_fold(ref, S))
+    cert = bell.sos_certificate(ref, S, *bell.walk(ref, bell.pair_fold_reader(ref, S),
+                                              bell.sos_theta_reader(ref, S)))
     assert cert.theta_min_eigenvalue >= -1e-9
     assert cert.theta_rho_residual <= 1e-9
 
@@ -513,7 +523,8 @@ def test_sos_theta_psd_random_valid(reference_d2):
     _, S = reference_d2
     for seed in range(20):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                                  bell.sos_theta_reader(strat, S)))
         assert cert.theta_min_eigenvalue >= -1e-8
 
 
@@ -676,7 +687,7 @@ def test_bell_operator_dimension_mismatch(reference_d2):
     _, S2 = reference_d2
     strat3 = bell.random_strategy(BipartiteDims(3, 3), 3, 0)
     with pytest.raises(ValueError):
-        bell.bell_operator(strat3, S2, bell.pair_fold(strat3, S2))
+        bell.bell_operator(strat3, S2, bell.walk(strat3, bell.pair_fold_reader(strat3, S2))[0])
     with pytest.raises(ValueError):
         bell.bell_value(strat3, S2)
 
@@ -712,14 +723,14 @@ def test_random_strategy_stack_equals_the_per_seed_draws_bitwise(dA, dB):
 
 
 def _all_layers(strat, S):
-    """What pair_fold, bell_operator, sos_theta, sos_certificate and bell_value
-    return at one strategy or a stack."""
-    fold = bell.pair_fold(strat, S)
-    sos = bell.sos_certificate(strat, S, fold)
+    """What pair_fold_reader, bell_operator, sos_theta_reader, sos_certificate
+    and bell_value return at one strategy or a stack."""
+    fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S), bell.sos_theta_reader(strat, S))
+    sos = bell.sos_certificate(strat, S, fold, theta)
     value = bell.bell_value(strat, S)
     return {
         "F": fold[0], "M": fold[1],
-        "W": bell.bell_operator(strat, S, fold), "theta": bell.sos_theta(strat, S),
+        "W": bell.bell_operator(strat, S, fold), "theta": theta,
         "identity": sos.identity_residual, "eig": sos.theta_min_eigenvalue,
         "theta rho": sos.theta_rho_residual,
         "value": value.value, "gap": value.gap,

@@ -478,11 +478,23 @@ def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
 
 
 def test_bad_seed_env_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BICCERT_SEED", "abc")
-    assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 3
+    for seed in ("abc", "-3"):
+        monkeypatch.setenv("BICCERT_SEED", seed)
+        assert main(["construct", "--d", "2", "--construction", "generic",
+                     "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "BICCERT_SEED" in captured.err and f"'{seed}'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_seed_flag_is_usage_error_before_any_criterion(tmp_path, capsys):
+    assert main(["report", "--seed", "-1", "--out", str(tmp_path)]) == 3
     captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion line
     assert captured.err.count("\n") == 1
-    assert "BICCERT_SEED" in captured.err and "'abc'" in captured.err
+    assert "--seed" in captured.err and "non-negative" in captured.err and "'-1'" in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])

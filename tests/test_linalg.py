@@ -9,7 +9,6 @@ from biccert.linalg import (
     eigh,
     frobenius_each,
     is_hermitian,
-    is_psd,
     kron,
     kron_sum,
     matricize,
@@ -230,13 +229,6 @@ def test_eigh_reconstruction(n):
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_is_psd():
-    assert is_psd(np.eye(3), 1e-9)
-    assert not is_psd(np.diag([1.0, -1.0]), 1e-9)
-    with pytest.raises(ValueError):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_is_hermitian_relative_tolerance():

@@ -4,7 +4,7 @@ import pytest
 import oracles
 
 from biccert import bell, bic, randomness
-from biccert.linalg import BipartiteDims, purify, random_unitary
+from biccert.linalg import BipartiteDims, eigh, purify, random_unitary
 
 
 def eavesdropped_pair():
@@ -131,7 +131,7 @@ def test_randomness_report_reference(d):
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
     S = bic.gram(povm)
     ref = bell.reference_strategy(povm)
-    report = randomness.randomness_report(ref, S, bell.bell_value(ref, S))
+    report = randomness.randomness_report(ref, S, bell.bell_value(ref, S), eigh(ref.rho))
     assert abs(report.bell_value - d * d) < 1e-9
     assert abs(report.conditional_entropy_bits - 2 * np.log2(d)) < 1e-9
     assert abs(report.conditional_entropy_nats - 2 * np.log(d)) < 1e-9
@@ -142,7 +142,7 @@ def test_randomness_report_reference(d):
 def test_randomness_report_depolarized_not_certified(reference_d2):
     ref, S = reference_d2
     mixed = oracles.depolarize(ref, 0.99)
-    report = randomness.randomness_report(mixed, S, bell.bell_value(mixed, S))
+    report = randomness.randomness_report(mixed, S, bell.bell_value(mixed, S), eigh(mixed.rho))
     assert not report.certified.passed
     assert report.bell_value < 4.0
     assert report.gap_to_quantum_max > 0.0

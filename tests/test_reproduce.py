@@ -25,8 +25,9 @@ def _criterion_2_one_at_a_time(seed):
                 alice_povm=random_hermitian(d, rng, (n,)),
                 bob=random_hermitian(d, rng, (n,)),
             )
-            W = bell.bell_operator(strat, S, bell.pair_fold(strat, S))
-            theta = bell.sos_theta(strat, S)
+            fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                    bell.sos_theta_reader(strat, S))
+            W = bell.bell_operator(strat, S, fold)
             worst_rel = max(worst_rel, frobenius(W + theta - d * d * np.eye(n)) / (d * d))
     return worst_rel
 
@@ -37,10 +38,20 @@ def _criterion_3_one_at_a_time(seed):
         S = _weyl_gram(d)
         for i in range(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, seed + i)
-            cert = bell.sos_certificate(strat, S, bell.pair_fold(strat, S))
+            cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                                             bell.sos_theta_reader(strat, S)))
             min_eig = min(min_eig, cert.theta_min_eigenvalue)
             max_excess = max(max_excess, bell.bell_value(strat, S).value - d * d)
     return min_eig, max_excess
+
+
+@pytest.mark.parametrize("cid, name", [(7, "max residual"), (8, "max |H - 2 log2 d|")])
+def test_criteria_7_and_8_count_a_refused_povm_as_inf(monkeypatch, lattice_povm_d2, cid, name):
+    weyl_povm = reproduce._weyl_povm
+    monkeypatch.setattr(reproduce, "_weyl_povm",
+                        lambda d, *rt: lattice_povm_d2 if d == 2 else weyl_povm(d, *rt))
+    found = reproduce.run_criterion(cid).checks[name]
+    assert not found.passed and found.measured == np.inf and found.worst == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])
