@@ -727,7 +727,9 @@ class PairAudit(NamedTuple):
     """What ``certification_reader`` returns: rho's decomposition ``spectrum =
     linalg.eigh(rho, tol=1e-8)``, its local supports UA and VB, its rank
     factor K with the summed squares ``tail`` of the dropped eigenvalues, and
-    the "sync pair", "a projectivity" and "a orthogonality" residual of each pair."""
+    the "sync pair", "a projectivity" and "a orthogonality" residual of each
+    pair, the last two of vector-stored effects in closed form (see
+    ``certification_reader``)."""
 
     spectrum: tuple[np.ndarray, np.ndarray]
     UA: np.ndarray
@@ -751,9 +753,35 @@ def _sync(X, Y, K, tail, dims):
                       + np.sqrt(dims.dA) * frobenius_each(Y), tail)
 
 
+def _rank_one_relations(a, UA):
+    """"a projectivity" and "a orthogonality" of each pair of vector-stored
+    effects a (len, 2, dA), compressed by UA (None for the full space).
+
+    With w = a or a UA, the compressed effect is u u* / t for u = conj(w) and
+    t = |a|^2, so with q = |u|^2 / t it squares to q times itself, and A1 A2 =
+    u1 (u1* u2) u2* / (t1 t2): ||A^2 - A||_F = q |q - 1| and ||A1 A2||_F =
+    |u1* u2| |u1| |u2| / (t1 t2).  On the full space q = t / t, exactly 1 (or NaN).
+    """
+    t = np.einsum("...a,...a->...", a.conj(), a).real
+    w = a if UA is None else a @ UA
+    n2 = t if UA is None else np.einsum("...a,...a->...", w.conj(), w).real
+    q = n2 / t
+    overlap = np.abs(np.einsum("pa,pa->p", w[:, 0].conj(), w[:, 1]))
+    return ((q * np.abs(q - 1.0)).max(axis=1),
+            overlap * np.sqrt(n2[:, 0] * n2[:, 1]) / (t[:, 0] * t[:, 1]))
+
+
 def certification_reader(strategy: Strategy, S: GramMatrix):
     """The ``bell.walk`` reader behind ``verify_certification``: a ``PairAudit``,
-    from the one decomposition of rho that the run needs."""
+    from the one decomposition of rho that the run needs.
+
+    "sync pair" reads the walk's dense D and E.  "a projectivity" and "a
+    orthogonality" read the dense effects compressed to Alice's support when
+    they are stored as matrices, and ``_rank_one_relations`` of the stored
+    unit vectors otherwise, in O(d) per pair instead of O(d^3); on the full
+    support such effects are projectors by construction, and "a projectivity"
+    reads exactly 0.
+    """
     rho, dims = strategy.rho, strategy.dims
     L, V = spectrum = eigh(rho, tol=1e-8)
     UA = local_support(rho, dims, "A", L)
@@ -767,6 +795,10 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     while (step := (yield)) is not None:
         block, A = step.block, step.A
         sync_pair[block] = _sync(corr_w[block, None, None] / 2 * step.D, step.E, K, tail, dims)
+        if strategy.stores_vectors:
+            a_proj[block], a_ortho[block] = _rank_one_relations(
+                strategy.alice_pair_effects[block], None if full_support else UA)
+            continue
         Ah = A if full_support else compress(A, UA)
         a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
         a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])

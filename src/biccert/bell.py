@@ -43,11 +43,11 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(r[:, None] < r)
 
 
-def pair_blocks(n: int):
-    """(slice of the pair axis, j, k) per block of ``_PAIR_BLOCK`` of ``pair_list(n)``."""
+def pair_blocks(n: int, size: int = _PAIR_BLOCK):
+    """(slice of the pair axis, j, k) per block of ``size`` pairs of ``pair_list(n)``."""
     j_all, k_all = pair_indices(n)
-    for start in range(0, len(j_all), _PAIR_BLOCK):
-        block = slice(start, min(start + _PAIR_BLOCK, len(j_all)))
+    for start in range(0, len(j_all), size):
+        block = slice(start, min(start + size, len(j_all)))
         yield block, j_all[block], k_all[block]
 
 
@@ -66,8 +66,10 @@ class Strategy:
     ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair in
     ``pairs``, either as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
     effects, as unit vectors (..., n_pairs, 2, dA) standing for
-    A = (|a><a|)^t / tr (|a><a|)^t; ``walk`` hands every reader dense blocks
-    from ``pair_effect_blocks``.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
+    A = (|a><a|)^t / tr (|a><a|)^t.  ``walk`` hands every reader dense blocks
+    from ``pair_effect_blocks``; only the audit's "a projectivity" and "a
+    orthogonality" (``algebra.certification_reader``) read stored vectors
+    themselves.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
     is the first effect of Bob's binary setting j; the second is I - bob[j].
 
     All four arrays may carry the same leading axes ``stack``, those of
@@ -102,6 +104,11 @@ class Strategy:
         return self.rho.shape[:-2]
 
     @property
+    def stores_vectors(self) -> bool:
+        """True when ``alice_pair_effects`` holds unit vectors, not matrices."""
+        return self.alice_pair_effects.ndim == self.rho.ndim + 1
+
+    @property
     def n_outcomes(self) -> int:
         return self.bob.shape[-3]
 
@@ -130,7 +137,7 @@ class Strategy:
         """
         effects = self.alice_pair_effects
         blocks = pair_blocks(self.n_outcomes)
-        if effects.ndim == self.rho.ndim + 2:
+        if not self.stores_vectors:
             for block, j, k in blocks:
                 yield block, j, k, effects[..., block, :, :, :]
             return
@@ -200,15 +207,17 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     B = povm.projections()
     overlaps = gram(povm).s
     pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
-    for block, j, k in pair_blocks(n):
+    # O(d) temporaries per pair, overwritten in place where that keeps every bit,
+    # so d times a walk block's pairs take about a walk block's memory
+    for block, j, k in pair_blocks(n, _PAIR_BLOCK * d):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
                 "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
-        e_j, e_k = povm.vectors[j], povm.vectors[k]
-        norm_j = np.linalg.norm(e_j, axis=1)
-        q1 = e_j / norm_j[:, None]
-        alpha = np.einsum("pa,pa->p", q1.conj(), e_k)
-        rest = e_k - alpha[:, None] * q1
+        q1, rest = povm.vectors[j], povm.vectors[k]  # e_j and e_k, fresh copies
+        norm_j = np.linalg.norm(q1, axis=1)
+        q1 /= norm_j[:, None]
+        alpha = np.einsum("pa,pa->p", q1.conj(), rest)
+        rest -= alpha[:, None] * q1
         beta = np.linalg.norm(rest, axis=1)
         # B_j - B_k = [[a, b], [b*, c]] on (q1, q2), eigenvalues (a + c)/2 +- r
         a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
@@ -221,9 +230,13 @@ def reference_strategy(povm: BicPovm) -> Strategy:
         # the -r one is (-y*, x*)
         x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
         x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
-        q2 = rest / beta[:, None]
-        pair_vectors[block, 0] = x[:, None] * q1 + y[:, None] * q2
-        pair_vectors[block, 1] = -y.conj()[:, None] * q1 + x.conj()[:, None] * q2
+        q2 = rest
+        q2 /= beta[:, None]
+        a1, a2 = pair_vectors[block, 0], pair_vectors[block, 1]
+        np.multiply(x[:, None], q1, out=a1)
+        a1 += y[:, None] * q2
+        np.multiply(-y.conj()[:, None], q1, out=a2)
+        a2 += x.conj()[:, None] * q2
     phi = maximally_entangled(d)
     return Strategy(
         dims=BipartiteDims(d, d),

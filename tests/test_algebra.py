@@ -613,17 +613,18 @@ def _assert_alice_checks_match_oracle(strat, S):
     cert = _certify(strat, S)
     for name, oracle in (("a projectivity", proj), ("a orthogonality", ortho)):
         got = cert.checks[name]
-        assert abs(got.measured - oracle.max()) <= 1e-13
-        j, k = strat.pairs[int(np.argmax(oracle))]
-        assert got.worst == (j + 1, k + 1)
-    return UA, proj
+        assert np.isclose(got.measured, oracle.max(), rtol=0, atol=1e-13, equal_nan=True)
+        if not oracle.max() <= 1e-12:  # an argmax of rounding noise names no pair
+            j, k = strat.pairs[int(np.argmax(oracle))]
+            assert got.worst == (j + 1, k + 1)
+    return UA, proj, cert
 
 
 def test_alice_checks_with_full_support_match_compressed_oracle(reference_d2):
     # a full-rank state: the support is the whole space, reached by a unitary
     # that is not the identity, so the checks read the uncompressed effects
     strat = bell.random_strategy(BipartiteDims(3, 2), 2, 11)
-    UA, _ = _assert_alice_checks_match_oracle(strat, reference_d2[1])
+    UA, _, _ = _assert_alice_checks_match_oracle(strat, reference_d2[1])
     assert UA.shape == (3, 3) and not np.allclose(np.abs(UA), np.eye(3), atol=1e-3)
 
 
@@ -634,7 +635,42 @@ def test_alice_checks_with_partial_support_still_compress(reference_d2):
     P = kron(Q @ Q.conj().T, np.eye(2))
     rho = P @ strat.rho @ P
     strat = dataclasses.replace(strat, rho=rho / np.trace(rho).real)
-    UA, proj = _assert_alice_checks_match_oracle(strat, reference_d2[1])
+    UA, proj, _ = _assert_alice_checks_match_oracle(strat, reference_d2[1])
     assert UA.shape == (3, 2)
     uncompressed = [max(frobenius(A @ A - A) for A in pair) for pair in dense_pair_effects(strat)]
     assert abs(max(uncompressed) - proj.max()) > 1e-3  # the compression changes the check
+
+
+def test_alice_checks_of_stored_vectors_with_partial_support_compress(reference_d3):
+    # the reference state restricted to a random 2-dimensional subspace of Alice's C^3
+    ref, S = reference_d3
+    assert ref.stores_vectors
+    Q = random_unitary(3, np.random.default_rng(12))[:, :2]
+    P = kron(Q @ Q.conj().T, np.eye(3))
+    rho = P @ ref.rho @ P
+    strat = dataclasses.replace(ref, rho=rho / np.trace(rho).real)
+    UA, proj, _ = _assert_alice_checks_match_oracle(strat, S)
+    assert UA.shape == (3, 2) and proj.max() > 0.1
+
+
+def test_alice_checks_of_stored_vectors_name_a_tilted_pair(reference_d3):
+    ref, S = reference_d3
+    vectors = ref.alice_pair_effects.copy()
+    vectors[17, 1] += 1e-6 * vectors[17, 0]
+    tilted = dataclasses.replace(ref, alice_pair_effects=vectors)
+    _, _, cert = _assert_alice_checks_match_oracle(tilted, S)
+    j, k = ref.pairs[17]
+    ortho = cert.checks["a orthogonality"]
+    assert not ortho.passed and ortho.measured > 1e-7 and ortho.worst == (j + 1, k + 1)
+    assert cert.checks["a projectivity"].passed
+
+
+def test_alice_checks_of_stored_vectors_read_a_nan(reference_d3):
+    ref, S = reference_d3
+    vectors = ref.alice_pair_effects.copy()
+    vectors[17, 0, 1] = np.nan
+    spoilt = dataclasses.replace(ref, alice_pair_effects=vectors)
+    _, _, cert = _assert_alice_checks_match_oracle(spoilt, S)
+    j, k = ref.pairs[17]
+    proj = cert.checks["a projectivity"]
+    assert np.isnan(proj.measured) and not proj.passed and proj.worst == (j + 1, k + 1)

@@ -279,7 +279,7 @@ def test_pair_fold_matches_signed_loop_reference(d):
 
 
 def _povm(povm_id):
-    d = int(povm_id[-1])
+    d = int(povm_id.lstrip("abcdefghijklmnopqrstuvwxyz"))
     if povm_id.startswith("generic"):
         return bic.construct_generic_bic(d, 9)
     return bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
@@ -325,15 +325,18 @@ def _closed_form_pair_effects(povm):
     return pair_effects
 
 
-@pytest.mark.parametrize("povm_id", STORAGE_CASES)
+# weyl6: 630 pairs, two reference blocks of 64 * 6 = 384, checked against blocks of 64
+@pytest.mark.parametrize("povm_id", STORAGE_CASES + ["weyl6"])
 def test_expanded_pair_effects_equal_the_closed_form(povm_id):
     povm = _povm(povm_id)
     ref = bell.reference_strategy(povm)
     assert np.array_equal(dense_pair_effects(ref), _closed_form_pair_effects(povm))
 
 
-@pytest.mark.parametrize("povm_id", STORAGE_CASES)
+@pytest.mark.parametrize("povm_id", STORAGE_CASES + ["weyl10"])
 def test_vector_and_dense_storage_agree_bitwise(povm_id):
+    # bitwise but for "a projectivity" and "a orthogonality", which the audit
+    # reads from the vectors in closed form and from dense effects by products
     povm = _povm(povm_id)
     S = bic.gram(povm)
     vectors = bell.reference_strategy(povm)
@@ -350,9 +353,19 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     sos = [bell.sos_certificate(strat, S, fold, theta)
            for strat, (_, fold, theta, _) in zip(strats, walks)]
     assert sos[0] == sos[1]
-    certs = [algebra.verify_certification(strat, S, value, fold[0], audit)
+    audits = [w[3] for w in walks]
+    _assert_bitwise(*(audit._replace(a_proj=None, a_ortho=None) for audit in audits))
+    certs = [algebra.verify_certification(strat, S, value, fold[0], audit).to_json()
              for strat, (value, fold, _, audit) in zip(strats, walks)]
-    assert certs[0].to_json() == certs[1].to_json()
+    # both read rounding noise: held to a bracket, and their worst labels, argmaxes
+    # of that noise, left out
+    bracket = 16 * povm.d * np.finfo(float).eps
+    for name in ("a projectivity", "a orthogonality"):
+        vector_check, dense_check = (cert["checks"].pop(name) for cert in certs)
+        for record in (vector_check, dense_check):
+            assert 0.0 <= record.pop("measured") <= bracket and record.pop("worst") is not None
+        assert vector_check == dense_check
+    assert certs[0] == certs[1]
 
 
 def _walk_case(case):
@@ -429,6 +442,15 @@ def test_reference_errors_name_the_first_pair():
     vectors[1] *= 1e-7
     with pytest.raises(ValueError, match=r"pair \(0, 1\) difference lacks a \+/- eigenvalue pair"):
         bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
+
+
+def test_reference_refuses_a_degenerate_pair_in_its_last_block():
+    # d=6: 630 pairs in reference blocks of 384; (34, 35) is the last pair
+    assert len(bell.pair_list(36)) > bell._PAIR_BLOCK * 6
+    vectors = _povm("weyl6").vectors.copy()
+    vectors[35] = vectors[34]
+    with pytest.raises(ValueError, match=r"degenerate pair \(34, 35\): overlap s_jk="):
+        bell.reference_strategy(bic.BicPovm(d=6, vectors=vectors))
 
 
 def test_bell_value_never_folds_the_pairs(reference_d3, monkeypatch):
