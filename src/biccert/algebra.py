@@ -838,12 +838,17 @@ def verify_certification(
 
     C = dual_alice_operators(strategy, S, F)
     C_hat = compress(C, UA)
-    pairs = [(j + 1, k + 1) for j, k in strategy.pairs]
-    outcomes = range(1, S.n + 1)
 
-    def worst(name, values, labels):  # every family has at least d^2 >= 4 members
-        at = int(np.argmax(values))
-        return check(name, values[at], tol, d, labels[at])
+    def pairs(at):
+        j, k = strategy.pairs[at]
+        return j + 1, k + 1
+
+    def outcomes(at):
+        return at + 1
+
+    def worst(name, values, label):  # every family has at least d^2 >= 4 members
+        at = int(np.argmax(values))  # a maximum of exactly 0 names no offender
+        return check(name, values[at], tol, d, label(at) if values[at] != 0 else None)
 
     def relations(name, X):
         found = check_as_relations(X, S)
@@ -896,7 +901,8 @@ def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
     it passes, the reference strategy, one ``bell.walk``, the SOS certificate,
     the optimality relations and the entropy, each stage timed."""
     d = povm.d
-    validation = bic.validate_bic(povm, tol=threshold("input", tol))
+    S = bic.gram(povm)  # the one Gram matrix of the run
+    validation = bic.validate_bic(povm, tol=threshold("input", tol), S=S)
     if not validation.passed:
         return CertifyRun(d, validation)
     seconds = {}
@@ -907,8 +913,7 @@ def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
         seconds[name] = time.perf_counter() - start
         return result
 
-    S = bic.gram(povm)
-    ref = stage("reference", bell.reference_strategy, povm)
+    ref = stage("reference", bell.reference_strategy, povm, S)
     # one pass over the pairs for the Bell value, the fold that W_d and the dual
     # operators C_j take, Theta_d and the pair relations of the audit
     value, fold, theta, audit = stage(

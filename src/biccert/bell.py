@@ -189,7 +189,7 @@ class SosReport:
         }
 
 
-def reference_strategy(povm: BicPovm) -> Strategy:
+def reference_strategy(povm: BicPovm, S: GramMatrix | None = None) -> Strategy:
     """The d-dimensional optimal strategy for the scenario induced by ``povm``.
 
     Shares the maximally entangled state; Bob measures the rank-one
@@ -201,11 +201,12 @@ def reference_strategy(povm: BicPovm) -> Strategy:
     Both eigenvectors lie in span{e_j, e_k}, so each pair is a 2x2 problem
     in the orthonormal basis q1 = e_j / |e_j|, q2 ~ e_k - <q1|e_k> q1, where
     e_j = |e_j| q1 and e_k = alpha q1 + beta q2 with the vectors' own norms.
+    ``S`` is the povm's ``gram``, formed here when not given.
     """
     d = povm.d
     n = d * d
     B = povm.projections()
-    overlaps = gram(povm).s
+    overlaps = (gram(povm) if S is None else S).s
     pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
     # O(d) temporaries per pair, overwritten in place where that keeps every bit,
     # so d times a walk block's pairs take about a walk block's memory

@@ -216,7 +216,8 @@ def construct_generic_bic(d: int, seed: int) -> BicPovm:
         K1, _ = np.linalg.qr(K0)
         U = equalize_diagonal(K1 @ dagger(K1))
         povm = BicPovm(d=d, vectors=(np.sqrt(d) * (U @ K1)).conj())
-        failures = validate_bic(povm).failures() + validate_gram(gram(povm)).failures()
+        S = gram(povm)
+        failures = validate_bic(povm, S=S).failures() + validate_gram(S).failures()
         if not failures:
             return povm
     raise ValueError(
@@ -231,13 +232,14 @@ def gram(povm: BicPovm) -> GramMatrix:
     return GramMatrix(d=povm.d, s=np.abs(overlaps) ** 2)
 
 
-def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL) -> Checks:
-    """Check the BIC axioms: unit norms, sum_j P_j = d*I, invertible Gram."""
+def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL, S: GramMatrix | None = None) -> Checks:
+    """Check the BIC axioms: unit norms, sum_j P_j = d*I, invertible Gram.
+    ``S`` is the povm's ``gram``, formed here when not given."""
     d = povm.d
     norm_res = np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0)
     worst_norm = int(np.argmax(norm_res))
     sum_res = frobenius(povm.projections().sum(axis=0) - d * np.eye(d))
-    S = gram(povm).s
+    S = (gram(povm) if S is None else S).s
     w = np.linalg.eigvalsh((S + S.T) / 2)
     return Checks([
         check("unit_norms", norm_res[worst_norm], tol, d, worst_norm + 1),

@@ -159,7 +159,7 @@ def cmd_construct(args) -> int:
         povm = bic.construct_generic_bic(args.d, args.seed)
     gm = bic.gram(povm)
     input_tol = threshold("input", args.tol)
-    povm_checks = bic.validate_bic(povm, tol=input_tol)
+    povm_checks = bic.validate_bic(povm, tol=input_tol, S=gm)
     gram_checks = bic.validate_gram(gm, tol=input_tol)
     ok = povm_checks.passed and gram_checks.passed
 

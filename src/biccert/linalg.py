@@ -138,38 +138,44 @@ def eigh(H: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
 
 
 def is_state(rho: np.ndarray, tol: float = DEFAULT_TOL, eigenvalues=None) -> bool:
-    """True iff rho is PSD with unit trace, within tol; the PSD verdict reads
-    ``eigenvalues``, rho's ascending ones from ``eigh``, when given."""
+    """True iff rho, or each matrix of a stack, is PSD with unit trace, within
+    tol; the PSD verdict reads ``eigenvalues``, rho's ascending ones from
+    ``eigh``, when given."""
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho, tol):
         return False
-    scale = tol * max(1.0, frobenius(rho))
-    if abs(np.trace(rho) - 1.0) > scale:
+    scale = tol * np.maximum(1.0, frobenius_each(rho))
+    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > scale):
         return False
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    return bool(eigenvalues[0] >= -scale)
+    return bool(np.all(eigenvalues[..., 0] >= -scale))
 
 
 def purify(rho: np.ndarray, tol: float = DEFAULT_TOL, spectrum=None) -> np.ndarray:
-    """Canonical purification of a state.
+    """Canonical purification of a state, or of each state of a stack (..., n, n).
 
     Returns a vector in H (x) H_E with dim E = rank(rho) (eigenvalues above
     the 1e-12 cutoff), built from the eigendecomposition ``spectrum = eigh(rho)``,
     computed here when not given; tracing out the trailing E factor recovers
-    rho.  The input is checked as ``is_state`` does, with the PSD verdict read
-    from that same eigendecomposition.
+    rho.  A stack gives one vector per state, (..., n * dim E), with dim E the
+    largest rank of the stack: a state of lower rank gets a zero environment
+    column for each dropped eigenvalue, which adds nothing to its marginal.
+    Each state is checked as ``is_state`` does, with the PSD verdict read from
+    that same eigendecomposition.
     """
     rho = np.asarray(rho, dtype=complex)
-    scale = tol * max(1.0, frobenius(rho))
-    if not is_hermitian(rho, tol) or abs(np.trace(rho) - 1.0) > scale:
+    if spectrum is None and is_hermitian(rho, tol):
+        spectrum = np.linalg.eigh((rho + dagger(rho)) / 2)
+    if spectrum is None or not is_state(rho, tol, spectrum[0]):
         raise ValueError("purify input is not a quantum state")
-    w, U = np.linalg.eigh((rho + dagger(rho)) / 2) if spectrum is None else spectrum
-    if not w[0] >= -scale:
-        raise ValueError("purify input is not a quantum state")
-    keep = w > RANK_CUTOFF
-    # sum_i sqrt(lam_i) u_i (x) e_i, i.e. the matrix U_keep sqrt(lam) read row by row
-    return (U[:, keep] * np.sqrt(w[keep])).reshape(-1)
+    w, U = spectrum
+    keep = w > RANK_CUTOFF  # the top of each ascending spectrum
+    n, rank = w.shape[-1], int(keep.sum(axis=-1).max())
+    # sum_i sqrt(lam_i) u_i (x) e_i, i.e. the matrix U_keep sqrt(lam) read row by row;
+    # a dropped eigenvalue, perhaps a tiny negative one, enters as an exact 0
+    root = np.sqrt(np.where(keep, w, 0.0)[..., n - rank:])
+    return (U[..., n - rank:] * root[..., None, :]).reshape(rho.shape[:-2] + (-1,))
 
 
 def matricize(v: np.ndarray, dims: BipartiteDims) -> np.ndarray:

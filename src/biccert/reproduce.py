@@ -35,11 +35,14 @@ _STACK = 25
 
 CRITERIA = {}  # cid -> fn(tol, d_max, seed) returning the criterion's checks
 NAMES = {}
+CERTIFYING = set()  # the cids whose fn also takes ``certify_runs``
 
 
-def _criterion(cid: int, name: str):
+def _criterion(cid: int, name: str, certifies: bool = False):
     def register(fn):
         CRITERIA[cid], NAMES[cid] = fn, name
+        if certifies:
+            CERTIFYING.add(cid)
         return fn
     return register
 
@@ -93,7 +96,7 @@ def criterion_1_quantum_value(tol: float = BASE_TOL, d_max: int = 4, seed: int =
         povms += [bic.construct_generic_bic(d, seed + i) for i in (1, 2, 3)]
         for povm in povms:
             S = bic.gram(povm)
-            ref = bell.reference_strategy(povm)
+            ref = bell.reference_strategy(povm, S)
             deviation = abs(bell.bell_value(ref, S).value - d * d)
             if deviation >= worst:
                 worst, worst_d = deviation, d
@@ -227,27 +230,43 @@ def criterion_6_fiducial(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
     ]
 
 
-@_criterion(7, "certification relations at the reference strategy (incl. C_j and povm blocks)")
-def criterion_7_certification(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
-    """``certify``'s relation residuals at the reference strategy, d = 2..4; a
-    refused input or a Bell value short of optimal counts as inf."""
-    worst, worst_d = 0.0, None
+def _certify_runs(tol: float, d_max: int, runs: dict | None):
+    """(d, ``algebra.certify`` run of the default Weyl POVM) for d = 2..max(4, d_max):
+    read from ``runs`` (d -> run) where it holds d, else certified here and
+    stored in it."""
+    runs = {} if runs is None else runs
     for d in range(2, max(4, d_max) + 1):
-        run = algebra.certify(_weyl_povm(d), tol)
+        if d not in runs:
+            runs[d] = algebra.certify(_weyl_povm(d), tol)
+        yield d, runs[d]
+
+
+@_criterion(7, "certification relations at the reference strategy (incl. C_j and povm blocks)",
+            certifies=True)
+def criterion_7_certification(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0,
+                              certify_runs: dict | None = None):
+    """``certify``'s relation residuals at the reference strategy, d = 2..4; a
+    refused input or a Bell value short of optimal counts as inf.  The runs
+    come from ``certify_runs`` (see ``run_full_suite``), or alone from
+    ``algebra.certify`` here."""
+    worst, worst_d = 0.0, None
+    for d, run in _certify_runs(tol, d_max, certify_runs):
         residual = run.certification.max_residual if run.optimal else np.inf
         if residual >= worst:
             worst, worst_d = residual, d
     return [check("max residual", worst, tol, worst=worst_d)]
 
 
-@_criterion(8, "entropy: 2 log2(d) at reference, 0 for the eavesdropped pair, Shannon cap")
-def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
+@_criterion(8, "entropy: 2 log2(d) at reference, 0 for the eavesdropped pair, Shannon cap",
+            certifies=True)
+def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0,
+                        certify_runs: dict | None = None):
     """``certify``'s conditional entropy 2 log2(d) at reference (a refused input
-    or a Bell value short of optimal counts as inf); 0 for the eavesdropped
-    pair; Shannon cap for arbitrary strategies."""
+    or a Bell value short of optimal counts as inf), from the runs of
+    ``certify_runs`` as criterion 7 reads them; 0 for the eavesdropped pair;
+    Shannon cap for arbitrary strategies, a stack of them at a time."""
     ref_dev, ref_d = 0.0, None
-    for d in range(2, max(4, d_max) + 1):
-        run = algebra.certify(_weyl_povm(d), tol)
+    for d, run in _certify_runs(tol, d_max, certify_runs):
         deviation = (abs(run.randomness.conditional_entropy_bits - 2 * math.log2(d))
                      if run.optimal else np.inf)
         if deviation >= ref_dev:
@@ -273,10 +292,8 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
     cap_excess = -np.inf
     for members in _stacks(100):
         stack = bell.random_strategy(BipartiteDims(2, 2), 2, [seed + i for i in members])
-        for i in range(len(members)):
-            strat = stack.member(i)
-            cq = randomness.cq_state(strat, purify(strat.rho))
-            cap_excess = max(cap_excess, randomness.conditional_entropy(cq) - math.log2(4.0))
+        entropies = randomness.conditional_entropy(randomness.cq_state(stack, purify(stack.rho)))
+        cap_excess = max(cap_excess, (entropies - math.log2(4.0)).max())
     return [
         check("max |H - 2 log2 d|", ref_dev, tol, worst=ref_d),
         check("intro example |H|", intro_dev, tol),
@@ -380,18 +397,27 @@ def criterion_11_maxent(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
 
 
 def run_criterion(
-    cid: int, tol: float = BASE_TOL, d_max: int = 4, seed: int = 0
+    cid: int, tol: float = BASE_TOL, d_max: int = 4, seed: int = 0,
+    certify_runs: dict | None = None,
 ) -> CriterionRun:
+    """Run and time one criterion; ``certify_runs`` goes to the criteria in
+    ``CERTIFYING``, which read and fill it, and without it they certify alone."""
+    shared = {"certify_runs": certify_runs} if cid in CERTIFYING else {}
     start = time.perf_counter()
-    checks = Checks(CRITERIA[cid](tol=tol, d_max=d_max, seed=seed))
+    checks = Checks(CRITERIA[cid](tol=tol, d_max=d_max, seed=seed, **shared))
     return CriterionRun(cid, checks, time.perf_counter() - start)
 
 
 def run_full_suite(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0) -> list[CriterionRun]:
-    """Run every criterion in order, printing each one's line as it finishes."""
+    """Run every criterion in order, printing each one's line as it finishes.
+
+    Criteria 7 and 8 share one ``algebra.certify`` run per d, held for this
+    call only: criterion 7 certifies and its seconds include the runs;
+    criterion 8 reads them, and its seconds leave them out."""
+    certify_runs = {}
     outcomes = []
     for cid in sorted(CRITERIA):
-        outcome = run_criterion(cid, tol=tol, d_max=d_max, seed=seed)
+        outcome = run_criterion(cid, tol=tol, d_max=d_max, seed=seed, certify_runs=certify_runs)
         outcomes.append(outcome)
         print(outcome.line())
     return outcomes

@@ -358,12 +358,13 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     certs = [algebra.verify_certification(strat, S, value, fold[0], audit).to_json()
              for strat, (value, fold, _, audit) in zip(strats, walks)]
     # both read rounding noise: held to a bracket, and their worst labels, argmaxes
-    # of that noise, left out
+    # of that noise (none for an exact 0), left out
     bracket = 16 * povm.d * np.finfo(float).eps
     for name in ("a projectivity", "a orthogonality"):
         vector_check, dense_check = (cert["checks"].pop(name) for cert in certs)
         for record in (vector_check, dense_check):
-            assert 0.0 <= record.pop("measured") <= bracket and record.pop("worst") is not None
+            measured, worst = record.pop("measured"), record.pop("worst")
+            assert 0.0 <= measured <= bracket and (worst is None) == (measured == 0.0)
         assert vector_check == dense_check
     assert certs[0] == certs[1]
 

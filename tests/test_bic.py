@@ -156,6 +156,15 @@ def test_generic_bic_small_and_beyond_sic_range(monkeypatch):
         assert bic.validate_gram(bic.gram(povm)).passed
 
 
+def test_generic_bic_forms_one_gram_matrix_per_draw(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    grams = []
+    gram = bic.gram
+    monkeypatch.setattr(bic, "gram", lambda povm: grams.append(povm) or gram(povm))
+    bic.construct_generic_bic(4, 2)  # the first draw is rejected
+    assert draws[0] == 2 and len(grams) == 2
+
+
 @pytest.mark.parametrize("d", [12, 16, 20])
 def test_generic_bic_validates_at_scale(d):
     povm = bic.construct_generic_bic(d, 1)

@@ -147,6 +147,15 @@ def test_certify_weyl_d3_entropy(tmp_path):
     assert abs(report["randomness"]["entropyBits"] - 2 * math.log2(3)) < 1e-9
 
 
+def test_certify_names_no_offender_for_a_zero_maximum(tmp_path):
+    # the stored reference vectors make every pair effect an exact projector
+    assert main(["construct", "--d", "3", "--out", str(tmp_path)]) == 0
+    assert main(["certify", str(tmp_path / "povm.json"), "--out", str(tmp_path)]) == 0
+    checks = load_json(tmp_path / "certify_report.json")["certification"]["checks"]
+    assert checks["a projectivity"]["measured"] == 0.0
+    assert checks["a projectivity"]["worst"] is None
+
+
 def test_certify_corrupted_povm_exits_2(tmp_path, capsys):
     assert main(["construct", "--d", "2", "--out", str(tmp_path)]) == 0
     payload = load_json(tmp_path / "povm.json")

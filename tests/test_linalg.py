@@ -264,12 +264,13 @@ def test_purify_rank3_reconstruction():
 
 
 def test_purify_rejects_nonstate():
-    with pytest.raises(ValueError):
-        purify(np.diag([1.0, 1.0]))  # trace 2
-    with pytest.raises(ValueError):
-        purify(np.diag([1.5, -0.5]))  # not PSD
-    with pytest.raises(ValueError):
-        purify(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
+    good = random_state(2, 3)
+    for bad in (np.diag([1.0, 1.0]),  # trace 2
+                np.diag([1.5, -0.5]),  # not PSD
+                np.array([[0.5, 0.5], [0.0, 0.5]])):  # not hermitian
+        for rho in (bad, np.stack([good, bad.astype(complex)])):  # alone, or in a stack
+            with pytest.raises(ValueError, match="not a quantum state"):
+                purify(rho)
     with pytest.raises(ValueError):
         purify(np.ones(4) / 4)  # not a matrix
 
@@ -279,6 +280,28 @@ def test_purify_equals_the_eigh_of_the_state_bitwise():
         rho = random_state(4, seed)
         w, U = eigh(rho)
         assert np.array_equal(purify(rho), (U * np.sqrt(w)).reshape(-1))
+
+
+def pure_state(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_purify_stack_pads_lower_ranks_with_exact_zeros():
+    # a full-rank state beside a pure one whose dropped eigenvalues include
+    # negative rounding noise, which must not reach the square root
+    rhos = np.stack([random_state(4, 1), pure_state(4, 1)])
+    assert np.linalg.eigvalsh(rhos[1])[0] < 0
+    psi = purify(rhos)
+    assert psi.shape == (2, 16) and np.isfinite(psi).all()
+    assert np.array_equal(psi[0], purify(rhos[0]))
+    padded = psi[1].reshape(4, 4)
+    assert np.array_equal(padded[:, :3], np.zeros((4, 3)))
+    assert np.array_equal(padded[:, 3], purify(rhos[1]))
+    for member, rho in zip(psi, rhos):
+        assert np.linalg.norm(trace_out_environment(member, 4) - rho) < 1e-12
 
 
 def test_matricize_elementary():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,43 @@ def test_reference_cq_state_factorizes(reference_d3):
     normalized = [b / w for b, w in zip(cq.blocks, weights)]
     for b in normalized[1:]:
         assert np.linalg.norm(b - normalized[0]) < 1e-9
+
+
+def stack_with_a_pure_member():
+    """Five random full-rank d=2 strategies, the third given a pure state whose
+    dropped eigenvalues include negative rounding noise."""
+    stack = bell.random_strategy(BipartiteDims(2, 2), 2, list(range(5)))
+    v = np.random.default_rng(5).standard_normal(4) + 1j * np.random.default_rng(6).standard_normal(4)
+    rho = stack.rho.copy()
+    rho[2] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert np.linalg.eigvalsh(rho[2])[0] < 0
+    return dataclasses.replace(stack, rho=rho)
+
+
+def test_stacked_entropies_equal_their_single_calls():
+    stack = stack_with_a_pure_member()
+    cq = randomness.cq_state(stack, purify(stack.rho))
+    assert cq.blocks.shape == (5, 4, 4, 4) and cq.eve_dim == 4
+    entropies = randomness.conditional_entropy(cq)
+    assert entropies.shape == (5,) and np.isfinite(entropies).all()
+    for i, H in enumerate(entropies):
+        member = stack.member(i)
+        single = randomness.cq_state(member, purify(member.rho))
+        got = (H, cq.outcome_distribution()[i])
+        expected = (randomness.conditional_entropy(single), single.outcome_distribution())
+        if i == 2:
+            # its environment is padded with zero columns to the stack's rank 4,
+            # so its blocks come from the full-rank contraction order, not the
+            # rank-one order of its single call
+            assert single.eve_dim == 1
+            assert all(np.abs(g - e).max() <= 1e-15 for g, e in zip(got, expected))
+        else:
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_stacked_cq_state_checks_every_purification():
+    stack = stack_with_a_pure_member()
+    psi = purify(stack.rho)
+    psi[4] = psi[3]
+    with pytest.raises(ValueError, match="purify"):
+        randomness.cq_state(stack, psi)

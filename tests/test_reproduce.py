@@ -1,10 +1,14 @@
-"""The stacked criteria 2 and 3 against one-strategy-at-a-time copies of them."""
+"""The stacked criteria 2, 3 and 8 against one-strategy-at-a-time copies of
+them, and the certification runs that criteria 7 and 8 share."""
+
+import collections
+import math
 
 import numpy as np
 import pytest
 
-from biccert import bell, bic, reproduce
-from biccert.linalg import BipartiteDims, frobenius, random_hermitian
+from biccert import algebra, bell, bic, randomness, reproduce
+from biccert.linalg import BipartiteDims, frobenius, purify, random_hermitian
 
 
 def _weyl_gram(d):
@@ -45,6 +49,34 @@ def _criterion_3_one_at_a_time(seed):
     return min_eig, max_excess
 
 
+def _criterion_8_cap_one_at_a_time(seed):
+    cap_excess = -np.inf
+    for members in reproduce._stacks(100):
+        stack = bell.random_strategy(BipartiteDims(2, 2), 2, [seed + i for i in members])
+        for i in range(len(members)):
+            strat = stack.member(i)
+            cq = randomness.cq_state(strat, purify(strat.rho))
+            cap_excess = max(cap_excess, randomness.conditional_entropy(cq) - math.log2(4.0))
+    return cap_excess
+
+
+def _counted_certify_runs(monkeypatch):
+    """The d of every ``algebra.certify`` call from here on, counted."""
+    counts = collections.Counter()
+    certify = algebra.certify
+
+    def counted(povm, tol=1e-9):
+        counts[povm.d] += 1
+        return certify(povm, tol)
+
+    monkeypatch.setattr(algebra, "certify", counted)
+    return counts
+
+
+def _only_criteria_7_and_8(monkeypatch):
+    monkeypatch.setattr(reproduce, "CRITERIA", {cid: reproduce.CRITERIA[cid] for cid in (7, 8)})
+
+
 @pytest.mark.parametrize("cid, name", [(7, "max residual"), (8, "max |H - 2 log2 d|")])
 def test_criteria_7_and_8_count_a_refused_povm_as_inf(monkeypatch, lattice_povm_d2, cid, name):
     weyl_povm = reproduce._weyl_povm
@@ -52,6 +84,38 @@ def test_criteria_7_and_8_count_a_refused_povm_as_inf(monkeypatch, lattice_povm_
                         lambda d, *rt: lattice_povm_d2 if d == 2 else weyl_povm(d, *rt))
     found = reproduce.run_criterion(cid).checks[name]
     assert not found.passed and found.measured == np.inf and found.worst == 2
+
+
+def test_criteria_7_and_8_count_a_refused_povm_as_inf_in_one_suite_call(monkeypatch,
+                                                                        lattice_povm_d2):
+    weyl_povm = reproduce._weyl_povm
+    monkeypatch.setattr(reproduce, "_weyl_povm",
+                        lambda d, *rt: lattice_povm_d2 if d == 2 else weyl_povm(d, *rt))
+    _only_criteria_7_and_8(monkeypatch)
+    seven, eight = (run.checks for run in reproduce.run_full_suite())
+    for found in (seven["max residual"], eight["max |H - 2 log2 d|"]):
+        assert not found.passed and found.measured == np.inf and found.worst == 2
+
+
+def test_full_suite_certifies_once_per_d(monkeypatch):
+    counts = _counted_certify_runs(monkeypatch)
+    assert all(run.passed for run in reproduce.run_full_suite())
+    assert counts == {d: 1 for d in range(2, 5)}
+
+
+def test_no_certification_run_outlives_a_suite_call(monkeypatch):
+    counts = _counted_certify_runs(monkeypatch)
+    _only_criteria_7_and_8(monkeypatch)
+    for calls in (1, 2):
+        reproduce.run_full_suite(d_max=5)
+        assert counts == {d: calls for d in range(2, 6)}
+
+
+def test_criteria_7_and_8_alone_certify_every_d(monkeypatch):
+    counts = _counted_certify_runs(monkeypatch)
+    for calls, cid in enumerate((7, 8), start=1):
+        assert reproduce.run_criterion(cid).passed
+        assert counts == {d: calls for d in range(2, 5)}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -65,3 +129,6 @@ def test_stacked_criteria_2_and_3_agree_with_one_strategy_at_a_time(seed):
     assert three["min eig Theta"].measured == min_eig
     # the Bell value's einsums may sum a stack in another order
     assert abs(three["max value - d^2"].measured - max_excess) <= 1e-13 * 9
+    # every member is full rank: its entropy comes from the single call's products
+    eight = reproduce.run_criterion(8, seed=seed).checks
+    assert eight["max H - log2(d^2)"].measured == _criterion_8_cap_one_at_a_time(seed)
