@@ -6,7 +6,9 @@ subsets J with 0 < |J| < 2d:
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
 with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
-expansion, each from its parent in O(1).  Ties within rounding go to the
+expansion, each from its parent in O(1): a parent's step vector is built only
+for a block of parents whose children recurse, and a leaf reads its one step
+entry from the grandparent's vector.  Ties within rounding go to the
 smallest, then lexicographically first, subset.  A brute-force
 enumeration over all deterministic strategies serves as an independent oracle
 at d = 2, and the d = 2 landscape has a closed three-branch form in the
@@ -22,6 +24,7 @@ lambda_2(L_Q) m (n-m) / n); the outputs stay bitwise those of the full scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +81,7 @@ def subset_value(J, S: GramMatrix) -> float:
     return float(-d * (d - 2) * len(J) + boundary)
 
 
+@functools.cache  # read twice per scan: by the cap check and by the result
 def _subset_budget(n: int, max_card: int) -> int:
     return sum(math.comb(n, m) for m in range(1, max_card + 1))
 
@@ -162,12 +166,18 @@ def classical_value(
     Each J + {k} with k > max(J) takes its value from J's in O(1):
     v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
     - 2 sum_{j in J} W[j,k] (W the payoff matrix), and step_{J+k} =
-    step_J - 2 W[k]; the s_jk^2 boundary sum follows likewise from Q = s^2.
-    A block of parents yields its children at once from the mask
-    k > max(J); children are expanded depth first, block by block, so
-    temporaries stay small and each cardinality is visited in lexicographic
-    order.  The same pass yields the upper bound d^2 - (1/4) min boundary sum
-    of s_jk^2.
+    step_J - 2 W[k]; the s_jk^2 boundary sum follows likewise from Q = s^2,
+    held as the imaginary part of one complex step.  A block of parents
+    yields its children at once from the mask k > max(J); children are
+    expanded depth first, block by block, so temporaries stay small and each
+    cardinality is visited in lexicographic order.  Steps are held lazily: a
+    parent J' + l comes with the built step of J' and its last element l, and
+    its child J' + l + k scores v(J' + l) + (step_J'[k] - 2 W[l, k]), the two
+    operations that step_{J'+l}[k] and then v(J' + l + k) take.  The full
+    steps step_J' - 2 W[l] of a block of parents are built only when the
+    block's children recurse, so the leaves, most of the subsets scored, cost
+    one gathered entry each instead of one step vector per parent.  The same
+    pass yields the upper bound d^2 - (1/4) min boundary sum of s_jk^2.
 
     Values within _TIE_TOL * d^2 of the maximum are tied (exact ties, such as
     J and its complement at d=2, differ by rounding only): the smallest
@@ -181,7 +191,7 @@ def classical_value(
     ``_cardinality_bounds`` ub[m] and lb[m] of its cardinality m (suffix max
     and min over m..max_card, widened by the margin) satisfy
     ub[m] < top - band and lb[m] > min_boundary; ``expand`` checks before it
-    builds the children's steps.  top only rises and min_boundary only
+    builds the block's steps.  top only rises and min_boundary only
     falls, so a skipped J lies strictly below the final top - band and above
     the final minimum: it could neither have moved top or min_boundary nor
     entered a record that the final band reads, and the first record within
@@ -197,16 +207,21 @@ def classical_value(
     Q = S.s**2
     np.fill_diagonal(Q, 0.0)
     W = _payoff_matrix(S)
-    # every step of a parent drops by rows[k] = 2 (W[k], Q[k]) when k joins it
-    rows = np.empty((n, 2, n))
-    np.multiply(2.0, W, out=rows[:, 0])
-    np.multiply(2.0, Q, out=rows[:, 1])
-    # the bounds cost about 0.15 ms (1 BLAS thread), as much as a whole scan
-    # below d = 4: a d = 2 call (14 subsets) would go from 0.12 to 0.3 ms,
-    # and a generic d = 3 call (381 subsets, none pruned) would double
+    # every step of a parent drops by rows[k] = 2 (W[k] + i Q[k]) when k joins
+    # it; the zero row rows[-1] stands for the root's last element
+    WQ = np.empty((2, n, n))
+    np.multiply(2.0, W, out=WQ[0])
+    np.multiply(2.0, Q, out=WQ[1])
+    rows = np.zeros((n + 1, n), complex)
+    rows.real[:n], rows.imag[:n] = WQ
+    # the bounds cost about 0.16 ms (1 BLAS thread), more than a whole scan
+    # below d = 4: with them a d = 2 call (14 subsets) went from 0.14 to
+    # 0.30 ms and a generic d = 3 call (381 subsets, none pruned) from 0.25
+    # to 0.48 ms
     ub, lb = (_cardinality_bounds(W, Q, d, max_card) if d >= 4
               else ([math.inf] * (max_card + 1), [-math.inf] * (max_card + 1)))
     outcomes, top, min_boundary, scored = np.arange(n), -math.inf, math.inf, 0
+    bits = 1 << outcomes
     records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
 
     def hopeless(m):
@@ -215,10 +230,10 @@ def classical_value(
         only falls."""
         return ub[m] < top - band and lb[m] > min_boundary
 
-    def expand(m, score, step, last, mask):
+    def expand(m, score, G, g, last, mask):
         """Score the children, of cardinality m, of parents J given as
-        score = (v(J), Q boundary), step, last = max(J) and bitmask, and
-        recurse down to max_card."""
+        score = v(J) + i (Q boundary), the step G[g] of J's own parent,
+        last = max(J) and bitmask, and recurse down to max_card."""
         nonlocal top, min_boundary, scored
         for b in range(0, len(last), _PARENTS):
             s = slice(b, b + _PARENTS)
@@ -226,21 +241,28 @@ def classical_value(
             if not len(k):
                 continue
             scored += len(k)
-            child, child_mask = score[s][pi] + step[s][pi, :, k], mask[s][pi] | (1 << k)
-            values = child[:, 0]
-            top = max(top, float(values.max()))
-            min_boundary = min(min_boundary, float(child[:, 1].min()))
+            # one index gathers every parent array; below d = 4, b is always 0,
+            # and there each numpy call per block shows in the time of a call
+            p = pi + b if b else pi
+            child = score[p] + (G[g[p], k] - rows[last[p], k])
+            child_mask = mask[p] | bits[k]
+            values = child.real
+            # the ufunc reductions skip the Python wrapper of ndarray.max
+            top = max(top, float(np.maximum.reduce(values)))
+            min_boundary = min(min_boundary, float(np.minimum.reduce(child.imag)))
             tied = (values >= top - band).nonzero()[0]
             run = records[m]
-            for value, bits in zip(values[tied].tolist(), child_mask[tied].tolist()):
+            for value, bitmask in zip(values[tied].tolist(), child_mask[tied].tolist()):
                 if not run or value > run[-1][0]:
-                    run.append((value, bits))
+                    run.append((value, bitmask))
             if m < max_card and not hopeless(m + 1):
-                expand(m + 1, child, step[s][pi] - rows[k], k, child_mask)
+                expand(m + 1, child, G[g[s]] - rows[last[s]], pi, k, child_mask)
 
-    root_step = 0.5 * rows.sum(axis=2).T
-    root_step[0] -= d * (d - 2)
-    expand(1, np.zeros((1, 2)), root_step[None], np.array([-1]), np.zeros(1, np.int64))
+    root = 0.5 * WQ.sum(axis=2)
+    root[0] -= d * (d - 2)
+    root_step, zero = np.empty((1, n), complex), np.zeros(1, np.int64)
+    root_step.real, root_step.imag = root
+    expand(1, np.zeros(1, complex), root_step, zero, np.array([-1]), zero)
     best_value, best_mask = next(r for run in records for r in run if r[0] >= top - band)
 
     return ClassicalResult(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -235,24 +236,38 @@ def _criterion_4_grams():
 
 
 BITWISE_GRAMS = [
-    pytest.param(_criterion_4_grams, id="sic-and-d2-grid"),
-    pytest.param(lambda: [_generic_gram(2, s) for s in range(100, 120)], id="d2-generic"),
-    pytest.param(lambda: [_generic_gram(3, s) for s in range(6)], id="d3-generic"),
-    pytest.param(lambda: [_weyl_gram(3), _weyl_gram(4)], id="weyl-d3-d4"),
-    pytest.param(lambda: [_generic_gram(4, s) for s in (1, 3, 4)], id="d4-generic"),
-    pytest.param(lambda: [_generic_gram(5, s) for s in (1, 2, 3)], id="d5-generic"),
-    pytest.param(lambda: [_weyl_gram(5)], id="weyl-d5-unpruned"),
-    pytest.param(lambda: [_weyl_gram(4, 0.25, 0.21), _weyl_gram(4, 0.45, 0.0733)],
+    pytest.param(_criterion_4_grams, None, id="sic-and-d2-grid"),
+    pytest.param(lambda: [_generic_gram(2, s) for s in range(100, 120)], None, id="d2-generic"),
+    pytest.param(lambda: [_generic_gram(3, s) for s in range(6)], None, id="d3-generic"),
+    pytest.param(lambda: [_weyl_gram(3), _weyl_gram(4)], None, id="weyl-d3-d4"),
+    pytest.param(lambda: [_generic_gram(4, s) for s in (1, 3, 4)], None, id="d4-generic"),
+    pytest.param(lambda: [_generic_gram(5, s) for s in (1, 2, 3)], None, id="d5-generic"),
+    pytest.param(lambda: [_weyl_gram(5)], None, id="weyl-d5-unpruned"),
+    pytest.param(lambda: [_weyl_gram(4, 0.25, 0.21), _weyl_gram(4, 0.45, 0.0733)], None,
                  id="weyl-d4-unpruned-and-pruned"),
+] + [
+    # below d = 4 no level spans two blocks of the default 512 parents; with
+    # blocks of 1 and 7 every level does, so parents past the first block
+    # read their offsets and the steps built by another block
+    pytest.param(make_grams, parents, id=f"{name}-parents-{parents}")
+    for name, make_grams in (("sic-and-d2-grid", _criterion_4_grams),
+                             ("d3-generic", lambda: [_generic_gram(3, s) for s in range(6)]),
+                             ("weyl-d3-d4", lambda: [_weyl_gram(3), _weyl_gram(4)]))
+    for parents in (1, 7)
 ]
 
 
-@pytest.mark.parametrize("make_grams", BITWISE_GRAMS)
-def test_classical_value_bitwise_equals_prefix_expansion(make_grams):
-    for S in make_grams():
-        allow_d5 = S.d == 5
-        assert (classical.classical_value(S, allow_d5=allow_d5)
-                == _prefix_expansion_classical(S, allow_d5=allow_d5))
+@pytest.mark.parametrize("make_grams, parents", BITWISE_GRAMS)
+def test_classical_value_bitwise_equals_prefix_expansion(make_grams, parents, monkeypatch):
+    grams = make_grams()
+    # the reference scores every subset: its outputs do not depend on its blocking
+    references = [_prefix_expansion_classical(S, allow_d5=S.d == 5) for S in grams]
+    if parents is not None:
+        monkeypatch.setattr(classical, "_PARENTS", parents)
+    for S, reference in zip(grams, references):
+        result = classical.classical_value(S, allow_d5=S.d == 5)
+        assert result == reference
+        assert result.search_space == reference.search_space
 
 
 def test_classical_value_bitwise_equals_prefix_expansion_on_asymmetric_rows():
@@ -314,7 +329,35 @@ def test_pruned_scan_scores_few_subsets_on_generic_d5():
     for seed in (1, 2):
         result = classical.classical_value(_generic_gram(5, seed), allow_d5=True)
         assert result.search_space == 3_850_755
-        assert result.subsets_scored <= 100_000
+        # every J with |J| <= d, and no deeper level
+        assert result.subsets_scored == classical._subset_budget(25, 5) == 68_405
+
+
+@pytest.mark.parametrize("make_gram", [
+    pytest.param(lambda s=s: _generic_gram(4, s), id=f"generic-{s}") for s in (1, 2, 3)
+] + [pytest.param(lambda: _weyl_gram(4), id="weyl-0.3-0.137")])
+def test_pruned_scan_scores_the_levels_up_to_d_on_d4(make_gram):
+    result = classical.classical_value(make_gram())
+    assert result.search_space == 26_332
+    assert result.subsets_scored == classical._subset_budget(16, 4) == 2_516
+
+
+@pytest.mark.parametrize("make_gram, allow_d5, bound_mb", [
+    pytest.param(lambda: _generic_gram(5, 1), True, 2.0, id="generic-d5"),
+    pytest.param(lambda: _weyl_gram(4, 0.25, 0.21), False, 1.5, id="weyl-d4-unpruned"),
+])
+def test_scan_builds_steps_per_recursing_parent_block(make_gram, allow_d5, bound_mb):
+    # one step vector per child whose block recurses peaked at 4.4 and 2.1 MB
+    # here; the scan builds the steps of a block of parents only when its
+    # children recurse, and a leaf reads one entry of its grandparent's step
+    S = make_gram()
+    tracemalloc.start()
+    try:
+        classical.classical_value(S, allow_d5=allow_d5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def test_scan_scores_everything_when_the_bounds_prove_nothing():
