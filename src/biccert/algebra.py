@@ -12,7 +12,8 @@ The irreducible decomposition is computed numerically: the commutant of the
 generated algebra is solved as a linear system, a random hermitian commutant
 element splits the space into irreducible copies (its eigenspaces), and a
 second random commutant element links equivalent copies and aligns their
-bases through its Schur intertwiners.
+bases through its Schur intertwiners (the algorithm of Murota, Kanno, Kojima
+and Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .linalg import (
     is_hermitian,
     is_state,
     kron,
-    matricize,
     partial_trace,
     threshold,
 )
@@ -303,6 +303,10 @@ def compress(X: np.ndarray, V: np.ndarray) -> np.ndarray:
 # Irreducible decomposition of a finite *-closed operator family
 # ---------------------------------------------------------------------------
 
+_DECOMPOSE_TOL = 1e-8  # verification and sync tolerance of both decompositions
+_IRREP_ATTEMPTS = 8  # random commutant draws of irrep_decompose before it gives up
+
+
 @dataclass(frozen=True)
 class IrrepBlock:
     multiplicity: int
@@ -323,22 +327,20 @@ class IrrepDecomposition:
         return tuple(sorted((b.multiplicity, b.dimension) for b in self.blocks))
 
     def block_matrix(self, block_gens) -> np.ndarray:
-        """Assemble sum_a I_{e_a} (x) G_a from per-block matrices."""
-        parts = [
-            kron(np.eye(blk.multiplicity), G)
-            for blk, G in zip(self.blocks, block_gens)
-        ]
-        total = sum(p.shape[0] for p in parts)
-        out = np.zeros((total, total), dtype=complex)
+        """Assemble sum_a I_{e_a} (x) G_a from per-block matrices G_a, or the
+        stack of such sums from per-block stacks (m, d_a, d_a)."""
+        n = self.basis_change.shape[1]
+        out = np.zeros(np.shape(block_gens[0])[:-2] + (n, n), dtype=complex)
         pos = 0
-        for p in parts:
-            out[pos : pos + p.shape[0], pos : pos + p.shape[0]] = p
-            pos += p.shape[0]
+        for blk, G in zip(self.blocks, block_gens):
+            for _ in range(blk.multiplicity):
+                out[..., pos : pos + blk.dimension, pos : pos + blk.dimension] = G
+                pos += blk.dimension
         return out
 
 
-def _commutant_basis(X: np.ndarray) -> list[np.ndarray]:
-    """Basis of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
+def _commutant_basis(X: np.ndarray) -> np.ndarray:
+    """Basis (k, n, n) of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
     stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T): the right
     singular vectors past the singular values above 1e-10 * max(1, largest).
     The system has at least as many rows as columns, so the thin SVD's Vh
@@ -349,59 +351,44 @@ def _commutant_basis(X: np.ndarray) -> list[np.ndarray]:
     _, sv, Vh = np.linalg.svd(rows, full_matrices=False)
     cut = 1e-10 * max(1.0, sv[0] if sv.size else 1.0)
     rank = int((sv > cut).sum())
-    return [Vh[i].conj().reshape(n, n) for i in range(rank, n * n)]
+    return Vh[rank:].conj().reshape(-1, n, n)
 
 
 def _random_commutant_element(
-    basis, rng: np.random.Generator, hermitian: bool
+    basis: np.ndarray, rng: np.random.Generator, hermitian: bool
 ) -> np.ndarray:
-    n = basis[0].shape[0]
-    Y = np.zeros((n, n), dtype=complex)
-    for K in basis:
-        Y += (rng.standard_normal() + 1j * rng.standard_normal()) * K
+    """sum_k g_k K_k with complex Gaussian g_k, drawn as (re, im) pairs."""
+    re, im = rng.standard_normal((len(basis), 2)).T
+    Y = ((re + 1j * im)[:, None, None] * basis).sum(axis=0)
     return (Y + dagger(Y)) / 2 if hermitian else Y
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Indices of consecutive eigenvalues separated by gaps below ``gap``."""
-    groups = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > gap:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
-
-
-_IRREP_ATTEMPTS = 8  # random commutant draws of irrep_decompose before it gives up
-
-
-def irrep_decompose(X, tol: float = 1e-8, seed: int = 0) -> IrrepDecomposition:
+def irrep_decompose(X, seed: int = 0) -> IrrepDecomposition:
     """Decompose a hermitian operator family into irreducible blocks.
 
     Returns a unitary Q and blocks (e_a, d_a, X_a) such that Q* X_j Q equals
-    the direct sum over a of I_{e_a} (x) X_{j,a} within ``tol``; retries with
-    fresh randomness, at most ``_IRREP_ATTEMPTS`` times, when eigenvalue
-    collisions spoil the splitting.
+    the direct sum over a of I_{e_a} (x) X_{j,a} within ``_DECOMPOSE_TOL``;
+    retries with fresh randomness, at most ``_IRREP_ATTEMPTS`` times, when
+    eigenvalue collisions spoil the splitting, and names each attempt's
+    failure when none succeeds.
     """
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError("expected a stack of square matrices")
     if not is_hermitian(X, 1e-8):
         raise ValueError("irrep_decompose expects hermitian generators")
-    n = X.shape[1]
-    scale = max(1.0, max(frobenius(Xj) for Xj in X))
+    scale = max(1.0, float(frobenius_each(X).max()))
     basis = _commutant_basis(X)
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    failures = []
     for _ in range(_IRREP_ATTEMPTS):
-        result = _attempt_decomposition(X, basis, rng, n, tol, scale)
+        result = _attempt_decomposition(X, basis, rng, scale)
         if isinstance(result, IrrepDecomposition):
             return result
-        worst = min(worst, result)
+        failures.append(result)
+    tally = ", ".join(f"{reason} (x{failures.count(reason)})" for reason in dict.fromkeys(failures))
     raise ValueError(
-        f"irreducible decomposition unverified after {_IRREP_ATTEMPTS} attempts; "
-        f"worst off-block mass {worst:.3e}"
+        f"irreducible decomposition unverified after {_IRREP_ATTEMPTS} attempts: {tally}"
     )
 
 
@@ -416,65 +403,42 @@ def _unitarized(M: np.ndarray):
     return M / np.sqrt(c2)
 
 
-def _attempt_decomposition(X, basis, rng, n, tol, scale):
-    Y = _random_commutant_element(basis, rng, hermitian=True)
-    w, V = np.linalg.eigh(Y)
-    clusters = _cluster(w, gap=1e-8 * max(1.0, float(np.abs(w).max())))
-    copies = [V[:, idx] for idx in clusters]
+def _attempt_decomposition(X, basis, rng, scale) -> IrrepDecomposition | str:
+    """One random split of the space into irreducible copies (eigenspaces of a
+    hermitian commutant element), linked and aligned by a second commutant
+    element; the verified decomposition, or why this attempt failed."""
+    w, V = np.linalg.eigh(_random_commutant_element(basis, rng, hermitian=True))
+    gap = 1e-8 * max(1.0, float(np.abs(w).max()))
+    copies = np.split(V, np.flatnonzero(np.diff(w) > gap) + 1, axis=1)
 
+    # copies carrying equivalent irreducibles are linked by the second element
     link = _random_commutant_element(basis, rng, hermitian=False)
-    r = len(copies)
-    # group copies carrying equivalent irreducibles via the linking element
-    adjacency = np.zeros((r, r), dtype=bool)
-    for i in range(r):
-        for j in range(r):
-            if i != j:
-                adjacency[i, j] = (
-                    frobenius(dagger(copies[i]) @ link @ copies[j]) > 1e-6 * scale
-                )
-    groups = components(adjacency)
+    links = [[dagger(ci) @ link @ cj for cj in copies] for ci in copies]
+    adjacency = np.array([[frobenius(L) > 1e-6 * scale for L in row] for row in links])
 
-    blocks = []
-    columns = []
-    for group in groups:
-        dims = {copies[i].shape[1] for i in group}
-        if len(dims) != 1:
-            return 0.0  # collision merged inequivalent copies; retry
-        ref = group[0]
-        W_ref = copies[ref]
-        aligned = [W_ref]
+    found = []  # (block, its copies aligned to the first)
+    for group in components(adjacency):
+        ref = copies[group[0]]
+        if any(copies[t].shape[1] != ref.shape[1] for t in group):
+            return "a collision merged inequivalent copies"
+        aligned = [ref]
         for t in group[1:]:
-            Z = _unitarized(dagger(copies[t]) @ link @ W_ref)
+            Z = _unitarized(links[t][group[0]])
             if Z is None:
-                return 0.0  # not a scalar multiple of a unitary; retry
+                return "a link between copies is not a multiple of a unitary"
             aligned.append(copies[t] @ Z)
-        gens = np.stack([dagger(W_ref) @ Xj @ W_ref for Xj in X])
-        blocks.append(
-            IrrepBlock(
-                multiplicity=len(group),
-                dimension=W_ref.shape[1],
-                generators=gens,
-            )
-        )
-        columns.append(aligned)  # the block's copies, aligned to its first
+        found.append((IrrepBlock(len(group), ref.shape[1], dagger(ref) @ X @ ref), aligned))
+    found.sort(key=lambda pair: (pair[0].dimension, pair[0].multiplicity))
 
-    order = sorted(
-        range(len(blocks)), key=lambda b: (blocks[b].dimension, blocks[b].multiplicity)
-    )
-    Q = np.hstack([copy for b in order for copy in columns[b]])
-    found = IrrepDecomposition(Q, tuple(blocks[b] for b in order), 0.0)
-
-    # verify the block structure
-    residual = 0.0
-    for j, Xj in enumerate(X):
-        model = found.block_matrix([blk.generators[j] for blk in found.blocks])
-        residual = max(residual, frobenius(dagger(Q) @ Xj @ Q - model))
-    if residual > tol * scale:
-        return residual
-    unitarity = frobenius(dagger(Q) @ Q - np.eye(n))
-    if unitarity > 1e-8:
-        return residual
-    return replace(found, off_block_residual=float(residual))
+    Q = np.hstack([copy for _, aligned in found for copy in aligned])
+    dec = IrrepDecomposition(Q, tuple(blk for blk, _ in found), 0.0)
+    model = dec.block_matrix([blk.generators for blk in dec.blocks])
+    residual = float(frobenius_each(dagger(Q) @ X @ Q - model).max())
+    if residual > _DECOMPOSE_TOL * scale:
+        return f"off-block mass {residual:.3e}"
+    if frobenius(dagger(Q) @ Q - np.eye(Q.shape[0])) > 1e-8:
+        return "the basis change is not unitary"
+    return replace(dec, off_block_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -508,160 +472,93 @@ class MaxEntReport:
         return float(self.state_residuals.max(initial=0.0))
 
 
-def maxent_decompose(
-    rho: np.ndarray,
-    E,
-    F,
-    dims: BipartiteDims,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> MaxEntReport:
+def maxent_decompose(rho: np.ndarray, E, F, dims: BipartiteDims, seed: int = 0) -> MaxEntReport:
     """Decompose a state satisfying (E_j (x) I) rho = (I (x) F_j) rho.
 
-    Compresses both sides to the local supports, decomposes the generated
-    algebras into irreducible blocks, matches Alice blocks to Bob blocks via
-    the matricized eigenvectors of rho (whose blocks are Schur intertwiners),
-    and reports the residual of each eigenvector against the block
-    maximally-entangled form.
+    Compresses both sides to the local supports read from one ``eigh`` of
+    rho, decomposes the generated algebras into irreducible blocks, matches
+    Alice blocks to Bob blocks through a random combination of the matricized
+    eigenvectors of rho (whose blocks are Schur intertwiners), and reports
+    the residual of each eigenvector against the block maximally-entangled
+    form.
     """
     rho = np.asarray(rho, dtype=complex)
     E = np.asarray(E, dtype=complex)
     F = np.asarray(F, dtype=complex)
 
     sync = frobenius_each(apply_local(E, rho, dims, "A") - apply_local(F, rho, dims, "B")).max()
-    if sync > tol * max(1.0, frobenius(rho)):
+    if sync > _DECOMPOSE_TOL * max(1.0, frobenius(rho)):
         raise ValueError(
             f"sync precondition violated: max ||(E_j x I)rho - (I x F_j)rho|| = {sync:.3e}"
         )
 
-    UA = local_support(rho, dims, "A")
-    VB = local_support(rho, dims, "B")
-    E_hat = compress(E, UA)
-    F_hat_t = compress(F, VB).swapaxes(1, 2)
-    dec_A = irrep_decompose(E_hat, tol=tol, seed=seed)
-    dec_B = irrep_decompose(F_hat_t, tol=tol, seed=seed + 1)
-
+    w, vecs = eigh(rho, tol=1e-8)
+    UA = local_support(rho, dims, "A", w)
+    VB = local_support(rho, dims, "B", w)
+    dec_A = irrep_decompose(compress(E, UA), seed=seed)
+    dec_B = irrep_decompose(compress(F, VB).swapaxes(1, 2), seed=seed + 1)
     U_full = UA @ dec_A.basis_change
     V_full = VB @ dec_B.basis_change.conj()
-    NA, NB = U_full.shape[1], V_full.shape[1]
 
-    w, vecs = eigh(rho, tol=1e-8)
-    keep = w > RANK_CUTOFF
-    probs = w[keep]
-    psis = vecs[:, keep]
+    psis = vecs[:, w > RANK_CUTOFF].T.reshape(-1, dims.dA, dims.dB)  # matricized
+    re, im = np.random.default_rng(seed + 2).standard_normal((len(psis), 2)).T
+    T = dagger(U_full) @ ((re + 1j * im)[:, None, None] * psis).sum(axis=0) @ V_full.conj()
 
-    rng = np.random.default_rng(seed + 2)
-    combo = np.zeros((dims.dA, dims.dB), dtype=complex)
-    for k in range(probs.size):
-        g = rng.standard_normal() + 1j * rng.standard_normal()
-        combo += g * matricize(psis[:, k], dims)
-    T = dagger(U_full) @ combo @ V_full.conj()
-
-    a_offsets = _block_offsets(dec_A.blocks)
-    b_offsets = _block_offsets(dec_B.blocks)
-
-    match: dict[int, int] = {}
-    intertwiners: dict[int, np.ndarray] = {}
-    for ai, ablk in enumerate(dec_A.blocks):
-        found = None
-        for bi, bblk in enumerate(dec_B.blocks):
-            if bblk.dimension != ablk.dimension:
+    # the partner table: for each Alice and Bob block of the same dimension, the
+    # unitarized largest copy-to-copy block of T; it must be a perfect matching
+    a_cuts, b_cuts = (np.cumsum([b.multiplicity * b.dimension for b in dec.blocks])[:-1]
+                      for dec in (dec_A, dec_B))
+    b_columns = np.split(V_full, b_cuts, axis=1)
+    partners = {}
+    for ai, (ablk, T_a) in enumerate(zip(dec_A.blocks, np.split(T, a_cuts))):
+        for bi, (bblk, T_ab) in enumerate(zip(dec_B.blocks, np.split(T_a, b_cuts, axis=1))):
+            k = ablk.dimension
+            if bblk.dimension != k:
                 continue
-            Z = _best_intertwiner(T, ablk, bblk, a_offsets[ai], b_offsets[bi])
-            if Z is None:
-                continue
-            if found is not None:
-                raise ValueError("block matching failure: ambiguous match")
-            found = bi
-            intertwiners[ai] = Z
-        if found is None:
-            raise ValueError(
-                f"block matching failure: Alice block {ai} has no Bob partner"
-            )
-        if found in match.values():
-            raise ValueError("block matching failure: Bob block matched twice")
-        match[ai] = found
-    if len(match) != len(dec_B.blocks):
-        raise ValueError("block matching failure: unmatched Bob blocks remain")
-
-    # realign and reorder Bob's basis columns to Alice's block order
-    new_cols = []
-    for ai, ablk in enumerate(dec_A.blocks):
-        bi = match[ai]
-        bblk = dec_B.blocks[bi]
-        Z = intertwiners[ai]
-        cols = V_full[:, b_offsets[bi] : b_offsets[bi] + bblk.multiplicity * bblk.dimension]
-        new_cols.append(cols @ kron(np.eye(bblk.multiplicity), Z.T))
-    V_matched = np.hstack(new_cols)
-
-    blocks = tuple(
-        MaxEntBlock(
-            alice_multiplicity=dec_A.blocks[ai].multiplicity,
-            bob_multiplicity=dec_B.blocks[match[ai]].multiplicity,
-            dimension=dec_A.blocks[ai].dimension,
+            copy_blocks = T_ab.reshape(ablk.multiplicity, k, bblk.multiplicity, k).swapaxes(1, 2)
+            norms = frobenius_each(copy_blocks)
+            best = np.unravel_index(np.argmax(norms), norms.shape)
+            Z = _unitarized(copy_blocks[best]) if norms[best] > 1e-8 else None
+            if Z is not None:
+                partners[ai, bi] = Z
+    alice, bob = sorted(ai for ai, _ in partners), sorted(bi for _, bi in partners)
+    if alice != list(range(len(dec_A.blocks))) or bob != list(range(len(dec_B.blocks))):
+        raise ValueError(
+            f"block matching failure: partner pairs {sorted(partners)} are no perfect "
+            f"matching of {len(dec_A.blocks)} Alice and {len(dec_B.blocks)} Bob blocks"
         )
-        for ai in range(len(dec_A.blocks))
-    )
 
-    # per-eigenvector residual against the predicted block structure
-    residuals = np.zeros(probs.size)
-    for k in range(probs.size):
-        M = dagger(U_full) @ matricize(psis[:, k], dims) @ V_matched.conj()
-        model = np.zeros_like(M)
-        a_pos = 0
-        b_pos = 0
-        for blk in blocks:
-            da = blk.dimension
-            for p in range(blk.alice_multiplicity):
-                for q in range(blk.bob_multiplicity):
-                    sub = M[
-                        a_pos + p * da : a_pos + (p + 1) * da,
-                        b_pos + q * da : b_pos + (q + 1) * da,
-                    ]
-                    model[
-                        a_pos + p * da : a_pos + (p + 1) * da,
-                        b_pos + q * da : b_pos + (q + 1) * da,
-                    ] = (np.trace(sub) / da) * np.eye(da)
-            a_pos += blk.alice_multiplicity * da
-            b_pos += blk.bob_multiplicity * da
-        residuals[k] = frobenius(M - model)
+    # Bob's basis columns, realigned and reordered to Alice's block order
+    blocks, matched = [], []
+    for (ai, bi), Z in sorted(partners.items()):
+        f, k = dec_B.blocks[bi].multiplicity, dec_B.blocks[bi].dimension
+        blocks.append(MaxEntBlock(dec_A.blocks[ai].multiplicity, f, k))
+        matched.append(b_columns[bi] @ kron(np.eye(f), Z.T))
+    V_matched = np.hstack(matched)
+
+    # per-eigenvector residual against the predicted block structure: each
+    # copy-to-copy block of a matched pair less its trace part
+    M = dagger(U_full) @ psis @ V_matched.conj()
+    a0 = b0 = 0
+    for blk in blocks:
+        e, f, k = blk.alice_multiplicity, blk.bob_multiplicity, blk.dimension
+        sub = M[:, a0 : a0 + e * k, b0 : b0 + f * k].reshape(-1, e, k, f, k)
+        traces = np.einsum("xpiqi->xpq", sub)  # (eigenvector, Alice copy, Bob copy)
+        sub -= traces[:, :, None, :, None] / k * np.eye(k)[:, None, :]
+        a0, b0 = a0 + e * k, b0 + f * k
+    residuals = frobenius_each(M)
 
     # compressed-E versus transposed compressed-F comparison in matched bases
     ef = np.inf
-    if NA == NB:
+    if U_full.shape[1] == V_matched.shape[1]:
         ef = frobenius_each(dagger(U_full) @ E @ U_full
                             - (dagger(V_matched) @ F @ V_matched).swapaxes(1, 2)).max()
 
     return MaxEntReport(
-        blocks=blocks,
+        blocks=tuple(blocks),
         state_residuals=residuals,
         ef_transpose_residual=float(ef),
     )
-
-
-def _block_offsets(blocks) -> list[int]:
-    sizes = [blk.multiplicity * blk.dimension for blk in blocks]
-    return [sum(sizes[:i]) for i in range(len(sizes))]
-
-
-def _best_intertwiner(T, ablk, bblk, a_off, b_off):
-    """Largest copy-to-copy block of T between two irrep blocks, unitarized.
-
-    Returns None when all blocks are negligible (inequivalent irreps)."""
-    da = ablk.dimension
-    best, best_norm = None, 0.0
-    for p in range(ablk.multiplicity):
-        for q in range(bblk.multiplicity):
-            sub = T[
-                a_off + p * da : a_off + (p + 1) * da,
-                b_off + q * da : b_off + (q + 1) * da,
-            ]
-            norm = frobenius(sub)
-            if norm > best_norm:
-                best, best_norm = sub, norm
-    if best is None or best_norm <= 1e-8:
-        return None
-    return _unitarized(best)
 
 
 # ---------------------------------------------------------------------------

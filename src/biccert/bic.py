@@ -40,10 +40,6 @@ class BicPovm:
         """Stack of the rank-one projections P_j, shape (d^2, d, d)."""
         return np.einsum("ja,jb->jab", self.vectors, self.vectors.conj())
 
-    def effects(self) -> np.ndarray:
-        """POVM effects (1/d) P_j."""
-        return self.projections() / self.d
-
 
 @dataclass(frozen=True)
 class GramMatrix:

@@ -284,11 +284,28 @@ def test_irrep_inflated_family(weyl_povm_d2):
     assert dec.shape_multiset == ((2, 2),)
     blk = dec.blocks[0]
     assert blk.generators.shape == (4, 2, 2)
-    # conjugated generators match the block model exactly
+    # conjugated generators match the block model exactly; the stacked model
+    # is the per-generator one, bitwise
     Q = dec.basis_change
+    stacked = dec.block_matrix([b.generators for b in dec.blocks])
+    assert stacked.shape == (4, 4, 4)
     for j, Xj in enumerate(inflated):
         model = dec.block_matrix([b.generators[j] for b in dec.blocks])
         assert frobenius(Q.conj().T @ Xj @ Q - model) < 1e-8
+        assert np.array_equal(stacked[j], model)
+
+
+def test_irrep_failure_names_each_attempts_reason(monkeypatch, weyl_povm_d2):
+    # with every link between equivalent copies refused, no attempt verifies
+    P = weyl_povm_d2.projections()
+    inflated = np.stack([np.kron(np.eye(2), Pj) for Pj in P])
+    monkeypatch.setattr(algebra, "_unitarized", lambda M: None)
+    with pytest.raises(ValueError) as err:
+        algebra.irrep_decompose(inflated)
+    message = str(err.value)
+    assert "after 8 attempts" in message
+    assert "not a multiple of a unitary (x8)" in message
+    assert "off-block mass" not in message and "0.000e+00" not in message
 
 
 def _mixed_rep(sic3_povm):
@@ -462,6 +479,37 @@ def test_maxent_pure_state_equal_multiplicities(weyl_povm_d2, sic3_povm):
     ] == [(1, 1, 3), (1, 1, 6)]
     assert report2.max_state_residual < 1e-8
     assert report2.ef_transpose_residual < 1e-8
+
+
+def test_maxent_decomposes_rho_once(monkeypatch, reference_d2):
+    ref, _ = reference_d2
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(H, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(H))
+            return _original(H, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    algebra.maxent_decompose(ref.rho, np.stack([B.T for B in ref.bob]), ref.bob, ref.dims)
+    assert shapes.count(ref.rho.shape) == 1
+
+
+def test_maxent_refuses_a_bob_block_without_partner(monkeypatch, reference_d2):
+    # Bob's side gains a one-dimensional block on a zero column: the state
+    # links it to no Alice block, so the partner table is no perfect matching
+    ref, _ = reference_d2
+    decompose = algebra.irrep_decompose
+
+    def with_orphan(X, seed=0):
+        dec = decompose(X, seed=seed)
+        if seed == 0:  # Alice's side
+            return dec
+        Q = np.hstack([dec.basis_change, np.zeros((len(dec.basis_change), 1))])
+        orphan = algebra.IrrepBlock(1, 1, np.zeros((len(X), 1, 1), dtype=complex))
+        return algebra.IrrepDecomposition(Q, dec.blocks + (orphan,), dec.off_block_residual)
+
+    monkeypatch.setattr(algebra, "irrep_decompose", with_orphan)
+    with pytest.raises(ValueError, match="block matching failure"):
+        algebra.maxent_decompose(ref.rho, np.stack([B.T for B in ref.bob]), ref.bob, ref.dims)
 
 
 def test_maxent_sync_precondition():
