@@ -9,7 +9,8 @@ the full optimality-relation audit for strategies attaining the quantum value,
 and ``certify`` runs the whole certification of a POVM.
 
 The irreducible decomposition is computed numerically: the commutant of the
-generated algebra is solved as a linear system, a random hermitian commutant
+generated algebra is solved as a linear system on the eigenspaces of one
+random hermitian element of the algebra, a random hermitian commutant
 element splits the space into irreducible copies (its eigenspaces), and a
 second random commutant element links equivalent copies and aligns their
 bases through its Schur intertwiners (the algorithm of Murota, Kanno, Kojima
@@ -339,19 +340,28 @@ class IrrepDecomposition:
         return out
 
 
-def _commutant_basis(X: np.ndarray) -> np.ndarray:
-    """Basis (k, n, n) of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
-    stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T): the right
-    singular vectors past the singular values above 1e-10 * max(1, largest).
-    The system has at least as many rows as columns, so the thin SVD's Vh
-    still spans the whole null space."""
+def _commutant_basis(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal basis (k, n, n) of {C : [C, X_j] = 0 for all j}.  Each such C
+    commutes with Y = sum_j g_j X_j (real Gaussian g from ``rng``), so it is block
+    diagonal over Y's eigenvalue groups split at gaps above 1e-8 max(1, |Y|_2):
+    the null space (past singular values above 1e-10 max(1, largest)) of the
+    commutator system in those block entries, in Y's eigenbasis.  A gap only
+    merges eigenspaces, never splits one (``eigh`` rounds at 1e-15 |Y|)."""
     m, n, _ = X.shape
-    eye = np.eye(n)
-    rows = np.concatenate([kron(Xj, eye) - kron(eye, Xj.T) for Xj in X])
-    _, sv, Vh = np.linalg.svd(rows, full_matrices=False)
-    cut = 1e-10 * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int((sv > cut).sum())
-    return Vh[rank:].conj().reshape(-1, n, n)
+    w, V = np.linalg.eigh(np.tensordot(rng.standard_normal(m), X, axes=1))
+    group = np.cumsum(np.diff(w, prepend=w[0]) > 1e-8 * max(1.0, float(np.abs(w).max())))
+    a, b = np.nonzero(group[:, None] == group)  # the unknowns: entries (a, b) of C
+    Z = dagger(V) @ X @ V
+    # [E_ab, Z_j] is Z_j's row b placed in row a, less its column a placed in column b
+    unknown = np.arange(len(a))
+    system = np.zeros((len(a), m, n, n), dtype=complex)
+    system[unknown, :, a, :] = Z[:, b, :].swapaxes(0, 1)
+    system[unknown, :, :, b] -= Z[:, :, a].transpose(2, 0, 1)
+    _, sv, Vh = np.linalg.svd(system.reshape(len(a), -1).T, full_matrices=False)
+    rank = int((sv > 1e-10 * max(1.0, sv[0])).sum())
+    C = np.zeros((len(a) - rank, n, n), dtype=complex)
+    C[:, a, b] = Vh[rank:].conj()
+    return V @ C @ dagger(V)
 
 
 def _random_commutant_element(
@@ -378,8 +388,8 @@ def irrep_decompose(X, seed: int = 0) -> IrrepDecomposition:
     if not is_hermitian(X, 1e-8):
         raise ValueError("irrep_decompose expects hermitian generators")
     scale = max(1.0, float(frobenius_each(X).max()))
-    basis = _commutant_basis(X)
     rng = np.random.default_rng(seed)
+    basis = _commutant_basis(X, rng)
     failures = []
     for _ in range(_IRREP_ATTEMPTS):
         result = _attempt_decomposition(X, basis, rng, scale)

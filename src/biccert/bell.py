@@ -473,12 +473,16 @@ def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport
     ``theta`` from the effects, what ``sos_theta_reader`` returned."""
     W = bell_operator(strategy, S, fold)
     d2 = S.d * S.d
-    w = np.linalg.eigvalsh((theta + dagger(theta)) / 2)
     return SosReport(
         identity_residual=_frobenius_per_member(W + theta - d2 * np.eye(W.shape[-1])),
-        theta_min_eigenvalue=_each(w[..., 0]),
+        theta_min_eigenvalue=theta_min_eigenvalue(theta),
         theta_rho_residual=_frobenius_per_member(theta @ strategy.rho),
     )
+
+
+def theta_min_eigenvalue(theta: np.ndarray) -> float | np.ndarray:
+    """The least eigenvalue of Theta_d's hermitian part, per member of a stack."""
+    return _each(np.linalg.eigvalsh((theta + dagger(theta)) / 2)[..., 0])
 
 
 def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
@@ -490,16 +494,24 @@ def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
     generator draws the state, the pair POVMs, the povm setting and Bob's
     binary POVMs in that order; the normalizations run on the whole stack.
     """
+    return _random_strategy(dims, d, seed, pair_effects=True)
+
+
+def _random_strategy(dims: BipartiteDims, d: int, seed, pair_effects: bool) -> Strategy:
+    """``random_strategy``, or without ``pair_effects`` the same draws with the
+    pair POVMs left unnormalized and the pair effects zero, for readers of the
+    state and the povm setting alone."""
     n, N = d * d, dims.total
-    pairs = pair_list(n)
+    shapes = ((2, N, N), (len(pair_list(n)), 3, 2, dims.dA, dims.dA),
+              (1, n, 2, dims.dA, dims.dA), (n, 2, 2, dims.dB, dims.dB))
+    sizes = [math.prod(shape) for shape in shapes]
     seeds = np.reshape(seed, -1).tolist()
-    shapes = ((2, N, N), (len(pairs), 3, 2, dims.dA, dims.dA), (1, n, 2, dims.dA, dims.dA),
-              (n, 2, 2, dims.dB, dims.dB))
-    state_z, pair_z, povm_z, bob_z = (np.empty((len(seeds),) + shape) for shape in shapes)
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        for z in (state_z, pair_z, povm_z, bob_z):
-            rng.standard_normal(out=z[i])
+    z = np.empty((len(seeds), sum(sizes)))
+    for i, s in enumerate(seeds):  # one call draws what four calls in a row would
+        np.random.default_rng(s).standard_normal(out=z[i])
+    state_z, pair_z, povm_z, bob_z = (
+        part.reshape((len(seeds),) + shape)
+        for part, shape in zip(np.split(z, np.cumsum(sizes)[:-1], axis=1), shapes))
     G = state_z[:, 0] + 1j * state_z[:, 1]
     rho = G @ dagger(G)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
@@ -507,25 +519,27 @@ def random_strategy(dims: BipartiteDims, d: int, seed) -> Strategy:
     def unstack(x):  # the leading axis of the draws -> the stack shape of ``seed``
         return x.reshape(np.shape(seed) + x.shape[1:])
 
+    pairs = (_random_povm(pair_z, 2) if pair_effects else
+             np.zeros(pair_z.shape[:2] + (2, dims.dA, dims.dA), dtype=complex))
     return Strategy(
         dims=dims,
         rho=unstack(rho),
-        alice_pair_effects=unstack(_random_povm(pair_z)[:, :, :2]),
-        alice_povm=unstack(_random_povm(povm_z)[:, 0]),
-        bob=unstack(_random_povm(bob_z)[:, :, 0]),
+        alice_pair_effects=unstack(pairs),
+        alice_povm=unstack(_random_povm(povm_z, n)[:, 0]),
+        bob=unstack(_random_povm(bob_z, 1)[:, :, 0]),
     )
 
 
-def _random_povm(z: np.ndarray) -> np.ndarray:
-    """POVMs (..., outcomes, dim, dim) of the Ginibre squares of ``z`` (...,
-    outcomes, 2, dim, dim), real part then imaginary part, normalized by the
-    inverse square root of their sum."""
-    lead, (outcomes, _, dim, _) = z.shape[:-4], z.shape[-4:]
+def _random_povm(z: np.ndarray, keep: int) -> np.ndarray:
+    """The first ``keep`` effects (..., keep, dim, dim) of the POVMs of the
+    Ginibre squares of ``z`` (..., outcomes, 2, dim, dim), real part then
+    imaginary part, normalized by the inverse square root of their sum."""
+    lead, dim = z.shape[:-4], z.shape[-1]
     z = z.reshape((-1,) + z.shape[-4:])
     G = z[:, :, 0] + 1j * z[:, :, 1]
     raw = G @ dagger(G)
     w, U = np.linalg.eigh(raw.sum(axis=1))
     inv_sqrt = (U / np.sqrt(w)[:, None, :]) @ dagger(U)
     # einsum: a chain of @ rounds differently, which would change seeded strategies
-    povms = np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
-    return povms.reshape(lead + (outcomes, dim, dim))
+    povms = np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw[:, :keep], inv_sqrt)
+    return povms.reshape(lead + (keep, dim, dim))

@@ -8,13 +8,15 @@ vector, and a generic seeded construction that works in every dimension.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from operator import gt
 
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, Checks, check, components, dagger, frobenius, held, json_checked,
+    DEFAULT_TOL, Check, Checks, check, components, dagger, frobenius, held, is_hermitian,
+    json_checked,
 )
 
 _GENERIC_ATTEMPTS = 32  # draws of construct_generic_bic before it gives up
@@ -152,44 +154,46 @@ def equalize_diagonal(P: np.ndarray) -> np.ndarray:
     """
     P = np.asarray(P, dtype=complex)
     n = P.shape[0]
-    if not np.allclose(P, dagger(P), atol=1e-10 * max(1.0, frobenius(P))):
+    if not is_hermitian(P, 1e-10):
         raise ValueError("equalize_diagonal expects a hermitian matrix")
     mu = np.trace(P).real / n
     M = P.copy()
     U = np.eye(n, dtype=complex)
     diag = M.diagonal().real  # a view: follows M as the rotations update it
-    active = np.ones(n, dtype=bool)
     band = 1e-12 * max(1.0, abs(mu))
-    for _ in range(n - 1):
-        low, high = active & (diag < mu - band), active & (diag > mu + band)
-        if not (low.any() and high.any()):
-            break
-        i, j = int(low.argmax()), int(high.argmax())  # the first of each
+    below, above = mu - band, mu + band
+    # active indices below and above the band, ascending: a rotation retires i
+    # and changes the diagonal at i and j only
+    low, high = np.flatnonzero(diag < below).tolist(), np.flatnonzero(diag > above).tolist()
+    while low and high:
+        i, j = low.pop(0), high.pop(0)
         R = _fixing_rotation(diag[i], diag[j], M[i, j], mu)
-        pair = [i, j]
-        M[pair] = R @ M[pair]
-        M[:, pair] = M[:, pair] @ dagger(R)
-        U[pair] = R @ U[pair]
-        active[i] = False
+        pair = [i, j]  # take and row stores: a fraction of fancy indexing's cost
+        M[i], M[j] = R @ M.take(pair, axis=0)
+        M[:, i], M[:, j] = (M.take(pair, axis=1) @ dagger(R)).T
+        U[i], U[j] = R @ U.take(pair, axis=0)
+        if diag[j] < below:
+            bisect.insort(low, j)
+        elif diag[j] > above:
+            high.insert(0, j)
     return U
 
 
 def _fixing_rotation(a: float, c: float, b: complex, mu: float) -> np.ndarray:
     """2x2 unitary R with (R m R*)_{00} = mu for m = [[a, b], [conj(b), c]]."""
-    phi = 0.0 if b == 0 else -np.angle(b)
+    phi = 0.0 if b == 0 else -np.arctan2(b.imag, b.real)  # np.angle's own ufunc
     amp = np.hypot((a - c) / 2, abs(b))
     kappa = mu - (a + c) / 2
     gamma = np.arctan2((a - c) / 2, abs(b))
-    base = np.arcsin(np.clip(kappa / amp, -1.0, 1.0))
+    base = np.arcsin(min(max(kappa / amp, -1.0), 1.0))
+    turn, back = np.exp(1j * phi), np.exp(-1j * phi)
+    cross = (turn * b).real
     for s in (base, np.pi - base):
         theta = (s - gamma) / 2
         ct, st = np.cos(theta), np.sin(theta)
-        value = a * ct**2 + c * st**2 + 2 * ct * st * (np.exp(1j * phi) * b).real
+        value = a * ct**2 + c * st**2 + 2 * ct * st * cross
         if abs(value - mu) <= 1e-9 * max(1.0, abs(mu)):
-            return np.array(
-                [[ct, st * np.exp(-1j * phi)], [-st * np.exp(1j * phi), ct]],
-                dtype=complex,
-            )
+            return np.array([[ct, st * back], [-st * turn, ct]], dtype=complex)
     raise ValueError("no rotation angle found; mean outside [min, max] bracket")
 
 
@@ -213,7 +217,8 @@ def construct_generic_bic(d: int, seed: int) -> BicPovm:
         U = equalize_diagonal(K1 @ dagger(K1))
         povm = BicPovm(d=d, vectors=(np.sqrt(d) * (U @ K1)).conj())
         S = gram(povm)
-        failures = validate_bic(povm, S=S).failures() + validate_gram(S).failures()
+        # validate_bic's gram_invertible is validate_gram's positive_definite
+        failures = Checks(_bic_axioms(povm, DEFAULT_TOL)).failures() + validate_gram(S).failures()
         if not failures:
             return povm
     raise ValueError(
@@ -231,17 +236,22 @@ def gram(povm: BicPovm) -> GramMatrix:
 def validate_bic(povm: BicPovm, tol: float = DEFAULT_TOL, S: GramMatrix | None = None) -> Checks:
     """Check the BIC axioms: unit norms, sum_j P_j = d*I, invertible Gram.
     ``S`` is the povm's ``gram``, formed here when not given."""
+    S = (gram(povm) if S is None else S).s
+    w = np.linalg.eigvalsh((S + S.T) / 2)
+    invertible = held("gram_invertible", w[0], tol * max(1.0, w[-1]), gt)
+    return Checks([*_bic_axioms(povm, tol), invertible])
+
+
+def _bic_axioms(povm: BicPovm, tol: float) -> list[Check]:
+    """The unit-norm and sum_j P_j = d*I checks of ``validate_bic``."""
     d = povm.d
     norm_res = np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0)
     worst_norm = int(np.argmax(norm_res))
     sum_res = frobenius(povm.projections().sum(axis=0) - d * np.eye(d))
-    S = (gram(povm) if S is None else S).s
-    w = np.linalg.eigvalsh((S + S.T) / 2)
-    return Checks([
+    return [
         check("unit_norms", norm_res[worst_norm], tol, d, worst_norm + 1),
         check("sum_to_d_identity", sum_res, tol, d),
-        held("gram_invertible", w[0], tol * max(1.0, w[-1]), gt),
-    ])
+    ]
 
 
 def validate_gram(gm: GramMatrix, tol: float = DEFAULT_TOL) -> Checks:

@@ -285,31 +285,30 @@ def brute_force_classical(S: GramMatrix) -> float:
     d, n = S.d, S.n
     if d != 2:
         raise ValueError("brute force enumeration is supported for d=2 only")
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    n_pairs = len(pairs)
-
-    # per-pair outcome states 0/1/2 -> (a1 - a2, a1 + a2)
-    states = np.array([[0, 0], [1, 1], [-1, 1]], dtype=float)
-    grids = np.indices((3,) * n_pairs).reshape(n_pairs, -1).T  # (3^6, 6)
-    diff = states[grids, 0]
-    both = states[grids, 1]
-
-    bobs = np.indices((2,) * n).reshape(n, -1).T  # (16, 4)
-
-    root = np.array([2.0 * math.sqrt(1.0 - S.s[j, k]) for j, k in pairs])
-    penalty = np.array([1.0 - S.s[j, k] for j, k in pairs])
+    j, k, diff, both, bobs, bdiff = _brute_force_tables(n)
+    root = 2.0 * np.sqrt(1.0 - S.s[j, k])
+    penalty = 1.0 - S.s[j, k]
 
     # A(a, b) = sum_p root_p * diff[a,p] * (b_j - b_k) - penalty_p * both[a,p]
-    bdiff = np.stack([bobs[:, j] - bobs[:, k] for j, k in pairs], axis=1)  # (16, 6)
     a_term = diff @ (root[None, :] * bdiff).T - (both @ penalty)[:, None]  # (3^6, 16)
     a_term -= d * (d - 2) * bobs.sum(axis=1)[None, :]
     povm_term = bobs - 1.0  # (16, n): value contribution of choosing povm outcome j
+    return float((a_term.max(axis=0) + povm_term.max(axis=1)).max())
 
-    best = -np.inf
-    for b in range(bobs.shape[0]):
-        column = a_term[:, b]
-        best = max(best, float(column.max() + povm_term[b].max()))
-    return best
+
+@functools.cache
+def _brute_force_tables(n: int):
+    """The pairs (j, k) of n outcomes; every assignment of per-pair outcome
+    states 0/1/2 as (a1 - a2, a1 + a2) rows, (3^pairs, pairs) each; every Bob
+    assignment (2^n, n); and its b_j - b_k per pair.  Read-only, one set per n."""
+    j, k = np.triu_indices(n, 1)
+    states = np.array([[0, 0], [1, 1], [-1, 1]], dtype=float)
+    grids = np.indices((3,) * len(j)).reshape(len(j), -1).T
+    bobs = np.indices((2,) * n).reshape(n, -1).T
+    tables = (j, k, states[grids, 0], states[grids, 1], bobs, bobs[:, j] - bobs[:, k])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def bic_gram_d2(t1: float, t2: float) -> GramMatrix:

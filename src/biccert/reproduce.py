@@ -106,23 +106,21 @@ def criterion_1_quantum_value(tol: float = BASE_TOL, d_max: int = 4, seed: int =
 @_criterion(2, "operator identity W_d + Theta_d = d^2 I on 100 arbitrary hermitian tuples")
 def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
     """||W_d + Theta_d - d^2 I|| on random arbitrary hermitian tuples, drawn one
-    tuple after another and checked in stacks."""
+    tuple after another (pair effects, povm setting, Bob) and checked in stacks."""
     worst_rel = 0.0
     rng = np.random.default_rng(seed)
     for d in (2, 3):
         S = bic.gram(_weyl_povm(d))
         n = d * d
-        pairs = bell.pair_list(n)
+        P = len(bell.pair_list(n))
         for members in _stacks(100):
-            draws = [(random_hermitian(d, rng, (len(pairs), 2)), random_hermitian(d, rng, (n,)),
-                      random_hermitian(d, rng, (n,))) for _ in members]
-            effects, povm, bob = (np.stack(x) for x in zip(*draws))
+            tuples = random_hermitian(d, rng, (len(members), 2 * P + 2 * n))
             strat = bell.Strategy(
                 dims=BipartiteDims(d, d),
                 rho=np.broadcast_to(np.eye(n, dtype=complex) / n, (len(members), n, n)),
-                alice_pair_effects=effects,
-                alice_povm=povm,
-                bob=bob,
+                alice_pair_effects=tuples[:, :2 * P].reshape(len(members), P, 2, d, d),
+                alice_povm=tuples[:, 2 * P:2 * P + n],
+                bob=tuples[:, 2 * P + n:],
             )
             fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
                                     bell.sos_theta_reader(strat, S))
@@ -133,18 +131,17 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
 
 @_criterion(3, "Theta_d PSD and quantum bound on 100 random valid strategies")
 def criterion_3_sos_bound(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
-    """Theta_d PSD and tr(W_d rho) <= d^2 on random valid strategies, in stacks."""
+    """Theta_d PSD and tr(W_d rho) <= d^2 on random valid strategies, in stacks;
+    W_d itself is not formed (criterion 2 checks the identity)."""
     min_eig = np.inf
     max_excess = -np.inf
     for d in (2, 3):
         S = bic.gram(_weyl_povm(d))
         for members in _stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            value, fold, theta = bell.walk(strat, bell.bell_value_reader(strat, S),
-                                           bell.pair_fold_reader(strat, S),
-                                           bell.sos_theta_reader(strat, S))
-            cert = bell.sos_certificate(strat, S, fold, theta)
-            min_eig = min(min_eig, cert.theta_min_eigenvalue.min())
+            value, theta = bell.walk(strat, bell.bell_value_reader(strat, S),
+                                     bell.sos_theta_reader(strat, S))
+            min_eig = min(min_eig, bell.theta_min_eigenvalue(theta).min())
             max_excess = max(max_excess, (value.value - d * d).max())
     return [check("min eig Theta", min_eig, tol), check("max value - d^2", max_excess, tol)]
 
@@ -291,7 +288,9 @@ def criterion_8_entropy(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0,
 
     cap_excess = -np.inf
     for members in _stacks(100):
-        stack = bell.random_strategy(BipartiteDims(2, 2), 2, [seed + i for i in members])
+        # the cap reads rho and the povm setting: the pair POVMs go unnormalized
+        stack = bell._random_strategy(BipartiteDims(2, 2), 2, [seed + i for i in members],
+                                      pair_effects=False)
         entropies = randomness.conditional_entropy(randomness.cq_state(stack, purify(stack.rho)))
         cap_excess = max(cap_excess, (entropies - math.log2(4.0)).max())
     return [

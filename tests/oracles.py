@@ -19,6 +19,15 @@ computes, which the tests compare it against.
   generic construction with dense n x n rotations and an eigendecomposition
   of the n x n Gram matrix for the vectors, O(d^8) per draw; ``bic`` rotates
   two rows and two columns and reads the vectors off the factor it holds.
+- ``commutant_basis_kron``: the commutant of a family from the null space of
+  the full (m n^2 x n^2) commutator system built with Kronecker products,
+  O(n^6 m); ``algebra`` solves it only on the eigenspaces of one random
+  element of the family's algebra.
+- ``random_strategy_four_draws``, ``equalize_diagonal_masked`` and
+  ``generic_bic_masked``: frozen copies of the seeded draws as they were
+  written before their per-call overhead was cut (four normal draws per
+  seed, every outcome normalized; the rotation loop re-scanning boolean
+  masks), which the package must still match bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from biccert.bic import (
 )
 from biccert.linalg import (
     DEFAULT_TOL,
+    BipartiteDims,
     Check,
     Checks,
     check,
@@ -43,6 +53,7 @@ from biccert.linalg import (
     frobenius,
     frobenius_each,
     held,
+    kron,
 )
 
 
@@ -342,4 +353,112 @@ def generic_bic_dense(d: int, seed: int) -> tuple[BicPovm, int]:
         povm = BicPovm(d=d, vectors=factor_gram(d * (U @ K2 @ dagger(U)), d))
         if validate_bic(povm).passed and validate_gram(gram(povm)).passed:
             return povm, draw
+    raise ValueError(f"generic construction failed after {_GENERIC_ATTEMPTS} attempts")
+
+
+def commutant_basis_kron(X: np.ndarray) -> np.ndarray:
+    """Basis (k, n, n) of {Y : [Y, X_j] = 0 for all j} via the nullspace of the
+    stacked row-major superoperators kron(X_j, I) - kron(I, X_j^T): the right
+    singular vectors past the singular values above 1e-10 * max(1, largest)."""
+    m, n, _ = X.shape
+    eye = np.eye(n)
+    rows = np.concatenate([kron(Xj, eye) - kron(eye, Xj.T) for Xj in X])
+    _, sv, Vh = np.linalg.svd(rows, full_matrices=False)
+    rank = int((sv > 1e-10 * max(1.0, sv[0])).sum())
+    return Vh[rank:].conj().reshape(-1, n, n)
+
+
+def random_strategy_four_draws(dims: BipartiteDims, d: int, seed):
+    """(rho, pair effects, povm setting, Bob) of ``bell.random_strategy``: per
+    seed four ``standard_normal`` calls (state, pair POVMs, povm setting, Bob),
+    and every outcome of every POVM normalized before the kept ones are read."""
+    n, N = d * d, dims.total
+    pairs = pair_list(n)
+    seeds = np.reshape(seed, -1).tolist()
+    shapes = ((2, N, N), (len(pairs), 3, 2, dims.dA, dims.dA), (1, n, 2, dims.dA, dims.dA),
+              (n, 2, 2, dims.dB, dims.dB))
+    state_z, pair_z, povm_z, bob_z = (np.empty((len(seeds),) + shape) for shape in shapes)
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for z in (state_z, pair_z, povm_z, bob_z):
+            rng.standard_normal(out=z[i])
+    G = state_z[:, 0] + 1j * state_z[:, 1]
+    rho = G @ dagger(G)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+    def unstack(x):
+        return x.reshape(np.shape(seed) + x.shape[1:])
+
+    return (unstack(rho), unstack(_every_outcome_povm(pair_z)[:, :, :2]),
+            unstack(_every_outcome_povm(povm_z)[:, 0]), unstack(_every_outcome_povm(bob_z)[:, :, 0]))
+
+
+def _every_outcome_povm(z: np.ndarray) -> np.ndarray:
+    """Every effect of the normalized POVMs of ``random_strategy_four_draws``."""
+    lead, (outcomes, _, dim, _) = z.shape[:-4], z.shape[-4:]
+    z = z.reshape((-1,) + z.shape[-4:])
+    G = z[:, :, 0] + 1j * z[:, :, 1]
+    raw = G @ dagger(G)
+    w, U = np.linalg.eigh(raw.sum(axis=1))
+    inv_sqrt = (U / np.sqrt(w)[:, None, :]) @ dagger(U)
+    povms = np.einsum("pab,pxbc,pcd->pxad", inv_sqrt, raw, inv_sqrt)
+    return povms.reshape(lead + (outcomes, dim, dim))
+
+
+def _fixing_rotation_masked(a: float, c: float, b: complex, mu: float) -> np.ndarray:
+    """The rotation of ``equalize_diagonal_masked``."""
+    phi = 0.0 if b == 0 else -np.angle(b)
+    amp = np.hypot((a - c) / 2, abs(b))
+    kappa = mu - (a + c) / 2
+    gamma = np.arctan2((a - c) / 2, abs(b))
+    base = np.arcsin(np.clip(kappa / amp, -1.0, 1.0))
+    for s in (base, np.pi - base):
+        theta = (s - gamma) / 2
+        ct, st = np.cos(theta), np.sin(theta)
+        value = a * ct**2 + c * st**2 + 2 * ct * st * (np.exp(1j * phi) * b).real
+        if abs(value - mu) <= 1e-9 * max(1.0, abs(mu)):
+            return np.array(
+                [[ct, st * np.exp(-1j * phi)], [-st * np.exp(1j * phi), ct]],
+                dtype=complex,
+            )
+    raise ValueError("no rotation angle found; mean outside [min, max] bracket")
+
+
+def equalize_diagonal_masked(P: np.ndarray) -> np.ndarray:
+    """``bic.equalize_diagonal`` choosing each rotation's pair from boolean
+    masks over the whole live diagonal, re-scanned every step."""
+    P = np.asarray(P, dtype=complex)
+    n = P.shape[0]
+    mu = np.trace(P).real / n
+    M = P.copy()
+    U = np.eye(n, dtype=complex)
+    diag = M.diagonal().real
+    active = np.ones(n, dtype=bool)
+    band = 1e-12 * max(1.0, abs(mu))
+    for _ in range(n - 1):
+        low, high = active & (diag < mu - band), active & (diag > mu + band)
+        if not (low.any() and high.any()):
+            break
+        i, j = int(low.argmax()), int(high.argmax())
+        R = _fixing_rotation_masked(diag[i], diag[j], M[i, j], mu)
+        pair = [i, j]
+        M[pair] = R @ M[pair]
+        M[:, pair] = M[:, pair] @ dagger(R)
+        U[pair] = R @ U[pair]
+        active[i] = False
+    return U
+
+
+def generic_bic_masked(d: int, seed: int) -> BicPovm:
+    """``bic.construct_generic_bic`` through ``equalize_diagonal_masked``, each
+    draw held to the full ``validate_bic`` and ``validate_gram``."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    for _ in range(_GENERIC_ATTEMPTS):
+        K0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        K1, _ = np.linalg.qr(K0)
+        U = equalize_diagonal_masked(K1 @ dagger(K1))
+        povm = BicPovm(d=d, vectors=(np.sqrt(d) * (U @ K1)).conj())
+        if validate_bic(povm).passed and validate_gram(gram(povm)).passed:
+            return povm
     raise ValueError(f"generic construction failed after {_GENERIC_ATTEMPTS} attempts")

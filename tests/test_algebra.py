@@ -348,6 +348,23 @@ def test_irrep_basis_covariance(weyl_povm_d2):
         assert algebra.irrep_decompose(conjugated, seed=seed).shape_multiset == baseline
 
 
+def _criterion_10_family(family, request):
+    """One of the representations the irrep-structure criterion decomposes."""
+    if family == "mixed":
+        return _mixed_rep(request.getfixturevalue("sic3_povm"))
+    if family == "exceptional":
+        return algebra.counterexample_rep()
+    if family == "generic_d2":
+        return bic.construct_generic_bic(2, 5).projections()
+    kind, d = family.split("_")
+    P = request.getfixturevalue(f"weyl_povm_{d}").projections()
+    return P if kind == "weyl" else np.stack([np.kron(np.eye(2), Pj) for Pj in P])
+
+
+CRITERION_10_FAMILIES = ["weyl_d2", "weyl_d3", "inflated_d2", "inflated_d3", "generic_d2",
+                         "exceptional", "mixed"]
+
+
 @pytest.mark.parametrize("family, count", [
     ("weyl_d2", 1), ("weyl_d3", 1), ("inflated_d2", 4), ("inflated_d3", 4),
     ("generic_d2", 1), ("exceptional", 1), ("mixed", 2),
@@ -355,22 +372,76 @@ def test_irrep_basis_covariance(weyl_povm_d2):
 def test_commutant_basis_on_the_irrep_criterion_families(family, count, request):
     # the representations the irrep-structure criterion decomposes; the count is
     # the sum of squared multiplicities of their irreducible blocks
-    if family == "mixed":
-        X = _mixed_rep(request.getfixturevalue("sic3_povm"))
-    elif family == "exceptional":
-        X = algebra.counterexample_rep()
-    elif family == "generic_d2":
-        X = bic.construct_generic_bic(2, 5).projections()
-    else:
-        kind, d = family.split("_")
-        P = request.getfixturevalue(f"weyl_povm_{d}").projections()
-        X = P if kind == "weyl" else np.stack([np.kron(np.eye(2), Pj) for Pj in P])
-    basis = np.stack(algebra._commutant_basis(X))
+    X = _criterion_10_family(family, request)
+    basis = algebra._commutant_basis(X, np.random.default_rng(0))
     assert len(basis) == count
     commutators = X[None] @ basis[:, None] - basis[:, None] @ X[None]
     assert np.abs(commutators).max() < 1e-12
     gram = np.einsum("iab,jab->ij", basis.conj(), basis)
     assert np.abs(gram - np.eye(count)).max() < 1e-12
+
+
+def _assert_same_span(basis, oracle):
+    """Two orthonormal bases (k, n, n) of one space: the overlap of the two has
+    every singular value within 1e-12 of 1."""
+    assert basis.shape == oracle.shape
+    overlap = basis.reshape(len(basis), -1).conj() @ oracle.reshape(len(oracle), -1).T
+    assert 1.0 - np.linalg.svd(overlap, compute_uv=False).min() < 1e-12
+
+
+def _conjugates(X, seed):
+    """X and a random-unitary conjugate of it."""
+    U = random_unitary(X.shape[1], np.random.default_rng(seed))
+    return X, U @ X @ U.conj().T
+
+
+@pytest.mark.parametrize("family", CRITERION_10_FAMILIES)
+def test_commutant_spans_the_kron_oracle_on_the_criterion_10_families(family, request):
+    for X in _conjugates(_criterion_10_family(family, request), 3):
+        for seed in range(3):
+            basis = algebra._commutant_basis(X, np.random.default_rng(seed))
+            _assert_same_span(basis, oracles.commutant_basis_kron(X))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_commutant_spans_the_kron_oracle_on_weyl_povms(d):
+    P = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)).projections()
+    for X in _conjugates(P, d):
+        basis = algebra._commutant_basis(X, np.random.default_rng(d))
+        assert len(basis) == 1  # the orbit spans every d x d matrix
+        _assert_same_span(basis, oracles.commutant_basis_kron(X))
+
+
+@pytest.mark.parametrize("family, d", [("inflated_d2", 2), ("inflated_d3", 3)])
+def test_irrep_keeps_the_multiplicity_of_inflated_families(family, d, request):
+    # every eigenvalue of the random element is doubly degenerate here; a split
+    # eigenspace would lose commutant elements and show two blocks of multiplicity 1
+    for X in _conjugates(_criterion_10_family(family, request), 5):
+        for seed in range(4):
+            assert algebra.irrep_decompose(X, seed=seed).shape_multiset == ((2, d),)
+
+
+def _intertwiner_count(A, B):
+    """The dimension of {T : T A_j = B_j T for all j}, from its k^2 unknowns."""
+    k = A.shape[-1]
+    eye = np.eye(k)
+    rows = np.concatenate([kron(eye, Aj.T) - kron(Bj, eye) for Aj, Bj in zip(A, B)])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int((sv <= 1e-10 * max(1.0, sv[0])).sum())
+
+
+def test_irrep_separates_two_inequivalent_weyl_blocks_of_one_dimension():
+    P, Q = (bic.construct_weyl_bic(3, bic.geometric_fiducial(3, r, t)).projections()
+            for r, t in ((0.3, 0.137), (0.25, 0.21)))
+    zero = np.zeros((3, 3))
+    X = np.stack([np.block([[Pj, zero], [zero, Qj]]) for Pj, Qj in zip(P, Q)])
+    for seed in range(4):
+        assert len(algebra._commutant_basis(X, np.random.default_rng(seed))) == 2
+        dec = algebra.irrep_decompose(X, seed=seed)
+        assert dec.shape_multiset == ((1, 3), (1, 3))
+        first, second = (blk.generators for blk in dec.blocks)
+        assert _intertwiner_count(first, first) == 1  # the identity, a sanity check
+        assert _intertwiner_count(first, second) == 0
 
 
 def test_irrep_rejects_nonhermitian():

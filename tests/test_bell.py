@@ -682,6 +682,22 @@ def test_random_strategy_matches_one_povm_at_a_time_bitwise(dA, dB):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dA, dB", [(2, 2), (3, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", [5, [0, 1, 7, 42, 3]])
+def test_random_strategy_matches_the_four_draw_stream_bitwise(dA, dB, seed):
+    dims = BipartiteDims(dA, dB)
+    strat = bell.random_strategy(dims, dA, seed)
+    expected = oracles.random_strategy_four_draws(dims, dA, seed)
+    for field, want in zip(("rho", "alice_pair_effects", "alice_povm", "bob"), expected):
+        assert np.array_equal(getattr(strat, field), want), field
+    # without pair effects the draws still advance each seed's stream
+    skipped = bell._random_strategy(dims, dA, seed, pair_effects=False)
+    for field, want in zip(("rho", "alice_povm", "bob"), expected[:1] + expected[2:]):
+        assert np.array_equal(getattr(skipped, field), want), field
+    assert not skipped.alice_pair_effects.any()
+    assert skipped.alice_pair_effects.shape == strat.alice_pair_effects.shape
+
+
 def test_correlation_requires_all_pairs_in_order():
     n = 4
     pairs = bell.pair_list(n)

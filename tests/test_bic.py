@@ -239,6 +239,31 @@ def test_equalize_diagonal_at_scale(n):
         bic.equalize_diagonal(G)
 
 
+def test_equalize_diagonal_refuses_a_matrix_off_hermitian_by_more_than_its_tolerance():
+    # np.allclose's relative tolerance of 1e-5 once let this through, and the
+    # returned U left diag(U P U*) at (0.5000014, 0.4999986)
+    with pytest.raises(ValueError, match="hermitian"):
+        bic.equalize_diagonal(np.array([[1.0, 0.5], [0.5 + 4e-6, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 25, 36])
+def test_equalize_diagonal_matches_the_masked_rotation_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    d = max(1, int(np.sqrt(n)))
+    for _ in range(10):
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        K1, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+        for H in ((G + G.conj().T) / 2, K1 @ K1.conj().T):
+            assert np.array_equal(bic.equalize_diagonal(H), oracles.equalize_diagonal_masked(H))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_generic_vectors_match_the_masked_pipeline_bitwise(d):
+    for seed in range(10):
+        assert np.array_equal(bic.construct_generic_bic(d, seed).vectors,
+                              oracles.generic_bic_masked(d, seed).vectors), seed
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gram_laws(d):
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))

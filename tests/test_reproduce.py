@@ -132,3 +132,17 @@ def test_stacked_criteria_2_and_3_agree_with_one_strategy_at_a_time(seed):
     # every member is full rank: its entropy comes from the single call's products
     eight = reproduce.run_criterion(8, seed=seed).checks
     assert eight["max H - log2(d^2)"].measured == _criterion_8_cap_one_at_a_time(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_3_min_eigenvalue_is_the_sos_certificates_bitwise(seed):
+    min_eig = np.inf
+    for d in (2, 3):
+        S = _weyl_gram(d)
+        for members in reproduce._stacks(100):
+            strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
+            fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
+                                    bell.sos_theta_reader(strat, S))
+            cert = bell.sos_certificate(strat, S, fold, theta)
+            min_eig = min(min_eig, cert.theta_min_eigenvalue.min())
+    assert reproduce.run_criterion(3, seed=seed).checks["min eig Theta"].measured == min_eig
