@@ -17,7 +17,6 @@ from .bic import (
     gram,
     validate_bic,
     validate_gram,
-    weyl_operator,
 )
 from .bell import (
     BellReport,
@@ -59,7 +58,7 @@ from .randomness import (
     randomness_report,
 )
 from .linalg import (
-    BipartiteDims, Check, Checks, eigh, kron, matricize, partial_trace, purify,
+    BipartiteDims, Check, Checks, eigh, kron, partial_trace, purify,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BicPovm", "GramMatrix", "construct_generic_bic", "construct_weyl_bic",
     "equalize_diagonal", "geometric_fiducial", "gram", "validate_bic",
-    "validate_gram", "weyl_operator",
+    "validate_gram",
     "BellReport", "SosReport", "Strategy", "bell_operator", "bell_value",
     "random_strategy", "reference_strategy", "sos_certificate",
     "ClassicalResult", "brute_force_classical", "classical_value",
@@ -78,6 +77,6 @@ __all__ = [
     "verify_certification",
     "CqState", "RandomnessReport", "conditional_entropy", "cq_state",
     "randomness_report",
-    "BipartiteDims", "Check", "Checks", "eigh", "kron", "matricize",
-    "partial_trace", "purify",
+    "BipartiteDims", "Check", "Checks", "eigh", "kron", "partial_trace",
+    "purify",
 ]

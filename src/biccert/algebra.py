@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bell, bic, randomness
-from .bell import BellReport, SosReport, Strategy, _coefficients
+from .bell import BellReport, SosReport, Strategy
 from .bic import GramMatrix
 from .linalg import (
     DEFAULT_TOL,
@@ -682,12 +682,17 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     """The ``bell.walk`` reader behind ``verify_certification``: a ``PairAudit``,
     from the one decomposition of rho that the run needs.
 
-    "sync pair" reads the walk's dense D and E.  "a projectivity" and "a
-    orthogonality" read the dense effects compressed to Alice's support when
-    they are stored as matrices, and ``_rank_one_relations`` of the stored
-    unit vectors otherwise, in O(d) per pair instead of O(d^3); on the full
-    support such effects are projectors by construction, and "a projectivity"
-    reads exactly 0.
+    "sync pair" reads the walk's c and cD: Z K = (cD (x) I) K - (I (x) (B_j - B_k)) K,
+    Bob's side from BK[j] - BK[k], BK = (I (x) B_j) K formed once per walk.
+    The norm that scales the dropped-eigenvalue tail is bounded by the
+    triangle inequality, ||cD||_F <= c (||A1||_F + ||A2||_F) and ||E||_F <=
+    ||B_j||_F + ||B_k||_F, from per-outcome norms and, for vector-stored
+    effects, the norm 1 of each unit-trace rank-one projector.  "a
+    projectivity" and "a orthogonality" read the dense effects compressed to
+    Alice's support when they are stored as matrices, and
+    ``_rank_one_relations`` of the stored unit vectors otherwise, in O(d) per
+    pair instead of O(d^3); on the full support such effects are projectors
+    by construction, and "a projectivity" reads exactly 0.
     """
     rho, dims = strategy.rho, strategy.dims
     L, V = spectrum = eigh(rho, tol=1e-8)
@@ -696,19 +701,27 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     keep = np.abs(L) > RANK_CUTOFF
     K, tail = V[:, keep] * L[keep], float(np.sum(L[~keep] ** 2))
 
-    corr_w = _coefficients(S)[0][:, 0]
+    BK = apply_local(strategy.bob, K, dims, "B")
+    bob_norms = np.sqrt(dims.dA) * frobenius_each(strategy.bob)
     sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
     full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
-    while (step := (yield)) is not None:
-        block, A = step.block, step.A
-        sync_pair[block] = _sync(corr_w[block, None, None] / 2 * step.D, step.E, K, tail, dims)
-        if strategy.stores_vectors:
+    vectors = strategy.stores_vectors
+    while (step := (yield ("cD",))) is not None:
+        block, j, k, A = step.block, step.j, step.k, step.A
+        Z_K = apply_local(step.cD, K, dims, "A")
+        Z_K -= BK.take(j, axis=0) - BK.take(k, axis=0)
+        alice_norms = 2.0 if vectors else frobenius_each(A).sum(axis=-1)
+        sync_pair[block] = _residuals(
+            Z_K, np.sqrt(dims.dB) * step.c * alice_norms + (bob_norms[j] + bob_norms[k]),
+            tail)
+        if not vectors:
+            Ah = A if full_support else compress(A, UA)
+            a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
+            a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
+    if vectors:  # O(d) temporaries per pair: d walk blocks' worth per call
+        for block, _, _ in bell.pair_blocks(strategy.n_outcomes, bell._PAIR_BLOCK * dims.dA):
             a_proj[block], a_ortho[block] = _rank_one_relations(
                 strategy.alice_pair_effects[block], None if full_support else UA)
-            continue
-        Ah = A if full_support else compress(A, UA)
-        a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
-        a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
     return PairAudit(spectrum, UA, VB, K, tail, sync_pair, a_proj, a_ortho)
 
 
@@ -824,7 +837,7 @@ def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
     # one pass over the pairs for the Bell value, the fold that W_d and the dual
     # operators C_j take, Theta_d and the pair relations of the audit
     value, fold, theta, audit = stage(
-        "walk", bell.walk, ref, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
+        "walk", bell.walk, ref, S, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
         bell.sos_theta_reader(ref, S), certification_reader(ref, S))
     sos = stage("sos", bell.sos_certificate, ref, S, fold, theta)
     del theta  # a (d^2 x d^2) matrix the later stages do not read

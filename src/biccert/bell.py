@@ -26,8 +26,17 @@ from .linalg import (
     maximally_entangled,
 )
 
-# Pairs per batched step: larger blocks buy little speed and raise peak memory.
+# Pairs per batched step of ``reference_strategy`` (times d) and the fewest per
+# walk block: larger blocks buy little speed and raise peak memory.
 _PAIR_BLOCK = 64
+# Alice-side entries per walk block: 64 pairs at dA = 10, more at smaller dA
+_BLOCK_ENTRIES = 6400
+
+
+def walk_block(dA: int) -> int:
+    """Pairs per block of ``walk`` for Alice's dimension dA: the block's D holds
+    about ``_BLOCK_ENTRIES`` entries, and never fewer than ``_PAIR_BLOCK`` pairs."""
+    return max(_PAIR_BLOCK, _BLOCK_ENTRIES // (dA * dA))
 
 
 @functools.cache
@@ -36,11 +45,14 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(n) for k in range(j + 1, n))
 
 
+@functools.cache
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (j, k) of ``pair_list(n)``: ``np.triu_indices(n, 1)`` at a
-    fifth of its cost for small n."""
+    """Index arrays (j, k) of ``pair_list(n)``, ``np.triu_indices(n, 1)``: one
+    read-only pair of arrays per n."""
     r = np.arange(n)
-    return np.nonzero(r[:, None] < r)
+    j, k = np.nonzero(r[:, None] < r)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 def pair_blocks(n: int, size: int = _PAIR_BLOCK):
@@ -128,28 +140,29 @@ class Strategy:
 
     def pair_effect_blocks(self):
         """(slice of the pair axis, j, k, dense effects (..., len, 2, dA, dA)) per
-        block of ``pair_blocks``.
+        block of ``walk_block(dA)`` pairs.
 
         Vector-stored effects are expanded to (|a><a|)^t divided by its computed
         trace (a norm within an ulp of 1 rounds to 1, so a vector keeps the
         input's norm excess, which would enter the Bell value to first order),
         in one buffer that the next block overwrites: copy a block to keep it.
         """
-        effects = self.alice_pair_effects
-        blocks = pair_blocks(self.n_outcomes)
+        effects, dA = self.alice_pair_effects, self.dims.dA
+        blocks = pair_blocks(self.n_outcomes, walk_block(dA))
         if not self.stores_vectors:
             for block, j, k in blocks:
                 yield block, j, k, effects[..., block, :, :, :]
             return
-        dA = self.dims.dA
-        buffer = np.empty(self.stack + (min(_PAIR_BLOCK, len(self.pairs)), 2, dA, dA),
+        buffer = np.empty(self.stack + (min(walk_block(dA), len(self.pairs)), 2, dA, dA),
                           dtype=complex)
         for block, j, k in blocks:
             a = effects[..., block, :, :]
             dense = buffer[..., :len(j), :, :, :]
             np.multiply(a[..., None, :], a.conj()[..., :, None], out=dense)
-            # times 1/trace on the real view: bitwise equal to the complex division
-            dense.view(float)[...] *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None, None]
+            # times 1/trace on the real view, one row per effect: bitwise equal to
+            # the complex division
+            rows = dense.view(float).reshape(dense.shape[:-2] + (-1,))
+            rows *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None]
             yield block, j, k, dense
 
 
@@ -260,49 +273,72 @@ def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
     correlator and Alice marginal, in the order of ``pair_list(S.n)``, and
     d(d-2) on Bob's marginals."""
     j, k = pair_indices(S.n)
-    one_minus_s = 1.0 - S.s[j, k]
+    weights = np.empty((len(j), 2))
+    one_minus_s = np.subtract(1.0, S.s[j, k], out=weights[:, 1])
     _refuse(one_minus_s < 0.0, j, k, S.s[j, k], "pair ({j}, {k}) has overlap s_jk={value} above 1")
-    return np.stack([2.0 * np.sqrt(one_minus_s), one_minus_s], axis=1), S.d * (S.d - 2)
+    np.multiply(2.0, np.sqrt(one_minus_s), out=weights[:, 0])
+    return weights, S.d * (S.d - 2)
 
 
 class PairBlock(NamedTuple):
     """One block of the pair axis as ``walk`` sends it to its readers: the slice
     of the pair axis, the pairs' (j, k), Alice's dense effects A (..., len, 2,
-    dA, dA) from ``Strategy.pair_effect_blocks``, D = A1 - A2, P = A1 + A2 and
-    E = B_j - B_k.  The next block overwrites all four arrays."""
+    dA, dA) from ``Strategy.pair_effect_blocks``, D = A1 - A2, the scaled
+    difference cD = c D with c = sqrt(1 - s_jk) (c comes with cD), P = A1 + A2
+    and E = B_j - B_k.  An array that no reader of the walk reads is None; the
+    next block overwrites the others."""
 
     block: slice
     j: np.ndarray
     k: np.ndarray
     A: np.ndarray
-    D: np.ndarray
-    P: np.ndarray
-    E: np.ndarray
+    D: np.ndarray | None
+    c: np.ndarray | None
+    cD: np.ndarray | None
+    P: np.ndarray | None
+    E: np.ndarray | None
 
 
-def walk(strategy: Strategy, *readers) -> tuple:
+def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
     """Drive the pair axis of ``strategy`` once for all ``readers``; their results, in order.
 
     A reader is a generator such as ``bell_value_reader(strategy, S)``: ``walk``
-    starts it, sends it each ``PairBlock`` and then None, on which it returns
-    its result.  Each block is expanded, and its D, P and E formed, once for
-    every reader, into buffers reused from block to block.
+    starts it, takes what it yields, the names of the ``PairBlock`` arrays it
+    reads, sends it each ``PairBlock`` and then None, on which it returns its
+    result.  Each block is expanded, and the D, cD, P and E that some reader
+    reads formed, once for every reader, into buffers reused from block to
+    block; cD takes its scale sqrt(1 - s_jk) from ``S``.
     """
+    reads = set()
     for reader in readers:
-        next(reader)
-    stack, sides = strategy.stack, (strategy.dims.dA, strategy.dims.dA, strategy.dims.dB)
-    most = math.prod(stack) * min(_PAIR_BLOCK, len(strategy.pairs))
-    buffers = [np.empty(most * m * m, dtype=complex) for m in sides]
+        reads.update(next(reader))
+    if "cD" in reads:
+        scale = 0.5 * _coefficients(S)[0][:, 0]  # sqrt(1 - s_jk), exactly half the weight
+    stack, dA = strategy.stack, strategy.dims.dA
+    sides = {name: m for name, m in zip(("D", "cD", "P", "E"), (dA, dA, dA, strategy.dims.dB))
+             if name in reads}
+    most = math.prod(stack) * min(walk_block(dA), len(strategy.pairs))
+    buffers = {name: np.empty(most * m * m, dtype=complex) for name, m in sides.items()}
     for block, j, k, A in strategy.pair_effect_blocks():
         # C-contiguous views, laid out as the arrays that A1 - A2 etc. would be
-        shapes = [stack + (len(j), m, m) for m in sides]
-        D, P, E = (buffer[:math.prod(shape)].reshape(shape)
-                   for buffer, shape in zip(buffers, shapes))
+        views = {name: buffers[name][:math.prod(stack) * len(j) * m * m].reshape(
+            stack + (len(j), m, m)) for name, m in sides.items()}
+        D, cD, P, E = (views.get(name) for name in ("D", "cD", "P", "E"))
         A1, A2 = A[..., 0, :, :], A[..., 1, :, :]
-        np.subtract(A1, A2, out=D)
-        np.add(A1, A2, out=P)
-        np.subtract(strategy.bob[..., j, :, :], strategy.bob[..., k, :, :], out=E)
-        step = PairBlock(block, j, k, A, D, P, E)
+        c = None
+        if D is not None:
+            np.subtract(A1, A2, out=D)
+        if cD is not None:
+            c = scale[block]
+            if D is None:
+                np.multiply(np.subtract(A1, A2, out=cD), c[:, None, None], out=cD)
+            else:
+                np.multiply(c[:, None, None], D, out=cD)
+        if P is not None:
+            np.add(A1, A2, out=P)
+        if E is not None:
+            np.subtract(strategy.bob.take(j, axis=-3), strategy.bob.take(k, axis=-3), out=E)
+        step = PairBlock(block, j, k, A, D, c, cD, P, E)
         for reader in readers:
             reader.send(step)
     return tuple(_result(reader) for reader in readers)
@@ -330,17 +366,17 @@ def pair_fold_reader(strategy: Strategy, S: GramMatrix):
     stack, dA = strategy.stack, strategy.dims.dA
     F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros(stack + (dA, dA), dtype=complex)
-    corr_w, marg_w = _coefficients(S)[0].T
-    while (step := (yield)) is not None:
-        block, j, k = step.block, step.j, step.k
-        D = corr_w[block, None, None] * step.D
+    marg_w = _coefficients(S)[0][:, 1]
+    while (step := (yield ("cD", "P"))) is not None:
+        block, j, k, cD = step.block, step.j, step.k, step.cD
         # pairs are lexicographic: the block is runs of j[0], j[0] + 1, ..., j[-1],
         # each over consecutive k
         starts = np.searchsorted(j, np.arange(j[0], j[-1] + 1))
-        F[..., j[0]:j[-1] + 1, :, :] += np.add.reduceat(D, starts, axis=-3)
+        F[..., j[0]:j[-1] + 1, :, :] += np.add.reduceat(cD, starts, axis=-3)
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(j)]):
-            F[..., k[lo]:k[hi - 1] + 1, :, :] -= D[..., lo:hi, :, :]
+            F[..., k[lo]:k[hi - 1] + 1, :, :] -= cD[..., lo:hi, :, :]
         M += _pair_sum(marg_w[block], step.P)
+    F *= 2.0  # sums of sqrt(1-s) D, doubled: bitwise the sums of 2 sqrt(1-s) D
     return F, M
 
 
@@ -384,7 +420,7 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     blocks of pairs.  The per-pair and per-outcome terms of each strategy are
     summed exactly rounded (``math.fsum``).
     """
-    return walk(strategy, bell_value_reader(strategy, S))[0]
+    return walk(strategy, S, bell_value_reader(strategy, S))[0]
 
 
 def bell_value_reader(strategy: Strategy, S: GramMatrix):
@@ -399,7 +435,7 @@ def bell_value_reader(strategy: Strategy, S: GramMatrix):
     weights, bob_weight = _coefficients(S)
 
     correlators, marginals = np.empty((2,) + stack + (len(strategy.pairs),))
-    while (step := (yield)) is not None:
+    while (step := (yield ("D", "P"))) is not None:
         block, j, k = step.block, step.j, step.k
         correlators[..., block] = np.einsum(
             "...pab,...pab->...p", step.D, bob_t[..., j, :, :] - bob_t[..., k, :, :]).real
@@ -431,10 +467,16 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     The pair squares hybrid^2, hybrid = c D (x) I - I (x) E with D = A1 - A2,
     E = B_j - B_k, c = sqrt(1-s_jk), expand exactly (D (x) I and I (x) E
     commute) to c^2 D^2 (x) I - 2c D (x) E + I (x) E^2: the squares are summed
-    as local matrices and the cross terms by ``kron_sum``, one product per
-    block of pairs.  It reads only the effects and the walk's D, P and E;
-    nothing comes from ``pair_fold_reader`` or W_d, so the identity compares
-    two independent constructions.
+    as local matrices, one product per block of pairs.  The cross terms
+    sum_p c D_p (x) E_p read the upper triangles of the hermitian cD and E
+    (real parts on and above the diagonal, imaginary parts below it): each
+    block adds one real product of their ``_hermitian_coordinates``, and
+    ``_cross_term`` turns the sum into the complex operator once, bitwise
+    hermitian.  A D or E with an anti-hermitian part thus enters the cross
+    term through its hermitian completion but the squares as it is, so the
+    identity residual shows that part.  The reader reads only the effects and
+    the walk's D, cD, P and E; nothing comes from ``pair_fold_reader`` or W_d,
+    so the identity compares two independent constructions.
 
     The identity is purely algebraic: it holds for arbitrary hermitian
     operator tuples, POVM-valid or not.
@@ -445,26 +487,69 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     IA, IB = np.eye(dA), np.eye(dB)
     stack, bob = strategy.stack, strategy.bob
 
-    # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2) and c D (x) E
+    # sums over the pairs of c^2 D^2, E^2, (1-s)(A1 + A2 - D^2), and the real
+    # coordinates of c D (x) E
     hybrid_A, hybrid_B, marginal = (np.zeros(stack + (m, m), dtype=complex)
                                     for m in (dA, dB, dA))
-    cross = np.zeros(stack + (dA * dB, dA * dB), dtype=complex)
-    while (step := (yield)) is not None:
+    R = np.zeros(stack + (dA * dA, dB * dB))
+    while (step := (yield ("D", "cD", "P", "E"))) is not None:
         one_minus_s = 1.0 - S.s[step.j, step.k]
         D, E = step.D, step.E
         D2 = D @ D
         hybrid_A += _pair_sum(one_minus_s, D2)
         hybrid_B += (E @ E).sum(axis=-3)
-        marginal += _pair_sum(one_minus_s, step.P - D2)
-        cross += kron_sum(np.sqrt(one_minus_s)[:, None, None] * D, E)
+        marginal += _pair_sum(one_minus_s, np.subtract(step.P, D2, out=D2))
+        R += _hermitian_coordinates(step.cD).swapaxes(-1, -2) @ _hermitian_coordinates(E)
 
-    theta = kron(hybrid_A, IB) - 2.0 * cross + kron(IA, hybrid_B)
+    theta = kron(hybrid_A, IB) - 2.0 * _cross_term(R, dA, dB) + kron(IA, hybrid_B)
     theta += kron(marginal, IB)
     completeness = d * IB - bob.sum(axis=-3)
     theta += kron(IA, completeness @ completeness)
     theta += kron_sum(strategy.alice_povm, IB - bob)
     theta += d * d * kron(IA, (bob - bob @ bob).sum(axis=-3))
     return theta
+
+
+@functools.cache
+def _coordinate_tables(m: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the entries (a, b) of an m x m matrix: where
+    ``_hermitian_coordinates`` takes each coordinate from in the float view
+    (flat), and, as (m, m) arrays, the coordinates holding Re X[a, b]
+    (``upper``, (min, max)) and Im X[a, b] up to sign (``lower``, (max, min)),
+    and that sign, sign(a - b)."""
+    a, b = np.divmod(np.arange(m * m), m)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    tables = (2 * (a * m + b) + (a > b), *(t.reshape(m, m) for t in (
+        low * m + high, high * m + low, np.sign(a - b).astype(float))))
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _hermitian_coordinates(X: np.ndarray) -> np.ndarray:
+    """The m^2 real coordinates (..., m*m) of each hermitian X (..., m, m):
+    Re X[a, b] on and above the diagonal, Im X[a, b] below it, which fix X
+    without rounding."""
+    m = X.shape[-1]
+    flat = np.ascontiguousarray(X).view(float).reshape(X.shape[:-2] + (2 * m * m,))
+    return flat.take(_coordinate_tables(m)[0], axis=-1)
+
+
+def _cross_term(R: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """sum_p X_p (x) Y_p for hermitian X_p, Y_p, from R = sum_p x_p y_p^T over
+    their ``_hermitian_coordinates`` (..., dA*dA, dB*dB).
+
+    X[a, b] = x[upper] + i sign(a - b) x[lower], and so for Y, so the entry
+    ((a, c), (b, e)) is R[u, u'] - s s' R[l, l'] + i (s R[l, u'] + s' R[u, l']);
+    swapping (a, c) with (b, e) flips both signs, so the result is hermitian
+    bit for bit.  Each term is one gather of R by tables broadcast over (a, c,
+    b, e)."""
+    uA, lA, sA = (t[:, None, :, None] for t in _coordinate_tables(dA)[1:])
+    uB, lB, sB = (t[None, :, None, :] for t in _coordinate_tables(dB)[1:])
+    T = np.empty(R.shape[:-2] + (dA, dB, dA, dB), dtype=complex)
+    np.subtract(R[..., uA, uB], sA * sB * R[..., lA, lB], out=T.real)
+    np.add(sA * R[..., lA, uB], sB * R[..., uA, lB], out=T.imag)
+    return T.reshape(R.shape[:-2] + (dA * dB, dA * dB))
 
 
 def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport:

@@ -70,16 +70,6 @@ def _weyl_phases(d: int) -> np.ndarray:
     return np.exp(2j * np.pi / d) ** np.outer(j, j)
 
 
-def weyl_operator(d: int, p: int, q: int) -> np.ndarray:
-    """Shift-and-phase unitary U_{p,q} = sum_j w^{jq} |j+p><j| with w = e^{2 pi i/d}."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    j = np.arange(d)
-    U = np.zeros((d, d), dtype=complex)
-    U[(j + p) % d, j] = _weyl_phases(d)[q % d]
-    return U
-
-
 def _weyl_stack(d: int) -> np.ndarray:
     """Every U_{p,q}, ordered by (p,q) lexicographic, shape (d^2, d, d)."""
     j = np.arange(d)

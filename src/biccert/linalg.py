@@ -58,9 +58,10 @@ def frobenius_each(M: np.ndarray) -> np.ndarray:
 
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff M is square, or a stack of square matrices, and each has
-    ||M - M*||_F <= tol * max(1, ||M||_F) (never with NaN entries)."""
+    ||M - M*||_F <= tol * max(1, ||M||_F) (never with NaN or infinite entries,
+    refused before any arithmetic on them)."""
     M = np.asarray(M)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or not np.isfinite(M).all():
         return False
     return bool(np.all(frobenius_each(M - dagger(M)) <= tol * np.maximum(1.0, frobenius_each(M))))
 
@@ -176,15 +177,6 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL, spectrum=None) -> np.ndarr
     # a dropped eigenvalue, perhaps a tiny negative one, enters as an exact 0
     root = np.sqrt(np.where(keep, w, 0.0)[..., n - rank:])
     return (U[..., n - rank:] * root[..., None, :]).reshape(rho.shape[:-2] + (-1,))
-
-
-def matricize(v: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Fold a vector in C^{dA} (x) C^{dB} into the dA x dB matrix with
-    mat(|a>|b>) = |a><b|; an isometry between the 2-norm and Frobenius norm."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != dims.total:
-        raise ValueError(f"expected length {dims.total}, got {v.size}")
-    return v.reshape(dims.dA, dims.dB)
 
 
 def maximally_entangled(d: int) -> np.ndarray:

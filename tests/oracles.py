@@ -14,7 +14,13 @@ computes, which the tests compare it against.
   the tests maximize by hand as an oracle for ``brute_force_classical``.
 - ``weyl_operator_loop``, ``weyl_orbit_loop`` and ``weyl_overlaps_loop``:
   the Weyl operators, orbit and overlaps one (p, q) at a time; ``bic``
-  builds them as array operations on one phase table.
+  builds them as array operations on one phase table, and ``weyl_operator``
+  reads one operator, indices taken mod d, off that stack.
+- ``matricize``: a vector of C^{dA} (x) C^{dB} folded into its dA x dB
+  matrix, the isometry the purification tests read.
+- ``cross_term_kron``: Theta_d's cross term sum_p c_p D_p (x) E_p as one
+  complex ``kron_sum`` over the dense pair effects; ``bell.sos_theta_reader``
+  forms it from one real product of hermitian coordinates per walk block.
 - ``equalize_diagonal_dense``, ``factor_gram`` and ``generic_bic_dense``: the
   generic construction with dense n x n rotations and an eigendecomposition
   of the n x n Gram matrix for the vectors, O(d^8) per draw; ``bic`` rotates
@@ -40,7 +46,8 @@ import numpy as np
 
 from biccert.bell import Strategy, _coefficients, pair_indices, pair_list
 from biccert.bic import (
-    _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, gram, validate_bic, validate_gram,
+    _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, _weyl_stack, gram, validate_bic,
+    validate_gram,
 )
 from biccert.linalg import (
     DEFAULT_TOL,
@@ -54,6 +61,7 @@ from biccert.linalg import (
     frobenius_each,
     held,
     kron,
+    kron_sum,
 )
 
 
@@ -274,13 +282,19 @@ def deterministic_score(
 
 def weyl_operator_loop(d: int, p: int, q: int) -> np.ndarray:
     """U_{p,q} = sum_j w^{jq} |j+p><j| filled one entry at a time, each phase a
-    scalar power; an oracle for ``bic.weyl_operator`` and the orbit stack."""
+    scalar power; an oracle for the orbit stack read by ``weyl_operator``."""
     p, q = p % d, q % d
     U = np.zeros((d, d), dtype=complex)
     omega = np.exp(2j * np.pi / d)
     for j in range(d):
         U[(j + p) % d, j] = omega ** (j * q)
     return U
+
+
+def weyl_operator(d: int, p: int, q: int) -> np.ndarray:
+    """Shift-and-phase unitary U_{p,q} = sum_j w^{jq} |j+p><j| with w = e^{2 pi i/d},
+    indices mod d: entry (p, q) of the stack ``bic.construct_weyl_bic`` applies."""
+    return _weyl_stack(d)[(p % d) * d + q % d]
 
 
 def weyl_orbit_loop(d: int, psi: np.ndarray) -> np.ndarray:
@@ -462,3 +476,24 @@ def generic_bic_masked(d: int, seed: int) -> BicPovm:
         if validate_bic(povm).passed and validate_gram(gram(povm)).passed:
             return povm
     raise ValueError(f"generic construction failed after {_GENERIC_ATTEMPTS} attempts")
+
+
+def matricize(v: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Fold a vector in C^{dA} (x) C^{dB} into the dA x dB matrix with
+    mat(|a>|b>) = |a><b|; an isometry between the 2-norm and Frobenius norm."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != dims.total:
+        raise ValueError(f"expected length {dims.total}, got {v.size}")
+    return v.reshape(dims.dA, dims.dB)
+
+
+def cross_term_kron(strategy: Strategy, S: GramMatrix, pair_effects: np.ndarray) -> np.ndarray:
+    """sum_p sqrt(1 - s_jk) (A1 - A2) (x) (B_j - B_k) over every pair at once,
+    per member of a stack, by the complex ``kron_sum`` that ``sos_theta_reader``
+    summed block by block before it read hermitian coordinates;
+    ``pair_effects`` are the dense (..., n_pairs, 2, dA, dA) effects."""
+    j, k = pair_indices(strategy.n_outcomes)
+    c = np.sqrt(1.0 - S.s[j, k])[:, None, None]
+    D = c * (pair_effects[..., 0, :, :] - pair_effects[..., 1, :, :])
+    E = strategy.bob[..., j, :, :] - strategy.bob[..., k, :, :]
+    return kron_sum(D, E)

@@ -109,7 +109,7 @@ def _reference_relation_families(povm):
     Bob's compressed effects and the compressed dual operators."""
     S = bic.gram(povm)
     ref = bell.reference_strategy(povm)
-    audit, (F, _) = bell.walk(ref, algebra.certification_reader(ref, S),
+    audit, (F, _) = bell.walk(ref, S, algebra.certification_reader(ref, S),
                               bell.pair_fold_reader(ref, S))
     C = algebra.dual_alice_operators(ref, S, F)
     return S, algebra.compress(ref.bob, audit.VB), algebra.compress(C, audit.UA)
@@ -458,6 +458,13 @@ def test_irrep_rejects_nan_generator():
         algebra.irrep_decompose(bad)
 
 
+def test_irrep_rejects_infinite_generators_with_its_value_error():
+    # the suite turns numpy warnings into errors: an inf - inf RuntimeWarning
+    # would surface here instead of the refusal
+    with pytest.raises(ValueError, match="hermitian"):
+        algebra.irrep_decompose(np.full((2, 2, 2), np.inf))
+
+
 # ---------------------------------------------------------------------------
 # block-maximally-entangled decomposition
 # ---------------------------------------------------------------------------
@@ -597,7 +604,7 @@ def test_maxent_sync_precondition():
 
 def _certify(strat, S, tol=1e-9):
     """verify_certification given the Bell value, pair fold and audit of one walk."""
-    value, fold, audit = bell.walk(strat, bell.bell_value_reader(strat, S),
+    value, fold, audit = bell.walk(strat, S, bell.bell_value_reader(strat, S),
                                    bell.pair_fold_reader(strat, S),
                                    algebra.certification_reader(strat, S))
     return algebra.verify_certification(strat, S, value, fold[0], audit, tol=tol)
@@ -645,7 +652,7 @@ def test_certification_depolarized_is_advisory(reference_d2):
 
 def test_dual_operators_reduce_to_bob_transpose(reference_d3):
     ref, S = reference_d3
-    ((F, _),) = bell.walk(ref, bell.pair_fold_reader(ref, S))
+    ((F, _),) = bell.walk(ref, S, bell.pair_fold_reader(ref, S))
     C = algebra.dual_alice_operators(ref, S, F)
     for j in range(9):
         assert frobenius(C[j] - ref.bob[j].T) < 1e-10
@@ -665,7 +672,7 @@ def _full_rho_state_residuals(strat, S):
     for Ej, Bj in zip(strat.alice_povm, strat.bob):
         E_rho = apply_local(Ej, rho, dims, "A")
         sync_povm.append(frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
-    ((F, _),) = bell.walk(strat, bell.pair_fold_reader(strat, S))
+    ((F, _),) = bell.walk(strat, S, bell.pair_fold_reader(strat, S))
     C = algebra.dual_alice_operators(strat, S, F)
     c_sync = [
         frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))

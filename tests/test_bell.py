@@ -88,13 +88,13 @@ def test_bell_operator_hermitian(reference_d2):
     _, S = reference_d2
     for seed in range(5):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
         assert frobenius(W - W.conj().T) < 1e-12 * max(1.0, frobenius(W))
 
 
 def test_bell_operator_expectation_matches_phi(reference_d3):
     ref, S = reference_d3
-    W = bell.bell_operator(ref, S, bell.walk(ref, bell.pair_fold_reader(ref, S))[0])
+    W = bell.bell_operator(ref, S, bell.walk(ref, S, bell.pair_fold_reader(ref, S))[0])
     phi = maximally_entangled(3)
     assert abs(np.real(phi.conj() @ W @ phi) - 9.0) < 1e-9
 
@@ -105,7 +105,7 @@ def test_quantum_bound_random_strategies(reference_d2):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
         value = bell.bell_value(strat, S).value
         assert value <= 4.0 + 1e-8
-        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
         assert np.linalg.eigvalsh(W)[-1] <= 4.0 + 1e-8
 
 
@@ -140,7 +140,7 @@ TUPLE_CASES = [
 
 def _assert_value_is_operator_trace(strat, S):
     report = bell.bell_value(strat, S)
-    W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
     expected = np.trace(W @ strat.rho).real
     assert abs(report.value - expected) < 1e-10
     assert set(report.term_breakdown) == BELL_TERMS
@@ -175,8 +175,8 @@ def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
     d2 = d * d
     for _ in range(20):
         strat = _arbitrary_tuple_strategy(d, dims, rng)
-        W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
-        theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
+        theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
         assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
 
@@ -203,14 +203,111 @@ def test_sos_theta_matches_per_pair_oracle(d, dA, dB):
     S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
     for _ in range(5):
         strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
-        theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
+        theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
         assert frobenius(theta - _sos_theta_oracle(strat, S)) <= 1e-12 * d * d
 
 
 def test_sos_theta_matches_per_pair_oracle_reference(reference_d4):
     ref, S = reference_d4
-    theta = bell.walk(ref, bell.sos_theta_reader(ref, S))[0]
+    theta = bell.walk(ref, S, bell.sos_theta_reader(ref, S))[0]
     assert frobenius(theta - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
+
+
+def _theta_cross_term(monkeypatch, strat, S):
+    """The cross term sum_p c D_p (x) E_p that ``sos_theta_reader`` builds for
+    ``strat``, taken from its one ``_cross_term`` call."""
+    built = []
+
+    def spy(*args):
+        built.append(cross_term(*args))
+        return built[-1]
+
+    cross_term = bell._cross_term
+    monkeypatch.setattr(bell, "_cross_term", spy)
+    bell.walk(strat, S, bell.sos_theta_reader(strat, S))
+    (cross,) = built
+    return cross
+
+
+def _assert_cross_term_meets_its_contract(monkeypatch, strat, S, pair_effects):
+    """Within 1e-13 of its norm of the complex kron_sum oracle, member by
+    member, and hermitian bit for bit."""
+    cross = _theta_cross_term(monkeypatch, strat, S)
+    expected = oracles.cross_term_kron(strat, S, pair_effects)
+    assert cross.shape == expected.shape
+    assert np.array_equal(cross, cross.conj().swapaxes(-1, -2))
+    for got, want in zip(cross.reshape((-1,) + cross.shape[-2:]),
+                         expected.reshape((-1,) + expected.shape[-2:])):
+        assert frobenius(got - want) <= 1e-13 * frobenius(want)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("construction", ["weyl", "generic"])
+def test_theta_cross_term_matches_complex_kron_sum(monkeypatch, construction, d):
+    povm = _povm(f"{construction}{d}")
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm, S)
+    _assert_cross_term_meets_its_contract(monkeypatch, ref, S, dense_pair_effects(ref))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_theta_cross_term_matches_complex_kron_sum_on_stacks(monkeypatch, d):
+    # the stacks of criteria 2 (arbitrary hermitian tuples) and 3 (random strategies)
+    S = bic.gram(_povm(f"weyl{d}"))
+    n, P = d * d, len(bell.pair_list(d * d))
+    tuples = random_hermitian(d, np.random.default_rng(43), (25, 2 * P + 2 * n))
+    arbitrary = bell.Strategy(
+        dims=BipartiteDims(d, d),
+        rho=np.broadcast_to(np.eye(n, dtype=complex) / n, (25, n, n)),
+        alice_pair_effects=tuples[:, :2 * P].reshape(25, P, 2, d, d),
+        alice_povm=tuples[:, 2 * P:2 * P + n],
+        bob=tuples[:, 2 * P + n:],
+    )
+    drawn = bell.random_strategy(BipartiteDims(d, d), d, range(25))
+    for strat in (arbitrary, drawn):
+        _assert_cross_term_meets_its_contract(monkeypatch, strat, S, strat.alice_pair_effects)
+
+
+@pytest.mark.parametrize("d, dA, dB", TUPLE_CASES)
+def test_theta_cross_term_matches_complex_kron_sum_on_tuples(monkeypatch, d, dA, dB):
+    S = bic.gram(_povm(f"weyl{d}"))
+    strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), np.random.default_rng(47))
+    _assert_cross_term_meets_its_contract(monkeypatch, strat, S, strat.alice_pair_effects)
+
+
+def test_anti_hermitian_pair_difference_is_never_certified():
+    # Theta_d's cross term reads the hermitian completion of D's upper triangle,
+    # its squares and W_d read D itself: a 1e-6 anti-hermitian part in one D
+    # leaves the identity residual near 1e-6, far above its threshold
+    rng = np.random.default_rng(53)
+    d = 3
+    S = bic.gram(_povm("weyl3"))
+    strat = _arbitrary_tuple_strategy(d, BipartiteDims(d, d), rng)
+    sound = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
+                                                      bell.sos_theta_reader(strat, S)))
+    assert linalg.check("sos identity", sound.identity_residual, 1e-9, d).passed
+    effects = strat.alice_pair_effects.copy()
+    effects[5, 0] += 1e-6j * random_hermitian(d, rng)  # i H: anti-hermitian
+    bad = dataclasses.replace(strat, alice_pair_effects=effects)
+    sos = bell.sos_certificate(bad, S, *bell.walk(bad, S, bell.pair_fold_reader(bad, S),
+                                                  bell.sos_theta_reader(bad, S)))
+    assert sos.identity_residual > 1e-7
+    assert not linalg.check("sos identity", sos.identity_residual, 1e-9, d).passed
+
+
+def test_bob_effects_above_identity_fail_sos_positivity():
+    # Bob's effects scaled by 1 + 1e-8 exceed I, so Theta_d's d^2 (B_j - B_j^2)
+    # terms dip to about -9e-8: below the -10 tol threshold of "sos positivity",
+    # above -1000 tol; the identity still holds, being algebraic
+    povm = _povm("weyl2")
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm, S)
+    strat = dataclasses.replace(ref, bob=ref.bob * (1.0 + 1e-8))
+    sos = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
+                                                    bell.sos_theta_reader(strat, S)))
+    assert -1e-6 < sos.theta_min_eigenvalue < -1e-8
+    assert linalg.check("sos identity", sos.identity_residual, 1e-9, 2).passed
+    assert not linalg.check("sos positivity", sos.theta_min_eigenvalue, 1e-9, 2).passed
 
 
 def _stacked(strategies):
@@ -235,14 +332,14 @@ def _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack):
     if stack:
         strat = _stacked([strat] + [_arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
                                     for _ in range(stack - 1)])
-    W = bell.bell_operator(strat, S, bell.walk(strat, bell.pair_fold_reader(strat, S))[0])
+    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Theta_d must be built without W_d or its pair fold")
 
     monkeypatch.setattr(bell, "pair_fold_reader", forbidden)
     monkeypatch.setattr(bell, "bell_operator", forbidden)
-    theta = bell.walk(strat, bell.sos_theta_reader(strat, S))[0]
+    theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
     assert theta.shape == strat.stack + (6, 6)
     for R in (W + theta - 4 * np.eye(6)).reshape(-1, 6, 6):
         assert frobenius(R) <= 1e-9 * 4
@@ -256,7 +353,7 @@ def _assert_pair_fold_matches_signed_loop(strat, S):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
-    ((F_got, M_got),) = bell.walk(strat, bell.pair_fold_reader(strat, S))
+    ((F_got, M_got),) = bell.walk(strat, S, bell.pair_fold_reader(strat, S))
     assert np.allclose(F_got, F, rtol=0, atol=1e-12) and np.allclose(M_got, M, rtol=0, atol=1e-12)
 
 
@@ -268,13 +365,14 @@ def test_pair_fold_matches_signed_loop(d, dA, dB):
         _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng), S)
 
 
-@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("d", [4, 5, 6])
 def test_pair_fold_matches_signed_loop_reference(d):
-    # at d = 4 and 5 a block boundary falls inside a run of pairs of one j
+    # d = 4 walks one block; at d = 5 and 6 a walk block boundary falls inside
+    # a run of pairs of one j
     povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
     j_all, _ = bell.pair_indices(d * d)
-    bounds = range(bell._PAIR_BLOCK, len(j_all), bell._PAIR_BLOCK)
-    assert any(j_all[b - 1] == j_all[b] for b in bounds)
+    bounds = range(bell.walk_block(d), len(j_all), bell.walk_block(d))
+    assert any(j_all[b - 1] == j_all[b] for b in bounds) == (d > 4)
     _assert_pair_fold_matches_signed_loop(bell.reference_strategy(povm), bic.gram(povm))
 
 
@@ -336,14 +434,16 @@ def test_expanded_pair_effects_equal_the_closed_form(povm_id):
 @pytest.mark.parametrize("povm_id", STORAGE_CASES + ["weyl10"])
 def test_vector_and_dense_storage_agree_bitwise(povm_id):
     # bitwise but for "a projectivity" and "a orthogonality", which the audit
-    # reads from the vectors in closed form and from dense effects by products
+    # reads from the vectors in closed form and from dense effects by products,
+    # and "sync pair", whose tail bound takes the norm 1 of a vector-stored
+    # effect and the computed Frobenius norm of a dense one
     povm = _povm(povm_id)
     S = bic.gram(povm)
     vectors = bell.reference_strategy(povm)
     dense = dataclasses.replace(vectors, alice_pair_effects=dense_pair_effects(vectors))
     assert vectors.alice_pair_effects.ndim == 3 and dense.alice_pair_effects.ndim == 4
     strats = (vectors, dense)
-    walks = [bell.walk(strat, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
+    walks = [bell.walk(strat, S, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
                        bell.sos_theta_reader(strat, S), algebra.certification_reader(strat, S))
              for strat in strats]
     values, folds = [w[0] for w in walks], [w[1] for w in walks]
@@ -354,12 +454,18 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
            for strat, (_, fold, theta, _) in zip(strats, walks)]
     assert sos[0] == sos[1]
     audits = [w[3] for w in walks]
-    _assert_bitwise(*(audit._replace(a_proj=None, a_ortho=None) for audit in audits))
+    _assert_bitwise(*(audit._replace(sync_pair=None, a_proj=None, a_ortho=None)
+                      for audit in audits))
+    eps = np.finfo(float).eps
+    assert np.allclose(audits[0].sync_pair, audits[1].sync_pair, rtol=4 * eps, atol=0)
     certs = [algebra.verify_certification(strat, S, value, fold[0], audit).to_json()
              for strat, (value, fold, _, audit) in zip(strats, walks)]
+    sync = [cert["checks"].pop("sync pair") for cert in certs]
+    assert np.isclose(sync[0].pop("measured"), sync[1].pop("measured"), rtol=4 * eps, atol=0)
+    assert sync[0]["threshold"] == sync[1]["threshold"] and sync[0]["passed"] and sync[1]["passed"]
     # both read rounding noise: held to a bracket, and their worst labels, argmaxes
     # of that noise (none for an exact 0), left out
-    bracket = 16 * povm.d * np.finfo(float).eps
+    bracket = 16 * povm.d * eps
     for name in ("a projectivity", "a orthogonality"):
         vector_check, dense_check = (cert["checks"].pop(name) for cert in certs)
         for record in (vector_check, dense_check):
@@ -402,8 +508,8 @@ def test_one_walk_equals_the_standalone_readers_bitwise(case):
     readers = [bell.bell_value_reader, bell.pair_fold_reader, bell.sos_theta_reader]
     if not strat.stack:  # the certification audit takes one strategy at a time
         readers.append(algebra.certification_reader)
-    alone = [bell.walk(strat, reader(strat, S))[0] for reader in readers]
-    _assert_bitwise(bell.walk(strat, *(reader(strat, S) for reader in readers)), alone)
+    alone = [bell.walk(strat, S, reader(strat, S))[0] for reader in readers]
+    _assert_bitwise(bell.walk(strat, S, *(reader(strat, S) for reader in readers)), alone)
     if strat.stack:
         return
     value, fold, theta, audit = alone
@@ -529,14 +635,14 @@ def test_sos_identity_independent_of_povm_validity(reference_d2):
     valid = bell.random_strategy(BipartiteDims(2, 2), 2, 0)
     invalid = _arbitrary_tuple_strategy(2, BipartiteDims(2, 2), rng)
     for strat in (ref, valid, invalid):
-        cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                                   bell.sos_theta_reader(strat, S)))
         assert cert.identity_residual <= 1e-9 * 4
 
 
 def test_sos_theta_psd_and_annihilates_reference(reference_d3):
     ref, S = reference_d3
-    cert = bell.sos_certificate(ref, S, *bell.walk(ref, bell.pair_fold_reader(ref, S),
+    cert = bell.sos_certificate(ref, S, *bell.walk(ref, S, bell.pair_fold_reader(ref, S),
                                               bell.sos_theta_reader(ref, S)))
     assert cert.theta_min_eigenvalue >= -1e-9
     assert cert.theta_rho_residual <= 1e-9
@@ -546,7 +652,7 @@ def test_sos_theta_psd_random_valid(reference_d2):
     _, S = reference_d2
     for seed in range(20):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                                   bell.sos_theta_reader(strat, S)))
         assert cert.theta_min_eigenvalue >= -1e-8
 
@@ -726,7 +832,7 @@ def test_bell_operator_dimension_mismatch(reference_d2):
     _, S2 = reference_d2
     strat3 = bell.random_strategy(BipartiteDims(3, 3), 3, 0)
     with pytest.raises(ValueError):
-        bell.bell_operator(strat3, S2, bell.walk(strat3, bell.pair_fold_reader(strat3, S2))[0])
+        bell.bell_operator(strat3, S2, bell.walk(strat3, S2, bell.pair_fold_reader(strat3, S2))[0])
     with pytest.raises(ValueError):
         bell.bell_value(strat3, S2)
 
@@ -764,7 +870,7 @@ def test_random_strategy_stack_equals_the_per_seed_draws_bitwise(dA, dB):
 def _all_layers(strat, S):
     """What pair_fold_reader, bell_operator, sos_theta_reader, sos_certificate
     and bell_value return at one strategy or a stack."""
-    fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S), bell.sos_theta_reader(strat, S))
+    fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S), bell.sos_theta_reader(strat, S))
     sos = bell.sos_certificate(strat, S, fold, theta)
     value = bell.bell_value(strat, S)
     return {

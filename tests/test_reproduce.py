@@ -29,7 +29,7 @@ def _criterion_2_one_at_a_time(seed):
                 alice_povm=random_hermitian(d, rng, (n,)),
                 bob=random_hermitian(d, rng, (n,)),
             )
-            fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
+            fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                     bell.sos_theta_reader(strat, S))
             W = bell.bell_operator(strat, S, fold)
             worst_rel = max(worst_rel, frobenius(W + theta - d * d * np.eye(n)) / (d * d))
@@ -42,7 +42,7 @@ def _criterion_3_one_at_a_time(seed):
         S = _weyl_gram(d)
         for i in range(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, seed + i)
-            cert = bell.sos_certificate(strat, S, *bell.walk(strat, bell.pair_fold_reader(strat, S),
+            cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                                              bell.sos_theta_reader(strat, S)))
             min_eig = min(min_eig, cert.theta_min_eigenvalue)
             max_excess = max(max_excess, bell.bell_value(strat, S).value - d * d)
@@ -141,7 +141,7 @@ def test_criterion_3_min_eigenvalue_is_the_sos_certificates_bitwise(seed):
         S = _weyl_gram(d)
         for members in reproduce._stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            fold, theta = bell.walk(strat, bell.pair_fold_reader(strat, S),
+            fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                     bell.sos_theta_reader(strat, S))
             cert = bell.sos_certificate(strat, S, fold, theta)
             min_eig = min(min_eig, cert.theta_min_eigenvalue.min())
