@@ -682,12 +682,11 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     """The ``bell.walk`` reader behind ``verify_certification``: a ``PairAudit``,
     from the one decomposition of rho that the run needs.
 
-    "sync pair" reads the walk's c and cD: Z K = (cD (x) I) K - (I (x) (B_j - B_k)) K,
+    "sync pair" reads the walk's cD: Z K = (cD (x) I) K - (I (x) (B_j - B_k)) K,
     Bob's side from BK[j] - BK[k], BK = (I (x) B_j) K formed once per walk.
-    The norm that scales the dropped-eigenvalue tail is bounded by the
-    triangle inequality, ||cD||_F <= c (||A1||_F + ||A2||_F) and ||E||_F <=
-    ||B_j||_F + ||B_k||_F, from per-outcome norms and, for vector-stored
-    effects, the norm 1 of each unit-trace rank-one projector.  "a
+    The norm that scales the dropped-eigenvalue tail is bounded by
+    sqrt(dB) ||cD||_F + sqrt(dA) ||E||_F, Bob's side by the triangle
+    inequality ||E||_F <= ||B_j||_F + ||B_k||_F from per-outcome norms.  "a
     projectivity" and "a orthogonality" read the dense effects compressed to
     Alice's support when they are stored as matrices, and
     ``_rank_one_relations`` of the stored unit vectors otherwise, in O(d) per
@@ -710,16 +709,14 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
         block, j, k, A = step.block, step.j, step.k, step.A
         Z_K = apply_local(step.cD, K, dims, "A")
         Z_K -= BK.take(j, axis=0) - BK.take(k, axis=0)
-        alice_norms = 2.0 if vectors else frobenius_each(A).sum(axis=-1)
         sync_pair[block] = _residuals(
-            Z_K, np.sqrt(dims.dB) * step.c * alice_norms + (bob_norms[j] + bob_norms[k]),
-            tail)
+            Z_K, np.sqrt(dims.dB) * frobenius_each(step.cD) + (bob_norms[j] + bob_norms[k]), tail)
         if not vectors:
             Ah = A if full_support else compress(A, UA)
             a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
             a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
     if vectors:  # O(d) temporaries per pair: d walk blocks' worth per call
-        for block, _, _ in bell.pair_blocks(strategy.n_outcomes, bell._PAIR_BLOCK * dims.dA):
+        for block, _, _ in bell.pair_blocks(strategy.n_outcomes, bell.vector_block(dims.dA)):
             a_proj[block], a_ortho[block] = _rank_one_relations(
                 strategy.alice_pair_effects[block], None if full_support else UA)
     return PairAudit(spectrum, UA, VB, K, tail, sync_pair, a_proj, a_ortho)

@@ -26,8 +26,8 @@ from .linalg import (
     maximally_entangled,
 )
 
-# Pairs per batched step of ``reference_strategy`` (times d) and the fewest per
-# walk block: larger blocks buy little speed and raise peak memory.
+# The fewest pairs per batched step: larger blocks buy little speed and raise
+# peak memory.
 _PAIR_BLOCK = 64
 # Alice-side entries per walk block: 64 pairs at dA = 10, more at smaller dA
 _BLOCK_ENTRIES = 6400
@@ -37,6 +37,13 @@ def walk_block(dA: int) -> int:
     """Pairs per block of ``walk`` for Alice's dimension dA: the block's D holds
     about ``_BLOCK_ENTRIES`` entries, and never fewer than ``_PAIR_BLOCK`` pairs."""
     return max(_PAIR_BLOCK, _BLOCK_ENTRIES // (dA * dA))
+
+
+def vector_block(d: int) -> int:
+    """Pairs per block of a pass with O(d) temporaries per pair, such as
+    ``reference_strategy``: d times ``_PAIR_BLOCK``, about a d=10 walk block's
+    memory."""
+    return _PAIR_BLOCK * d
 
 
 @functools.cache
@@ -223,7 +230,7 @@ def reference_strategy(povm: BicPovm, S: GramMatrix | None = None) -> Strategy:
     pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
     # O(d) temporaries per pair, overwritten in place where that keeps every bit,
     # so d times a walk block's pairs take about a walk block's memory
-    for block, j, k in pair_blocks(n, _PAIR_BLOCK * d):
+    for block, j, k in pair_blocks(n, vector_block(d)):
         s_jk = overlaps[j, k]
         _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
                 "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
@@ -284,16 +291,15 @@ class PairBlock(NamedTuple):
     """One block of the pair axis as ``walk`` sends it to its readers: the slice
     of the pair axis, the pairs' (j, k), Alice's dense effects A (..., len, 2,
     dA, dA) from ``Strategy.pair_effect_blocks``, D = A1 - A2, the scaled
-    difference cD = c D with c = sqrt(1 - s_jk) (c comes with cD), P = A1 + A2
-    and E = B_j - B_k.  An array that no reader of the walk reads is None; the
-    next block overwrites the others."""
+    difference cD = sqrt(1 - s_jk) D, P = A1 + A2 and E = B_j - B_k.  An array
+    that no reader of the walk reads is None; the next block overwrites the
+    others."""
 
     block: slice
     j: np.ndarray
     k: np.ndarray
     A: np.ndarray
     D: np.ndarray | None
-    c: np.ndarray | None
     cD: np.ndarray | None
     P: np.ndarray | None
     E: np.ndarray | None
@@ -307,13 +313,14 @@ def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
     reads, sends it each ``PairBlock`` and then None, on which it returns its
     result.  Each block is expanded, and the D, cD, P and E that some reader
     reads formed, once for every reader, into buffers reused from block to
-    block; cD takes its scale sqrt(1 - s_jk) from ``S``.
+    block; cD is formed from D, with its scale sqrt(1 - s_jk) from ``S``.
     """
     reads = set()
     for reader in readers:
         reads.update(next(reader))
     if "cD" in reads:
-        scale = 0.5 * _coefficients(S)[0][:, 0]  # sqrt(1 - s_jk), exactly half the weight
+        reads.add("D")
+        scale = np.sqrt(1.0 - S.s[pair_indices(S.n)])  # exactly half the weight 2 sqrt(1 - s_jk)
     stack, dA = strategy.stack, strategy.dims.dA
     sides = {name: m for name, m in zip(("D", "cD", "P", "E"), (dA, dA, dA, strategy.dims.dB))
              if name in reads}
@@ -325,20 +332,15 @@ def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
             stack + (len(j), m, m)) for name, m in sides.items()}
         D, cD, P, E = (views.get(name) for name in ("D", "cD", "P", "E"))
         A1, A2 = A[..., 0, :, :], A[..., 1, :, :]
-        c = None
         if D is not None:
             np.subtract(A1, A2, out=D)
         if cD is not None:
-            c = scale[block]
-            if D is None:
-                np.multiply(np.subtract(A1, A2, out=cD), c[:, None, None], out=cD)
-            else:
-                np.multiply(c[:, None, None], D, out=cD)
+            np.multiply(D, scale[block, None, None], out=cD)
         if P is not None:
             np.add(A1, A2, out=P)
         if E is not None:
             np.subtract(strategy.bob.take(j, axis=-3), strategy.bob.take(k, axis=-3), out=E)
-        step = PairBlock(block, j, k, A, D, c, cD, P, E)
+        step = PairBlock(block, j, k, A, D, cD, P, E)
         for reader in readers:
             reader.send(step)
     return tuple(_result(reader) for reader in readers)
@@ -514,13 +516,13 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
 def _coordinate_tables(m: int) -> tuple[np.ndarray, ...]:
     """Index tables of the entries (a, b) of an m x m matrix: where
     ``_hermitian_coordinates`` takes each coordinate from in the float view
-    (flat), and, as (m, m) arrays, the coordinates holding Re X[a, b]
-    (``upper``, (min, max)) and Im X[a, b] up to sign (``lower``, (max, min)),
-    and that sign, sign(a - b)."""
+    (flat); the coordinates holding Re X[a, b], (min, max), then those holding
+    Im X[a, b] up to sign, (max, min), for every (a, b) in row order; and the
+    signs of those 2 m^2 terms, 1 and then sign(a - b)."""
     a, b = np.divmod(np.arange(m * m), m)
     low, high = np.minimum(a, b), np.maximum(a, b)
-    tables = (2 * (a * m + b) + (a > b), *(t.reshape(m, m) for t in (
-        low * m + high, high * m + low, np.sign(a - b).astype(float))))
+    tables = (2 * (a * m + b) + (a > b), np.concatenate([low * m + high, high * m + low]),
+              np.concatenate([np.ones(m * m), np.sign(a - b)]))
     for table in tables:  # shared by every caller
         table.flags.writeable = False
     return tables
@@ -532,24 +534,33 @@ def _hermitian_coordinates(X: np.ndarray) -> np.ndarray:
     without rounding."""
     m = X.shape[-1]
     flat = np.ascontiguousarray(X).view(float).reshape(X.shape[:-2] + (2 * m * m,))
-    return flat.take(_coordinate_tables(m)[0], axis=-1)
+    return flat[..., _coordinate_tables(m)[0]]
 
 
 def _cross_term(R: np.ndarray, dA: int, dB: int) -> np.ndarray:
     """sum_p X_p (x) Y_p for hermitian X_p, Y_p, from R = sum_p x_p y_p^T over
     their ``_hermitian_coordinates`` (..., dA*dA, dB*dB).
 
-    X[a, b] = x[upper] + i sign(a - b) x[lower], and so for Y, so the entry
-    ((a, c), (b, e)) is R[u, u'] - s s' R[l, l'] + i (s R[l, u'] + s' R[u, l']);
-    swapping (a, c) with (b, e) flips both signs, so the result is hermitian
-    bit for bit.  Each term is one gather of R by tables broadcast over (a, c,
-    b, e)."""
-    uA, lA, sA = (t[:, None, :, None] for t in _coordinate_tables(dA)[1:])
-    uB, lB, sB = (t[None, :, None, :] for t in _coordinate_tables(dB)[1:])
-    T = np.empty(R.shape[:-2] + (dA, dB, dA, dB), dtype=complex)
-    np.subtract(R[..., uA, uB], sA * sB * R[..., lA, lB], out=T.real)
-    np.add(sA * R[..., lA, uB], sB * R[..., uA, lB], out=T.imag)
-    return T.reshape(R.shape[:-2] + (dA * dB, dA * dB))
+    X[a, b] = x[u] + i s x[l] with u = (min, max), l = (max, min) and s =
+    sign(a - b), and so for Y, so the entry ((a, c), (b, e)) is R[u, u'] -
+    s s' R[l, l'] + i (s R[l, u'] + s' R[u, l']).  G, the rows u and l of R
+    and then their columns u' and l', each times its sign, holds all four
+    terms exactly, and each part is one sum of two.  Swapping (a, c) with
+    (b, e) keeps u, l and s s' and flips s and s', so the result is hermitian
+    bit for bit."""
+    lead = R.shape[:-2]
+    rows_A, signs_A = _coordinate_tables(dA)[1:]
+    rows_B, signs_B = _coordinate_tables(dB)[1:]
+    G = R.take(rows_A, axis=-2)
+    G *= signs_A[:, None]
+    G = G[..., rows_B]
+    G *= signs_B
+    G = G.reshape(lead + (2, dA, dA, 2, dB, dB))
+    T = np.empty(lead + (dA, dB, dA, dB), dtype=complex)
+    out = T.swapaxes(-3, -2)  # indexed (a, b, c, e), as G's four blocks
+    np.subtract(G[..., 0, :, :, 0, :, :], G[..., 1, :, :, 1, :, :], out=out.real)
+    np.add(G[..., 1, :, :, 0, :, :], G[..., 0, :, :, 1, :, :], out=out.imag)
+    return T.reshape(lead + (dA * dB, dA * dB))
 
 
 def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport:
