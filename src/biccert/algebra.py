@@ -50,6 +50,10 @@ from .linalg import (
 )
 from .randomness import RandomnessReport
 
+# the most that ``certify`` lets its reference pair vectors take, about half of a
+# run's peak memory: d = 32 needs 0.5 GiB, d = 36 0.9 GiB, d = 37 1.03 GiB
+MAX_PAIR_VECTOR_BYTES = 2**30
+
 
 # ---------------------------------------------------------------------------
 # Relation checks
@@ -636,13 +640,16 @@ class PairAudit(NamedTuple):
     factor K with the summed squares ``tail`` of the dropped eigenvalues, and
     the "sync pair", "a projectivity" and "a orthogonality" residual of each
     pair, the last two of vector-stored effects in closed form (see
-    ``certification_reader``)."""
+    ``certification_reader``), and Bob's side of every state relation: BK =
+    (I (x) B_j) K and the bounds sqrt(dA) ||B_j||_F."""
 
     spectrum: tuple[np.ndarray, np.ndarray]
     UA: np.ndarray
     VB: np.ndarray
     K: np.ndarray
     tail: float
+    BK: np.ndarray
+    bob_norms: np.ndarray
     sync_pair: np.ndarray
     a_proj: np.ndarray
     a_ortho: np.ndarray
@@ -651,13 +658,6 @@ class PairAudit(NamedTuple):
 def _residuals(Z_K, Z_norm_bound, tail):
     """||Z rho||_F bounded through the rank factor: see ``verify_certification``."""
     return np.sqrt(frobenius_each(Z_K) ** 2 + Z_norm_bound**2 * tail)
-
-
-def _sync(X, Y, K, tail, dims):
-    """``_residuals`` of Z = X (x) I - I (x) Y, for each (X, Y) of the stacks."""
-    Z_K = apply_local(X, K, dims, "A") - apply_local(Y, K, dims, "B")
-    return _residuals(Z_K, np.sqrt(dims.dB) * frobenius_each(X)
-                      + np.sqrt(dims.dA) * frobenius_each(Y), tail)
 
 
 def _rank_one_relations(a, UA):
@@ -719,7 +719,7 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
         for block, _, _ in bell.pair_blocks(strategy.n_outcomes, bell.vector_block(dims.dA)):
             a_proj[block], a_ortho[block] = _rank_one_relations(
                 strategy.alice_pair_effects[block], None if full_support else UA)
-    return PairAudit(spectrum, UA, VB, K, tail, sync_pair, a_proj, a_ortho)
+    return PairAudit(spectrum, UA, VB, K, tail, BK, bob_norms, sync_pair, a_proj, a_ortho)
 
 
 def verify_certification(
@@ -755,6 +755,9 @@ def verify_certification(
 
     C = dual_alice_operators(strategy, S, F)
     C_hat = compress(C, UA)
+    # Z = C_j (x) I - I (x) B_j, Bob's side read from the audit
+    c_sync = _residuals(apply_local(C, K, dims, "A") - audit.BK,
+                        np.sqrt(dims.dB) * frobenius_each(C) + audit.bob_norms, tail)
 
     def pairs(at):
         j, k = strategy.pairs[at]
@@ -778,7 +781,7 @@ def verify_certification(
         relations("b relations", compress(bob, VB)),
         worst("a projectivity", audit.a_proj, pairs),
         worst("a orthogonality", audit.a_ortho, pairs),
-        worst("c sync", _sync(C, bob, K, tail, dims), outcomes),
+        worst("c sync", c_sync, outcomes),
         relations("c relations", C_hat),
         worst("povm c", frobenius_each(compress(povm, UA) - C_hat / d), outcomes),
     ]))
@@ -816,8 +819,17 @@ class CertifyRun:
 def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
     """The certification run: ``povm`` validated at the "input" threshold and, if
     it passes, the reference strategy, one ``bell.walk``, the SOS certificate,
-    the optimality relations and the entropy, each stage timed."""
+    the optimality relations and the entropy, each stage timed.
+
+    A d whose reference pair vectors, P = d^2 (d^2 - 1) / 2 pairs of two
+    complex vectors in C^d, would take more than MAX_PAIR_VECTOR_BYTES is
+    refused with a ValueError before anything is allocated."""
     d = povm.d
+    pair_bytes = d * d * (d * d - 1) // 2 * 2 * d * np.dtype(complex).itemsize
+    if pair_bytes > MAX_PAIR_VECTOR_BYTES:
+        raise ValueError(
+            f"certify at d={d} needs about {pair_bytes / 2**30:.3g} GiB for the reference "
+            f"pair vectors, above the cap of {MAX_PAIR_VECTOR_BYTES / 2**30:.3g} GiB")
     S = bic.gram(povm)  # the one Gram matrix of the run
     validation = bic.validate_bic(povm, tol=threshold("input", tol), S=S)
     if not validation.passed:

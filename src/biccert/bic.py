@@ -45,7 +45,10 @@ class BicPovm:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The d^2 x d^2 real matrix with entries s_jk = tr(P_j P_k)."""
+    """The d^2 x d^2 real matrix with entries s_jk = tr(P_j P_k), or a stack
+    of M such matrices of one d along a leading member axis, shape (M, d^2,
+    d^2), as ``GramMatrix.stack`` builds it; only
+    ``classical.classical_value`` reads stacks."""
 
     d: int
     s: np.ndarray
@@ -55,13 +58,26 @@ class GramMatrix:
             raise ValueError(f"d must be >= 2, got {self.d}")
         s = np.asarray(self.s, dtype=float)
         n = self.d * self.d
-        if s.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix")
+        if s.shape[-2:] != (n, n) or s.ndim not in (2, 3):
+            raise ValueError(f"expected a {n}x{n} matrix or a stack of them")
         object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
         return self.d * self.d
+
+    @classmethod
+    def stack(cls, grams) -> GramMatrix:
+        """The single Gram matrices ``grams``, all of one d, as one stack."""
+        grams = tuple(grams)
+        if not grams:
+            raise ValueError("a stack needs at least one Gram matrix")
+        d = grams[0].d
+        for i, member in enumerate(grams):
+            if member.d != d or member.s.ndim != 2:
+                raise ValueError(f"stack member {i} is not a single d={d} Gram matrix "
+                                 f"(d={member.d}, shape {member.s.shape})")
+        return cls(d, np.stack([member.s for member in grams]))
 
 
 def _weyl_phases(d: int) -> np.ndarray:
@@ -304,4 +320,7 @@ def gram_to_json(gm: GramMatrix) -> dict:
 
 
 def gram_from_json(obj) -> GramMatrix:
-    return GramMatrix(*_decode(obj, "s"))
+    gm = GramMatrix(*_decode(obj, "s"))
+    if gm.s.ndim != 2:  # a file holds one matrix
+        raise ValueError(f"expected a {gm.n}x{gm.n} matrix")
+    return gm

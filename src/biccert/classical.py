@@ -6,7 +6,8 @@ subsets J with 0 < |J| < 2d:
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
 with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
-expansion, each from its parent in O(1): a parent's step vector is built only
+expansion, of one Gram matrix or of every member of a stack in one pass,
+each subset from its parent in O(1): a parent's step vector is built only
 for a block of parents whose children recurse, and a leaf reads its one step
 entry from the grandparent's vector.  Ties within rounding go to the
 smallest, then lexicographically first, subset.  A brute-force
@@ -25,6 +26,7 @@ lambda_2(L_Q) m (n-m) / n); the outputs stay bitwise those of the full scan.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,15 +62,18 @@ class ClassicalResult:
 
 
 def _payoff_matrix(S: GramMatrix) -> np.ndarray:
+    """W of S, or of each member of a stack."""
     gap = np.maximum(1.0 - S.s, 0.0)  # the diagonal carries float noise around 0
     W = 2.0 * np.sqrt(gap) - gap
-    np.fill_diagonal(W, 0.0)
+    W.reshape(-1, S.n * S.n)[:, :: S.n + 1] = 0.0
     return W
 
 
 def subset_value(J, S: GramMatrix) -> float:
     """v(J) as defined above; -1 for the empty set."""
     d, n = S.d, S.n
+    if S.s.ndim != 2:
+        raise ValueError("subset_value takes a single Gram matrix, not a stack")
     J = sorted(set(int(j) for j in J))
     if any(j < 0 or j >= n for j in J):
         raise ValueError(f"subset indices must lie in [0, {n})")
@@ -89,7 +94,9 @@ def _subset_budget(n: int, max_card: int) -> int:
 def _check_budget(S: GramMatrix, allow_d5: bool, max_subsets: int) -> int:
     d = S.d
     if not np.isfinite(S.s).all():
-        raise ValueError("Gram matrix entries must be finite")
+        where = "" if S.s.ndim == 2 else (
+            f" (stack member {np.isfinite(S.s).all(axis=(1, 2)).argmin()})")
+        raise ValueError("Gram matrix entries must be finite" + where)
     if d > 5:
         raise ValueError(f"exhaustive enumeration is not supported for d={d}")
     if d == 5 and not allow_d5:
@@ -159,9 +166,11 @@ def classical_value(
     *,
     allow_d5: bool = False,
     max_subsets: int = MAX_SUBSETS_DEFAULT,
-) -> ClassicalResult:
+) -> ClassicalResult | tuple[ClassicalResult, ...]:
     """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix
-    expansion.
+    expansion; for a stack S of M Gram matrices of one d (``S.s`` of shape
+    (M, n, n), see ``GramMatrix.stack``), a tuple of M results from one pass,
+    each equal to its member's own call, subsets_scored included.
 
     Each J + {k} with k > max(J) takes its value from J's in O(1):
     v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
@@ -190,7 +199,7 @@ def classical_value(
     Above d, the scan skips a level, and everything below it, when the
     ``_cardinality_bounds`` ub[m] and lb[m] of its cardinality m (suffix max
     and min over m..max_card, widened by the margin) satisfy
-    ub[m] < top - band and lb[m] > min_boundary; ``expand`` checks before it
+    ub[m] < top - band and lb[m] > min_boundary; ``_Scan.expand`` checks before it
     builds the block's steps.  top only rises and min_boundary only
     falls, so a skipped J lies strictly below the final top - band and above
     the final minimum: it could neither have moved top or min_boundary nor
@@ -200,79 +209,177 @@ def classical_value(
     therefore bitwise unchanged.  When the bounds prove nothing, as on Weyl
     d = 5 at (0.3, 0.137), every J is scored.  subsets_scored counts the J
     scored, search_space all 0 < |J| < 2d.
+
+    In a stack each member keeps its own top, minimum, records, bounds and
+    count, and meets the blocks, values and checks of its own call (see
+    ``_Scan``), so the stack only shares the numpy calls per block: 231 d = 2
+    members take about 1.5 ms in one call, against 17-18 ms in 231 calls (1
+    BLAS thread, 2-core x86 host).
     """
-    d, n = S.d, S.n
     max_card = _check_budget(S, allow_d5, max_subsets)
-    band = _TIE_TOL * d * d
-    Q = S.s**2
-    np.fill_diagonal(Q, 0.0)
-    W = _payoff_matrix(S)
-    # every step of a parent drops by rows[k] = 2 (W[k] + i Q[k]) when k joins
-    # it; the zero row rows[-1] stands for the root's last element
-    WQ = np.empty((2, n, n))
-    np.multiply(2.0, W, out=WQ[0])
-    np.multiply(2.0, Q, out=WQ[1])
-    rows = np.zeros((n + 1, n), complex)
-    rows.real[:n], rows.imag[:n] = WQ
-    # the bounds cost about 0.16 ms (1 BLAS thread), more than a whole scan
-    # below d = 4: with them a d = 2 call (14 subsets) went from 0.14 to
-    # 0.30 ms and a generic d = 3 call (381 subsets, none pruned) from 0.25
-    # to 0.48 ms
-    ub, lb = (_cardinality_bounds(W, Q, d, max_card) if d >= 4
-              else ([math.inf] * (max_card + 1), [-math.inf] * (max_card + 1)))
-    outcomes, top, min_boundary, scored = np.arange(n), -math.inf, math.inf, 0
-    bits = 1 << outcomes
-    records = [[] for _ in range(max_card + 1)]  # per |J|: (value, bitmask) prefix maxima
+    results = _Scan(S, max_card).results()
+    return results if S.s.ndim == 3 else results[0]
 
-    def hopeless(m):
-        """No J with m <= |J| <= max_card can reach the final tie band or
-        lower the final minimum boundary sum: top only rises, min_boundary
-        only falls."""
-        return ub[m] < top - band and lb[m] > min_boundary
 
-    def expand(m, score, G, g, last, mask):
+class _Scan:
+    """One prefix-expansion scan over the M members of a Gram matrix stack
+    (M = 1 for a single matrix), with each member's running state: the top
+    value, the minimum boundary sum, the subsets scored and the tie records.
+
+    The rows of all members lie in one array, member i's n rows from i (n+1)
+    on, each followed by a zero row, so i (n+1) + max(J) finds a member's
+    row and the root's max(J) = -1 a zero row.  Every level's parents are
+    grouped by member in member order, and ``expand`` cuts each member's
+    parents into its own blocks of _PARENTS, so a member's children, tie
+    records, counts and pruning checks come block by block exactly as in a
+    scan of that member alone, whatever the other members do.  A member
+    whose next level is hopeless leaves the recursion.  The bookkeeping of a
+    stack runs over numpy arrays, one entry per member; a single matrix keeps
+    Python scalars, so that its call costs what it did before stacks.
+    """
+
+    def __init__(self, S: GramMatrix, max_card: int):
+        d, n = S.d, S.n
+        s = S.s if S.s.ndim == 3 else S.s[None]
+        M = len(s)
+        self.d, self.max_card, self.band = d, max_card, _TIE_TOL * d * d
+        Q = s**2
+        Q.reshape(M, n * n)[:, :: n + 1] = 0.0
+        W = _payoff_matrix(S).reshape(M, n, n)
+        # every step of a parent drops by rows[k] = 2 (W[k] + i Q[k]) when k joins it
+        WQ = np.empty((2, M, n, n))
+        np.multiply(2.0, W, out=WQ[0])
+        np.multiply(2.0, Q, out=WQ[1])
+        rows = np.zeros((M, n + 1, n), complex)
+        rows.real[:, :n], rows.imag[:, :n] = WQ
+        self.rows = rows.reshape(M * (n + 1), n)
+        self.outcomes = np.arange(n)
+        self.bits = 1 << self.outcomes
+        top, low, scored = [-math.inf] * M, [math.inf] * M, [0] * M
+        # per member i and |J| = m, at i (max_card + 1) + m: (value, bitmask) prefix maxima
+        self.records = [[] for _ in range(M * (max_card + 1))]
+        # the bounds cost about 0.16 ms (1 BLAS thread), more than a whole scan
+        # below d = 4: with them a d = 2 call (14 subsets) went from 0.14 to
+        # 0.30 ms and a generic d = 3 call (381 subsets, none pruned) from 0.25
+        # to 0.48 ms
+        bounds = None if d < 4 else [
+            _cardinality_bounds(W[i], Q[i], d, max_card) for i in range(M)]
+        if M == 1:
+            self.top, self.min_boundary, self.scored = top, low, scored
+            self.ub, self.lb = bounds[0] if bounds else (None, None)
+        else:
+            self.top, self.min_boundary, self.scored = map(np.array, (top, low, scored))
+            self.ub, self.lb = np.array(bounds).swapaxes(0, 1) if bounds else (None, None)
+        root = 0.5 * WQ.sum(axis=3)
+        root[0] -= d * (d - 2)
+        root_step = np.empty((M, n), complex)
+        root_step.real, root_step.imag = root
+        members, zero = np.arange(M), np.zeros(M, np.int64)
+        self.expand(1, np.zeros(M, complex), root_step, members, zero - 1, zero,
+                    members if M > 1 else None)
+
+    def expand(self, m, score, G, g, last, mask, who):
         """Score the children, of cardinality m, of parents J given as
         score = v(J) + i (Q boundary), the step G[g] of J's own parent,
-        last = max(J) and bitmask, and recurse down to max_card."""
-        nonlocal top, min_boundary, scored
-        for b in range(0, len(last), _PARENTS):
-            s = slice(b, b + _PARENTS)
+        last = max(J), bitmask and member ``who`` (None for a single
+        matrix), and recurse down to max_card."""
+        rows, outcomes, bits = self.rows, self.outcomes, self.bits
+        if who is None:
+            row, edges = last, [*range(0, len(last), _PARENTS), len(last)]
+        else:
+            score, g, last, mask, who, edges = self._member_blocks(score, g, last, mask, who)
+            row = last + (len(outcomes) + 1) * who
+        for lo, hi in zip(edges, edges[1:]):
+            s = slice(lo, hi)
             pi, k = (outcomes > last[s, None]).nonzero()
             if not len(k):
                 continue
-            scored += len(k)
-            # one index gathers every parent array; below d = 4, b is always 0,
+            # one index gathers every parent array; below d = 4, lo is always 0,
             # and there each numpy call per block shows in the time of a call
-            p = pi + b if b else pi
-            child = score[p] + (G[g[p], k] - rows[last[p], k])
+            p = pi + lo if lo else pi
+            child = score[p] + (G[g[p], k] - rows[row[p], k])
             child_mask = mask[p] | bits[k]
-            values = child.real
+            child_who = None if who is None else who[p]
+            deeper = self._record(m, child, child_mask, child_who)
+            if deeper is None:
+                continue
+            if deeper is not True:  # some members of the block leave the recursion
+                child, pi, k, child_mask, child_who = (
+                    a[deeper] for a in (child, pi, k, child_mask, child_who))
+            self.expand(m + 1, child, G[g[s]] - rows[row[s]], pi, k, child_mask, child_who)
+
+    def _member_blocks(self, score, g, last, mask, who):
+        """The parents reordered so that block b holds every member's b-th
+        block of _PARENTS parents, in member order, and the block edges."""
+        if len(who) > _PARENTS:
+            counts = np.bincount(who)
+            if counts.max() > _PARENTS:
+                start = np.cumsum(counts) - counts
+                block = (np.arange(len(who)) - start[who]) // _PARENTS
+                order = np.argsort(block, kind="stable")
+                edges = [0, *np.cumsum(np.bincount(block)).tolist()]
+                return score[order], g[order], last[order], mask[order], who[order], edges
+        return score, g, last, mask, who, [0, len(who)]
+
+    def _record(self, m, child, child_mask, who):
+        """Count, fold into top and min_boundary and record the children of
+        one block; return True if they all recurse, None if none does, or
+        the index of those that do.
+
+        hopeless(m + 1): no J with m < |J| <= max_card can reach the final tie
+        band or lower the final minimum boundary sum, since top only rises
+        and min_boundary only falls."""
+        values, band = child.real, self.band
+        top, low, records, ub, lb = self.top, self.min_boundary, self.records, self.ub, self.lb
+        if who is None:
+            self.scored[0] += len(values)
             # the ufunc reductions skip the Python wrapper of ndarray.max
-            top = max(top, float(np.maximum.reduce(values)))
-            min_boundary = min(min_boundary, float(np.minimum.reduce(child.imag)))
-            tied = (values >= top - band).nonzero()[0]
-            run = records[m]
-            for value, bitmask in zip(values[tied].tolist(), child_mask[tied].tolist()):
-                if not run or value > run[-1][0]:
-                    run.append((value, bitmask))
-            if m < max_card and not hopeless(m + 1):
-                expand(m + 1, child, G[g[s]] - rows[last[s]], pi, k, child_mask)
+            top[0] = max(top[0], float(np.maximum.reduce(values)))
+            low[0] = min(low[0], float(np.minimum.reduce(child.imag)))
+            tied = (values >= top[0] - band).nonzero()[0]
+            keys = itertools.repeat(m)
+        else:
+            heads = np.flatnonzero(np.diff(who, prepend=-1))  # where each member's children start
+            at, sizes = who[heads], np.diff(heads, append=len(who))
+            self.scored[at] += sizes
+            top[at] = np.maximum(top[at], np.maximum.reduceat(values, heads))
+            low[at] = np.minimum(low[at], np.minimum.reduceat(child.imag, heads))
+            tied = (values >= (top - band)[who]).nonzero()[0]
+            keys = (who[tied] * (self.max_card + 1) + m).tolist()
+        for value, bitmask, key in zip(values[tied].tolist(), child_mask[tied].tolist(), keys):
+            run = records[key]
+            if not run or value > run[-1][0]:
+                run.append((value, bitmask))
+        if m == self.max_card:
+            return None
+        if ub is None:
+            return True
+        if who is None:
+            return None if ub[m + 1] < top[0] - band and lb[m + 1] > low[0] else True
+        hopeless = (ub[at, m + 1] < top[at] - band) & (lb[at, m + 1] > low[at])
+        if not hopeless.any():
+            return True
+        if hopeless.all():
+            return None
+        return np.repeat(~hopeless, sizes).nonzero()[0]
 
-    root = 0.5 * WQ.sum(axis=2)
-    root[0] -= d * (d - 2)
-    root_step, zero = np.empty((1, n), complex), np.zeros(1, np.int64)
-    root_step.real, root_step.imag = root
-    expand(1, np.zeros(1, complex), root_step, zero, np.array([-1]), zero)
-    best_value, best_mask = next(r for run in records for r in run if r[0] >= top - band)
-
-    return ClassicalResult(
-        best_value=best_value,
-        best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
-        upper_bound=float(d * d - 0.25 * min_boundary),
-        quantum_gap=d * d - best_value,
-        subsets_scored=scored,
-        search_space=_subset_budget(n, max_card),
-    )
+    def results(self) -> tuple[ClassicalResult, ...]:
+        d, n, levels, band = self.d, len(self.outcomes), self.max_card + 1, self.band
+        search_space = _subset_budget(n, self.max_card)
+        out = []
+        for at, top, low, scored in zip(range(0, len(self.records), levels), map(float, self.top),
+                                        map(float, self.min_boundary), map(int, self.scored)):
+            best_value, best_mask = next(r for run in self.records[at:at + levels]
+                                         for r in run if r[0] >= top - band)
+            out.append(ClassicalResult(
+                best_value=best_value,
+                best_subset=tuple(j for j in range(n) if best_mask >> j & 1),
+                upper_bound=float(d * d - 0.25 * low),
+                quantum_gap=d * d - best_value,
+                subsets_scored=scored,
+                search_space=search_space,
+            ))
+        return tuple(out)
 
 
 def brute_force_classical(S: GramMatrix) -> float:

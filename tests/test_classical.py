@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from itertools import combinations
@@ -38,6 +39,8 @@ def test_subset_value_index_range():
     S = bic_gram_d2(1 / 3, 1 / 3)
     with pytest.raises(ValueError):
         classical.subset_value([5], S)
+    with pytest.raises(ValueError, match="not a stack"):
+        classical.subset_value([0], bic.GramMatrix.stack([S, S]))
 
 
 def test_classical_value_sic_case():
@@ -235,6 +238,16 @@ def _criterion_4_grams():
     ]
 
 
+def _mixed_pruning_d4_grams():
+    # generic d=4 and Weyl (0.45, 0.0733) score the 2,516 subsets up to |J| = 4,
+    # Weyl (0.4, 0.02) those up to 5 and Weyl (0.3, 0.2) up to 6; Weyl (0.25,
+    # 0.21) scores all 26,332, so the blocks of a stack mix members that leave
+    # the recursion at different levels with one that never does
+    return [_generic_gram(4, s) for s in (1, 3, 4)] + [
+        _weyl_gram(4, 0.25, 0.21), _weyl_gram(4, 0.45, 0.0733), _weyl_gram(4, 0.4, 0.02),
+        _weyl_gram(4, 0.3, 0.2)]
+
+
 BITWISE_GRAMS = [
     pytest.param(_criterion_4_grams, None, id="sic-and-d2-grid"),
     pytest.param(lambda: [_generic_gram(2, s) for s in range(100, 120)], None, id="d2-generic"),
@@ -245,6 +258,7 @@ BITWISE_GRAMS = [
     pytest.param(lambda: [_weyl_gram(5)], None, id="weyl-d5-unpruned"),
     pytest.param(lambda: [_weyl_gram(4, 0.25, 0.21), _weyl_gram(4, 0.45, 0.0733)], None,
                  id="weyl-d4-unpruned-and-pruned"),
+    pytest.param(_mixed_pruning_d4_grams, None, id="d4-mixed-pruning"),
 ] + [
     # below d = 4 no level spans two blocks of the default 512 parents; with
     # blocks of 1 and 7 every level does, so parents past the first block
@@ -254,7 +268,7 @@ BITWISE_GRAMS = [
                              ("d3-generic", lambda: [_generic_gram(3, s) for s in range(6)]),
                              ("weyl-d3-d4", lambda: [_weyl_gram(3), _weyl_gram(4)]))
     for parents in (1, 7)
-]
+] + [pytest.param(_mixed_pruning_d4_grams, 7, id="d4-mixed-pruning-parents-7")]
 
 
 @pytest.mark.parametrize("make_grams, parents", BITWISE_GRAMS)
@@ -264,10 +278,19 @@ def test_classical_value_bitwise_equals_prefix_expansion(make_grams, parents, mo
     references = [_prefix_expansion_classical(S, allow_d5=S.d == 5) for S in grams]
     if parents is not None:
         monkeypatch.setattr(classical, "_PARENTS", parents)
-    for S, reference in zip(grams, references):
-        result = classical.classical_value(S, allow_d5=S.d == 5)
+    singles = [classical.classical_value(S, allow_d5=S.d == 5) for S in grams]
+    for result, reference in zip(singles, references):
         assert result == reference
         assert result.search_space == reference.search_space
+    if len(grams) == 1 or len({S.d for S in grams}) > 1:
+        return  # a stack of one runs the single scan; a stack holds one d
+    # the family as one stack: each member as its own call, subsets scored included
+    stacked = classical.classical_value(bic.GramMatrix.stack(grams), allow_d5=grams[0].d == 5)
+    assert len(stacked) == len(grams)
+    for result, single, reference in zip(stacked, singles, references):
+        assert result == single == reference
+        assert (result.subsets_scored, result.search_space) == (
+            single.subsets_scored, single.search_space)
 
 
 def test_classical_value_bitwise_equals_prefix_expansion_on_asymmetric_rows():
@@ -278,6 +301,50 @@ def test_classical_value_bitwise_equals_prefix_expansion_on_asymmetric_rows():
     for scale in (1e-9, 1e-4, 1e-2):
         P = bic.GramMatrix(d=4, s=S.s + scale * rng.uniform(-1, 1, S.s.shape))
         assert (classical.classical_value(P) == _prefix_expansion_classical(P))
+
+
+def test_mixed_pruning_stack_scores_what_each_member_scores_alone():
+    results = classical.classical_value(bic.GramMatrix.stack(_mixed_pruning_d4_grams()))
+    assert [r.subsets_scored for r in results] == [
+        2_516, 2_516, 2_516, 26_332, 2_516, 6_884, 14_892]
+    assert {r.search_space for r in results} == {26_332}
+
+
+def test_stack_of_one_returns_one_result():
+    S = bic_gram_d2(0.3, 0.25)
+    (result,) = classical.classical_value(bic.GramMatrix.stack([S]))
+    assert result == classical.classical_value(S)
+
+
+def test_stack_refuses_mixed_d():
+    with pytest.raises(ValueError, match=r"stack member 2 .*\(d=3"):
+        bic.GramMatrix.stack([bic_gram_d2(0.3, 0.25), bic_gram_d2(0.2, 0.5),
+                              _generic_gram(3, 1)])
+    with pytest.raises(ValueError, match="at least one"):
+        bic.GramMatrix.stack([])
+
+
+def test_stack_refuses_a_non_finite_member():
+    s = np.stack([bic_gram_d2(0.3, 0.25).s] * 3)
+    s[1, 0, 1] = s[1, 1, 0] = math.nan
+    with pytest.raises(ValueError, match=r"finite \(stack member 1\)"):
+        classical.classical_value(bic.GramMatrix(d=2, s=s))
+
+
+@pytest.mark.parametrize("make_gram", [
+    pytest.param(lambda: _generic_gram(5, 1), id="single-d5"),
+    pytest.param(lambda: bic.GramMatrix.stack(_mixed_pruning_d4_grams()), id="stack-d4"),
+])
+def test_scan_leaves_no_garbage_cycle(make_gram):
+    # the scan state goes with the call: no cycle waits for the collector
+    S = make_gram()
+    gc.collect()
+    gc.disable()
+    try:
+        classical.classical_value(S, allow_d5=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _all_subsets(n, max_card):
@@ -345,11 +412,15 @@ def test_pruned_scan_scores_the_levels_up_to_d_on_d4(make_gram):
 @pytest.mark.parametrize("make_gram, allow_d5, bound_mb", [
     pytest.param(lambda: _generic_gram(5, 1), True, 2.0, id="generic-d5"),
     pytest.param(lambda: _weyl_gram(4, 0.25, 0.21), False, 1.5, id="weyl-d4-unpruned"),
+    pytest.param(lambda: bic.GramMatrix.stack([_generic_gram(5, s) for s in (1, 2)]), True, 4.0,
+                 id="stack-generic-d5"),
 ])
 def test_scan_builds_steps_per_recursing_parent_block(make_gram, allow_d5, bound_mb):
     # one step vector per child whose block recurses peaked at 4.4 and 2.1 MB
     # here; the scan builds the steps of a block of parents only when its
-    # children recurse, and a leaf reads one entry of its grandparent's step
+    # children recurse, and a leaf reads one entry of its grandparent's step.
+    # A stack's blocks hold _PARENTS parents per member (2.8 MB for two d=5
+    # members; 11.5 MB with each level of a member as one block)
     S = make_gram()
     tracemalloc.start()
     try:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biccert import __version__, bell, bic
+from biccert import __version__, algebra, bell, bic
 from biccert.classical import bic_gram_d2
 from biccert.cli import build_parser, main
 from biccert.linalg import dump_json, load_json
@@ -61,6 +61,30 @@ def test_certify_weyl_d2(tmp_path):
     stages = ("reference", "walk", "sos", "certification", "randomness")
     assert set(run["seconds"]) == set(stages)
     assert all(run["seconds"][stage] >= 0.0 for stage in stages)
+
+
+def test_certify_refuses_a_d_above_the_pair_vector_cap(tmp_path, capsys, monkeypatch):
+    # the cap admits the d=32 scale probes: 523,776 pairs x 2 vectors in C^32
+    assert 523_776 * 2 * 32 * 16 <= algebra.MAX_PAIR_VECTOR_BYTES
+    # lowered below d=3's 36 pairs x 2 vectors x 3 complex entries, so that no
+    # large allocation is ever made; d=2 (6 pairs) still certifies
+    monkeypatch.setattr(algebra, "MAX_PAIR_VECTOR_BYTES", 36 * 2 * 3 * 16 - 1)
+    for d in (2, 3):
+        assert main(["construct", "--d", str(d), "--out", str(tmp_path / f"d{d}")]) == 0
+    assert main(["certify", str(tmp_path / "d2" / "povm.json"), "--out", str(tmp_path)]) == 0
+
+    def no_gram(povm):
+        raise AssertionError("the Gram matrix was built before the refusal")
+
+    monkeypatch.setattr(bic, "gram", no_gram)
+    (tmp_path / "certify_report.json").unlink()
+    capsys.readouterr()
+    assert main(["certify", str(tmp_path / "d3" / "povm.json"), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert ("certify at d=3 needs about 3.22e-06 GiB for the reference pair vectors, "
+            "above the cap of 3.22e-06 GiB") in err
+    assert not (tmp_path / "certify_report.json").exists()
 
 
 def test_certify_walks_the_pairs_once(tmp_path, monkeypatch):

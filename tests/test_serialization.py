@@ -66,6 +66,9 @@ MALFORMED_BODIES = [
                  r"magnitude above 1e\+50", id="povm-huge"),
     pytest.param(bic.gram_from_json, {"d": 2, "s": [[1e308] * 4] * 4},
                  r"magnitude above 1e\+50", id="gram-huge"),
+    # a file holds one Gram matrix, never a stack
+    pytest.param(bic.gram_from_json, {"d": 2, "s": [GRAM_ROWS] * 2}, "expected a 4x4 matrix",
+                 id="gram-stack"),
 ]
 
 
