@@ -816,20 +816,24 @@ class CertifyRun:
                 **self.checks.to_json()}
 
 
-def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
-    """The certification run: ``povm`` validated at the "input" threshold and, if
-    it passes, the reference strategy, one ``bell.walk``, the SOS certificate,
-    the optimality relations and the entropy, each stage timed.
-
-    A d whose reference pair vectors, P = d^2 (d^2 - 1) / 2 pairs of two
-    complex vectors in C^d, would take more than MAX_PAIR_VECTOR_BYTES is
-    refused with a ValueError before anything is allocated."""
-    d = povm.d
+def check_certify_size(d: int) -> None:
+    """Refuse with a ValueError a d whose reference pair vectors, P = d^2
+    (d^2 - 1) / 2 pairs of two complex vectors in C^d, would take more than
+    MAX_PAIR_VECTOR_BYTES."""
     pair_bytes = d * d * (d * d - 1) // 2 * 2 * d * np.dtype(complex).itemsize
     if pair_bytes > MAX_PAIR_VECTOR_BYTES:
         raise ValueError(
             f"certify at d={d} needs about {pair_bytes / 2**30:.3g} GiB for the reference "
             f"pair vectors, above the cap of {MAX_PAIR_VECTOR_BYTES / 2**30:.3g} GiB")
+
+
+def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
+    """The certification run: ``povm`` validated at the "input" threshold and, if
+    it passes, the reference strategy, one ``bell.walk``, the SOS certificate,
+    the optimality relations and the entropy, each stage timed; a d that
+    ``check_certify_size`` refuses is refused before anything is allocated."""
+    d = povm.d
+    check_certify_size(d)
     S = bic.gram(povm)  # the one Gram matrix of the run
     validation = bic.validate_bic(povm, tol=threshold("input", tol), S=S)
     if not validation.passed:

@@ -6,10 +6,10 @@ subsets J with 0 < |J| < 2d:
     v(J) = -d(d-2) |J| + sum_{j in J, k not in J} (2 sqrt(1-s_jk) - (1-s_jk)),
 
 with v(empty) = -1.  ``classical_value`` enumerates the subsets by prefix
-expansion, of one Gram matrix or of every member of a stack in one pass,
-each subset from its parent in O(1): a parent's step vector is built only
-for a block of parents whose children recurse, and a leaf reads its one step
-entry from the grandparent's vector.  Ties within rounding go to the
+expansion, of one Gram matrix or, below d = 4, of every member of a stack
+in one pass, each subset from its parent in O(1): a parent's step vector is
+built only for a block of parents whose children recurse, and a leaf reads
+its one step entry from the grandparent's vector.  Ties within rounding go to the
 smallest, then lexicographically first, subset.  A brute-force
 enumeration over all deterministic strategies serves as an independent oracle
 at d = 2, and the d = 2 landscape has a closed three-branch form in the
@@ -169,8 +169,8 @@ def classical_value(
 ) -> ClassicalResult | tuple[ClassicalResult, ...]:
     """Exhaustive maximum of v(J) over all J with 0 < |J| < 2d, by prefix
     expansion; for a stack S of M Gram matrices of one d (``S.s`` of shape
-    (M, n, n), see ``GramMatrix.stack``), a tuple of M results from one pass,
-    each equal to its member's own call, subsets_scored included.
+    (M, n, n), see ``GramMatrix.stack``), a tuple of M results, each equal
+    to its member's own call, subsets_scored included.
 
     Each J + {k} with k > max(J) takes its value from J's in O(1):
     v(J + k) = v(J) + step_J[k] with step_J[k] = -d(d-2) + sum_l W[k,l]
@@ -210,32 +210,32 @@ def classical_value(
     d = 5 at (0.3, 0.137), every J is scored.  subsets_scored counts the J
     scored, search_space all 0 < |J| < 2d.
 
-    In a stack each member keeps its own top, minimum, records, bounds and
-    count, and meets the blocks, values and checks of its own call (see
-    ``_Scan``), so the stack only shares the numpy calls per block: 231 d = 2
-    members take about 1.5 ms in one call, against 17-18 ms in 231 calls (1
-    BLAS thread, 2-core x86 host).
+    A stack below d = 4 runs in one pass and only shares the numpy calls per
+    block: 231 d = 2 members take about 1.5 ms in one call, against 17-18 ms
+    in 231 calls (1 BLAS thread, 2-core x86 host).  From d = 4 on, where one
+    pass was slower, each member runs the single-matrix scan.
     """
     max_card = _check_budget(S, allow_d5, max_subsets)
+    if S.s.ndim == 3 and (S.d >= 4 or not len(S.s)):  # an empty stack has no block to cut
+        return tuple(_Scan(GramMatrix(S.d, s), max_card).results()[0] for s in S.s)
     results = _Scan(S, max_card).results()
     return results if S.s.ndim == 3 else results[0]
 
 
 class _Scan:
-    """One prefix-expansion scan over the M members of a Gram matrix stack
+    """One prefix-expansion scan over the M members of a stack below d = 4
     (M = 1 for a single matrix), with each member's running state: the top
     value, the minimum boundary sum, the subsets scored and the tie records.
 
     The rows of all members lie in one array, member i's n rows from i (n+1)
     on, each followed by a zero row, so i (n+1) + max(J) finds a member's
     row and the root's max(J) = -1 a zero row.  Every level's parents are
-    grouped by member in member order, and ``expand`` cuts each member's
-    parents into its own blocks of _PARENTS, so a member's children, tie
-    records, counts and pruning checks come block by block exactly as in a
-    scan of that member alone, whatever the other members do.  A member
-    whose next level is hopeless leaves the recursion.  The bookkeeping of a
-    stack runs over numpy arrays, one entry per member; a single matrix keeps
-    Python scalars, so that its call costs what it did before stacks.
+    grouped by member in member order and cut into blocks of _PARENTS M, so
+    each member's level, at most C(9, 4) = 126 parents below d = 4, lies in
+    one block; nothing is pruned there, so where blocks are cut changes no
+    output.  The bookkeeping of a stack runs over numpy arrays, one entry per
+    member; a single matrix keeps Python scalars (a generic d = 4 call took
+    0.57 ms with one-entry arrays, 0.34 ms without; 1 BLAS thread).
     """
 
     def __init__(self, S: GramMatrix, max_card: int):
@@ -243,6 +243,7 @@ class _Scan:
         s = S.s if S.s.ndim == 3 else S.s[None]
         M = len(s)
         self.d, self.max_card, self.band = d, max_card, _TIE_TOL * d * d
+        self.block = _PARENTS * M
         Q = s**2
         Q.reshape(M, n * n)[:, :: n + 1] = 0.0
         W = _payoff_matrix(S).reshape(M, n, n)
@@ -262,14 +263,11 @@ class _Scan:
         # below d = 4: with them a d = 2 call (14 subsets) went from 0.14 to
         # 0.30 ms and a generic d = 3 call (381 subsets, none pruned) from 0.25
         # to 0.48 ms
-        bounds = None if d < 4 else [
-            _cardinality_bounds(W[i], Q[i], d, max_card) for i in range(M)]
+        self.ub, self.lb = (None, None) if d < 4 else _cardinality_bounds(W[0], Q[0], d, max_card)
         if M == 1:
             self.top, self.min_boundary, self.scored = top, low, scored
-            self.ub, self.lb = bounds[0] if bounds else (None, None)
         else:
             self.top, self.min_boundary, self.scored = map(np.array, (top, low, scored))
-            self.ub, self.lb = np.array(bounds).swapaxes(0, 1) if bounds else (None, None)
         root = 0.5 * WQ.sum(axis=3)
         root[0] -= d * (d - 2)
         root_step = np.empty((M, n), complex)
@@ -284,11 +282,8 @@ class _Scan:
         last = max(J), bitmask and member ``who`` (None for a single
         matrix), and recurse down to max_card."""
         rows, outcomes, bits = self.rows, self.outcomes, self.bits
-        if who is None:
-            row, edges = last, [*range(0, len(last), _PARENTS), len(last)]
-        else:
-            score, g, last, mask, who, edges = self._member_blocks(score, g, last, mask, who)
-            row = last + (len(outcomes) + 1) * who
+        row = last if who is None else last + (len(outcomes) + 1) * who
+        edges = [*range(0, len(last), self.block), len(last)]
         for lo, hi in zip(edges, edges[1:]):
             s = slice(lo, hi)
             pi, k = (outcomes > last[s, None]).nonzero()
@@ -300,35 +295,17 @@ class _Scan:
             child = score[p] + (G[g[p], k] - rows[row[p], k])
             child_mask = mask[p] | bits[k]
             child_who = None if who is None else who[p]
-            deeper = self._record(m, child, child_mask, child_who)
-            if deeper is None:
-                continue
-            if deeper is not True:  # some members of the block leave the recursion
-                child, pi, k, child_mask, child_who = (
-                    a[deeper] for a in (child, pi, k, child_mask, child_who))
-            self.expand(m + 1, child, G[g[s]] - rows[row[s]], pi, k, child_mask, child_who)
+            if self._record(m, child, child_mask, child_who):
+                self.expand(m + 1, child, G[g[s]] - rows[row[s]], pi, k, child_mask, child_who)
 
-    def _member_blocks(self, score, g, last, mask, who):
-        """The parents reordered so that block b holds every member's b-th
-        block of _PARENTS parents, in member order, and the block edges."""
-        if len(who) > _PARENTS:
-            counts = np.bincount(who)
-            if counts.max() > _PARENTS:
-                start = np.cumsum(counts) - counts
-                block = (np.arange(len(who)) - start[who]) // _PARENTS
-                order = np.argsort(block, kind="stable")
-                edges = [0, *np.cumsum(np.bincount(block)).tolist()]
-                return score[order], g[order], last[order], mask[order], who[order], edges
-        return score, g, last, mask, who, [0, len(who)]
-
-    def _record(self, m, child, child_mask, who):
+    def _record(self, m, child, child_mask, who) -> bool:
         """Count, fold into top and min_boundary and record the children of
-        one block; return True if they all recurse, None if none does, or
-        the index of those that do.
+        one block; return whether they recurse.
 
-        hopeless(m + 1): no J with m < |J| <= max_card can reach the final tie
-        band or lower the final minimum boundary sum, since top only rises
-        and min_boundary only falls."""
+        They do not below max_card when the bounds, a single matrix's from
+        d = 4 on, prove hopeless(m + 1): no J with m < |J| <= max_card can
+        reach the final tie band or lower the final minimum boundary sum,
+        since top only rises and min_boundary only falls."""
         values, band = child.real, self.band
         top, low, records, ub, lb = self.top, self.min_boundary, self.records, self.ub, self.lb
         if who is None:
@@ -350,18 +327,8 @@ class _Scan:
             run = records[key]
             if not run or value > run[-1][0]:
                 run.append((value, bitmask))
-        if m == self.max_card:
-            return None
-        if ub is None:
-            return True
-        if who is None:
-            return None if ub[m + 1] < top[0] - band and lb[m + 1] > low[0] else True
-        hopeless = (ub[at, m + 1] < top[at] - band) & (lb[at, m + 1] > low[at])
-        if not hopeless.any():
-            return True
-        if hopeless.all():
-            return None
-        return np.repeat(~hopeless, sizes).nonzero()[0]
+        return m < self.max_card and (
+            ub is None or not (ub[m + 1] < top[0] - band and lb[m + 1] > low[0]))
 
     def results(self) -> tuple[ClassicalResult, ...]:
         d, n, levels, band = self.d, len(self.outcomes), self.max_card + 1, self.band

@@ -6,8 +6,9 @@ Bell, SOS, certification-relation and entropy checks on a POVM file),
 (the full reproduction suite).
 
 Exit codes: 0 success, 2 certification/validation failure, 3 usage or
-parameter error.  JSON outputs are authoritative; ``--format csv-summary``
-additionally writes flat CSV files with the scalar quantities.
+parameter error, or an input too large for memory.  JSON outputs are
+authoritative; ``--format csv-summary`` additionally writes flat CSV files
+with the scalar quantities.
 """
 
 from __future__ import annotations
@@ -250,8 +251,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        detail = exc
+        if isinstance(exc, KeyError):
+            detail = f"missing field {exc}"
+        elif isinstance(exc, MemoryError):  # numpy's names the allocation it was refused
+            detail = f"out of memory: {exc}".removesuffix(": ")
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -404,7 +404,9 @@ def run_full_suite(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0) -> list
 
     Criteria 7 and 8 share one ``algebra.certify`` run per d, held for this
     call only: criterion 7 certifies and its seconds include the runs;
-    criterion 8 reads them, and its seconds leave them out."""
+    criterion 8 reads them, and its seconds leave them out.  A d_max that
+    ``algebra.certify`` would refuse is refused before any criterion runs."""
+    algebra.check_certify_size(max(4, d_max))  # the largest d that criterion 7 certifies
     certify_runs = {}
     outcomes = []
     for cid in sorted(CRITERIA):

@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 
 import numpy as np
 import pytest
@@ -630,6 +631,24 @@ def test_certify_forms_one_gram_matrix(monkeypatch, weyl_povm_d3):
         monkeypatch.setattr(module, "gram", counted)
     assert algebra.certify(weyl_povm_d3).checks.passed
     assert grams == [weyl_povm_d3]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="einsum's SIMD summation order, and so the last bits, vary by platform")
+@pytest.mark.parametrize("make_povm, value", [
+    pytest.param(lambda d=d: bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)),
+                 value, id=f"weyl-d{d}")
+    for d, value in ((3, 9.000000000000009), (6, 36.00000000000008), (10, 100.00000000000011))
+] + [
+    pytest.param(lambda d=d: bic.construct_generic_bic(d, 1), value, id=f"generic-d{d}")
+    for d, value in ((4, 16.000000000000018), (8, 64.00000000000007))
+])
+def test_certify_bell_value_is_pinned_bit_for_bit(make_povm, value):
+    """certify's Bell value, float for float.  A reordering of the walk's sums
+    moves these last bits while every tolerance still passes, so only a pin
+    shows it.  einsum's SIMD summation order is platform-specific, so the
+    pin holds on x86_64 only."""
+    assert algebra.certify(make_povm()).bell.value == value
 
 
 @pytest.mark.parametrize("fixture", ["reference_d2", "reference_d3", "reference_d4"])

@@ -316,6 +316,13 @@ def test_stack_of_one_returns_one_result():
     assert result == classical.classical_value(S)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_empty_stack_returns_no_results(d):
+    # GramMatrix.stack refuses no members, but a (0, n, n) array is a stack;
+    # below d = 4 the scan cuts a stack's blocks per member
+    assert classical.classical_value(bic.GramMatrix(d=d, s=np.empty((0, d * d, d * d)))) == ()
+
+
 def test_stack_refuses_mixed_d():
     with pytest.raises(ValueError, match=r"stack member 2 .*\(d=3"):
         bic.GramMatrix.stack([bic_gram_d2(0.3, 0.25), bic_gram_d2(0.2, 0.5),
@@ -419,8 +426,8 @@ def test_scan_builds_steps_per_recursing_parent_block(make_gram, allow_d5, bound
     # one step vector per child whose block recurses peaked at 4.4 and 2.1 MB
     # here; the scan builds the steps of a block of parents only when its
     # children recurse, and a leaf reads one entry of its grandparent's step.
-    # A stack's blocks hold _PARENTS parents per member (2.8 MB for two d=5
-    # members; 11.5 MB with each level of a member as one block)
+    # A d=5 stack scans its members one at a time (1.1 MB for two members;
+    # 2.8 MB in one pass with _PARENTS parents per member and block)
     S = make_gram()
     tracemalloc.start()
     try:

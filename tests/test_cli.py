@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biccert import __version__, algebra, bell, bic
+from biccert import __version__, algebra, bell, bic, reproduce
 from biccert.classical import bic_gram_d2
 from biccert.cli import build_parser, main
 from biccert.linalg import dump_json, load_json
@@ -85,6 +85,30 @@ def test_certify_refuses_a_d_above_the_pair_vector_cap(tmp_path, capsys, monkeyp
     assert ("certify at d=3 needs about 3.22e-06 GiB for the reference pair vectors, "
             "above the cap of 3.22e-06 GiB") in err
     assert not (tmp_path / "certify_report.json").exists()
+
+
+def test_report_refuses_a_d_max_above_the_pair_vector_cap(tmp_path, capsys, monkeypatch):
+    # lowered between d=4's 120 pairs and d=5's 300 pairs x 2 vectors x d complex entries
+    monkeypatch.setattr(algebra, "MAX_PAIR_VECTOR_BYTES", 300 * 2 * 5 * 16 - 1)
+    ran = []
+    monkeypatch.setattr(reproduce, "run_criterion", lambda cid, **kwargs: ran.append(cid))
+    assert main(["report", "--d-max", "5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "error: certify at d=5 needs about" in err
+    assert ran == [] and not (tmp_path / "report.json").exists()
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refused(*args):
+        raise MemoryError("Unable to allocate 119. GiB for an array with shape "
+                          "(2001, 2001, 2001) and data type complex128")
+
+    monkeypatch.setattr(bic, "construct_weyl_bic", refused)
+    assert main(["construct", "--d", "2001", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 119. GiB for an array with "
+                   "shape (2001, 2001, 2001) and data type complex128\n")
 
 
 def test_certify_walks_the_pairs_once(tmp_path, monkeypatch):
