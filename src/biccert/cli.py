@@ -14,7 +14,6 @@ with the scalar quantities.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -24,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra, bic, classical, reproduce
+# every command reads these; each handler imports the layers it runs, so a
+# command compiles only its own modules
+from . import __version__, bic
 from .linalg import dump_json, load_json, threshold
 
 EXIT_OK = 0
@@ -76,7 +77,11 @@ def _at_least(low: int):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then shared."""
+    """The command-line parser, built on first use and then shared.
+
+    ``--max-subsets`` has no parser default: ``cmd_classical`` reads
+    ``classical.MAX_SUBSETS_DEFAULT``, so building the parser compiles no
+    layer module for the commands that do not run the classical scan."""
     parser = _Parser(prog="biccert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gram", type=Path, help="GramMatrix JSON file")
     p.add_argument("--allow-d5", action="store_true",
                    help="enable the d=5 scan (a search space of 3,850,755 subsets)")
-    p.add_argument("--max-subsets", type=_at_least(1), default=classical.MAX_SUBSETS_DEFAULT,
+    p.add_argument("--max-subsets", type=_at_least(1),
                    help="hard cap on the search space, in subsets")
     common(p)
 
@@ -119,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: Path, rows: list[tuple]) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -181,6 +188,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import algebra
+
     povm = bic.povm_from_json(load_json(args.povm))
     run = algebra.certify(povm, tol=args.tol)
     if not run.validation.passed:
@@ -195,6 +204,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    from . import classical
+
     gm = bic.gram_from_json(load_json(args.gram))
     validation = bic.validate_gram(gm, tol=threshold("input", args.tol))
     if not validation.passed:
@@ -202,7 +213,8 @@ def cmd_classical(args) -> int:
         return EXIT_FAILED
     start = time.perf_counter()
     result = classical.classical_value(
-        gm, allow_d5=args.allow_d5, max_subsets=args.max_subsets
+        gm, allow_d5=args.allow_d5,
+        max_subsets=args.max_subsets or classical.MAX_SUBSETS_DEFAULT,
     )
     seconds = {"enumeration": time.perf_counter() - start}
     _write_outputs(args, result.to_json(), "classical", d=gm.d, seconds=seconds,
@@ -213,6 +225,8 @@ def cmd_classical(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import reproduce
+
     runs = reproduce.run_full_suite(tol=args.tol, d_max=args.d_max, seed=args.seed)
     all_passed = all(r.passed for r in runs)
     payload = {"criteria": [r.to_json() for r in runs], "allPassed": all_passed}

@@ -8,6 +8,7 @@ import oracles
 
 from biccert import algebra, bell, bic, reproduce
 from biccert.linalg import (
+    RANK_CUTOFF,
     BipartiteDims,
     Checks,
     apply_local,
@@ -728,6 +729,26 @@ def test_dropped_eigenvalues_never_lower_a_residual(reference_d2):
     cert = _certify(strat, S)
     for got, full in zip(_reported_state_residuals(cert), (sync_pair.max(), sync_povm, c_sync)):
         assert got >= full > 1e-14
+
+
+def test_sync_pair_tail_bound_covers_an_alice_violation_below_the_cutoff(reference_d2):
+    """Eigenvalues of rho just below RANK_CUTOFF carry an Alice-side sync
+    violation that the rank factor K does not see, and Bob's effects are too
+    small for Bob's term of the tail bound to cover it: only the
+    sqrt(dB) ||cD||_F term keeps "sync pair" at or above its full-rho value."""
+    _, S = reference_d2
+    n, dims, b = 4, BipartiteDims(2, 2), 1e-3
+    e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    eps = RANK_CUTOFF / 2
+    # K is |00>, which every relation annihilates; the dropped |10> is not
+    rho = kron((1.0 - eps) * e0 + eps * e1, e0)
+    pairs = np.broadcast_to([0.8 * e1, 0.1 * e1], (6, 2, 2, 2))
+    strat = bell.Strategy(dims, rho, pairs, np.broadcast_to(np.eye(2) / n, (n, 2, 2)),
+                          np.broadcast_to(b * e1, (n, 2, 2)))
+    assert not strat.stores_vectors
+    sync_pair, _, _ = _full_rho_state_residuals(strat, S)
+    bob_term = np.sqrt(dims.dA) * 2 * b * eps  # Bob's share of the tail bound
+    assert _certify(strat, S).checks["sync pair"].measured >= sync_pair.max() > 10 * bob_term
 
 
 def test_certification_names_worst_pair(reference_d2):

@@ -1,7 +1,11 @@
 import io
+import json
 import math
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -622,3 +626,66 @@ def test_report_tight_tolerance_fails(tmp_path, capsys):
     assert code == 2
     payload = load_json(tmp_path / "report.json")
     assert payload["allPassed"] is False
+
+
+# ---------------------------------------------------------------------------
+# lazy imports, in a fresh interpreter: this process has loaded every module
+# ---------------------------------------------------------------------------
+
+def _run_fresh(script: str, *args: str) -> list[str]:
+    """stdout lines of ``script`` run by a new interpreter that imports
+    biccert from the tree under test."""
+    src = str(Path(bic.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, src, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LOADED_BY_COMMANDS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+
+def loaded():
+    print("loaded", json.dumps(sorted(m for m in sys.modules if m.startswith("biccert"))))
+
+import biccert.cli as cli
+loaded()
+assert cli.main(["construct", "--d", "2", "--out", out]) == 0
+loaded()
+assert cli.main(["classical", out + "/gram.json", "--out", out]) == 0
+loaded()
+"""
+
+
+def test_construct_and_classical_never_load_the_certify_layers(tmp_path):
+    lines = _run_fresh(LOADED_BY_COMMANDS, str(tmp_path))
+    loaded = [set(json.loads(line.removeprefix("loaded "))) for line in lines
+              if line.startswith("loaded ")]
+    assert len(loaded) == 3
+    deferred = {"biccert.bell", "biccert.algebra", "biccert.randomness", "biccert.reproduce"}
+    assert all(not modules & deferred for modules in loaded)
+    assert loaded[0] == loaded[1] == {"biccert", "biccert.bic", "biccert.cli", "biccert.linalg"}
+    assert loaded[2] == loaded[0] | {"biccert.classical"}
+
+
+STAR_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import biccert
+print(sorted(m for m in sys.modules if m.startswith("biccert")))
+print(biccert.bell.__name__)
+from biccert import *
+missing = [name for name in biccert.__all__ if name not in globals()]
+assert not missing, missing
+assert biccert.certify is biccert.algebra.certify
+try:
+    biccert.no_such_name
+except AttributeError:
+    print("unknown name refused")
+"""
+
+
+def test_star_import_binds_every_export_lazily():
+    assert _run_fresh(STAR_IMPORT) == ["['biccert']", "biccert.bell", "unknown name refused"]
