@@ -50,9 +50,9 @@ from .linalg import (
 )
 from .randomness import RandomnessReport
 
-# the most that ``certify`` lets its reference pair vectors take, about half of a
-# run's peak memory: d = 32 needs 0.5 GiB, d = 36 0.9 GiB, d = 37 1.03 GiB
-MAX_PAIR_VECTOR_BYTES = 2**30
+# the most that ``certify`` lets its d^4-sized arrays take together (see
+# ``check_certify_size``): d = 36 needs 0.14 GiB, d = 59 1.0 GiB, d = 60 1.06 GiB
+MAX_CERTIFY_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +635,14 @@ def dual_alice_operators(strategy: Strategy, S: GramMatrix, F: np.ndarray) -> np
 
 
 class PairAudit(NamedTuple):
-    """What ``certification_reader`` returns: rho's decomposition ``spectrum =
-    linalg.eigh(rho, tol=1e-8)``, its local supports UA and VB, its rank
-    factor K with the summed squares ``tail`` of the dropped eigenvalues, and
-    the "sync pair", "a projectivity" and "a orthogonality" residual of each
-    pair, the last two of vector-stored effects in closed form (see
-    ``certification_reader``), and Bob's side of every state relation: BK =
-    (I (x) B_j) K and the bounds sqrt(dA) ||B_j||_F."""
+    """What ``certification_reader`` returns: rho's eigenvalues and the
+    eigenvectors of those above ``RANK_CUTOFF``, ``spectrum``, all that
+    ``linalg.purify`` reads of ``linalg.eigh(rho, tol=1e-8)``, its local
+    supports UA and VB, its rank factor K with the summed squares ``tail`` of
+    the dropped eigenvalues, and the "sync pair", "a projectivity" and "a
+    orthogonality" residual of each pair, the last two of vector effects in
+    closed form (see ``certification_reader``), and Bob's side of every state
+    relation: BK = (I (x) B_j) K and the bounds sqrt(dA) ||B_j||_F."""
 
     spectrum: tuple[np.ndarray, np.ndarray]
     UA: np.ndarray
@@ -661,8 +662,8 @@ def _residuals(Z_K, Z_norm_bound, tail):
 
 
 def _rank_one_relations(a, UA):
-    """"a projectivity" and "a orthogonality" of each pair of vector-stored
-    effects a (len, 2, dA), compressed by UA (None for the full space).
+    """"a projectivity" and "a orthogonality" of each pair of rank-one effects
+    given by vectors a (len, 2, dA), compressed by UA (None for the full space).
 
     With w = a or a UA, the compressed effect is u u* / t for u = conj(w) and
     t = |a|^2, so with q = |u|^2 / t it squares to q times itself, and A1 A2 =
@@ -688,37 +689,37 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     sqrt(dB) ||cD||_F + sqrt(dA) ||E||_F, Bob's side by the triangle
     inequality ||E||_F <= ||B_j||_F + ||B_k||_F from per-outcome norms.  "a
     projectivity" and "a orthogonality" read the dense effects compressed to
-    Alice's support when they are stored as matrices, and
-    ``_rank_one_relations`` of the stored unit vectors otherwise, in O(d) per
-    pair instead of O(d^3); on the full support such effects are projectors
-    by construction, and "a projectivity" reads exactly 0.
+    Alice's support when they are matrices, and ``_rank_one_relations`` of
+    the vectors of each chunk that the walk sends otherwise, in O(d) per pair
+    instead of O(d^3); on the full support such effects are projectors by
+    construction, and "a projectivity" reads exactly 0.
     """
     rho, dims = strategy.rho, strategy.dims
-    L, V = spectrum = eigh(rho, tol=1e-8)
+    L, V = eigh(rho, tol=1e-8)
     UA = local_support(rho, dims, "A", L)
     VB = local_support(rho, dims, "B", L)
     keep = np.abs(L) > RANK_CUTOFF
     K, tail = V[:, keep] * L[keep], float(np.sum(L[~keep] ** 2))
+    spectrum = L, V[:, L > RANK_CUTOFF]
+    del V  # this frame lives through the walk: keep only the columns above
 
     BK = apply_local(strategy.bob, K, dims, "B")
     bob_norms = np.sqrt(dims.dA) * frobenius_each(strategy.bob)
-    sync_pair, a_proj, a_ortho = np.zeros((3, len(strategy.pairs)))
+    sync_pair, a_proj, a_ortho = np.zeros((3, bell.n_pairs(strategy.n_outcomes)))
     full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
-    vectors = strategy.stores_vectors
     while (step := (yield ("cD",))) is not None:
         block, j, k, A = step.block, step.j, step.k, step.A
         Z_K = apply_local(step.cD, K, dims, "A")
         Z_K -= BK.take(j, axis=0) - BK.take(k, axis=0)
         sync_pair[block] = _residuals(
             Z_K, np.sqrt(dims.dB) * frobenius_each(step.cD) + (bob_norms[j] + bob_norms[k]), tail)
-        if not vectors:
+        if step.vectors is not None:  # the first block of a chunk: O(d) temporaries per pair
+            chunk, a = step.vectors
+            a_proj[chunk], a_ortho[chunk] = _rank_one_relations(a, None if full_support else UA)
+        elif not strategy.stores_vectors:
             Ah = A if full_support else compress(A, UA)
             a_proj[block] = frobenius_each(Ah @ Ah - Ah).max(axis=1)
             a_ortho[block] = frobenius_each(Ah[:, 0] @ Ah[:, 1])
-    if vectors:  # O(d) temporaries per pair: d walk blocks' worth per call
-        for block, _, _ in bell.pair_blocks(strategy.n_outcomes, bell.vector_block(dims.dA)):
-            a_proj[block], a_ortho[block] = _rank_one_relations(
-                strategy.alice_pair_effects[block], None if full_support else UA)
     return PairAudit(spectrum, UA, VB, K, tail, BK, bob_norms, sync_pair, a_proj, a_ortho)
 
 
@@ -760,8 +761,8 @@ def verify_certification(
                         np.sqrt(dims.dB) * frobenius_each(C) + audit.bob_norms, tail)
 
     def pairs(at):
-        j, k = strategy.pairs[at]
-        return j + 1, k + 1
+        j, k = bell.pair_indices(strategy.n_outcomes)
+        return int(j[at]) + 1, int(k[at]) + 1
 
     def outcomes(at):
         return at + 1
@@ -817,14 +818,15 @@ class CertifyRun:
 
 
 def check_certify_size(d: int) -> None:
-    """Refuse with a ValueError a d whose reference pair vectors, P = d^2
-    (d^2 - 1) / 2 pairs of two complex vectors in C^d, would take more than
-    MAX_PAIR_VECTOR_BYTES."""
-    pair_bytes = d * d * (d * d - 1) // 2 * 2 * d * np.dtype(complex).itemsize
-    if pair_bytes > MAX_PAIR_VECTOR_BYTES:
+    """Refuse with a ValueError a d whose arrays of d^4 entries, held at once,
+    would take more than MAX_CERTIFY_BYTES together: Theta_d, W_d, rho, Bob's
+    contracted states ``bob_t`` and the audit's BK (complex, BK for a pure
+    state) and Theta's real cross-term sum R."""
+    size = (5 * np.dtype(complex).itemsize + np.dtype(float).itemsize) * d**4
+    if size > MAX_CERTIFY_BYTES:
         raise ValueError(
-            f"certify at d={d} needs about {pair_bytes / 2**30:.3g} GiB for the reference "
-            f"pair vectors, above the cap of {MAX_PAIR_VECTOR_BYTES / 2**30:.3g} GiB")
+            f"certify at d={d} needs about {size / 2**30:.3g} GiB for its d^4-sized arrays, "
+            f"above the cap of {MAX_CERTIFY_BYTES / 2**30:.3g} GiB")
 
 
 def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
@@ -858,9 +860,9 @@ def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
     rand = stage("randomness", randomness.randomness_report, ref, S, value, audit.spectrum, tol)
     checks = Checks([
         cert.checks["bell value"],
-        check("sos identity", sos.identity_residual, tol, d),
-        check("sos positivity", sos.theta_min_eigenvalue, tol, d),
-        check("sos theta.rho", sos.theta_rho_residual, tol, d),
+        check("sos identity", sos.identity_residual, tol, d, sos.identity_worst),
+        check("sos positivity", sos.theta_min_eigenvalue, tol, d),  # an eigenvector: no entry
+        check("sos theta.rho", sos.theta_rho_residual, tol, d, sos.theta_rho_worst),
         cert.relations,
         check("entropy", abs(rand.conditional_entropy_bits - 2 * np.log2(d)), tol, d),
     ])

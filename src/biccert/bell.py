@@ -39,23 +39,15 @@ def walk_block(dA: int) -> int:
     return max(_PAIR_BLOCK, _BLOCK_ENTRIES // (dA * dA))
 
 
-def vector_block(d: int) -> int:
-    """Pairs per block of a pass with O(d) temporaries per pair, such as
-    ``reference_strategy``: d times ``_PAIR_BLOCK``, about a d=10 walk block's
-    memory."""
-    return _PAIR_BLOCK * d
-
-
-@functools.cache
-def pair_list(n: int) -> tuple[tuple[int, int], ...]:
-    """All (j, k) with 0 <= j < k < n, lexicographic (one shared tuple per n)."""
-    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+def n_pairs(n: int) -> int:
+    """The length of the pair axis: the pairs j < k of n outcomes."""
+    return n * (n - 1) // 2
 
 
 @functools.cache
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (j, k) of ``pair_list(n)``, ``np.triu_indices(n, 1)``: one
-    read-only pair of arrays per n."""
+    """Index arrays (j, k) of the pairs j < k < n in the order of the pair axis,
+    ``np.triu_indices(n, 1)``: one read-only pair of arrays per n."""
     r = np.arange(n)
     j, k = np.nonzero(r[:, None] < r)
     j.flags.writeable = k.flags.writeable = False
@@ -63,7 +55,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_blocks(n: int, size: int = _PAIR_BLOCK):
-    """(slice of the pair axis, j, k) per block of ``size`` pairs of ``pair_list(n)``."""
+    """(slice of the pair axis, j, k) per block of ``size`` pairs of ``pair_indices(n)``."""
     j_all, k_all = pair_indices(n)
     for start in range(0, len(j_all), size):
         block = slice(start, min(start + size, len(j_all)))
@@ -79,15 +71,64 @@ def _refuse(mask, j, k, values, message: str) -> None:
 
 
 @dataclass(frozen=True)
+class ReferencePairs:
+    """The unit vectors (n_pairs, 2, d) of ``reference_strategy``'s pair
+    effects, never stored.  Both eigenvectors of B_j - B_k lie in span{e_j,
+    e_k}, so each pair is a 2x2 problem in the orthonormal basis q1 = e_j /
+    |e_j|, q2 ~ e_k - <q1|e_k> q1, where e_j = |e_j| q1 and e_k = alpha q1 +
+    beta q2 with the vectors' own norms; each operation is per pair."""
+
+    vectors: np.ndarray  # the POVM's (n, d)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return n_pairs(len(self.vectors)), 2, self.vectors.shape[1]
+
+    def chunks(self, size: int):
+        """(slice of the pair axis, vectors (len, 2, d)) per chunk, the whole
+        blocks of ``size`` pairs within d ``_PAIR_BLOCK`` pairs (at least one), in
+        one buffer that the next chunk overwrites; a ValueError names a pair
+        whose B_j - B_k lacks a +/- eigenvalue pair."""
+        n, d = self.vectors.shape
+        span = size * max(1, _PAIR_BLOCK * d // size)
+        buffer = np.empty((min(span, n_pairs(n)), 2, d), dtype=complex)
+        for chunk, j, k in pair_blocks(n, span):
+            q1, rest = self.vectors[j], self.vectors[k]  # e_j and e_k, fresh copies
+            norm_j = np.linalg.norm(q1, axis=1)
+            q1 /= norm_j[:, None]
+            alpha = np.einsum("pa,pa->p", q1.conj(), rest)
+            rest -= alpha[:, None] * q1
+            beta = np.linalg.norm(rest, axis=1)
+            # B_j - B_k = [[a, b], [b*, c]] on (q1, q2), eigenvalues (a + c)/2 +- r
+            a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
+            h = (a - c) / 2
+            r = np.hypot(h, np.abs(b))
+            w = np.stack([(a + c) / 2 - r, (a + c) / 2 + r], axis=1)
+            _refuse(~(w[:, 1] >= 1e-12) | ~(w[:, 0] <= -1e-12), j, k, w,
+                    "pair ({j}, {k}) difference lacks a +/- eigenvalue pair: extremes {value}")
+            # the +r eigenvector (x, y), in whichever form avoids cancellation;
+            # the -r one is (-y*, x*)
+            x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
+            x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
+            q2 = np.divide(rest, beta[:, None], out=rest)
+            a1, a2 = buffer[:len(j), 0], buffer[:len(j), 1]
+            np.multiply(x[:, None], q1, out=a1)
+            a1 += y[:, None] * q2
+            np.multiply(-y.conj()[:, None], q1, out=a2)
+            a2 += x.conj()[:, None] * q2
+            yield chunk, buffer[:len(j)]
+
+
+@dataclass(frozen=True)
 class Strategy:
     """A quantum strategy: state, Alice's pair-setting and povm effects, Bob's effects.
 
-    ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair in
-    ``pairs``, either as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
-    effects, as unit vectors (..., n_pairs, 2, dA) standing for
-    A = (|a><a|)^t / tr (|a><a|)^t.  ``walk`` hands every reader dense blocks
-    from ``pair_effect_blocks``; only the audit's "a projectivity" and "a
-    orthogonality" (``algebra.certification_reader``) read stored vectors
+    ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair of
+    ``pair_indices``, as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
+    effects, as unit vectors (..., n_pairs, 2, dA), stored or ``ReferencePairs``,
+    standing for A = (|a><a|)^t / tr (|a><a|)^t.  ``walk`` hands every reader
+    dense blocks from ``pair_effect_blocks``; only the audit's "a projectivity"
+    and "a orthogonality" (``algebra.certification_reader``) read vectors
     themselves.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
     is the first effect of Bob's binary setting j; the second is I - bob[j].
 
@@ -99,19 +140,17 @@ class Strategy:
 
     dims: BipartiteDims
     rho: np.ndarray                 # (..., dA dB, dA dB)
-    alice_pair_effects: np.ndarray  # (..., n_pairs, 2, dA, dA), or (..., n_pairs, 2, dA) vectors
+    alice_pair_effects: np.ndarray | ReferencePairs  # (..., n_pairs, 2, dA[, dA])
     alice_povm: np.ndarray          # (..., n_outcomes, dA, dA)
     bob: np.ndarray                 # (..., n_outcomes, dB, dB)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=complex))
-        object.__setattr__(
-            self, "alice_pair_effects", np.asarray(self.alice_pair_effects, dtype=complex)
-        )
-        object.__setattr__(self, "alice_povm", np.asarray(self.alice_povm, dtype=complex))
-        object.__setattr__(self, "bob", np.asarray(self.bob, dtype=complex))
+        arrays = ("rho", "alice_povm", "bob") + (
+            () if isinstance(self.alice_pair_effects, ReferencePairs) else ("alice_pair_effects",))
+        for name in arrays:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         stack, dA = self.stack, self.dims.dA
-        per_pair = stack + (len(self.pairs), 2, dA)
+        per_pair = stack + (n_pairs(self.n_outcomes), 2, dA)
         if self.alice_pair_effects.shape not in (per_pair, per_pair + (dA,)):
             raise ValueError("alice_pair_effects must hold one (A1, A2) per pair")
         if self.alice_povm.shape[:-3] != stack or self.bob.shape[:-3] != stack:
@@ -124,53 +163,52 @@ class Strategy:
 
     @property
     def stores_vectors(self) -> bool:
-        """True when ``alice_pair_effects`` holds unit vectors, not matrices."""
-        return self.alice_pair_effects.ndim == self.rho.ndim + 1
+        """True when Alice's pair effects are unit vectors, not matrices."""
+        return len(self.alice_pair_effects.shape) == self.rho.ndim + 1
 
     @property
     def n_outcomes(self) -> int:
         return self.bob.shape[-3]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every outcome pair, in the order of the pair axis: ``pair_list(n_outcomes)``."""
-        return pair_list(self.n_outcomes)
 
     def member(self, index) -> Strategy:
         """The strategy at ``index`` of the stack."""
         return replace(self, **{name: getattr(self, name)[index]
                                 for name in ("rho", "alice_pair_effects", "alice_povm", "bob")})
 
-    @property
-    def d(self) -> int:
-        return math.isqrt(self.n_outcomes)
-
     def pair_effect_blocks(self):
-        """(slice of the pair axis, j, k, dense effects (..., len, 2, dA, dA)) per
-        block of ``walk_block(dA)`` pairs.
+        """(slice of the pair axis, j, k, dense effects (..., len, 2, dA, dA),
+        vectors) per block of ``walk_block(dA)`` pairs.
 
-        Vector-stored effects are expanded to (|a><a|)^t divided by its computed
-        trace (a norm within an ulp of 1 rounds to 1, so a vector keeps the
-        input's norm excess, which would enter the Bell value to first order),
-        in one buffer that the next block overwrites: copy a block to keep it.
+        Unit vectors come in chunks of whole blocks (stored ones, a block each),
+        and ``vectors`` is (slice, vectors (..., len, 2, dA)) of the chunk that
+        the block starts, else None.  Each vector is expanded to (|a><a|)^t
+        divided by its computed trace (a norm within an ulp of 1 rounds to 1, so
+        a vector keeps the input's norm excess, which would enter the Bell value
+        to first order), in one buffer that the next block overwrites: copy a
+        block to keep it.
         """
-        effects, dA = self.alice_pair_effects, self.dims.dA
-        blocks = pair_blocks(self.n_outcomes, walk_block(dA))
+        effects, dA, n = self.alice_pair_effects, self.dims.dA, self.n_outcomes
+        size = walk_block(dA)
+        blocks = pair_blocks(n, size)
         if not self.stores_vectors:
             for block, j, k in blocks:
-                yield block, j, k, effects[..., block, :, :, :]
+                yield block, j, k, effects[..., block, :, :, :], None
             return
-        buffer = np.empty(self.stack + (min(walk_block(dA), len(self.pairs)), 2, dA, dA),
-                          dtype=complex)
+        chunks = effects.chunks(size) if isinstance(effects, ReferencePairs) else (
+            (block, effects[..., block, :, :]) for block, _, _ in pair_blocks(n, size))
+        buffer = np.empty(self.stack + (min(size, n_pairs(n)), 2, dA, dA), dtype=complex)
+        chunk = slice(0, 0)
         for block, j, k in blocks:
-            a = effects[..., block, :, :]
+            if block.start == chunk.stop:
+                chunk, vectors = next(chunks)
+            a = vectors[..., block.start - chunk.start:block.stop - chunk.start, :, :]
             dense = buffer[..., :len(j), :, :, :]
             np.multiply(a[..., None, :], a.conj()[..., :, None], out=dense)
             # times 1/trace on the real view, one row per effect: bitwise equal to
             # the complex division
             rows = dense.view(float).reshape(dense.shape[:-2] + (-1,))
             rows *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None]
-            yield block, j, k, dense
+            yield block, j, k, dense, (chunk, vectors) if block.start == chunk.start else None
 
 
 @dataclass(frozen=True)
@@ -194,12 +232,15 @@ class BellReport:
 
 @dataclass(frozen=True)
 class SosReport:
-    """Residuals of the sum-of-squares certificate at a strategy; for a stack
-    of strategies each residual is an array over the stack."""
+    """Residuals of the sum-of-squares certificate at a strategy, and the
+    ``_largest_entry`` of the identity's and of Theta_d rho's residual matrix;
+    for a stack of strategies each is an array over the stack."""
 
     identity_residual: float
     theta_min_eigenvalue: float
     theta_rho_residual: float
+    identity_worst: tuple[int, int] | None
+    theta_rho_worst: tuple[int, int] | None
 
     def to_json(self) -> dict:
         return {
@@ -214,55 +255,23 @@ def reference_strategy(povm: BicPovm, S: GramMatrix | None = None) -> Strategy:
 
     Shares the maximally entangled state; Bob measures the rank-one
     projections B_j = |e_j><e_j|; Alice's pair effects are the transposed
-    eigenprojections of B_j - B_k (eigenvalues +-sqrt(1-s_jk)), stored as their
-    unit eigenvectors, and her povm effects are (1/d) B_j^t.  All transposes
-    are in the computational basis.
-
-    Both eigenvectors lie in span{e_j, e_k}, so each pair is a 2x2 problem
-    in the orthonormal basis q1 = e_j / |e_j|, q2 ~ e_k - <q1|e_k> q1, where
-    e_j = |e_j| q1 and e_k = alpha q1 + beta q2 with the vectors' own norms.
-    ``S`` is the povm's ``gram``, formed here when not given.
+    eigenprojections of B_j - B_k (eigenvalues +-sqrt(1-s_jk)), as the unit
+    eigenvectors that ``ReferencePairs`` computes per chunk when the pairs are
+    walked, and her povm effects are (1/d) B_j^t.  All transposes are in the
+    computational basis.  ``S``, the povm's ``gram`` (formed here when not
+    given), must hold every s_jk below 1 - 1e-12.
     """
     d = povm.d
-    n = d * d
+    j, k = pair_indices(d * d)
+    s_jk = (gram(povm) if S is None else S).s[j, k]
+    _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
+            "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
     B = povm.projections()
-    overlaps = (gram(povm) if S is None else S).s
-    pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
-    # O(d) temporaries per pair, overwritten in place where that keeps every bit,
-    # so d times a walk block's pairs take about a walk block's memory
-    for block, j, k in pair_blocks(n, vector_block(d)):
-        s_jk = overlaps[j, k]
-        _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
-                "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
-        q1, rest = povm.vectors[j], povm.vectors[k]  # e_j and e_k, fresh copies
-        norm_j = np.linalg.norm(q1, axis=1)
-        q1 /= norm_j[:, None]
-        alpha = np.einsum("pa,pa->p", q1.conj(), rest)
-        rest -= alpha[:, None] * q1
-        beta = np.linalg.norm(rest, axis=1)
-        # B_j - B_k = [[a, b], [b*, c]] on (q1, q2), eigenvalues (a + c)/2 +- r
-        a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
-        h = (a - c) / 2
-        r = np.hypot(h, np.abs(b))
-        w = np.stack([(a + c) / 2 - r, (a + c) / 2 + r], axis=1)
-        _refuse(~(w[:, 1] >= 1e-12) | ~(w[:, 0] <= -1e-12), j, k, w,
-                "pair ({j}, {k}) difference lacks a +/- eigenvalue pair: extremes {value}")
-        # the +r eigenvector (x, y), in whichever form avoids cancellation;
-        # the -r one is (-y*, x*)
-        x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
-        x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
-        q2 = rest
-        q2 /= beta[:, None]
-        a1, a2 = pair_vectors[block, 0], pair_vectors[block, 1]
-        np.multiply(x[:, None], q1, out=a1)
-        a1 += y[:, None] * q2
-        np.multiply(-y.conj()[:, None], q1, out=a2)
-        a2 += x.conj()[:, None] * q2
     phi = maximally_entangled(d)
     return Strategy(
         dims=BipartiteDims(d, d),
         rho=np.outer(phi, phi.conj()),
-        alice_pair_effects=pair_vectors,
+        alice_pair_effects=ReferencePairs(povm.vectors),
         alice_povm=B.transpose(0, 2, 1) / d,
         bob=B,
     )
@@ -277,7 +286,7 @@ def _check_dims(strategy: Strategy, S: GramMatrix) -> None:
 
 def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
     """Weights of the Bell function: rows (2 sqrt(1-s_jk), 1-s_jk) on each pair's
-    correlator and Alice marginal, in the order of ``pair_list(S.n)``, and
+    correlator and Alice marginal, in the order of ``pair_indices(S.n)``, and
     d(d-2) on Bob's marginals."""
     j, k = pair_indices(S.n)
     weights = np.empty((len(j), 2))
@@ -290,15 +299,15 @@ def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
 class PairBlock(NamedTuple):
     """One block of the pair axis as ``walk`` sends it to its readers: the slice
     of the pair axis, the pairs' (j, k), Alice's dense effects A (..., len, 2,
-    dA, dA) from ``Strategy.pair_effect_blocks``, D = A1 - A2, the scaled
-    difference cD = sqrt(1 - s_jk) D, P = A1 + A2 and E = B_j - B_k.  An array
-    that no reader of the walk reads is None; the next block overwrites the
-    others."""
+    dA, dA) and ``vectors`` from ``Strategy.pair_effect_blocks``, D = A1 - A2,
+    cD = sqrt(1 - s_jk) D, P = A1 + A2 and E = B_j - B_k.  An array that no
+    reader of the walk reads is None; the next block overwrites the others."""
 
     block: slice
     j: np.ndarray
     k: np.ndarray
     A: np.ndarray
+    vectors: tuple[slice, np.ndarray] | None
     D: np.ndarray | None
     cD: np.ndarray | None
     P: np.ndarray | None
@@ -324,9 +333,9 @@ def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
     stack, dA = strategy.stack, strategy.dims.dA
     sides = {name: m for name, m in zip(("D", "cD", "P", "E"), (dA, dA, dA, strategy.dims.dB))
              if name in reads}
-    most = math.prod(stack) * min(walk_block(dA), len(strategy.pairs))
+    most = math.prod(stack) * min(walk_block(dA), n_pairs(strategy.n_outcomes))
     buffers = {name: np.empty(most * m * m, dtype=complex) for name, m in sides.items()}
-    for block, j, k, A in strategy.pair_effect_blocks():
+    for block, j, k, A, vectors in strategy.pair_effect_blocks():
         # C-contiguous views, laid out as the arrays that A1 - A2 etc. would be
         views = {name: buffers[name][:math.prod(stack) * len(j) * m * m].reshape(
             stack + (len(j), m, m)) for name, m in sides.items()}
@@ -340,7 +349,7 @@ def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
             np.add(A1, A2, out=P)
         if E is not None:
             np.subtract(strategy.bob.take(j, axis=-3), strategy.bob.take(k, axis=-3), out=E)
-        step = PairBlock(block, j, k, A, D, cD, P, E)
+        step = PairBlock(block, j, k, A, vectors, D, cD, P, E)
         for reader in readers:
             reader.send(step)
     return tuple(_result(reader) for reader in readers)
@@ -436,7 +445,7 @@ def bell_value_reader(strategy: Strategy, S: GramMatrix):
     rho_A_t = np.einsum("...abcb->...ca", rho4)
     weights, bob_weight = _coefficients(S)
 
-    correlators, marginals = np.empty((2,) + stack + (len(strategy.pairs),))
+    correlators, marginals = np.empty((2,) + stack + (n_pairs(strategy.n_outcomes),))
     while (step := (yield ("D", "P"))) is not None:
         block, j, k = step.block, step.j, step.k
         correlators[..., block] = np.einsum(
@@ -567,13 +576,27 @@ def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport
     """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0;
     W_d comes from ``fold``, what ``pair_fold_reader`` returned from a walk, and
     ``theta`` from the effects, what ``sos_theta_reader`` returned."""
-    W = bell_operator(strategy, S, fold)
-    d2 = S.d * S.d
+    residual = bell_operator(strategy, S, fold)  # W_d, then W_d + Theta_d - d^2 I in place
+    residual += theta
+    residual -= S.d * S.d * np.eye(residual.shape[-1])
+    theta_rho = theta @ strategy.rho
     return SosReport(
-        identity_residual=_frobenius_per_member(W + theta - d2 * np.eye(W.shape[-1])),
+        identity_residual=_frobenius_per_member(residual),
         theta_min_eigenvalue=theta_min_eigenvalue(theta),
-        theta_rho_residual=_frobenius_per_member(theta @ strategy.rho),
+        theta_rho_residual=_frobenius_per_member(theta_rho),
+        identity_worst=_largest_entry(residual),
+        theta_rho_worst=_largest_entry(theta_rho),
     )
+
+
+def _largest_entry(M: np.ndarray):
+    """The (row, column) of the largest |entry| of M as 1-based basis labels,
+    i dB + j + 1 for |i>|j>, or None for M = 0; an array (..., 2) for a stack."""
+    at = np.abs(M).reshape(M.shape[:-2] + (-1,)).argmax(axis=-1)
+    labels = np.stack(np.divmod(at, M.shape[-1]), axis=-1) + 1
+    if labels.ndim > 1:
+        return labels
+    return tuple(labels.tolist()) if M.any() else None
 
 
 def theta_min_eigenvalue(theta: np.ndarray) -> float | np.ndarray:
@@ -598,7 +621,7 @@ def _random_strategy(dims: BipartiteDims, d: int, seed, pair_effects: bool) -> S
     pair POVMs left unnormalized and the pair effects zero, for readers of the
     state and the povm setting alone."""
     n, N = d * d, dims.total
-    shapes = ((2, N, N), (len(pair_list(n)), 3, 2, dims.dA, dims.dA),
+    shapes = ((2, N, N), (n_pairs(n), 3, 2, dims.dA, dims.dA),
               (1, n, 2, dims.dA, dims.dA), (n, 2, 2, dims.dB, dims.dB))
     sizes = [math.prod(shape) for shape in shapes]
     seeds = np.reshape(seed, -1).tolist()

@@ -158,7 +158,9 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL, spectrum=None) -> np.ndarr
 
     Returns a vector in H (x) H_E with dim E = rank(rho) (eigenvalues above
     the 1e-12 cutoff), built from the eigendecomposition ``spectrum = eigh(rho)``,
-    computed here when not given; tracing out the trailing E factor recovers
+    computed here when not given, whose eigenvectors may be cut to the last
+    columns, at least those of the eigenvalues above the cutoff; tracing out
+    the trailing E factor recovers
     rho.  A stack gives one vector per state, (..., n * dim E), with dim E the
     largest rank of the stack: a state of lower rank gets a zero environment
     column for each dropped eigenvalue, which adds nothing to its marginal.
@@ -176,7 +178,7 @@ def purify(rho: np.ndarray, tol: float = DEFAULT_TOL, spectrum=None) -> np.ndarr
     # sum_i sqrt(lam_i) u_i (x) e_i, i.e. the matrix U_keep sqrt(lam) read row by row;
     # a dropped eigenvalue, perhaps a tiny negative one, enters as an exact 0
     root = np.sqrt(np.where(keep, w, 0.0)[..., n - rank:])
-    return (U[..., n - rank:] * root[..., None, :]).reshape(rho.shape[:-2] + (-1,))
+    return (U[..., U.shape[-1] - rank:] * root[..., None, :]).reshape(rho.shape[:-2] + (-1,))
 
 
 def maximally_entangled(d: int) -> np.ndarray:

@@ -112,7 +112,7 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
     for d in (2, 3):
         S = bic.gram(_weyl_povm(d))
         n = d * d
-        P = len(bell.pair_list(n))
+        P = bell.n_pairs(n)
         for members in _stacks(100):
             tuples = random_hermitian(d, rng, (len(members), 2 * P + 2 * n))
             strat = bell.Strategy(

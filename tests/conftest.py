@@ -8,8 +8,8 @@ def dense_pair_effects(strategy):
     """Alice's pair effects as one dense (n_pairs, 2, dA, dA) array, read
     through ``Strategy.pair_effect_blocks``, whichever form they are stored in."""
     dA = strategy.dims.dA
-    dense = np.empty((len(strategy.pairs), 2, dA, dA), dtype=complex)
-    for block, _, _, A in strategy.pair_effect_blocks():
+    dense = np.empty((bell.n_pairs(strategy.n_outcomes), 2, dA, dA), dtype=complex)
+    for block, _, _, A, _ in strategy.pair_effect_blocks():
         dense[block] = A
     return dense
 

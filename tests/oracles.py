@@ -29,6 +29,12 @@ computes, which the tests compare it against.
   the full (m n^2 x n^2) commutator system built with Kronecker products,
   O(n^6 m); ``algebra`` solves it only on the eigenspaces of one random
   element of the family's algebra.
+- ``pair_list``: every outcome pair as a tuple of Python tuples, the order
+  of the pair axis that ``bell.pair_indices`` holds as two index arrays.
+- ``stored_reference_vectors``: the reference strategy's pair vectors as
+  ``bell.reference_strategy`` stored them for every pair, in blocks of 64 d
+  pairs, kept bit for bit; ``bell.ReferencePairs`` computes them chunk by
+  chunk while the pairs are walked.
 - ``random_strategy_four_draws``, ``equalize_diagonal_masked`` and
   ``generic_bic_masked``: frozen copies of the seeded draws as they were
   written before their per-call overhead was cut (four normal draws per
@@ -44,7 +50,7 @@ from operator import ge
 
 import numpy as np
 
-from biccert.bell import Strategy, _coefficients, pair_indices, pair_list
+from biccert.bell import Strategy, _coefficients, _refuse, pair_blocks, pair_indices
 from biccert.bic import (
     _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, _weyl_stack, gram, validate_bic,
     validate_gram,
@@ -144,8 +150,8 @@ def correlation(strategy: Strategy) -> Correlation:
     bob_effects = np.stack([strategy.bob, IB - strategy.bob], axis=1)  # (n, 2, dB, dB)
 
     # tr[rho (X (x) Y)] = sum rho[a,b,a',b'] X[a',a] Y[b',b]
-    pair_probs = np.empty((len(strategy.pairs), n, 3, 2))
-    for block, _, _, A in strategy.pair_effect_blocks():
+    pair_probs = np.empty((len(pair_list(n)), n, 3, 2))
+    for block, _, _, A, _ in strategy.pair_effect_blocks():
         alice_pair = np.concatenate([A, (IA - A.sum(axis=1))[:, None]], axis=1)
         pair_probs[block] = np.einsum(
             "abcd,xuca,yvdb->xyuv", rho4, alice_pair, bob_effects, optimize=True
@@ -155,7 +161,7 @@ def correlation(strategy: Strategy) -> Correlation:
     ).real
     return Correlation(
         n_outcomes=n,
-        pairs=strategy.pairs,
+        pairs=pair_list(n),
         pair_probs=pair_probs,
         povm_probs=povm_probs,
     )
@@ -232,7 +238,7 @@ def validate_strategy(strategy: Strategy, tol: float = DEFAULT_TOL) -> Checks:
 
     dA, dB = strategy.dims.dA, strategy.dims.dB
     pair_floor = pair_cap = 0.0
-    for _, _, _, A in strategy.pair_effect_blocks():
+    for _, _, _, A, _ in strategy.pair_effect_blocks():
         pair_floor = min_eig(A, pair_floor)
         pair_cap = min_eig(np.eye(dA) - A[:, 0] - A[:, 1], pair_cap)
     povm_sum_res = frobenius(strategy.alice_povm.sum(axis=0) - np.eye(dA))
@@ -380,6 +386,47 @@ def commutant_basis_kron(X: np.ndarray) -> np.ndarray:
     _, sv, Vh = np.linalg.svd(rows, full_matrices=False)
     rank = int((sv > 1e-10 * max(1.0, sv[0])).sum())
     return Vh[rank:].conj().reshape(-1, n, n)
+
+
+def pair_list(n: int) -> tuple[tuple[int, int], ...]:
+    """All (j, k) with 0 <= j < k < n, lexicographic."""
+    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+
+def stored_reference_vectors(povm: BicPovm, S: GramMatrix | None = None) -> np.ndarray:
+    """The (n_pairs, 2, d) unit vectors of the reference strategy's pair
+    effects, computed in blocks of 64 d pairs and stored for every pair, with
+    its refusals, as ``bell.reference_strategy`` did before it streamed them."""
+    d = povm.d
+    n = d * d
+    overlaps = (gram(povm) if S is None else S).s
+    pair_vectors = np.empty((len(pair_list(n)), 2, d), dtype=complex)
+    for block, j, k in pair_blocks(n, 64 * d):
+        s_jk = overlaps[j, k]
+        _refuse(s_jk >= 1.0 - 1e-12, j, k, s_jk,
+                "degenerate pair ({j}, {k}): overlap s_jk={value} is too close to 1")
+        q1, rest = povm.vectors[j], povm.vectors[k]  # e_j and e_k, fresh copies
+        norm_j = np.linalg.norm(q1, axis=1)
+        q1 /= norm_j[:, None]
+        alpha = np.einsum("pa,pa->p", q1.conj(), rest)
+        rest -= alpha[:, None] * q1
+        beta = np.linalg.norm(rest, axis=1)
+        a, b, c = norm_j**2 - np.abs(alpha) ** 2, -alpha * beta, -beta**2
+        h = (a - c) / 2
+        r = np.hypot(h, np.abs(b))
+        w = np.stack([(a + c) / 2 - r, (a + c) / 2 + r], axis=1)
+        _refuse(~(w[:, 1] >= 1e-12) | ~(w[:, 0] <= -1e-12), j, k, w,
+                "pair ({j}, {k}) difference lacks a +/- eigenvalue pair: extremes {value}")
+        x, y = np.where(h >= 0, h + r, b), np.where(h >= 0, b.conj(), r - h)
+        x, y = (v / np.hypot(np.abs(x), np.abs(y)) for v in (x, y))
+        q2 = rest
+        q2 /= beta[:, None]
+        a1, a2 = pair_vectors[block, 0], pair_vectors[block, 1]
+        np.multiply(x[:, None], q1, out=a1)
+        a1 += y[:, None] * q2
+        np.multiply(-y.conj()[:, None], q1, out=a2)
+        a2 += x.conj()[:, None] * q2
+    return pair_vectors
 
 
 def random_strategy_four_draws(dims: BipartiteDims, d: int, seed):

@@ -1,5 +1,6 @@
 import dataclasses
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -652,6 +653,42 @@ def test_certify_bell_value_is_pinned_bit_for_bit(make_povm, value):
     assert algebra.certify(make_povm()).bell.value == value
 
 
+def _certify_traced_peak(povm) -> float:
+    """The tracemalloc peak of one ``algebra.certify`` call, in MB."""
+    tracemalloc.start()
+    try:
+        assert algebra.certify(povm).checks.passed
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_memory_at_generic_d10():
+    # measured 3.26 MB with numpy 2.4.6 on x86_64 (4.81 MB while the reference
+    # strategy stored all 4950 pairs' vectors, 1.6 MB, and cached the pairs as a
+    # tuple of tuples)
+    assert _certify_traced_peak(bic.construct_generic_bic(10, 1)) < 4.0
+
+
+@pytest.mark.slow
+def test_certify_memory_at_generic_d20():
+    # measured 36.3 MB with numpy 2.4.6 on x86_64 (96.5 MB while the reference
+    # strategy stored all 79,800 pairs' vectors, 51 MB, and cached the pairs as a
+    # tuple of tuples)
+    assert _certify_traced_peak(bic.construct_generic_bic(20, 1)) < 45.0
+
+
+def test_certify_names_the_sos_offenders(weyl_povm_d3):
+    # the largest entries of W_d + Theta_d - d^2 I and Theta_d rho; the least
+    # eigenvalue of Theta_d has no single entry to name
+    run = algebra.certify(weyl_povm_d3)
+    checks = run.to_json()["checks"]
+    assert checks["sos identity"]["worst"] == list(run.sos.identity_worst)
+    assert checks["sos theta.rho"]["worst"] == list(run.sos.theta_rho_worst)
+    assert all(1 <= label <= 9 for label in run.sos.identity_worst + run.sos.theta_rho_worst)
+    assert checks["sos positivity"]["worst"] is None
+
+
 @pytest.mark.parametrize("fixture", ["reference_d2", "reference_d3", "reference_d4"])
 def test_certification_reference(fixture, request):
     ref, S = request.getfixturevalue(fixture)
@@ -686,7 +723,7 @@ def _full_rho_state_residuals(strat, S):
     sync_pair = [
         frobenius(apply_local(w / 2 * (A1 - A2), rho, dims, "A")
                   - apply_local(strat.bob[j] - strat.bob[k], rho, dims, "B"))
-        for (j, k), (A1, A2), (w, _) in zip(strat.pairs, dense_pair_effects(strat), weights)
+        for (j, k), (A1, A2), (w, _) in zip(oracles.pair_list(strat.n_outcomes), dense_pair_effects(strat), weights)
     ]
     sync_povm = []
     for Ej, Bj in zip(strat.alice_povm, strat.bob):
@@ -751,9 +788,9 @@ def test_sync_pair_tail_bound_covers_an_alice_violation_below_the_cutoff(referen
     assert _certify(strat, S).checks["sync pair"].measured >= sync_pair.max() > 10 * bob_term
 
 
-def test_certification_names_worst_pair(reference_d2):
+def test_certification_names_worst_pair(reference_d2, weyl_povm_d2):
     ref, S = reference_d2
-    effects = ref.alice_pair_effects.copy()
+    effects = oracles.stored_reference_vectors(weyl_povm_d2, S)
     effects[3] = effects[3, ::-1]  # swap the outcomes of pair (1, 2), 0-based
     broken = dataclasses.replace(ref, alice_pair_effects=effects)
     cert = _certify(broken, S)
@@ -795,7 +832,7 @@ def _assert_alice_checks_match_oracle(strat, S):
         got = cert.checks[name]
         assert np.isclose(got.measured, oracle.max(), rtol=0, atol=1e-13, equal_nan=True)
         if not oracle.max() <= 1e-12:  # an argmax of rounding noise names no pair
-            j, k = strat.pairs[int(np.argmax(oracle))]
+            j, k = oracles.pair_list(strat.n_outcomes)[int(np.argmax(oracle))]
             assert got.worst == (j + 1, k + 1)
     return UA, proj, cert
 
@@ -833,24 +870,24 @@ def test_alice_checks_of_stored_vectors_with_partial_support_compress(reference_
     assert UA.shape == (3, 2) and proj.max() > 0.1
 
 
-def test_alice_checks_of_stored_vectors_name_a_tilted_pair(reference_d3):
+def test_alice_checks_of_stored_vectors_name_a_tilted_pair(reference_d3, weyl_povm_d3):
     ref, S = reference_d3
-    vectors = ref.alice_pair_effects.copy()
+    vectors = oracles.stored_reference_vectors(weyl_povm_d3, S)
     vectors[17, 1] += 1e-6 * vectors[17, 0]
     tilted = dataclasses.replace(ref, alice_pair_effects=vectors)
     _, _, cert = _assert_alice_checks_match_oracle(tilted, S)
-    j, k = ref.pairs[17]
+    j, k = oracles.pair_list(9)[17]
     ortho = cert.checks["a orthogonality"]
     assert not ortho.passed and ortho.measured > 1e-7 and ortho.worst == (j + 1, k + 1) == (3, 6)
     assert cert.checks["a projectivity"].passed
 
 
-def test_alice_checks_of_stored_vectors_read_a_nan(reference_d3):
+def test_alice_checks_of_stored_vectors_read_a_nan(reference_d3, weyl_povm_d3):
     ref, S = reference_d3
-    vectors = ref.alice_pair_effects.copy()
+    vectors = oracles.stored_reference_vectors(weyl_povm_d3, S)
     vectors[17, 0, 1] = np.nan
     spoilt = dataclasses.replace(ref, alice_pair_effects=vectors)
     _, _, cert = _assert_alice_checks_match_oracle(spoilt, S)
-    j, k = ref.pairs[17]
+    j, k = oracles.pair_list(9)[17]
     proj = cert.checks["a projectivity"]
     assert np.isnan(proj.measured) and not proj.passed and proj.worst == (j + 1, k + 1)

@@ -25,7 +25,7 @@ BELL_TERMS = {
 
 def test_scenario_shape_counts(reference_d2, reference_d3):
     (ref2, _), (ref3, _) = reference_d2, reference_d3
-    assert len(bell.pair_list(4)) == 6 and len(bell.pair_list(9)) == 36
+    assert len(oracles.pair_list(4)) == 6 and len(oracles.pair_list(9)) == 36
     # Alice: one setting per pair plus the povm setting; Bob: one per outcome.
     assert ref2.alice_pair_effects.shape[0] + 1 == 7
     assert ref2.bob.shape[0] == 4
@@ -35,11 +35,11 @@ def test_scenario_shape_counts(reference_d2, reference_d3):
 
 def test_scenario_shape_lexicographic(reference_d2):
     ref2, _ = reference_d2
-    assert bell.pair_list(4)[:3] == ((0, 1), (0, 2), (0, 3))
+    assert oracles.pair_list(4)[:3] == ((0, 1), (0, 2), (0, 3))
     for n in (4, 9):
         j, k = bell.pair_indices(n)
-        assert list(zip(j.tolist(), k.tolist())) == list(bell.pair_list(n))
-    assert ref2.pairs == bell.pair_list(4)
+        assert list(zip(j.tolist(), k.tolist())) == list(oracles.pair_list(n))
+    assert ref2.alice_pair_effects.shape[0] == bell.n_pairs(ref2.n_outcomes) == 6
     # Outcomes 1 and 2 are stored; perp is I - A1 - A2.
     assert ref2.alice_pair_effects.shape[1] == 2
     assert ref2.alice_povm.shape[0] == 4
@@ -65,7 +65,7 @@ def test_reference_strategy_generic_povm():
 def test_reference_pair_eigenvalues(reference_d3):
     ref, S = reference_d3
     B = ref.bob
-    for j, k in ref.pairs[:10]:
+    for j, k in oracles.pair_list(ref.n_outcomes)[:10]:
         w = np.linalg.eigvalsh(B[j] - B[k])
         gamma = np.sqrt(1.0 - S.s[j, k])
         assert abs(w[-1] - gamma) < 1e-10
@@ -119,7 +119,7 @@ def _arbitrary_tuple_strategy(d, dims, rng):
     """Arbitrary hermitian operators for the d^2-outcome scenario on dims."""
     n = d * d
     dA, dB = dims.dA, dims.dB
-    pairs = bell.pair_list(n)
+    pairs = oracles.pair_list(n)
     return bell.Strategy(
         dims=dims,
         rho=np.eye(dims.total, dtype=complex) / dims.total,
@@ -185,7 +185,7 @@ def _sos_theta_oracle(strat, S):
     dA, dB = strat.dims.dA, strat.dims.dB
     IA, IB = np.eye(dA), np.eye(dB)
     theta = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for (j, k), (A1, A2) in zip(strat.pairs, dense_pair_effects(strat)):
+    for (j, k), (A1, A2) in zip(oracles.pair_list(strat.n_outcomes), dense_pair_effects(strat)):
         c = np.sqrt(1.0 - S.s[j, k])
         hybrid = c * kron(A1 - A2, IB) - kron(IA, strat.bob[j] - strat.bob[k])
         theta += hybrid @ hybrid
@@ -254,7 +254,7 @@ def test_theta_cross_term_matches_complex_kron_sum(monkeypatch, construction, d)
 def test_theta_cross_term_matches_complex_kron_sum_on_stacks(monkeypatch, d):
     # the stacks of criteria 2 (arbitrary hermitian tuples) and 3 (random strategies)
     S = bic.gram(_povm(f"weyl{d}"))
-    n, P = d * d, len(bell.pair_list(d * d))
+    n, P = d * d, len(oracles.pair_list(d * d))
     tuples = random_hermitian(d, np.random.default_rng(43), (25, 2 * P + 2 * n))
     arbitrary = bell.Strategy(
         dims=BipartiteDims(d, d),
@@ -349,7 +349,7 @@ def _assert_pair_fold_matches_signed_loop(strat, S):
     dA = strat.dims.dA
     F = np.zeros((S.n, dA, dA), dtype=complex)
     M = np.zeros((dA, dA), dtype=complex)
-    for (j, k), (A1, A2) in zip(strat.pairs, dense_pair_effects(strat)):
+    for (j, k), (A1, A2) in zip(oracles.pair_list(strat.n_outcomes), dense_pair_effects(strat)):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
@@ -391,7 +391,7 @@ def test_reference_pair_effects_match_per_pair_eigh(povm_id):
     povm = _povm(povm_id)
     ref = bell.reference_strategy(povm)
     B = povm.projections()
-    for (j, k), effects in zip(ref.pairs, dense_pair_effects(ref)):
+    for (j, k), effects in zip(oracles.pair_list(ref.n_outcomes), dense_pair_effects(ref)):
         _, V = np.linalg.eigh(B[j] - B[k])
         for a, effect in zip((V[:, -1], V[:, 0]), effects):
             assert np.abs(effect - np.outer(a, a.conj()).T).max() <= 1e-12
@@ -401,7 +401,7 @@ def _closed_form_pair_effects(povm):
     """The dense reference pair effects as the closed form built them when it
     stored every (|a><a|)^t / tr as a d x d matrix, kept bit for bit."""
     d, n = povm.d, povm.d * povm.d
-    pair_effects = np.zeros((len(bell.pair_list(n)), 2, d, d), dtype=complex)
+    pair_effects = np.zeros((len(oracles.pair_list(n)), 2, d, d), dtype=complex)
     for block, j, k in bell.pair_blocks(n):
         e_j, e_k = povm.vectors[j], povm.vectors[k]
         norm_j = np.linalg.norm(e_j, axis=1)
@@ -431,6 +431,21 @@ def test_expanded_pair_effects_equal_the_closed_form(povm_id):
     assert np.array_equal(dense_pair_effects(ref), _closed_form_pair_effects(povm))
 
 
+@pytest.mark.parametrize("povm_id", ["weyl3", "weyl6", "weyl10", "generic4", "generic8"])
+def test_streamed_pair_vectors_equal_the_stored_ones_bitwise(povm_id):
+    # the walk's chunks are whole walk blocks: 354 pairs at d=6 and 500 at d=8,
+    # where the stored vectors were computed in blocks of 64 d = 384 and 512
+    povm = _povm(povm_id)
+    ref = bell.reference_strategy(povm)
+    stored = oracles.stored_reference_vectors(povm)
+    streamed = np.full_like(stored, np.nan)
+    for *_, vectors in ref.pair_effect_blocks():
+        if vectors is not None:
+            chunk, a = vectors
+            streamed[chunk] = a
+    assert np.array_equal(streamed.view(np.uint64), stored.view(np.uint64))
+
+
 @pytest.mark.parametrize("povm_id", STORAGE_CASES + ["weyl10"])
 def test_vector_and_dense_storage_agree_bitwise(povm_id):
     # bitwise but for "a projectivity" and "a orthogonality", which the audit
@@ -438,12 +453,19 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     povm = _povm(povm_id)
     S = bic.gram(povm)
     vectors = bell.reference_strategy(povm)
+    stored = dataclasses.replace(
+        vectors, alice_pair_effects=oracles.stored_reference_vectors(povm, S))
     dense = dataclasses.replace(vectors, alice_pair_effects=dense_pair_effects(vectors))
-    assert vectors.alice_pair_effects.ndim == 3 and dense.alice_pair_effects.ndim == 4
+    assert vectors.stores_vectors and stored.stores_vectors and not dense.stores_vectors
     strats = (vectors, dense)
-    walks = [bell.walk(strat, S, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
-                       bell.sos_theta_reader(strat, S), algebra.certification_reader(strat, S))
-             for strat in strats]
+
+    def four_readers(strat):
+        return bell.walk(strat, S, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
+                         bell.sos_theta_reader(strat, S), algebra.certification_reader(strat, S))
+
+    walks = [four_readers(strat) for strat in strats]
+    # streamed and stored vectors agree bit for bit, the rank-one relations included
+    _assert_bitwise(four_readers(stored), walks[0])
     values, folds = [w[0] for w in walks], [w[1] for w in walks]
     for got, expected in zip(*folds):
         assert np.array_equal(got, expected)
@@ -505,7 +527,8 @@ def test_one_walk_equals_the_standalone_readers_bitwise(case):
     if strat.stack:
         return
     value, fold, theta, audit = alone
-    _assert_bitwise(audit.spectrum, linalg.eigh(strat.rho, tol=1e-8))
+    w, U = linalg.eigh(strat.rho, tol=1e-8)
+    _assert_bitwise(audit.spectrum, (w, U[:, w > linalg.RANK_CUTOFF]))
     if case not in ("weyl3", "generic4"):
         return
     # every stage of ``certify`` equals its inputs taken from one-reader walks
@@ -520,15 +543,17 @@ def test_one_walk_equals_the_standalone_readers_bitwise(case):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_reference_pair_effects_are_stored_as_vectors(d):
-    ref = bell.reference_strategy(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
-    P = len(ref.pairs)
-    assert ref.alice_pair_effects.shape == (P, 2, d)
-    assert ref.alice_pair_effects.nbytes == P * 2 * d * 16
-    # no dense copy hides behind the vectors or another field
-    for field in dataclasses.fields(ref):
-        owner = getattr(ref, field.name)
+    povm = bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137))
+    ref = bell.reference_strategy(povm)
+    P = bell.n_pairs(d * d)
+    assert ref.stores_vectors and ref.alice_pair_effects.shape == (P, 2, d)
+    assert ref.alice_pair_effects.vectors is povm.vectors
+    # the vectors are computed chunk by chunk: neither they nor a dense copy hide
+    # behind the source or another field
+    fields = [getattr(ref, field.name) for field in dataclasses.fields(ref)]
+    for owner in fields + [ref.alice_pair_effects.vectors]:
         while isinstance(owner, np.ndarray):
-            assert owner.size != P * 2 * d * d
+            assert owner.size < P * 2 * d
             owner = owner.base
 
 
@@ -536,20 +561,42 @@ def test_reference_errors_name_the_first_pair():
     vectors = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
     with pytest.raises(ValueError, match=r"degenerate pair \(0, 1\): overlap s_jk=1"):
         bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
-    # a vector of norm 1e-7 leaves B_0 - B_1 without a negative eigenvalue above 1e-12
+    # a vector of norm 1e-7 leaves B_0 - B_1 without a negative eigenvalue above 1e-12,
+    # which the walk finds when it computes the pair's vectors
     vectors = bic.construct_weyl_bic(2, bic.geometric_fiducial(2, 0.3, 0.137)).vectors.copy()
     vectors[1] *= 1e-7
+    povm = bic.BicPovm(d=2, vectors=vectors)
+    ref = bell.reference_strategy(povm)
     with pytest.raises(ValueError, match=r"pair \(0, 1\) difference lacks a \+/- eigenvalue pair"):
-        bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
+        bell.bell_value(ref, bic.gram(povm))
 
 
 def test_reference_refuses_a_degenerate_pair_in_its_last_block():
-    # d=6: 630 pairs in reference blocks of 384; (34, 35) is the last pair
-    assert len(bell.pair_list(36)) > bell.vector_block(6)
+    # d=6: 630 pairs; (34, 35) is the last pair
     vectors = _povm("weyl6").vectors.copy()
     vectors[35] = vectors[34]
-    with pytest.raises(ValueError, match=r"degenerate pair \(34, 35\): overlap s_jk="):
-        bell.reference_strategy(bic.BicPovm(d=6, vectors=vectors))
+    povm = bic.BicPovm(d=6, vectors=vectors)
+    s = bic.gram(povm).s[34, 35]
+    with pytest.raises(ValueError) as refused:
+        bell.reference_strategy(povm)
+    assert str(refused.value) == f"degenerate pair (34, 35): overlap s_jk={s} is too close to 1"
+
+
+def test_walk_refuses_a_pair_without_a_sign_change_in_its_last_chunk():
+    # e_35 = e_34 / 2: B_34 - B_35 = (3/4) B_34 has no negative eigenvalue, while
+    # s_34,35 = 1/4 passes the degenerate-pair check and every other pair is sound
+    vectors = _povm("weyl6").vectors.copy()
+    vectors[35] = vectors[34] / 2
+    povm = bic.BicPovm(d=6, vectors=vectors)
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm, S)
+    chunks = []
+    with pytest.raises(ValueError) as refused:
+        for block, _, _, _, vectors in ref.pair_effect_blocks():
+            chunks += [] if vectors is None else [vectors[0]]
+    assert chunks == [slice(0, 354)] and block == slice(177, 354)  # refused in the last chunk
+    assert str(refused.value) == (
+        "pair (34, 35) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]")
 
 
 def test_bell_value_never_folds_the_pairs(reference_d3, monkeypatch):
@@ -571,7 +618,7 @@ def _long_double_reference_value(povm, S):
     d = povm.d
     e = povm.vectors.astype(np.clongdouble)
     s = S.s.astype(np.longdouble)
-    j, k = np.array(bell.pair_list(d * d)).T
+    j, k = np.array(oracles.pair_list(d * d)).T
     e_j, e_k = e[j], e[k]
     norm_j = np.sqrt(np.sum(np.abs(e_j) ** 2, axis=1))
     q1 = e_j / norm_j[:, None]
@@ -712,7 +759,7 @@ def test_bell_value_all_perp_table(reference_d2):
     # marginal is uniform: only the povm penalty survives and sums to -1.
     _, S = reference_d2
     n = 4
-    pairs = bell.pair_list(n)
+    pairs = oracles.pair_list(n)
     pair_probs = np.zeros((len(pairs), n, 3, 2))
     pair_probs[:, :, 2, 1] = 1.0
     povm_probs = np.zeros((n, n, 2))
@@ -764,7 +811,7 @@ def _random_strategy_one_povm_at_a_time(dims, d, seed):
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     n = d * d
-    pair_effects = np.stack([povm(dims.dA, 3)[:2] for _ in bell.pair_list(n)])
+    pair_effects = np.stack([povm(dims.dA, 3)[:2] for _ in oracles.pair_list(n)])
     alice_povm = povm(dims.dA, n)
     bob = np.stack([povm(dims.dB, 2)[0] for _ in range(n)])
     return rho, pair_effects, alice_povm, bob
@@ -798,7 +845,7 @@ def test_random_strategy_matches_the_four_draw_stream_bitwise(dA, dB, seed):
 
 def test_correlation_requires_all_pairs_in_order():
     n = 4
-    pairs = bell.pair_list(n)
+    pairs = oracles.pair_list(n)
     probs = dict(pair_probs=np.zeros((len(pairs), n, 3, 2)), povm_probs=np.zeros((n, n, 2)))
     for bad in (pairs[::-1], pairs[:-1], ((0, 1),) * len(pairs)):
         with pytest.raises(ValueError, match="outcome pairs in order"):
@@ -829,14 +876,14 @@ def test_bell_operator_dimension_mismatch(reference_d2):
         bell.bell_value(strat3, S2)
 
 
-def test_strategy_requires_every_pair_in_order(reference_d2):
-    ref, _ = reference_d2
+def test_strategy_requires_every_pair_in_order(reference_d2, weyl_povm_d2):
+    ref, S = reference_d2
     # three of the six d=2 pairs used to give a Bell value of 2.0 silently;
     # the pairs themselves are always all of them, in order
-    assert ref.pairs == bell.pair_list(4)
+    vectors = oracles.stored_reference_vectors(weyl_povm_d2, S)
     for count in (3, 5):
         with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
-            dataclasses.replace(ref, alice_pair_effects=ref.alice_pair_effects[:count])
+            dataclasses.replace(ref, alice_pair_effects=vectors[:count])
     for shape in ((6, 2, 3), (6, 3, 2), (6, 2, 2, 3), (6, 2, 2, 2, 2)):
         with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
             dataclasses.replace(ref, alice_pair_effects=np.zeros(shape, dtype=complex))
@@ -876,10 +923,12 @@ def _all_layers(strat, S):
 
 
 @pytest.mark.parametrize("case", ["random d2", "random d3", "reference d3", "tuple d2-dA3-dB2"])
-def test_stack_of_one_equals_the_single_call_bitwise(case, reference_d3):
+def test_stack_of_one_equals_the_single_call_bitwise(case, reference_d3, weyl_povm_d3):
     kind, d = case.split()[0], int(case.split()[1][1])
-    if kind == "reference":  # its pair effects are stored as vectors
+    if kind == "reference":  # its pair effects stored as vectors, which a stack needs
         one, S = reference_d3
+        one = dataclasses.replace(
+            one, alice_pair_effects=oracles.stored_reference_vectors(weyl_povm_d3, S))
     else:
         S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
         one = (bell.random_strategy(BipartiteDims(d, d), d, 5) if kind == "random" else
@@ -904,3 +953,49 @@ def test_stack_members_equal_their_single_calls(d, dA, dB):
             scale = max(np.abs(value).max(), 1.0 if name in ("identity", "eig", "theta rho")
                         else 0.0)
             assert np.abs(stacked[name][i] - value).max() <= 1e-13 * scale, name
+
+
+def _sos(strat, S):
+    return bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
+                                                     bell.sos_theta_reader(strat, S)))
+
+
+def test_sos_identity_names_its_largest_entry():
+    # i eps (|0><1| + |1><0|) added to A1 of pair p: Theta_d's cross term reads the
+    # hermitian completion of D, W_d reads D, and W_d + Theta_d - d^2 I is
+    # 4 i c eps |0><1| (x) E_p, whose largest entry lies in Alice's block (0, 1),
+    # at the largest |entry| of E_p = B_j - B_k
+    povm, p, eps = _povm("generic3"), 7, 1e-3
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm, S)
+    effects = dense_pair_effects(ref)
+    effects[p, 0, :2, :2] += 1j * eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+    sos = _sos(dataclasses.replace(ref, alice_pair_effects=effects), S)
+    j, k = oracles.pair_list(9)[p]
+    E, c = ref.bob[j] - ref.bob[k], np.sqrt(1.0 - S.s[j, k])
+    assert sos.identity_residual == pytest.approx(4 * c * eps * frobenius(E), rel=1e-9)
+    (row_a, row_b), (col_a, col_b) = (divmod(label - 1, 3) for label in sos.identity_worst)
+    assert (row_a, col_a) == (0, 1)
+    assert abs(E[row_b, col_b]) == pytest.approx(np.abs(E).max(), rel=1e-9)
+    assert not linalg.check("sos identity", sos.identity_residual, 1e-9, 3).passed
+    # an unbroken certificate names an entry of its rounding noise
+    assert _sos(ref, S).identity_worst is not None
+
+
+def test_sos_theta_rho_names_its_largest_entry():
+    # rho = (1 - eps) |phi><phi| + eps |m><m| with Theta_d phi = 0: Theta_d rho =
+    # eps Theta_d |m><m| lies in column m, its largest entry at the largest
+    # |entry| of Theta_d's column m
+    povm, m, eps = _povm("generic3"), 5, 1e-3
+    S = bic.gram(povm)
+    ref = bell.reference_strategy(povm, S)
+    rho = (1.0 - eps) * ref.rho
+    rho[m, m] += eps
+    strat = dataclasses.replace(ref, rho=rho)
+    fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
+                            bell.sos_theta_reader(strat, S))
+    sos = bell.sos_certificate(strat, S, fold, theta)
+    column = np.abs(theta[:, m])
+    assert np.sort(column)[-2] < 0.99 * column.max()  # one largest entry
+    assert sos.theta_rho_worst == (int(np.argmax(column)) + 1, m + 1)
+    assert sos.theta_rho_residual == pytest.approx(eps * frobenius(theta[:, m]), rel=1e-6)

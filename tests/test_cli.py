@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from biccert import __version__, algebra, bell, bic, reproduce
 from biccert.classical import bic_gram_d2
 from biccert.cli import build_parser, main
-from biccert.linalg import dump_json, load_json
+from biccert.linalg import Checks, dump_json, load_json
 
 
 def test_construct_weyl_d3(tmp_path):
@@ -67,12 +67,13 @@ def test_certify_weyl_d2(tmp_path):
     assert all(run["seconds"][stage] >= 0.0 for stage in stages)
 
 
-def test_certify_refuses_a_d_above_the_pair_vector_cap(tmp_path, capsys, monkeypatch):
-    # the cap admits the d=32 scale probes: 523,776 pairs x 2 vectors in C^32
-    assert 523_776 * 2 * 32 * 16 <= algebra.MAX_PAIR_VECTOR_BYTES
-    # lowered below d=3's 36 pairs x 2 vectors x 3 complex entries, so that no
-    # large allocation is ever made; d=2 (6 pairs) still certifies
-    monkeypatch.setattr(algebra, "MAX_PAIR_VECTOR_BYTES", 36 * 2 * 3 * 16 - 1)
+def test_certify_refuses_a_d_above_the_size_cap(tmp_path, capsys, monkeypatch):
+    # the cap admits d=59 and refuses d=60: 88 d^4 bytes of Theta_d, W_d, rho,
+    # bob_t, BK and R
+    assert 88 * 59**4 <= algebra.MAX_CERTIFY_BYTES < 88 * 60**4
+    # lowered below d=3's 88 * 3^4 bytes, so that no large allocation is ever
+    # made; d=2 still certifies
+    monkeypatch.setattr(algebra, "MAX_CERTIFY_BYTES", 88 * 3**4 - 1)
     for d in (2, 3):
         assert main(["construct", "--d", str(d), "--out", str(tmp_path / f"d{d}")]) == 0
     assert main(["certify", str(tmp_path / "d2" / "povm.json"), "--out", str(tmp_path)]) == 0
@@ -86,14 +87,14 @@ def test_certify_refuses_a_d_above_the_pair_vector_cap(tmp_path, capsys, monkeyp
     assert main(["certify", str(tmp_path / "d3" / "povm.json"), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert ("certify at d=3 needs about 3.22e-06 GiB for the reference pair vectors, "
-            "above the cap of 3.22e-06 GiB") in err
+    assert ("certify at d=3 needs about 6.64e-06 GiB for its d^4-sized arrays, "
+            "above the cap of 6.64e-06 GiB") in err
     assert not (tmp_path / "certify_report.json").exists()
 
 
-def test_report_refuses_a_d_max_above_the_pair_vector_cap(tmp_path, capsys, monkeypatch):
-    # lowered between d=4's 120 pairs and d=5's 300 pairs x 2 vectors x d complex entries
-    monkeypatch.setattr(algebra, "MAX_PAIR_VECTOR_BYTES", 300 * 2 * 5 * 16 - 1)
+def test_report_refuses_a_d_max_above_the_size_cap(tmp_path, capsys, monkeypatch):
+    # lowered between d=4's and d=5's 88 d^4 bytes
+    monkeypatch.setattr(algebra, "MAX_CERTIFY_BYTES", 88 * 5**4 - 1)
     ran = []
     monkeypatch.setattr(reproduce, "run_criterion", lambda cid, **kwargs: ran.append(cid))
     assert main(["report", "--d-max", "5", "--out", str(tmp_path)]) == 3
@@ -101,6 +102,27 @@ def test_report_refuses_a_d_max_above_the_pair_vector_cap(tmp_path, capsys, monk
     assert err.count("\n") == 1
     assert "error: certify at d=5 needs about" in err
     assert ran == [] and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("last, message", [
+    (lambda e: e, "degenerate pair (34, 35): overlap s_jk={s} is too close to 1"),
+    (lambda e: e / 2,
+     "pair (34, 35) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]"),
+], ids=["degenerate", "no sign change"])
+def test_certify_refuses_a_reference_pair_with_one_line(tmp_path, capsys, monkeypatch, last,
+                                                         message):
+    # the last of d=6's 630 pairs: refused before the walk (a degenerate pair) or
+    # when the walk computes its chunk (no sign change); validation, which would
+    # refuse either POVM first, is passed over
+    vectors = bic.construct_weyl_bic(6, bic.geometric_fiducial(6, 0.3, 0.137)).vectors.copy()
+    vectors[35] = last(vectors[34])
+    povm = bic.BicPovm(6, vectors)
+    dump_json(bic.povm_to_json(povm), tmp_path / "povm.json")
+    monkeypatch.setattr(bic, "validate_bic", lambda povm, tol, S: Checks([]))
+    assert main(["certify", str(tmp_path / "povm.json"), "--out", str(tmp_path)]) == 3
+    message = message.format(s=bic.gram(povm).s[34, 35])
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "certify_report.json").exists()
 
 
 def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

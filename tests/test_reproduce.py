@@ -20,12 +20,11 @@ def _criterion_2_one_at_a_time(seed):
     rng = np.random.default_rng(seed)
     for d in (2, 3):
         S, n = _weyl_gram(d), d * d
-        pairs = bell.pair_list(n)
         for _ in range(100):
             strat = bell.Strategy(
                 dims=BipartiteDims(d, d),
                 rho=np.eye(n, dtype=complex) / n,
-                alice_pair_effects=random_hermitian(d, rng, (len(pairs), 2)),
+                alice_pair_effects=random_hermitian(d, rng, (bell.n_pairs(n), 2)),
                 alice_povm=random_hermitian(d, rng, (n,)),
                 bob=random_hermitian(d, rng, (n,)),
             )
