@@ -54,7 +54,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
-def pair_blocks(n: int, size: int = _PAIR_BLOCK):
+def pair_blocks(n: int, size: int):
     """(slice of the pair axis, j, k) per block of ``size`` pairs of ``pair_indices(n)``."""
     j_all, k_all = pair_indices(n)
     for start in range(0, len(j_all), size):
@@ -124,34 +124,34 @@ class Strategy:
     """A quantum strategy: state, Alice's pair-setting and povm effects, Bob's effects.
 
     ``alice_pair_effects[..., p, :]`` holds (A1, A2) for the p-th pair of
-    ``pair_indices``, as matrices (..., n_pairs, 2, dA, dA) or, for rank-one
-    effects, as unit vectors (..., n_pairs, 2, dA), stored or ``ReferencePairs``,
-    standing for A = (|a><a|)^t / tr (|a><a|)^t.  ``walk`` hands every reader
-    dense blocks from ``pair_effect_blocks``; only the audit's "a projectivity"
-    and "a orthogonality" (``algebra.certification_reader``) read vectors
-    themselves.  The third outcome is I - A1 - A2.  ``bob[..., j, :, :]``
-    is the first effect of Bob's binary setting j; the second is I - bob[j].
+    ``pair_indices``, in one of two forms: matrices (..., n_pairs, 2, dA, dA),
+    or the ``ReferencePairs`` of one strategy, unit vectors (n_pairs, 2, dA)
+    computed chunk by chunk and standing for A = (|a><a|)^t / tr (|a><a|)^t.
+    ``walk`` hands every reader dense blocks from ``pair_effect_blocks``; only
+    the audit's "a projectivity" and "a orthogonality"
+    (``algebra.certification_reader``) read vectors themselves.  The third
+    outcome is I - A1 - A2.  ``bob[..., j, :, :]`` is the first effect of Bob's
+    binary setting j; the second is I - bob[j].
 
     All four arrays may carry the same leading axes ``stack``, those of
     ``rho``: a stack of strategies that ``walk`` and its readers,
-    ``bell_operator``, ``sos_certificate`` and ``bell_value`` treat member by
-    member, against one Gram matrix.
+    ``bell_operator`` and ``bell_value`` treat member by member, against one
+    Gram matrix.
     """
 
     dims: BipartiteDims
     rho: np.ndarray                 # (..., dA dB, dA dB)
-    alice_pair_effects: np.ndarray | ReferencePairs  # (..., n_pairs, 2, dA[, dA])
+    alice_pair_effects: np.ndarray | ReferencePairs  # (..., n_pairs, 2, dA, dA)
     alice_povm: np.ndarray          # (..., n_outcomes, dA, dA)
     bob: np.ndarray                 # (..., n_outcomes, dB, dB)
 
     def __post_init__(self):
-        arrays = ("rho", "alice_povm", "bob") + (
-            () if isinstance(self.alice_pair_effects, ReferencePairs) else ("alice_pair_effects",))
-        for name in arrays:
+        vectors = self.stores_vectors
+        for name in ("rho", "alice_povm", "bob") + (() if vectors else ("alice_pair_effects",)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         stack, dA = self.stack, self.dims.dA
-        per_pair = stack + (n_pairs(self.n_outcomes), 2, dA)
-        if self.alice_pair_effects.shape not in (per_pair, per_pair + (dA,)):
+        per_pair = stack + (n_pairs(self.n_outcomes), 2, dA) + (() if vectors else (dA,))
+        if self.alice_pair_effects.shape != per_pair:
             raise ValueError("alice_pair_effects must hold one (A1, A2) per pair")
         if self.alice_povm.shape[:-3] != stack or self.bob.shape[:-3] != stack:
             raise ValueError("rho, alice_povm and bob must share one stack shape")
@@ -163,8 +163,8 @@ class Strategy:
 
     @property
     def stores_vectors(self) -> bool:
-        """True when Alice's pair effects are unit vectors, not matrices."""
-        return len(self.alice_pair_effects.shape) == self.rho.ndim + 1
+        """True when Alice's pair effects are the unit vectors of a ``ReferencePairs``."""
+        return isinstance(self.alice_pair_effects, ReferencePairs)
 
     @property
     def n_outcomes(self) -> int:
@@ -179,13 +179,13 @@ class Strategy:
         """(slice of the pair axis, j, k, dense effects (..., len, 2, dA, dA),
         vectors) per block of ``walk_block(dA)`` pairs.
 
-        Unit vectors come in chunks of whole blocks (stored ones, a block each),
-        and ``vectors`` is (slice, vectors (..., len, 2, dA)) of the chunk that
-        the block starts, else None.  Each vector is expanded to (|a><a|)^t
-        divided by its computed trace (a norm within an ulp of 1 rounds to 1, so
-        a vector keeps the input's norm excess, which would enter the Bell value
-        to first order), in one buffer that the next block overwrites: copy a
-        block to keep it.
+        ``ReferencePairs`` vectors come in chunks of whole blocks, and
+        ``vectors`` is (slice, vectors (len, 2, dA)) of the chunk that the block
+        starts, else None.  Each vector is expanded to (|a><a|)^t divided by its
+        computed trace (a norm within an ulp of 1 rounds to 1, so a vector keeps
+        the input's norm excess, which would enter the Bell value to first
+        order), in one buffer that the next block overwrites: copy a block to
+        keep it.
         """
         effects, dA, n = self.alice_pair_effects, self.dims.dA, self.n_outcomes
         size = walk_block(dA)
@@ -194,20 +194,19 @@ class Strategy:
             for block, j, k in blocks:
                 yield block, j, k, effects[..., block, :, :, :], None
             return
-        chunks = effects.chunks(size) if isinstance(effects, ReferencePairs) else (
-            (block, effects[..., block, :, :]) for block, _, _ in pair_blocks(n, size))
-        buffer = np.empty(self.stack + (min(size, n_pairs(n)), 2, dA, dA), dtype=complex)
+        chunks = effects.chunks(size)
+        buffer = np.empty((min(size, n_pairs(n)), 2, dA, dA), dtype=complex)
         chunk = slice(0, 0)
         for block, j, k in blocks:
             if block.start == chunk.stop:
                 chunk, vectors = next(chunks)
-            a = vectors[..., block.start - chunk.start:block.stop - chunk.start, :, :]
-            dense = buffer[..., :len(j), :, :, :]
+            a = vectors[block.start - chunk.start:block.stop - chunk.start]
+            dense = buffer[:len(j)]
             np.multiply(a[..., None, :], a.conj()[..., :, None], out=dense)
             # times 1/trace on the real view, one row per effect: bitwise equal to
             # the complex division
             rows = dense.view(float).reshape(dense.shape[:-2] + (-1,))
-            rows *= 1.0 / np.einsum("...piaa->...pi", dense).real[..., None]
+            rows *= 1.0 / np.einsum("piaa->pi", dense).real[..., None]
             yield block, j, k, dense, (chunk, vectors) if block.start == chunk.start else None
 
 
@@ -232,9 +231,8 @@ class BellReport:
 
 @dataclass(frozen=True)
 class SosReport:
-    """Residuals of the sum-of-squares certificate at a strategy, and the
-    ``_largest_entry`` of the identity's and of Theta_d rho's residual matrix;
-    for a stack of strategies each is an array over the stack."""
+    """Residuals of the sum-of-squares certificate at one strategy, and the
+    ``_largest_entry`` of the identity's and of Theta_d rho's residual matrix."""
 
     identity_residual: float
     theta_min_eigenvalue: float
@@ -322,8 +320,10 @@ def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
     reads, sends it each ``PairBlock`` and then None, on which it returns its
     result.  Each block is expanded, and the D, cD, P and E that some reader
     reads formed, once for every reader, into buffers reused from block to
-    block; cD is formed from D, with its scale sqrt(1 - s_jk) from ``S``.
+    block; cD is formed from D, with its scale sqrt(1 - s_jk) from ``S``.  A
+    ``strategy`` and ``S`` of different outcome counts are refused first.
     """
+    _check_dims(strategy, S)
     reads = set()
     for reader in readers:
         reads.update(next(reader))
@@ -373,7 +373,6 @@ def pair_fold_reader(strategy: Strategy, S: GramMatrix):
     so the pair correlators reduce to one term per Bob outcome.  (F, M) feeds
     ``bell_operator``, and F the dual operators C_j of the certification audit.
     """
-    _check_dims(strategy, S)
     stack, dA = strategy.stack, strategy.dims.dA
     F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros(stack + (dA, dA), dtype=complex)
@@ -403,13 +402,6 @@ def _each(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def _frobenius_per_member(M: np.ndarray) -> float | np.ndarray:
-    """``frobenius`` of each matrix of a stack, computed as for that matrix alone
-    (``linalg.frobenius_each`` sums in another order)."""
-    norms = [frobenius(m) for m in M.reshape((-1,) + M.shape[-2:])]
-    return _each(np.reshape(norms, M.shape[:-2]))
-
-
 def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
     """Assemble the Bell operator W_d of the strategy's effects from their
     ``fold``, what ``pair_fold_reader`` returned from a walk."""
@@ -436,7 +428,6 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
 
 def bell_value_reader(strategy: Strategy, S: GramMatrix):
     """The ``walk`` reader behind ``bell_value``."""
-    _check_dims(strategy, S)
     dA, dB = strategy.dims.dA, strategy.dims.dB
     stack = strategy.stack
     rho4 = strategy.rho.reshape(stack + (dA, dB, dA, dB))
@@ -492,7 +483,6 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     The identity is purely algebraic: it holds for arbitrary hermitian
     operator tuples, POVM-valid or not.
     """
-    _check_dims(strategy, S)
     d = S.d
     dA, dB = strategy.dims.dA, strategy.dims.dB
     IA, IB = np.eye(dA), np.eye(dB)
@@ -573,30 +563,31 @@ def _cross_term(R: np.ndarray, dA: int, dB: int) -> np.ndarray:
 
 
 def sos_certificate(strategy: Strategy, S: GramMatrix, fold, theta) -> SosReport:
-    """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0;
-    W_d comes from ``fold``, what ``pair_fold_reader`` returned from a walk, and
-    ``theta`` from the effects, what ``sos_theta_reader`` returned."""
+    """Residuals of W_d + Theta_d = d^2 I, positivity of Theta_d, and Theta_d rho = 0
+    at one strategy; W_d comes from ``fold``, what ``pair_fold_reader`` returned
+    from a walk, and ``theta`` from the effects, what ``sos_theta_reader`` returned."""
+    if strategy.stack:
+        raise ValueError("sos_certificate takes one strategy, not a stack")
     residual = bell_operator(strategy, S, fold)  # W_d, then W_d + Theta_d - d^2 I in place
     residual += theta
     residual -= S.d * S.d * np.eye(residual.shape[-1])
     theta_rho = theta @ strategy.rho
     return SosReport(
-        identity_residual=_frobenius_per_member(residual),
+        identity_residual=frobenius(residual),
         theta_min_eigenvalue=theta_min_eigenvalue(theta),
-        theta_rho_residual=_frobenius_per_member(theta_rho),
+        theta_rho_residual=frobenius(theta_rho),
         identity_worst=_largest_entry(residual),
         theta_rho_worst=_largest_entry(theta_rho),
     )
 
 
-def _largest_entry(M: np.ndarray):
+def _largest_entry(M: np.ndarray) -> tuple[int, int] | None:
     """The (row, column) of the largest |entry| of M as 1-based basis labels,
-    i dB + j + 1 for |i>|j>, or None for M = 0; an array (..., 2) for a stack."""
-    at = np.abs(M).reshape(M.shape[:-2] + (-1,)).argmax(axis=-1)
-    labels = np.stack(np.divmod(at, M.shape[-1]), axis=-1) + 1
-    if labels.ndim > 1:
-        return labels
-    return tuple(labels.tolist()) if M.any() else None
+    i dB + j + 1 for |i>|j>, or None for M = 0."""
+    if not M.any():
+        return None
+    row, column = divmod(int(np.abs(M).argmax()), M.shape[-1])
+    return row + 1, column + 1
 
 
 def theta_min_eigenvalue(theta: np.ndarray) -> float | np.ndarray:

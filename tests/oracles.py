@@ -35,6 +35,9 @@ computes, which the tests compare it against.
   ``bell.reference_strategy`` stored them for every pair, in blocks of 64 d
   pairs, kept bit for bit; ``bell.ReferencePairs`` computes them chunk by
   chunk while the pairs are walked.
+- ``StoredPairs``: a ``bell.ReferencePairs`` that yields a given vector
+  array instead of computing it, so that a test can tilt or spoil one
+  pair's vectors and still reach the audit's closed-form rank-one relations.
 - ``random_strategy_four_draws``, ``equalize_diagonal_masked`` and
   ``generic_bic_masked``: frozen copies of the seeded draws as they were
   written before their per-call overhead was cut (four normal draws per
@@ -50,7 +53,9 @@ from operator import ge
 
 import numpy as np
 
-from biccert.bell import Strategy, _coefficients, _refuse, pair_blocks, pair_indices
+from biccert.bell import (
+    ReferencePairs, Strategy, _coefficients, _refuse, pair_blocks, pair_indices,
+)
 from biccert.bic import (
     _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, _weyl_stack, gram, validate_bic,
     validate_gram,
@@ -427,6 +432,21 @@ def stored_reference_vectors(povm: BicPovm, S: GramMatrix | None = None) -> np.n
         np.multiply(-y.conj()[:, None], q1, out=a2)
         a2 += x.conj()[:, None] * q2
     return pair_vectors
+
+
+class StoredPairs(ReferencePairs):
+    """Rank-one pair effects given by their unit vectors ``vectors`` (n_pairs,
+    2, d), yielded a walk block of ``size`` pairs per chunk where
+    ``ReferencePairs.chunks`` computes several blocks' vectors per chunk."""
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.vectors.shape
+
+    def chunks(self, size: int):
+        for start in range(0, len(self.vectors), size):
+            chunk = slice(start, min(start + size, len(self.vectors)))
+            yield chunk, self.vectors[chunk]
 
 
 def random_strategy_four_draws(dims: BipartiteDims, d: int, seed):

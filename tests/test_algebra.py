@@ -149,6 +149,26 @@ def test_relation_bounds_bracket_perturbed_and_general_families(weyl_povm_d3, we
     assert not _assert_brackets_dense_oracle(H, S)[0].passed
 
 
+def test_relation_tail_bound_needs_the_eigenpart_norm():
+    # X_j = u_j v_j*: its hermitian part has rank 2 = m, so P_j is that part and
+    # D_j the anti-hermitian one.  The tail ||D_j|| (||X_k|| (||X_j|| + ||P_j||)
+    # + |s|) holds for every pair; dropping ||P_j|| puts the bound of pairs (1,
+    # 3) and (3, 1) (0-based) 4% below their exact residual
+    u = np.array([[0.5 + 1.8j, -0.8 - 0.3j], [-1.2 - 1.1j, 1.5 + 1.3j],
+                  [0.9 + 0.8j, 1.2 + 0.7j], [1.2 - 2.9j, 0.7 - 2.4j]])
+    v = np.array([[1.7 + 1.8j, -0.7 - 1.7j], [2.8j, 0.2 + 2.2j],
+                  [0.4 + 0.1j, 0.8 - 0.4j], [-0.8 - 2.0j, 1.2 + 2.4j]])
+    X = u[:, :, None] * v[:, None, :].conj()
+    S = bic.GramMatrix(2, np.where(np.eye(4, dtype=bool), 1.0, 0.3))
+    _assert_brackets_dense_oracle(X, S)
+    core, _ = algebra._pair_bounds(X, S.s)
+    norms, anti = frobenius_each(X), frobenius_each(X - X.conj().swapaxes(1, 2)) / 2
+    without = core + anti[:, None] * (norms[None, :] * norms[:, None] + 0.3)
+    exact = oracles.dense_pair_residuals(X, S.s)
+    for j, k in ((1, 3), (3, 1)):
+        assert exact[j, k] > 1.04 * without[j, k]
+
+
 def test_check_as_relations_reads_nan_without_raising(weyl_povm_d3, monkeypatch):
     eigh = np.linalg.eigh
 
@@ -792,7 +812,7 @@ def test_certification_names_worst_pair(reference_d2, weyl_povm_d2):
     ref, S = reference_d2
     effects = oracles.stored_reference_vectors(weyl_povm_d2, S)
     effects[3] = effects[3, ::-1]  # swap the outcomes of pair (1, 2), 0-based
-    broken = dataclasses.replace(ref, alice_pair_effects=effects)
+    broken = dataclasses.replace(ref, alice_pair_effects=oracles.StoredPairs(effects))
     cert = _certify(broken, S)
     sync_pair, _, _ = _full_rho_state_residuals(broken, S)
     assert int(np.argmax(sync_pair)) == 3
@@ -874,7 +894,7 @@ def test_alice_checks_of_stored_vectors_name_a_tilted_pair(reference_d3, weyl_po
     ref, S = reference_d3
     vectors = oracles.stored_reference_vectors(weyl_povm_d3, S)
     vectors[17, 1] += 1e-6 * vectors[17, 0]
-    tilted = dataclasses.replace(ref, alice_pair_effects=vectors)
+    tilted = dataclasses.replace(ref, alice_pair_effects=oracles.StoredPairs(vectors))
     _, _, cert = _assert_alice_checks_match_oracle(tilted, S)
     j, k = oracles.pair_list(9)[17]
     ortho = cert.checks["a orthogonality"]
@@ -886,7 +906,7 @@ def test_alice_checks_of_stored_vectors_read_a_nan(reference_d3, weyl_povm_d3):
     ref, S = reference_d3
     vectors = oracles.stored_reference_vectors(weyl_povm_d3, S)
     vectors[17, 0, 1] = np.nan
-    spoilt = dataclasses.replace(ref, alice_pair_effects=vectors)
+    spoilt = dataclasses.replace(ref, alice_pair_effects=oracles.StoredPairs(vectors))
     _, _, cert = _assert_alice_checks_match_oracle(spoilt, S)
     j, k = oracles.pair_list(9)[17]
     proj = cert.checks["a projectivity"]

@@ -402,7 +402,7 @@ def _closed_form_pair_effects(povm):
     stored every (|a><a|)^t / tr as a d x d matrix, kept bit for bit."""
     d, n = povm.d, povm.d * povm.d
     pair_effects = np.zeros((len(oracles.pair_list(n)), 2, d, d), dtype=complex)
-    for block, j, k in bell.pair_blocks(n):
+    for block, j, k in bell.pair_blocks(n, 64):
         e_j, e_k = povm.vectors[j], povm.vectors[k]
         norm_j = np.linalg.norm(e_j, axis=1)
         q1 = e_j / norm_j[:, None]
@@ -454,7 +454,7 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     S = bic.gram(povm)
     vectors = bell.reference_strategy(povm)
     stored = dataclasses.replace(
-        vectors, alice_pair_effects=oracles.stored_reference_vectors(povm, S))
+        vectors, alice_pair_effects=oracles.StoredPairs(oracles.stored_reference_vectors(povm, S)))
     dense = dataclasses.replace(vectors, alice_pair_effects=dense_pair_effects(vectors))
     assert vectors.stores_vectors and stored.stores_vectors and not dense.stores_vectors
     strats = (vectors, dense)
@@ -883,8 +883,9 @@ def test_strategy_requires_every_pair_in_order(reference_d2, weyl_povm_d2):
     vectors = oracles.stored_reference_vectors(weyl_povm_d2, S)
     for count in (3, 5):
         with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
-            dataclasses.replace(ref, alice_pair_effects=vectors[:count])
-    for shape in ((6, 2, 3), (6, 3, 2), (6, 2, 2, 3), (6, 2, 2, 2, 2)):
+            dataclasses.replace(ref, alice_pair_effects=oracles.StoredPairs(vectors[:count]))
+    # unit vectors come only from a ReferencePairs, never as a (6, 2, 2) array
+    for shape in ((6, 2, 2), (6, 2, 3), (6, 3, 2), (6, 2, 2, 3), (6, 2, 2, 2, 2)):
         with pytest.raises(ValueError, match="one \\(A1, A2\\) per pair"):
             dataclasses.replace(ref, alice_pair_effects=np.zeros(shape, dtype=complex))
     # a stack shares its leading axes across all four arrays
@@ -907,28 +908,37 @@ def test_random_strategy_stack_equals_the_per_seed_draws_bitwise(dA, dB):
 
 
 def _all_layers(strat, S):
-    """What pair_fold_reader, bell_operator, sos_theta_reader, sos_certificate
-    and bell_value return at one strategy or a stack."""
+    """What pair_fold_reader, bell_operator, sos_theta_reader, bell_value and
+    theta_min_eigenvalue return at one strategy or a stack, with the residuals
+    of sos_certificate, for a stack taken member by member from the stacked
+    walk's fold and Theta_d."""
     fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S), bell.sos_theta_reader(strat, S))
-    sos = bell.sos_certificate(strat, S, fold, theta)
+    if strat.stack:
+        F, M = fold
+        sos = [bell.sos_certificate(strat.member(i), S, (F[i], M[i]), theta[i])
+               for i in range(strat.stack[0])]
+        identity, theta_rho = (np.array([getattr(one, name) for one in sos])
+                               for name in ("identity_residual", "theta_rho_residual"))
+    else:
+        sos = bell.sos_certificate(strat, S, fold, theta)
+        identity, theta_rho = sos.identity_residual, sos.theta_rho_residual
+        assert sos.theta_min_eigenvalue == bell.theta_min_eigenvalue(theta)
     value = bell.bell_value(strat, S)
     return {
         "F": fold[0], "M": fold[1],
         "W": bell.bell_operator(strat, S, fold), "theta": theta,
-        "identity": sos.identity_residual, "eig": sos.theta_min_eigenvalue,
-        "theta rho": sos.theta_rho_residual,
+        "identity": identity, "eig": bell.theta_min_eigenvalue(theta), "theta rho": theta_rho,
         "value": value.value, "gap": value.gap,
         **{f"term {name}": t for name, t in value.term_breakdown.items()},
     }
 
 
 @pytest.mark.parametrize("case", ["random d2", "random d3", "reference d3", "tuple d2-dA3-dB2"])
-def test_stack_of_one_equals_the_single_call_bitwise(case, reference_d3, weyl_povm_d3):
+def test_stack_of_one_equals_the_single_call_bitwise(case, reference_d3):
     kind, d = case.split()[0], int(case.split()[1][1])
-    if kind == "reference":  # its pair effects stored as vectors, which a stack needs
+    if kind == "reference":  # its pair effects as dense matrices, which a stack needs
         one, S = reference_d3
-        one = dataclasses.replace(
-            one, alice_pair_effects=oracles.stored_reference_vectors(weyl_povm_d3, S))
+        one = dataclasses.replace(one, alice_pair_effects=dense_pair_effects(one))
     else:
         S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
         one = (bell.random_strategy(BipartiteDims(d, d), d, 5) if kind == "random" else
@@ -958,6 +968,13 @@ def test_stack_members_equal_their_single_calls(d, dA, dB):
 def _sos(strat, S):
     return bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
                                                      bell.sos_theta_reader(strat, S)))
+
+
+def test_sos_certificate_refuses_a_stack(reference_d2):
+    # a stack's residual would be one norm over all its members
+    _, S = reference_d2
+    with pytest.raises(ValueError, match="^sos_certificate takes one strategy, not a stack$"):
+        _sos(bell.random_strategy(BipartiteDims(2, 2), 2, [0, 1]), S)
 
 
 def test_sos_identity_names_its_largest_entry():

@@ -140,8 +140,9 @@ def test_criterion_3_min_eigenvalue_is_the_sos_certificates_bitwise(seed):
         S = _weyl_gram(d)
         for members in reproduce._stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                    bell.sos_theta_reader(strat, S))
-            cert = bell.sos_certificate(strat, S, fold, theta)
-            min_eig = min(min_eig, cert.theta_min_eigenvalue.min())
+            (F, M), theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
+                                      bell.sos_theta_reader(strat, S))
+            for i in range(len(members)):  # the certificate takes one strategy at a time
+                cert = bell.sos_certificate(strat.member(i), S, (F[i], M[i]), theta[i])
+                min_eig = min(min_eig, cert.theta_min_eigenvalue)
     assert reproduce.run_criterion(3, seed=seed).checks["min eig Theta"].measured == min_eig
