@@ -142,7 +142,8 @@ def _dump(args, payload: dict, stem: str, **context) -> dict:
     """Write ``stem.json`` under the run header: version, numpy, seed, tol and
     ``context`` (the dimension d, or dMax for ``report``; ``certify`` adds the
     seconds of each stage, ``classical`` the seconds of the enumeration, the
-    number of subsets it scores and the number in its search space)."""
+    number of subsets it scores and the number in its search space, and
+    ``report`` the wall seconds of the suite and the processes that ran it)."""
     payload = {"run": {"version": __version__, "numpy": np.__version__, "seed": args.seed,
                        "tol": args.tol, **context}, **payload}
     args.out.mkdir(parents=True, exist_ok=True)
@@ -227,23 +228,21 @@ def cmd_classical(args) -> int:
 def cmd_report(args) -> int:
     from . import reproduce
 
-    runs = reproduce.run_full_suite(tol=args.tol, d_max=args.d_max, seed=args.seed)
-    all_passed = all(r.passed for r in runs)
-    payload = {"criteria": [r.to_json() for r in runs], "allPassed": all_passed}
-    _dump(args, payload, "report", dMax=args.d_max)
+    suite = reproduce.run_full_suite(tol=args.tol, d_max=args.d_max, seed=args.seed)
+    payload = {"criteria": [r.to_json() for r in suite.runs], "allPassed": suite.passed}
+    _dump(args, payload, "report", dMax=args.d_max, seconds=suite.seconds, workers=suite.workers)
     if args.format == "csv-summary":
         rows: list[tuple] = [
             ("criterion", "name", "seconds", "check", "measured", "threshold", "passed")
         ]
-        for r in runs:
+        for r in suite.runs:
             for c in r.checks.values():
                 rows.append((r.cid, reproduce.NAMES[r.cid], round(r.seconds, 3),
                              c.name, c.measured, c.threshold, c.passed))
         _write_csv(args.out / "report.csv", rows)
-    total = sum(r.seconds for r in runs)
-    print(f"{'all criteria passed' if all_passed else 'FAILURES PRESENT'} "
-          f"({total:.1f}s total)")
-    return EXIT_OK if all_passed else EXIT_FAILED
+    print(f"{'all criteria passed' if suite.passed else 'FAILURES PRESENT'} "
+          f"({suite.seconds:.2f}s wall)")
+    return EXIT_OK if suite.passed else EXIT_FAILED
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,10 @@
 
 Each criterion function re-derives one headline claim of the toolkit and
 returns its checks; ``run_criterion`` times one criterion and passes it when
-all its checks pass, and ``run_full_suite`` runs them all.  The CLI
-``report`` command and the acceptance test module both drive this code.
+all its checks pass, and ``run_full_suite`` runs them all, those of
+``WORKER_CRITERIA`` in a forked worker process while the parent runs the
+rest.  The CLI ``report`` command and the acceptance test module both drive
+this code.
 
 Thresholds come from ``linalg.THRESHOLDS``: they are stated for the default
 ``tol=1e-9`` and scale linearly with a user-supplied tolerance, so a tighter
@@ -12,8 +14,14 @@ tolerance demonstrates honest failures.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import pickle
+import signal
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,18 +407,129 @@ def run_criterion(
     return CriterionRun(cid, checks, time.perf_counter() - start)
 
 
-def run_full_suite(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0) -> list[CriterionRun]:
-    """Run every criterion in order, printing each one's line as it finishes.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _send_and_exit(work, send) -> None:
+    """The whole life of a forked worker: send the result of ``work()`` and
+    None, or the exception it raised and its traceback, pickled through
+    ``send``, then end the process, with exit status 0 once that is sent and
+    1 otherwise."""
+    status = 1
+    try:
+        try:
+            sent = work(), None
+        except Exception as exc:
+            import traceback  # loaded only when a worker fails
+
+            sent = exc, traceback.format_exc()
+        send.write(pickle.dumps(sent))  # an unpicklable result writes nothing
+        send.close()
+        status = 0
+    finally:
+        os._exit(status)  # no cleanup and no return into the parent's code
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()`` in a forked worker process while the block runs; the
+    block gets a function that waits for the worker and returns what
+    ``work`` returned, or raises what it raised, or ``ChildProcessError``
+    when the worker ended without sending either.  The worker is reaped when
+    the block ends, and killed first if nothing waited for it."""
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as receive, open(write_end, "wb") as send:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns at every fork while another thread exists
+            # (and drops the warning where a filter makes it an error), and
+            # numpy's OpenBLAS starts its thread pool at import.  OpenBLAS
+            # stops that pool before any fork (a pthread_atfork handler) and
+            # the worker runs in one thread, so the warning is silenced, here
+            # only.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _send_and_exit(work, send)
+        send.close()
+        status = None
+
+        def result():
+            nonlocal status
+            data = receive.read()
+            status = os.waitpid(pid, 0)[1]
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(
+                    f"worker process {pid} ended without a result ("
+                    + (f"killed by signal {-code})" if code < 0 else f"exit status {code})"))
+            value, trace = pickle.loads(data)
+            if trace is not None:
+                raise value from ChildProcessError(f"worker process {pid} raised:\n{trace}")
+            return value
+
+        try:
+            yield result
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+# The criteria that ``run_full_suite`` runs in a forked worker.  Criterion 3
+# is the one large cost, 52 of the 147 ms that the criteria take one after
+# another (ROADMAP item 8).  With it in the worker, the benchmark's median
+# ``report`` call fell from 0.166-0.198 s to 0.122-0.133 s (2-core host,
+# 1 BLAS thread), and the parent's ten criteria, about 100 ms, now set the
+# wait; moving criteria 5, 6 and 9 to the worker as well gained nothing.
+WORKER_CRITERIA = (3,)
+
+
+@dataclass(frozen=True)
+class SuiteRun:
+    """Every criterion's run in criterion order, the wall seconds of the whole
+    suite, and the processes that ran it: 2 when a forked worker ran the
+    criteria of ``WORKER_CRITERIA``, else 1."""
+
+    runs: list[CriterionRun]
+    seconds: float
+    workers: int
+
+    @property
+    def passed(self) -> bool:
+        return all(run.passed for run in self.runs)
+
+
+def run_full_suite(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0) -> SuiteRun:
+    """Run every criterion, then print each one's line in criterion order.
+
+    The criteria of ``WORKER_CRITERIA`` run in a forked worker while this
+    process runs the others; they run in this process too when fewer than 2
+    CPUs are usable, ``os.fork`` is missing or none of them is in
+    ``CRITERIA``.  Each criterion reads only its arguments, and the worker is
+    a copy of this process, so every check is the same either way.
 
     Criteria 7 and 8 share one ``algebra.certify`` run per d, held for this
     call only: criterion 7 certifies and its seconds include the runs;
     criterion 8 reads them, and its seconds leave them out.  A d_max that
     ``algebra.certify`` would refuse is refused before any criterion runs."""
+    start = time.perf_counter()
     algebra.check_certify_size(max(4, d_max))  # the largest d that criterion 7 certifies
-    certify_runs = {}
-    outcomes = []
-    for cid in sorted(CRITERIA):
-        outcome = run_criterion(cid, tol=tol, d_max=d_max, seed=seed, certify_runs=certify_runs)
-        outcomes.append(outcome)
+    run = functools.partial(run_criterion, tol=tol, d_max=d_max, seed=seed, certify_runs={})
+    offloaded = [cid for cid in WORKER_CRITERIA if cid in CRITERIA]
+    fork = bool(offloaded) and hasattr(os, "fork") and _usable_cpus() >= 2
+
+    def work():
+        return [run(cid) for cid in offloaded]
+
+    with _forked(work) if fork else contextlib.nullcontext(work) as worker:
+        runs = [run(cid) for cid in sorted(CRITERIA) if cid not in offloaded]
+        runs = sorted(runs + worker(), key=lambda outcome: outcome.cid)
+    suite = SuiteRun(runs, time.perf_counter() - start, 2 if fork else 1)
+    for outcome in runs:
         print(outcome.line())
-    return outcomes
+    return suite

@@ -1,8 +1,12 @@
 import io
 import json
 import math
+import os
+import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -102,6 +106,77 @@ def test_report_refuses_a_d_max_above_the_size_cap(tmp_path, capsys, monkeypatch
     assert err.count("\n") == 1
     assert "error: certify at d=5 needs about" in err
     assert ran == [] and not (tmp_path / "report.json").exists()
+
+
+def _in_the_worker(action):
+    """A criterion that calls ``action(pid)`` with the id of the process it
+    runs in, which must not be the one that ran ``main``."""
+    parent = os.getpid()
+
+    def criterion(**kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("the criterion ran in the parent process")
+        return action(os.getpid())
+
+    return criterion
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error, prefix", [
+    (ValueError, "error: "), (OSError, "error: "), (MemoryError, "error: out of memory: "),
+])
+def test_report_exits_3_when_the_worker_raises(tmp_path, capsys, monkeypatch, error, prefix):
+    def refuse(pid):
+        raise error(f"refused in process {pid}")
+
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(reproduce.CRITERIA, 3, _in_the_worker(refuse))
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    found = re.fullmatch(re.escape(prefix) + r"refused in process (\d+)\n",
+                         capsys.readouterr().err)
+    assert found and int(found[1]) != os.getpid()
+    assert not (tmp_path / "report.json").exists()
+    _assert_no_child_process()
+
+
+def test_report_exits_3_when_the_worker_dies(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(reproduce.CRITERIA, 3,
+                        _in_the_worker(lambda pid: os.kill(pid, signal.SIGKILL)))
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    assert re.fullmatch(r"error: worker process \d+ ended without a result "
+                        rf"\(killed by signal {int(signal.SIGKILL)}\)\n", capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
+    _assert_no_child_process()
+
+
+def test_a_refusal_in_the_parent_stops_the_worker(tmp_path, capsys, monkeypatch):
+    def refuse(**kwargs):
+        raise ValueError("refused in the parent")
+
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(reproduce.CRITERIA, 3, _in_the_worker(lambda pid: time.sleep(20)))
+    monkeypatch.setitem(reproduce.CRITERIA, 1, refuse)
+    start = time.perf_counter()
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 10  # the worker was killed, not waited for
+    assert capsys.readouterr().err == "error: refused in the parent\n"
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_report_records_its_wall_seconds_and_workers(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: cpus)
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    run = load_json(tmp_path / "report.json")["run"]
+    assert run["workers"] == cpus
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"all criteria passed ({run['seconds']:.2f}s wall)")
+    _assert_no_child_process()
 
 
 @pytest.mark.parametrize("last, message", [

@@ -1,8 +1,12 @@
 """The stacked criteria 2, 3 and 8 against one-strategy-at-a-time copies of
-them, and the certification runs that criteria 7 and 8 share."""
+them, the certification runs that criteria 7 and 8 share, and the suite's
+worker process."""
 
 import collections
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -91,14 +95,16 @@ def test_criteria_7_and_8_count_a_refused_povm_as_inf_in_one_suite_call(monkeypa
     monkeypatch.setattr(reproduce, "_weyl_povm",
                         lambda d, *rt: lattice_povm_d2 if d == 2 else weyl_povm(d, *rt))
     _only_criteria_7_and_8(monkeypatch)
-    seven, eight = (run.checks for run in reproduce.run_full_suite())
+    suite = reproduce.run_full_suite()
+    assert suite.workers == 1  # CRITERIA holds none of WORKER_CRITERIA
+    seven, eight = (run.checks for run in suite.runs)
     for found in (seven["max residual"], eight["max |H - 2 log2 d|"]):
         assert not found.passed and found.measured == np.inf and found.worst == 2
 
 
 def test_full_suite_certifies_once_per_d(monkeypatch):
     counts = _counted_certify_runs(monkeypatch)
-    assert all(run.passed for run in reproduce.run_full_suite())
+    assert reproduce.run_full_suite().passed
     assert counts == {d: 1 for d in range(2, 5)}
 
 
@@ -108,6 +114,65 @@ def test_no_certification_run_outlives_a_suite_call(monkeypatch):
     for calls in (1, 2):
         reproduce.run_full_suite(d_max=5)
         assert counts == {d: calls for d in range(2, 6)}
+
+
+def _no_fork(*args):
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("where", ["one CPU", "no fork", "no worker criterion"])
+def test_suite_runs_in_process_where_the_fork_cannot_help(monkeypatch, capsys, where):
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 2)
+    forked = reproduce.run_full_suite(seed=1)
+    assert forked.workers == 2 and forked.passed
+    if where == "one CPU":
+        monkeypatch.setattr(reproduce, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+    elif where == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(reproduce, "WORKER_CRITERIA", (12,))
+        monkeypatch.setattr(os, "fork", _no_fork)
+    alone = reproduce.run_full_suite(seed=1)
+    assert alone.workers == 1
+    assert [run.checks for run in alone.runs] == [run.checks for run in forked.runs]
+    # every line, in criterion order, after all criteria have run
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == 2 * [
+        f"PASS criterion {cid}" for cid in range(1, 12)]
+
+
+def test_the_fork_warns_nothing_while_another_thread_runs():
+    # Python >= 3.12 warns at a fork while other threads exist; it drops the
+    # warning when a filter turns it into an error, so it is recorded here
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            with reproduce._forked(os.getpid) as result:
+                assert result() != os.getpid()
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in log] == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_exception_carries_the_workers_traceback():
+    def refuse():
+        raise KeyError("refused")
+
+    with pytest.raises(KeyError) as found:
+        with reproduce._forked(refuse) as result:
+            result()
+    assert isinstance(found.value.__cause__, ChildProcessError)
+    assert ", in refuse\n" in str(found.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_criteria_7_and_8_alone_certify_every_d(monkeypatch):
