@@ -707,7 +707,7 @@ def certification_reader(strategy: Strategy, S: GramMatrix):
     bob_norms = np.sqrt(dims.dA) * frobenius_each(strategy.bob)
     sync_pair, a_proj, a_ortho = np.zeros((3, bell.n_pairs(strategy.n_outcomes)))
     full_support = UA.shape[1] == dims.dA  # UA unitary: compressing keeps every norm below
-    while (step := (yield ("cD",))) is not None:
+    while (step := (yield)) is not None:
         block, j, k, A = step.block, step.j, step.k, step.A
         Z_K = apply_local(step.cD, K, dims, "A")
         Z_K -= BK.take(j, axis=0) - BK.take(k, axis=0)
@@ -852,8 +852,8 @@ def certify(povm: bic.BicPovm, tol: float = 1e-9) -> CertifyRun:
     # one pass over the pairs for the Bell value, the fold that W_d and the dual
     # operators C_j take, Theta_d and the pair relations of the audit
     value, fold, theta, audit = stage(
-        "walk", bell.walk, ref, S, bell.bell_value_reader(ref, S), bell.pair_fold_reader(ref, S),
-        bell.sos_theta_reader(ref, S), certification_reader(ref, S))
+        "walk", bell.walk, ref, S, bell.bell_value_reader, bell.pair_fold_reader,
+        bell.sos_theta_reader, certification_reader)
     sos = stage("sos", bell.sos_certificate, ref, S, fold, theta)
     del theta  # a (d^2 x d^2) matrix the later stages do not read
     cert = stage("certification", verify_certification, ref, S, value, fold[0], audit, tol)

@@ -63,11 +63,12 @@ def pair_blocks(n: int, size: int):
 
 
 def _refuse(mask, j, k, values, message: str) -> None:
-    """ValueError naming the first pair (j[p], k[p]) where ``mask`` holds, and values[p]."""
+    """ValueError naming the first pair where ``mask`` holds by its 1-based
+    outcomes, j[p] + 1 and k[p] + 1, and values[p]."""
     bad = np.flatnonzero(mask)
     if bad.size:
         p = bad[0]
-        raise ValueError(message.format(j=j[p], k=k[p], value=values[p]))
+        raise ValueError(message.format(j=j[p] + 1, k=k[p] + 1, value=values[p]))
 
 
 @dataclass(frozen=True)
@@ -277,79 +278,64 @@ def reference_strategy(povm: BicPovm, S: GramMatrix | None = None) -> Strategy:
 
 def _check_dims(strategy: Strategy, S: GramMatrix) -> None:
     if strategy.n_outcomes != S.n:
-        raise ValueError(
-            f"strategy has {strategy.n_outcomes} outcomes, S expects {S.n}"
-        )
-
-
-def _coefficients(S: GramMatrix) -> tuple[np.ndarray, int]:
-    """Weights of the Bell function: rows (2 sqrt(1-s_jk), 1-s_jk) on each pair's
-    correlator and Alice marginal, in the order of ``pair_indices(S.n)``, and
-    d(d-2) on Bob's marginals."""
-    j, k = pair_indices(S.n)
-    weights = np.empty((len(j), 2))
-    one_minus_s = np.subtract(1.0, S.s[j, k], out=weights[:, 1])
-    _refuse(one_minus_s < 0.0, j, k, S.s[j, k], "pair ({j}, {k}) has overlap s_jk={value} above 1")
-    np.multiply(2.0, np.sqrt(one_minus_s), out=weights[:, 0])
-    return weights, S.d * (S.d - 2)
+        raise ValueError(f"strategy has {strategy.n_outcomes} outcomes, S expects {S.n}")
 
 
 class PairBlock(NamedTuple):
     """One block of the pair axis as ``walk`` sends it to its readers: the slice
     of the pair axis, the pairs' (j, k), Alice's dense effects A (..., len, 2,
     dA, dA) and ``vectors`` from ``Strategy.pair_effect_blocks``, D = A1 - A2,
-    cD = sqrt(1 - s_jk) D, P = A1 + A2 and E = B_j - B_k.  An array that no
-    reader of the walk reads is None; the next block overwrites the others."""
+    cD = c D, P = A1 + A2, E = B_j - B_k and the pairs' Bell weights w = 1 - s_jk
+    and c = sqrt(w).  The next block overwrites D, cD, P and E."""
 
     block: slice
     j: np.ndarray
     k: np.ndarray
     A: np.ndarray
     vectors: tuple[slice, np.ndarray] | None
-    D: np.ndarray | None
-    cD: np.ndarray | None
-    P: np.ndarray | None
-    E: np.ndarray | None
+    D: np.ndarray
+    cD: np.ndarray
+    P: np.ndarray
+    E: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
 
 
 def walk(strategy: Strategy, S: GramMatrix, *readers) -> tuple:
     """Drive the pair axis of ``strategy`` once for all ``readers``; their results, in order.
 
-    A reader is a generator such as ``bell_value_reader(strategy, S)``: ``walk``
-    starts it, takes what it yields, the names of the ``PairBlock`` arrays it
-    reads, sends it each ``PairBlock`` and then None, on which it returns its
-    result.  Each block is expanded, and the D, cD, P and E that some reader
-    reads formed, once for every reader, into buffers reused from block to
-    block; cD is formed from D, with its scale sqrt(1 - s_jk) from ``S``.  A
-    ``strategy`` and ``S`` of different outcome counts are refused first.
+    A reader is a generator function such as ``bell_value_reader``: ``walk``
+    calls it with ``strategy`` and ``S``, starts it at its first bare
+    ``yield``, sends it each ``PairBlock`` and then None, on which it returns
+    its result.  A ``strategy`` and ``S`` of different outcome counts, and
+    then a pair with s_jk above 1, are refused before any reader starts.  The
+    weights w = 1 - s_jk and c = sqrt(w) are computed once per walk, and each
+    block is expanded and its D, cD (from D), P and E formed once for every
+    reader, into buffers reused from block to block.
     """
     _check_dims(strategy, S)
-    reads = set()
+    j_all, k_all = pair_indices(S.n)
+    s = S.s[j_all, k_all]
+    w = 1.0 - s
+    _refuse(w < 0.0, j_all, k_all, s, "pair ({j}, {k}) has overlap s_jk={value} above 1")
+    c = np.sqrt(w)
+    readers = [reader(strategy, S) for reader in readers]
     for reader in readers:
-        reads.update(next(reader))
-    if "cD" in reads:
-        reads.add("D")
-        scale = np.sqrt(1.0 - S.s[pair_indices(S.n)])  # exactly half the weight 2 sqrt(1 - s_jk)
-    stack, dA = strategy.stack, strategy.dims.dA
-    sides = {name: m for name, m in zip(("D", "cD", "P", "E"), (dA, dA, dA, strategy.dims.dB))
-             if name in reads}
+        next(reader)
+    stack, dA, bob = strategy.stack, strategy.dims.dA, strategy.bob
+    sides = (dA, dA, dA, strategy.dims.dB)  # of D, cD, P and E
     most = math.prod(stack) * min(walk_block(dA), n_pairs(strategy.n_outcomes))
-    buffers = {name: np.empty(most * m * m, dtype=complex) for name, m in sides.items()}
+    buffers = [np.empty(most * m * m, dtype=complex) for m in sides]
     for block, j, k, A, vectors in strategy.pair_effect_blocks():
         # C-contiguous views, laid out as the arrays that A1 - A2 etc. would be
-        views = {name: buffers[name][:math.prod(stack) * len(j) * m * m].reshape(
-            stack + (len(j), m, m)) for name, m in sides.items()}
-        D, cD, P, E = (views.get(name) for name in ("D", "cD", "P", "E"))
+        D, cD, P, E = (buffer[:math.prod(stack) * len(j) * m * m].reshape(stack + (len(j), m, m))
+                       for buffer, m in zip(buffers, sides))
         A1, A2 = A[..., 0, :, :], A[..., 1, :, :]
-        if D is not None:
-            np.subtract(A1, A2, out=D)
-        if cD is not None:
-            np.multiply(D, scale[block, None, None], out=cD)
-        if P is not None:
-            np.add(A1, A2, out=P)
-        if E is not None:
-            np.subtract(strategy.bob.take(j, axis=-3), strategy.bob.take(k, axis=-3), out=E)
-        step = PairBlock(block, j, k, A, vectors, D, cD, P, E)
+        np.subtract(A1, A2, out=D)
+        np.multiply(D, c[block, None, None], out=cD)
+        np.add(A1, A2, out=P)
+        np.subtract(bob.take(j, axis=-3), bob.take(k, axis=-3), out=E)
+        step = PairBlock(block, j, k, A, vectors, D, cD, P, E, w[block], c[block])
         for reader in readers:
             reader.send(step)
     return tuple(_result(reader) for reader in readers)
@@ -376,16 +362,15 @@ def pair_fold_reader(strategy: Strategy, S: GramMatrix):
     stack, dA = strategy.stack, strategy.dims.dA
     F = np.zeros(stack + (strategy.n_outcomes, dA, dA), dtype=complex)
     M = np.zeros(stack + (dA, dA), dtype=complex)
-    marg_w = _coefficients(S)[0][:, 1]
-    while (step := (yield ("cD", "P"))) is not None:
-        block, j, k, cD = step.block, step.j, step.k, step.cD
+    while (step := (yield)) is not None:
+        j, k, cD = step.j, step.k, step.cD
         # pairs are lexicographic: the block is runs of j[0], j[0] + 1, ..., j[-1],
         # each over consecutive k
         starts = np.searchsorted(j, np.arange(j[0], j[-1] + 1))
         F[..., j[0]:j[-1] + 1, :, :] += np.add.reduceat(cD, starts, axis=-3)
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(j)]):
             F[..., k[lo]:k[hi - 1] + 1, :, :] -= cD[..., lo:hi, :, :]
-        M += _pair_sum(marg_w[block], step.P)
+        M += _pair_sum(step.w, step.P)
     F *= 2.0  # sums of sqrt(1-s) D, doubled: bitwise the sums of 2 sqrt(1-s) D
     return F, M
 
@@ -408,8 +393,7 @@ def bell_operator(strategy: Strategy, S: GramMatrix, fold) -> np.ndarray:
     _check_dims(strategy, S)
     IA, IB = np.eye(strategy.dims.dA), np.eye(strategy.dims.dB)
     F, M = fold
-    _, bob_weight = _coefficients(S)
-    W = -kron(M, IB) - bob_weight * kron(IA, strategy.bob.sum(axis=-3))
+    W = -kron(M, IB) - S.d * (S.d - 2) * kron(IA, strategy.bob.sum(axis=-3))
     return W + kron_sum(F, strategy.bob) - kron_sum(strategy.alice_povm, IB - strategy.bob)
 
 
@@ -423,29 +407,28 @@ def bell_value(strategy: Strategy, S: GramMatrix) -> BellReport:
     blocks of pairs.  The per-pair and per-outcome terms of each strategy are
     summed exactly rounded (``math.fsum``).
     """
-    return walk(strategy, S, bell_value_reader(strategy, S))[0]
+    return walk(strategy, S, bell_value_reader)[0]
 
 
 def bell_value_reader(strategy: Strategy, S: GramMatrix):
     """The ``walk`` reader behind ``bell_value``."""
-    dA, dB = strategy.dims.dA, strategy.dims.dB
-    stack = strategy.stack
+    stack, dA, dB = strategy.stack, strategy.dims.dA, strategy.dims.dB
     rho4 = strategy.rho.reshape(stack + (dA, dB, dA, dB))
     # stored transposed, so that tr[X R] = sum(X * R^t)
     bob_t = np.einsum("...abce,...jeb->...jca", rho4, strategy.bob)
     rho_A_t = np.einsum("...abcb->...ca", rho4)
-    weights, bob_weight = _coefficients(S)
 
+    # each pair's weighted correlator 2 c tr[D (R_j - R_k)] and marginal -w tr[P rho_A]
     correlators, marginals = np.empty((2,) + stack + (n_pairs(strategy.n_outcomes),))
-    while (step := (yield ("D", "P"))) is not None:
+    while (step := (yield)) is not None:
         block, j, k = step.block, step.j, step.k
-        correlators[..., block] = np.einsum(
+        correlators[..., block] = 2.0 * step.c * np.einsum(
             "...pab,...pab->...p", step.D, bob_t[..., j, :, :] - bob_t[..., k, :, :]).real
-        marginals[..., block] = np.einsum("...pab,...ab->...p", step.P, rho_A_t).real
+        marginals[..., block] = -step.w * np.einsum("...pab,...ab->...p", step.P, rho_A_t).real
     terms = {
-        "pair_correlation": weights[:, 0] * correlators,
-        "pair_marginal_penalty": -weights[:, 1] * marginals,
-        "bob_marginal_penalty": -bob_weight * np.trace(bob_t, axis1=-2, axis2=-1).real,
+        "pair_correlation": correlators,
+        "pair_marginal_penalty": marginals,
+        "bob_marginal_penalty": -S.d * (S.d - 2) * np.trace(bob_t, axis1=-2, axis2=-1).real,
         "povm_mismatch_penalty": -np.einsum("...jab,...jab->...j", strategy.alice_povm,
                                             rho_A_t[..., None, :, :] - bob_t).real,
     }
@@ -477,7 +460,7 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     hermitian.  A D or E with an anti-hermitian part thus enters the cross
     term through its hermitian completion but the squares as it is, so the
     identity residual shows that part.  The reader reads only the effects and
-    the walk's D, cD, P and E; nothing comes from ``pair_fold_reader`` or W_d,
+    the walk's D, cD, P, E and w; nothing comes from ``pair_fold_reader`` or W_d,
     so the identity compares two independent constructions.
 
     The identity is purely algebraic: it holds for arbitrary hermitian
@@ -493,13 +476,12 @@ def sos_theta_reader(strategy: Strategy, S: GramMatrix):
     hybrid_A, hybrid_B, marginal = (np.zeros(stack + (m, m), dtype=complex)
                                     for m in (dA, dB, dA))
     R = np.zeros(stack + (dA * dA, dB * dB))
-    while (step := (yield ("D", "cD", "P", "E"))) is not None:
-        one_minus_s = 1.0 - S.s[step.j, step.k]
+    while (step := (yield)) is not None:
         D, E = step.D, step.E
         D2 = D @ D
-        hybrid_A += _pair_sum(one_minus_s, D2)
+        hybrid_A += _pair_sum(step.w, D2)
         hybrid_B += (E @ E).sum(axis=-3)
-        marginal += _pair_sum(one_minus_s, np.subtract(step.P, D2, out=D2))
+        marginal += _pair_sum(step.w, np.subtract(step.P, D2, out=D2))
         R += _hermitian_coordinates(step.cD).swapaxes(-1, -2) @ _hermitian_coordinates(E)
 
     theta = kron(hybrid_A, IB) - 2.0 * _cross_term(R, dA, dB) + kron(IA, hybrid_B)

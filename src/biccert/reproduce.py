@@ -130,8 +130,7 @@ def criterion_2_sos_identity(tol: float = BASE_TOL, d_max: int = 4, seed: int = 
                 alice_povm=tuples[:, 2 * P:2 * P + n],
                 bob=tuples[:, 2 * P + n:],
             )
-            fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                    bell.sos_theta_reader(strat, S))
+            fold, theta = bell.walk(strat, S, bell.pair_fold_reader, bell.sos_theta_reader)
             residuals = bell.bell_operator(strat, S, fold) + theta - d * d * np.eye(n)
             worst_rel = max(worst_rel, *(frobenius(r) / (d * d) for r in residuals))
     return [check("max residual / d^2", worst_rel, tol)]
@@ -147,8 +146,7 @@ def criterion_3_sos_bound(tol: float = BASE_TOL, d_max: int = 4, seed: int = 0):
         S = bic.gram(_weyl_povm(d))
         for members in _stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            value, theta = bell.walk(strat, S, bell.bell_value_reader(strat, S),
-                                     bell.sos_theta_reader(strat, S))
+            value, theta = bell.walk(strat, S, bell.bell_value_reader, bell.sos_theta_reader)
             min_eig = min(min_eig, bell.theta_min_eigenvalue(theta).min())
             max_excess = max(max_excess, (value.value - d * d).max())
     return [check("min eig Theta", min_eig, tol), check("max value - d^2", max_excess, tol)]

@@ -54,7 +54,7 @@ from operator import ge
 import numpy as np
 
 from biccert.bell import (
-    ReferencePairs, Strategy, _coefficients, _refuse, pair_blocks, pair_indices,
+    ReferencePairs, Strategy, _refuse, pair_blocks, pair_indices,
 )
 from biccert.bic import (
     _GENERIC_ATTEMPTS, BicPovm, GramMatrix, _fixing_rotation, _weyl_stack, gram, validate_bic,
@@ -208,13 +208,13 @@ def bell_value_from_correlation(corr: Correlation, S: GramMatrix) -> float:
     """
     if corr.n_outcomes != S.n:
         raise ValueError(f"correlation table has {corr.n_outcomes} outcomes, S expects {S.n}")
-    weights, bob_weight = _coefficients(S)
     P = corr.pair_probs
     p = np.arange(len(corr.pairs))
     j, k = pair_indices(S.n)
+    one_minus_s = 1.0 - S.s[j, k]
     correlators = P[p, j, 0, 0] + P[p, k, 1, 0] - P[p, k, 0, 0] - P[p, j, 1, 0]
-    value = weights[:, 0] @ correlators - weights[:, 1] @ P[:, 0, :2].sum(axis=(1, 2))
-    value -= bob_weight * corr.povm_probs[:, :, 0].sum()
+    value = 2.0 * np.sqrt(one_minus_s) @ correlators - one_minus_s @ P[:, 0, :2].sum(axis=(1, 2))
+    value -= S.d * (S.d - 2) * corr.povm_probs[:, :, 0].sum()
     value -= np.trace(corr.povm_probs[:, :, 1])
     return float(value)
 

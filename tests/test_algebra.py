@@ -112,8 +112,7 @@ def _reference_relation_families(povm):
     Bob's compressed effects and the compressed dual operators."""
     S = bic.gram(povm)
     ref = bell.reference_strategy(povm)
-    audit, (F, _) = bell.walk(ref, S, algebra.certification_reader(ref, S),
-                              bell.pair_fold_reader(ref, S))
+    audit, (F, _) = bell.walk(ref, S, algebra.certification_reader, bell.pair_fold_reader)
     C = algebra.dual_alice_operators(ref, S, F)
     return S, algebra.compress(ref.bob, audit.VB), algebra.compress(C, audit.UA)
 
@@ -627,9 +626,8 @@ def test_maxent_sync_precondition():
 
 def _certify(strat, S, tol=1e-9):
     """verify_certification given the Bell value, pair fold and audit of one walk."""
-    value, fold, audit = bell.walk(strat, S, bell.bell_value_reader(strat, S),
-                                   bell.pair_fold_reader(strat, S),
-                                   algebra.certification_reader(strat, S))
+    value, fold, audit = bell.walk(strat, S, bell.bell_value_reader, bell.pair_fold_reader,
+                                   algebra.certification_reader)
     return algebra.verify_certification(strat, S, value, fold[0], audit, tol=tol)
 
 
@@ -729,7 +727,7 @@ def test_certification_depolarized_is_advisory(reference_d2):
 
 def test_dual_operators_reduce_to_bob_transpose(reference_d3):
     ref, S = reference_d3
-    ((F, _),) = bell.walk(ref, S, bell.pair_fold_reader(ref, S))
+    ((F, _),) = bell.walk(ref, S, bell.pair_fold_reader)
     C = algebra.dual_alice_operators(ref, S, F)
     for j in range(9):
         assert frobenius(C[j] - ref.bob[j].T) < 1e-10
@@ -739,17 +737,16 @@ def _full_rho_state_residuals(strat, S):
     """sync_pair, sync_povm and c_sync maxima with every relation applied to
     the full rho, one pair and one outcome at a time."""
     dims, rho = strat.dims, strat.rho
-    weights, _ = bell._coefficients(S)
     sync_pair = [
-        frobenius(apply_local(w / 2 * (A1 - A2), rho, dims, "A")
+        frobenius(apply_local(np.sqrt(1 - S.s[j, k]) * (A1 - A2), rho, dims, "A")
                   - apply_local(strat.bob[j] - strat.bob[k], rho, dims, "B"))
-        for (j, k), (A1, A2), (w, _) in zip(oracles.pair_list(strat.n_outcomes), dense_pair_effects(strat), weights)
+        for (j, k), (A1, A2) in zip(oracles.pair_list(strat.n_outcomes), dense_pair_effects(strat))
     ]
     sync_povm = []
     for Ej, Bj in zip(strat.alice_povm, strat.bob):
         E_rho = apply_local(Ej, rho, dims, "A")
         sync_povm.append(frobenius(E_rho - apply_local(Bj, E_rho, dims, "B")))
-    ((F, _),) = bell.walk(strat, S, bell.pair_fold_reader(strat, S))
+    ((F, _),) = bell.walk(strat, S, bell.pair_fold_reader)
     C = algebra.dual_alice_operators(strat, S, F)
     c_sync = [
         frobenius(apply_local(Cj, rho, dims, "A") - apply_local(Bj, rho, dims, "B"))

@@ -88,13 +88,13 @@ def test_bell_operator_hermitian(reference_d2):
     _, S = reference_d2
     for seed in range(5):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader)[0])
         assert frobenius(W - W.conj().T) < 1e-12 * max(1.0, frobenius(W))
 
 
 def test_bell_operator_expectation_matches_phi(reference_d3):
     ref, S = reference_d3
-    W = bell.bell_operator(ref, S, bell.walk(ref, S, bell.pair_fold_reader(ref, S))[0])
+    W = bell.bell_operator(ref, S, bell.walk(ref, S, bell.pair_fold_reader)[0])
     phi = maximally_entangled(3)
     assert abs(np.real(phi.conj() @ W @ phi) - 9.0) < 1e-9
 
@@ -105,7 +105,7 @@ def test_quantum_bound_random_strategies(reference_d2):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
         value = bell.bell_value(strat, S).value
         assert value <= 4.0 + 1e-8
-        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader)[0])
         assert np.linalg.eigvalsh(W)[-1] <= 4.0 + 1e-8
 
 
@@ -140,7 +140,7 @@ TUPLE_CASES = [
 
 def _assert_value_is_operator_trace(strat, S):
     report = bell.bell_value(strat, S)
-    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
+    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader)[0])
     expected = np.trace(W @ strat.rho).real
     assert abs(report.value - expected) < 1e-10
     assert set(report.term_breakdown) == BELL_TERMS
@@ -175,8 +175,8 @@ def test_sos_identity_arbitrary_hermitian_tuples(d, dA, dB):
     d2 = d * d
     for _ in range(20):
         strat = _arbitrary_tuple_strategy(d, dims, rng)
-        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
-        theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
+        W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader)[0])
+        theta = bell.walk(strat, S, bell.sos_theta_reader)[0]
         assert frobenius(W + theta - d2 * np.eye(dims.total)) <= 1e-9 * d2
 
 
@@ -203,13 +203,13 @@ def test_sos_theta_matches_per_pair_oracle(d, dA, dB):
     S = bic.gram(bic.construct_weyl_bic(d, bic.geometric_fiducial(d, 0.3, 0.137)))
     for _ in range(5):
         strat = _arbitrary_tuple_strategy(d, BipartiteDims(dA, dB), rng)
-        theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
+        theta = bell.walk(strat, S, bell.sos_theta_reader)[0]
         assert frobenius(theta - _sos_theta_oracle(strat, S)) <= 1e-12 * d * d
 
 
 def test_sos_theta_matches_per_pair_oracle_reference(reference_d4):
     ref, S = reference_d4
-    theta = bell.walk(ref, S, bell.sos_theta_reader(ref, S))[0]
+    theta = bell.walk(ref, S, bell.sos_theta_reader)[0]
     assert frobenius(theta - _sos_theta_oracle(ref, S)) <= 1e-12 * 16
 
 
@@ -224,7 +224,7 @@ def _theta_cross_term(monkeypatch, strat, S):
 
     cross_term = bell._cross_term
     monkeypatch.setattr(bell, "_cross_term", spy)
-    bell.walk(strat, S, bell.sos_theta_reader(strat, S))
+    bell.walk(strat, S, bell.sos_theta_reader)
     (cross,) = built
     return cross
 
@@ -283,14 +283,14 @@ def test_anti_hermitian_pair_difference_is_never_certified():
     d = 3
     S = bic.gram(_povm("weyl3"))
     strat = _arbitrary_tuple_strategy(d, BipartiteDims(d, d), rng)
-    sound = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                      bell.sos_theta_reader(strat, S)))
+    sound = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                      bell.sos_theta_reader))
     assert linalg.check("sos identity", sound.identity_residual, 1e-9, d).passed
     effects = strat.alice_pair_effects.copy()
     effects[5, 0] += 1e-6j * random_hermitian(d, rng)  # i H: anti-hermitian
     bad = dataclasses.replace(strat, alice_pair_effects=effects)
-    sos = bell.sos_certificate(bad, S, *bell.walk(bad, S, bell.pair_fold_reader(bad, S),
-                                                  bell.sos_theta_reader(bad, S)))
+    sos = bell.sos_certificate(bad, S, *bell.walk(bad, S, bell.pair_fold_reader,
+                                                  bell.sos_theta_reader))
     assert sos.identity_residual > 1e-7
     assert not linalg.check("sos identity", sos.identity_residual, 1e-9, d).passed
 
@@ -303,8 +303,8 @@ def test_bob_effects_above_identity_fail_sos_positivity():
     S = bic.gram(povm)
     ref = bell.reference_strategy(povm, S)
     strat = dataclasses.replace(ref, bob=ref.bob * (1.0 + 1e-8))
-    sos = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                    bell.sos_theta_reader(strat, S)))
+    sos = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                    bell.sos_theta_reader))
     assert -1e-6 < sos.theta_min_eigenvalue < -1e-8
     assert linalg.check("sos identity", sos.identity_residual, 1e-9, 2).passed
     assert not linalg.check("sos positivity", sos.theta_min_eigenvalue, 1e-9, 2).passed
@@ -332,14 +332,14 @@ def _assert_sos_theta_never_uses_the_bell_operator(monkeypatch, stack):
     if stack:
         strat = _stacked([strat] + [_arbitrary_tuple_strategy(2, BipartiteDims(2, 3), rng)
                                     for _ in range(stack - 1)])
-    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader(strat, S))[0])
+    W = bell.bell_operator(strat, S, bell.walk(strat, S, bell.pair_fold_reader)[0])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Theta_d must be built without W_d or its pair fold")
 
     monkeypatch.setattr(bell, "pair_fold_reader", forbidden)
     monkeypatch.setattr(bell, "bell_operator", forbidden)
-    theta = bell.walk(strat, S, bell.sos_theta_reader(strat, S))[0]
+    theta = bell.walk(strat, S, bell.sos_theta_reader)[0]
     assert theta.shape == strat.stack + (6, 6)
     for R in (W + theta - 4 * np.eye(6)).reshape(-1, 6, 6):
         assert frobenius(R) <= 1e-9 * 4
@@ -353,7 +353,7 @@ def _assert_pair_fold_matches_signed_loop(strat, S):
         F[j] += 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         F[k] -= 2 * np.sqrt(1 - S.s[j, k]) * (A1 - A2)
         M += (1 - S.s[j, k]) * (A1 + A2)
-    ((F_got, M_got),) = bell.walk(strat, S, bell.pair_fold_reader(strat, S))
+    ((F_got, M_got),) = bell.walk(strat, S, bell.pair_fold_reader)
     assert np.allclose(F_got, F, rtol=0, atol=1e-12) and np.allclose(M_got, M, rtol=0, atol=1e-12)
 
 
@@ -460,8 +460,8 @@ def test_vector_and_dense_storage_agree_bitwise(povm_id):
     strats = (vectors, dense)
 
     def four_readers(strat):
-        return bell.walk(strat, S, bell.bell_value_reader(strat, S), bell.pair_fold_reader(strat, S),
-                         bell.sos_theta_reader(strat, S), algebra.certification_reader(strat, S))
+        return bell.walk(strat, S, bell.bell_value_reader, bell.pair_fold_reader,
+                         bell.sos_theta_reader, algebra.certification_reader)
 
     walks = [four_readers(strat) for strat in strats]
     # streamed and stored vectors agree bit for bit, the rank-one relations included
@@ -522,8 +522,8 @@ def test_one_walk_equals_the_standalone_readers_bitwise(case):
     readers = [bell.bell_value_reader, bell.pair_fold_reader, bell.sos_theta_reader]
     if not strat.stack:  # the certification audit takes one strategy at a time
         readers.append(algebra.certification_reader)
-    alone = [bell.walk(strat, S, reader(strat, S))[0] for reader in readers]
-    _assert_bitwise(bell.walk(strat, S, *(reader(strat, S) for reader in readers)), alone)
+    alone = [bell.walk(strat, S, reader)[0] for reader in readers]
+    _assert_bitwise(bell.walk(strat, S, *readers), alone)
     if strat.stack:
         return
     value, fold, theta, audit = alone
@@ -559,7 +559,7 @@ def test_reference_pair_effects_are_stored_as_vectors(d):
 
 def test_reference_errors_name_the_first_pair():
     vectors = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
-    with pytest.raises(ValueError, match=r"degenerate pair \(0, 1\): overlap s_jk=1"):
+    with pytest.raises(ValueError, match=r"degenerate pair \(1, 2\): overlap s_jk=1"):
         bell.reference_strategy(bic.BicPovm(d=2, vectors=vectors))
     # a vector of norm 1e-7 leaves B_0 - B_1 without a negative eigenvalue above 1e-12,
     # which the walk finds when it computes the pair's vectors
@@ -567,19 +567,19 @@ def test_reference_errors_name_the_first_pair():
     vectors[1] *= 1e-7
     povm = bic.BicPovm(d=2, vectors=vectors)
     ref = bell.reference_strategy(povm)
-    with pytest.raises(ValueError, match=r"pair \(0, 1\) difference lacks a \+/- eigenvalue pair"):
+    with pytest.raises(ValueError, match=r"pair \(1, 2\) difference lacks a \+/- eigenvalue pair"):
         bell.bell_value(ref, bic.gram(povm))
 
 
 def test_reference_refuses_a_degenerate_pair_in_its_last_block():
-    # d=6: 630 pairs; (34, 35) is the last pair
+    # d=6: 630 pairs; (34, 35), outcomes 35 and 36, is the last pair
     vectors = _povm("weyl6").vectors.copy()
     vectors[35] = vectors[34]
     povm = bic.BicPovm(d=6, vectors=vectors)
     s = bic.gram(povm).s[34, 35]
     with pytest.raises(ValueError) as refused:
         bell.reference_strategy(povm)
-    assert str(refused.value) == f"degenerate pair (34, 35): overlap s_jk={s} is too close to 1"
+    assert str(refused.value) == f"degenerate pair (35, 36): overlap s_jk={s} is too close to 1"
 
 
 def test_walk_refuses_a_pair_without_a_sign_change_in_its_last_chunk():
@@ -596,7 +596,7 @@ def test_walk_refuses_a_pair_without_a_sign_change_in_its_last_chunk():
             chunks += [] if vectors is None else [vectors[0]]
     assert chunks == [slice(0, 354)] and block == slice(177, 354)  # refused in the last chunk
     assert str(refused.value) == (
-        "pair (34, 35) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]")
+        "pair (35, 36) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]")
 
 
 def test_bell_value_never_folds_the_pairs(reference_d3, monkeypatch):
@@ -664,8 +664,24 @@ def test_overlap_above_one_is_refused(reference_d2):
     ref, S = reference_d2
     s = S.s.copy()
     s[1, 3] = s[3, 1] = 1.5
-    with pytest.raises(ValueError, match=r"pair \(1, 3\) has overlap s_jk=1.5 above 1"):
+    with pytest.raises(ValueError, match=r"pair \(2, 4\) has overlap s_jk=1.5 above 1"):
         bell.bell_value(ref, bic.GramMatrix(d=2, s=s))
+
+
+@pytest.mark.parametrize("reader", [bell.sos_theta_reader, algebra.certification_reader])
+def test_every_walk_refuses_an_overlap_above_one_before_any_block(reference_d2, monkeypatch,
+                                                                  reader):
+    # the walk checks the weights 1 - s_jk itself, whichever readers it drives
+    ref, S = reference_d2
+    s = S.s.copy()
+    s[1, 3] = s[3, 1] = 1.5
+
+    def forbidden(self):
+        raise AssertionError("a block was formed before the overlaps were checked")
+
+    monkeypatch.setattr(bell.Strategy, "pair_effect_blocks", forbidden)
+    with pytest.raises(ValueError, match=r"^pair \(2, 4\) has overlap s_jk=1.5 above 1$"):
+        bell.walk(ref, bic.GramMatrix(d=2, s=s), reader)
 
 
 def test_sos_identity_independent_of_povm_validity(reference_d2):
@@ -674,15 +690,15 @@ def test_sos_identity_independent_of_povm_validity(reference_d2):
     valid = bell.random_strategy(BipartiteDims(2, 2), 2, 0)
     invalid = _arbitrary_tuple_strategy(2, BipartiteDims(2, 2), rng)
     for strat in (ref, valid, invalid):
-        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                  bell.sos_theta_reader(strat, S)))
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                  bell.sos_theta_reader))
         assert cert.identity_residual <= 1e-9 * 4
 
 
 def test_sos_theta_psd_and_annihilates_reference(reference_d3):
     ref, S = reference_d3
-    cert = bell.sos_certificate(ref, S, *bell.walk(ref, S, bell.pair_fold_reader(ref, S),
-                                              bell.sos_theta_reader(ref, S)))
+    cert = bell.sos_certificate(ref, S, *bell.walk(ref, S, bell.pair_fold_reader,
+                                              bell.sos_theta_reader))
     assert cert.theta_min_eigenvalue >= -1e-9
     assert cert.theta_rho_residual <= 1e-9
 
@@ -691,8 +707,8 @@ def test_sos_theta_psd_random_valid(reference_d2):
     _, S = reference_d2
     for seed in range(20):
         strat = bell.random_strategy(BipartiteDims(2, 2), 2, seed)
-        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                  bell.sos_theta_reader(strat, S)))
+        cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                  bell.sos_theta_reader))
         assert cert.theta_min_eigenvalue >= -1e-8
 
 
@@ -871,7 +887,7 @@ def test_bell_operator_dimension_mismatch(reference_d2):
     _, S2 = reference_d2
     strat3 = bell.random_strategy(BipartiteDims(3, 3), 3, 0)
     with pytest.raises(ValueError):
-        bell.bell_operator(strat3, S2, bell.walk(strat3, S2, bell.pair_fold_reader(strat3, S2))[0])
+        bell.bell_operator(strat3, S2, bell.walk(strat3, S2, bell.pair_fold_reader)[0])
     with pytest.raises(ValueError):
         bell.bell_value(strat3, S2)
 
@@ -912,7 +928,7 @@ def _all_layers(strat, S):
     theta_min_eigenvalue return at one strategy or a stack, with the residuals
     of sos_certificate, for a stack taken member by member from the stacked
     walk's fold and Theta_d."""
-    fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S), bell.sos_theta_reader(strat, S))
+    fold, theta = bell.walk(strat, S, bell.pair_fold_reader, bell.sos_theta_reader)
     if strat.stack:
         F, M = fold
         sos = [bell.sos_certificate(strat.member(i), S, (F[i], M[i]), theta[i])
@@ -966,8 +982,8 @@ def test_stack_members_equal_their_single_calls(d, dA, dB):
 
 
 def _sos(strat, S):
-    return bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                     bell.sos_theta_reader(strat, S)))
+    return bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                     bell.sos_theta_reader))
 
 
 def test_sos_certificate_refuses_a_stack(reference_d2):
@@ -1009,8 +1025,7 @@ def test_sos_theta_rho_names_its_largest_entry():
     rho = (1.0 - eps) * ref.rho
     rho[m, m] += eps
     strat = dataclasses.replace(ref, rho=rho)
-    fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                            bell.sos_theta_reader(strat, S))
+    fold, theta = bell.walk(strat, S, bell.pair_fold_reader, bell.sos_theta_reader)
     sos = bell.sos_certificate(strat, S, fold, theta)
     column = np.abs(theta[:, m])
     assert np.sort(column)[-2] < 0.99 * column.max()  # one largest entry

@@ -180,9 +180,9 @@ def test_report_records_its_wall_seconds_and_workers(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("last, message", [
-    (lambda e: e, "degenerate pair (34, 35): overlap s_jk={s} is too close to 1"),
+    (lambda e: e, "degenerate pair (35, 36): overlap s_jk={s} is too close to 1"),
     (lambda e: e / 2,
-     "pair (34, 35) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]"),
+     "pair (35, 36) difference lacks a +/- eigenvalue pair: extremes [0.   0.75]"),
 ], ids=["degenerate", "no sign change"])
 def test_certify_refuses_a_reference_pair_with_one_line(tmp_path, capsys, monkeypatch, last,
                                                          message):

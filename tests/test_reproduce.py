@@ -32,8 +32,7 @@ def _criterion_2_one_at_a_time(seed):
                 alice_povm=random_hermitian(d, rng, (n,)),
                 bob=random_hermitian(d, rng, (n,)),
             )
-            fold, theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                    bell.sos_theta_reader(strat, S))
+            fold, theta = bell.walk(strat, S, bell.pair_fold_reader, bell.sos_theta_reader)
             W = bell.bell_operator(strat, S, fold)
             worst_rel = max(worst_rel, frobenius(W + theta - d * d * np.eye(n)) / (d * d))
     return worst_rel
@@ -45,8 +44,8 @@ def _criterion_3_one_at_a_time(seed):
         S = _weyl_gram(d)
         for i in range(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, seed + i)
-            cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                                             bell.sos_theta_reader(strat, S)))
+            cert = bell.sos_certificate(strat, S, *bell.walk(strat, S, bell.pair_fold_reader,
+                                                             bell.sos_theta_reader))
             min_eig = min(min_eig, cert.theta_min_eigenvalue)
             max_excess = max(max_excess, bell.bell_value(strat, S).value - d * d)
     return min_eig, max_excess
@@ -205,8 +204,7 @@ def test_criterion_3_min_eigenvalue_is_the_sos_certificates_bitwise(seed):
         S = _weyl_gram(d)
         for members in reproduce._stacks(100):
             strat = bell.random_strategy(BipartiteDims(d, d), d, [seed + i for i in members])
-            (F, M), theta = bell.walk(strat, S, bell.pair_fold_reader(strat, S),
-                                      bell.sos_theta_reader(strat, S))
+            (F, M), theta = bell.walk(strat, S, bell.pair_fold_reader, bell.sos_theta_reader)
             for i in range(len(members)):  # the certificate takes one strategy at a time
                 cert = bell.sos_certificate(strat.member(i), S, (F[i], M[i]), theta[i])
                 min_eig = min(min_eig, cert.theta_min_eigenvalue)
